@@ -1,0 +1,64 @@
+"""The header shared by the binary model and index files.
+
+Both start (little-endian) with an 8-byte magic, a u32 format version, a few
+format-specific fixed fields, then dims_count u16 and the dims as u32 each in
+strictly descending order. `Reader` turns every short read or layout defect
+into a `FormatError` that names the kind of file.
+"""
+
+from __future__ import annotations
+
+import struct
+
+from .errors import FormatError
+from .nested import DimSet
+
+
+def pack_header(magic: bytes, version: int, fields: str, values, dims: DimSet) -> bytes:
+    """Magic, version, the `fields` struct values, then the dims list."""
+    return (
+        magic
+        + struct.pack("<I" + fields, version, *values)
+        + struct.pack(f"<H{len(dims)}I", len(dims), *dims)
+    )
+
+
+class Reader:
+    def __init__(self, fh, kind: str):
+        self.fh = fh
+        self.kind = kind
+
+    def exact(self, n: int, what: str) -> bytes:
+        data = self.fh.read(n)
+        if len(data) != n:
+            raise FormatError(f"{self.kind} file truncated while reading {what}")
+        return data
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        fmt = "<" + fmt
+        return struct.unpack(fmt, self.exact(struct.calcsize(fmt), what))
+
+    def header(self, magic: bytes, version: int, fields: str, path) -> tuple:
+        """Check magic and version; returns the `fields` values that follow."""
+        if self.exact(len(magic), "magic") != magic:
+            article = "an" if self.kind[0] in "aeiou" else "a"
+            raise FormatError(f"not {article} {self.kind} file: {path}")
+        found, *values = self.unpack("I" + fields, "header")
+        if found != version:
+            raise FormatError(f"unsupported {self.kind} version {found}")
+        return tuple(values)
+
+    def dims(self, full_dim: int) -> DimSet:
+        """The dims list, which must be valid and end at `full_dim`."""
+        (count,) = self.unpack("H", "dims count")
+        try:
+            dims = DimSet(self.unpack(f"{count}I", "dims"))
+        except ValueError as e:
+            raise FormatError(f"bad dimension list: {e}") from None
+        if dims.full != full_dim:
+            raise FormatError("dimension list does not match full dimension")
+        return dims
+
+    def end(self, what: str) -> None:
+        if self.fh.read(1):
+            raise FormatError(f"trailing bytes after {what}")

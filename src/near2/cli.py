@@ -4,6 +4,10 @@ Flag values override config-file values, which override built-in defaults;
 the fully resolved configuration is echoed into every report for provenance.
 Diagnostics go to stderr, machine-readable output to files or stdout.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical failure.
+
+`search` prints score_norm, the score minus the lowest similarity the search
+computed: over the whole corpus for exact search, and over the shortlist
+re-ranked at HIGH for `--funnel LOW:HIGH`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,14 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .data import SynthSpec, gen_synthetic, load_records, split_judgments, write_records
+from .data import (
+    SynthSpec,
+    distinct_titles,
+    gen_synthetic,
+    load_records,
+    split_judgments,
+    write_records,
+)
 from .encoder import EncoderModel, encode, load_model, save_model
 from .errors import DataError, FormatError, InvalidDimensionError, NumericalError, ZeroVectorError
 from .index import (
@@ -153,14 +164,17 @@ def _write_csv_report(path, header: dict, body: str) -> None:
 
 def _cmd_synth(args) -> int:
     res = Resolver(args, _load_config_file(args.config))
-    spec = SynthSpec(
-        seed=int(res.get("seed", 0)),
-        query_count=int(res.get("queries", 100)),
-        titles_per_query=int(res.get("titles_per_query", 10)),
-        category_count=int(res.get("categories", 10)),
-        alphanum_fraction=float(res.get("alphanum_fraction", 0.2)),
-        shared_substring_fraction=float(res.get("shared_substring_fraction", 0.3)),
-    )
+    try:
+        spec = SynthSpec(
+            seed=int(res.get("seed", 0)),
+            query_count=int(res.get("queries", 100)),
+            titles_per_query=int(res.get("titles_per_query", 10)),
+            category_count=int(res.get("categories", 10)),
+            alphanum_fraction=float(res.get("alphanum_fraction", 0.2)),
+            shared_substring_fraction=float(res.get("shared_substring_fraction", 0.3)),
+        )
+    except ValueError as e:  # SynthSpec checks its own ranges
+        raise UsageError(str(e)) from None
     out_dir = Path(res.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     train_recs, valid_recs, test_recs = gen_synthetic(spec)
@@ -212,16 +226,7 @@ def _cmd_index(args) -> int:
         raise UsageError("index requires --model, --titles and --out")
     model = load_model(model_path)
     records = _records_or_die(titles_path, "titles")
-    titles: list[tuple[str, str]] = []
-    seen: dict[str, str] = {}
-    for r in records:
-        known = seen.get(r.title_id)
-        if known is None:
-            seen[r.title_id] = r.title
-            titles.append((r.title_id, r.title))
-        elif known != r.title:
-            raise DataError(f"title_id {r.title_id!r} maps to two different titles")
-    index = build_index(model, titles)
+    index = build_index(model, distinct_titles(records))
     save_index(index, out_path)
     print(f"near2: indexed {index.count} titles to {out_path}", file=sys.stderr)
     return EXIT_OK
@@ -235,8 +240,22 @@ def _cmd_search(args) -> int:
         raise UsageError("search requires --index, --model and --query")
     dim = int(res.get("dim", 0) or 0)
     k = int(res.get("k", 10))
+    if k < 1:
+        raise UsageError(f"--k must be >= 1, got {k}")
     funnel = res.get("funnel")
-    shortlist = res.get("shortlist")
+    if funnel:
+        try:
+            low_s, high_s = str(funnel).split(":")
+            m_low, m_high = int(low_s), int(high_s)
+        except ValueError:
+            raise UsageError(f"--funnel must look like LOW:HIGH, got {funnel!r}") from None
+        if m_low > m_high:
+            raise UsageError(f"--funnel LOW ({m_low}) must not exceed HIGH ({m_high})")
+        shortlist = res.get("shortlist")
+        s = int(shortlist) if shortlist is not None else 4 * k
+        res.resolved["shortlist"] = s
+        if s < k:
+            raise UsageError(f"--shortlist ({s}) must be >= --k ({k})")
 
     index = load_index(index_path)
     model = load_model(model_path)
@@ -247,15 +266,12 @@ def _cmd_search(args) -> int:
 
     try:
         if funnel:
-            try:
-                low_s, high_s = str(funnel).split(":")
-                m_low, m_high = int(low_s), int(high_s)
-            except ValueError:
-                raise UsageError(f"--funnel must look like LOW:HIGH, got {funnel!r}") from None
-            s = int(shortlist) if shortlist is not None else max(k, 4 * k)
-            res.resolved["shortlist"] = s
-            hits = search_funnel(index, query, m_low, m_high, s, k)
-            _, min_score = search_exact_with_min(index, query, m_high, 1)
+            # ranking the whole shortlist at m_high costs no extra scan; its
+            # first k hits are exactly search_funnel(..., k), and its last
+            # score is the lowest m_high similarity the funnel computed
+            ranked = search_funnel(index, query, m_low, m_high, s, s)
+            hits = ranked[:k]
+            min_score = ranked[-1].score if ranked else float("nan")
         else:
             hits, min_score = search_exact_with_min(index, query, dim, k)
     except InvalidDimensionError as e:
@@ -426,7 +442,11 @@ def build_parser() -> _Parser:
     p.add_argument("--query")
     p.add_argument("--dim", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--funnel", metavar="LOW:HIGH", help="coarse-to-fine two-stage search")
+    p.add_argument(
+        "--funnel", metavar="LOW:HIGH",
+        help="coarse-to-fine two-stage search; score_norm is anchored to the lowest "
+             "HIGH-dimension score in the shortlist",
+    )
     p.add_argument("--shortlist", type=int)
 
     p = add("eval", _cmd_eval, "run the sequential evaluator over a test set")

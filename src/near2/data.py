@@ -169,6 +169,20 @@ class JudgmentsSplit:
     excluded_qids: list[str]
 
 
+def distinct_titles(records: list[RelevanceRecord]) -> list[tuple[str, str]]:
+    """The title corpus: distinct (title_id, title) pairs in first-seen order.
+
+    Every record's title counts, whatever its grade. A title_id that appears
+    with two different titles is a DataError.
+    """
+    title_by_id: dict[str, str] = {}
+    for r in records:
+        known = title_by_id.setdefault(r.title_id, r.title)
+        if known != r.title:
+            raise DataError(f"title_id {r.title_id!r} maps to two different titles")
+    return list(title_by_id.items())
+
+
 def split_judgments(records: list[RelevanceRecord]) -> JudgmentsSplit:
     """Derive evaluation judgments and the title corpus from records.
 
@@ -176,16 +190,9 @@ def split_judgments(records: list[RelevanceRecord]) -> JudgmentsSplit:
     any grade > 3 title are excluded (and reported) since recall would be
     undefined for them.
     """
-    corpus: list[tuple[str, str]] = []
-    title_by_id: dict[str, str] = {}
+    corpus = distinct_titles(records)
     per_query: dict[str, dict] = {}
     for r in records:
-        known = title_by_id.get(r.title_id)
-        if known is None:
-            title_by_id[r.title_id] = r.title
-            corpus.append((r.title_id, r.title))
-        elif known != r.title:
-            raise DataError(f"title_id {r.title_id!r} maps to two different titles")
         q = per_query.setdefault(r.qid, {"query": r.query, "relevant": set(), "grades": {}})
         if q["query"] != r.query:
             raise DataError(f"qid {r.qid!r} maps to two different query strings")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError
+from ._binio import Reader, pack_header
 from .nested import DimSet, NestedEmbedding
 
 DEFAULT_DIMS = DimSet((768, 512, 256, 128, 64))
@@ -223,46 +223,27 @@ def backward(
 
 
 def save_model(model: EncoderModel, path) -> None:
+    header_fields = (model.bucket_count, model.feature_dim, model.full_dim)
     with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<IIII", MODEL_VERSION, model.bucket_count,
-                             model.feature_dim, model.full_dim))
-        fh.write(struct.pack("<H", len(model.dims)))
-        fh.write(struct.pack(f"<{len(model.dims)}I", *model.dims))
+        fh.write(pack_header(MODEL_MAGIC, MODEL_VERSION, "III", header_fields, model.dims))
         fh.write(struct.pack("<Q", model.seed & _U64))
         fh.write(model.feature_table.astype("<f4").tobytes(order="C"))
         fh.write(model.projection.astype("<f4").tobytes(order="C"))
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"model file truncated while reading {what}")
-    return data
-
-
 def load_model(path) -> EncoderModel:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 8, "magic") != MODEL_MAGIC:
-            raise FormatError(f"not a model file: {path}")
-        version, buckets, feature_dim, full_dim = struct.unpack(
-            "<IIII", _read_exact(fh, 16, "header")
-        )
-        if version != MODEL_VERSION:
-            raise FormatError(f"unsupported model version {version}")
-        (dims_count,) = struct.unpack("<H", _read_exact(fh, 2, "dims count"))
-        dims = DimSet(struct.unpack(f"<{dims_count}I", _read_exact(fh, 4 * dims_count, "dims")))
-        if dims.full != full_dim:
-            raise FormatError("dimension list does not match full dimension")
-        (seed,) = struct.unpack("<Q", _read_exact(fh, 8, "seed"))
+        reader = Reader(fh, "model")
+        buckets, feature_dim, full_dim = reader.header(MODEL_MAGIC, MODEL_VERSION, "III", path)
+        dims = reader.dims(full_dim)
+        (seed,) = reader.unpack("Q", "seed")
         table = np.frombuffer(
-            _read_exact(fh, 4 * buckets * feature_dim, "feature table"), dtype="<f4"
+            reader.exact(4 * buckets * feature_dim, "feature table"), dtype="<f4"
         ).astype(np.float64).reshape(buckets, feature_dim)
         proj = np.frombuffer(
-            _read_exact(fh, 4 * feature_dim * full_dim, "projection"), dtype="<f4"
+            reader.exact(4 * feature_dim * full_dim, "projection"), dtype="<f4"
         ).astype(np.float64).reshape(feature_dim, full_dim)
-        if fh.read(1):
-            raise FormatError("trailing bytes after model parameters")
+        reader.end("model parameters")
     return EncoderModel(
         bucket_count=buckets,
         feature_dim=feature_dim,

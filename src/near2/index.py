@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from ._binio import Reader, pack_header
 from .encoder import EncoderModel, encode
 from .errors import DataError, FormatError, ZeroVectorError
 from .nested import DimSet, NestedEmbedding, EPS_ZERO, l2_normalize, truncate
@@ -147,23 +148,19 @@ def search_exact_with_min(
     The corpus minimum anchors min-normalized score reporting without paying
     for a second scan. It is NaN when no row is searchable.
     """
-    m = index.dims.require(m)
-    query.dims.require(m)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    qhat = _query_unit_prefix(query, m)
-    rows = index.usable_rows(m)
+    rows, scores = all_scores(index, query, m)
     if rows.size == 0:
         return [], float("nan")
-    scores = _scores_for_rows(index, rows, qhat, m)
     return _top_hits(index, rows, scores, k), float(scores.min())
 
 
 def all_scores(index: PrefixIndex, query: NestedEmbedding, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(row indices, cosine scores) of every searchable row at prefix m.
 
-    Feeds score-distribution analysis and min-normalization; the scan is the
-    same one search_exact uses.
+    The one full scan behind search_exact, search_exact_with_min, score
+    histograms and min-normalization.
     """
     m = index.dims.require(m)
     query.dims.require(m)
@@ -237,11 +234,9 @@ def memory_footprint(index: PrefixIndex, m: int) -> MemoryFootprint:
 
 
 def save_index(index: PrefixIndex, path) -> None:
+    header_fields = (index.dims.full, index.count)
     with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<IIQ", INDEX_VERSION, index.dims.full, index.count))
-        fh.write(struct.pack("<H", len(index.dims)))
-        fh.write(struct.pack(f"<{len(index.dims)}I", *index.dims))
+        fh.write(pack_header(INDEX_MAGIC, INDEX_VERSION, "IQ", header_fields, index.dims))
         fh.write(np.packbits(index.degenerate, bitorder="little").tobytes())
         fh.write(index.matrix.astype("<f4", copy=False).tobytes(order="C"))
         for doc_id, title in zip(index.ids, index.titles):
@@ -253,49 +248,32 @@ def save_index(index: PrefixIndex, path) -> None:
             fh.write(title_bytes)
 
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise FormatError(f"index file truncated while reading {what}")
-    return data
-
-
 def load_index(path) -> PrefixIndex:
     """Read an index back; any structural defect raises before an index exists."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 8, "magic") != INDEX_MAGIC:
-            raise FormatError(f"not an index file: {path}")
-        version, full_dim, count = struct.unpack("<IIQ", _read_exact(fh, 16, "header"))
-        if version != INDEX_VERSION:
-            raise FormatError(f"unsupported index version {version}")
-        (dims_count,) = struct.unpack("<H", _read_exact(fh, 2, "dims count"))
-        try:
-            dims = DimSet(struct.unpack(f"<{dims_count}I", _read_exact(fh, 4 * dims_count, "dims")))
-        except ValueError as e:
-            raise FormatError(f"bad dimension list: {e}") from None
-        if dims.full != full_dim:
-            raise FormatError("dimension list does not match full dimension")
+        reader = Reader(fh, "index")
+        full_dim, count = reader.header(INDEX_MAGIC, INDEX_VERSION, "IQ", path)
+        dims = reader.dims(full_dim)
 
-        bitmap = np.frombuffer(_read_exact(fh, (count + 7) // 8, "degenerate bitmap"), dtype=np.uint8)
+        bitmap = np.frombuffer(reader.exact((count + 7) // 8, "degenerate bitmap"), dtype=np.uint8)
         flags = np.unpackbits(bitmap, bitorder="little")
         if flags[count:].any():
             raise FormatError("nonzero padding bits in degenerate bitmap")
         degenerate = flags[:count].astype(bool)
 
         matrix = np.frombuffer(
-            _read_exact(fh, 4 * count * full_dim, "vector block"), dtype="<f4"
+            reader.exact(4 * count * full_dim, "vector block"), dtype="<f4"
         ).reshape(count, full_dim)
         if not np.all(np.isfinite(matrix)):
             raise FormatError("non-finite vector entries")
 
         ids, titles = [], []
         for row in range(count):
-            (id_len,) = struct.unpack("<H", _read_exact(fh, 2, f"id length of row {row}"))
-            ids.append(_read_exact(fh, id_len, f"id of row {row}").decode("utf-8"))
-            (title_len,) = struct.unpack("<I", _read_exact(fh, 4, f"title length of row {row}"))
-            titles.append(_read_exact(fh, title_len, f"title of row {row}").decode("utf-8"))
-        if fh.read(1):
-            raise FormatError("trailing bytes after doc table")
+            (id_len,) = reader.unpack("H", f"id length of row {row}")
+            ids.append(reader.exact(id_len, f"id of row {row}").decode("utf-8"))
+            (title_len,) = reader.unpack("I", f"title length of row {row}")
+            titles.append(reader.exact(title_len, f"title of row {row}").decode("utf-8"))
+        reader.end("doc table")
     return PrefixIndex(ids=ids, titles=titles, matrix=matrix, dims=dims, degenerate=degenerate)
 
 

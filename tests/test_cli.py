@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import near2
 from near2.cli import main
+from near2.encoder import encode, load_model, save_model
+from near2.index import load_index, search_funnel
 
 TINY = [
     "--dims", "16,8,4", "--buckets", "128", "--feature-dim", "8",
@@ -84,6 +91,60 @@ def test_search_funnel(workspace, capsys):
     assert code == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) >= 2
+
+
+def test_search_funnel_rows_are_api_hits_normalized_to_shortlist_min(workspace, capsys):
+    code = main([
+        "search", "--index", str(workspace["index"]), "--model", str(workspace["model"]),
+        "--query", "plants", "--funnel", "4:16", "--shortlist", "10", "--k", "3",
+    ])
+    assert code == 0
+    rows = [line.split("\t") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+    index = load_index(workspace["index"])
+    query = encode(load_model(workspace["model"]), "plants")
+    hits = search_funnel(index, query, 4, 16, 10, 3)
+    shortlist_min = min(h.score for h in search_funnel(index, query, 4, 16, 10, 10))
+    assert [(r[1], float(r[3])) for r in rows] == [(h.doc_id, h.score) for h in hits]
+    assert [float(r[4]) for r in rows] == [h.score - shortlist_min for h in hits]
+
+
+def _cli(*argv):
+    """Run the CLI in a fresh interpreter, as a user would."""
+    env = {**os.environ, "PYTHONPATH": str(Path(near2.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "near2.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--k", "0"],
+    ["search", "--funnel", "4:16", "--shortlist", "2", "--k", "3"],
+    ["search", "--funnel", "16:4"],
+    ["synth", "--queries", "0"],
+], ids=["k0", "shortlist-below-k", "funnel-low-above-high", "synth-queries0"])
+def test_bad_arguments_exit_one_without_traceback(workspace, tmp_path, argv):
+    if argv[0] == "search":
+        argv = [*argv, "--index", str(workspace["index"]), "--model", str(workspace["model"]),
+                "--query", "plants"]
+    else:
+        argv = [*argv, "--out", str(tmp_path / "synth")]
+    proc = _cli(*argv)
+    assert proc.returncode == 1
+    assert "usage" in proc.stderr.lower()
+    assert "Traceback" not in proc.stderr
+
+
+def test_model_with_bad_dims_exits_two_without_traceback(workspace, tmp_path):
+    path = tmp_path / "bad-dims.bin"
+    save_model(load_model(workspace["model"]), path)
+    data = bytearray(path.read_bytes())
+    data[8 + 16 + 2 : 8 + 16 + 2 + 4] = (4).to_bytes(4, "little")  # dims 4, 8, 4
+    path.write_bytes(bytes(data))
+    proc = _cli("search", "--index", str(workspace["index"]), "--model", str(path),
+                "--query", "plants")
+    assert proc.returncode == 2
+    assert "bad dimension list" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_eval_report_embeds_config(workspace):

@@ -5,6 +5,7 @@ import pytest
 from near2.data import (
     RelevanceRecord,
     SynthSpec,
+    distinct_titles,
     gen_synthetic,
     load_records,
     parse_records,
@@ -175,6 +176,15 @@ class TestSplitJudgments:
         ]
         with pytest.raises(DataError, match="two different titles"):
             split_judgments(records)
+
+    def test_distinct_titles_keep_unjudged_records_in_first_seen_order(self):
+        records = [
+            RelevanceRecord("q1", "qa", "t2", "two", 1),
+            RelevanceRecord("q2", "qb", "t1", "one", 2),
+            RelevanceRecord("q3", "qc", "t2", "two", 3),
+        ]
+        assert distinct_titles(records) == [("t2", "two"), ("t1", "one")]
+        assert split_judgments(records).corpus == distinct_titles(records)
 
     def test_grade_three_never_relevant(self):
         records = [

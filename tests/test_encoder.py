@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,16 @@ class TestPersistence:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(FormatError, match="truncated"):
+            load_model(path)
+
+    @pytest.mark.parametrize("dims", [(16, 4, 8), (16, 8, 0), (16, 16, 4)])
+    def test_bad_dims_list_is_format_error(self, tmp_path, dims):
+        path = tmp_path / "model.bin"
+        save_model(tiny_model(), path)
+        data = bytearray(path.read_bytes())
+        data[8 + 16 + 2 : 8 + 16 + 2 + 12] = struct.pack("<3I", *dims)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="bad dimension list"):
             load_model(path)
 
     def test_trailing_garbage(self, tmp_path):

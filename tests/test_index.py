@@ -1,9 +1,9 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 
-from near2 import _kernels
 from near2.encoder import EncoderModel, encode
 from near2.errors import DataError, FormatError, InvalidDimensionError, ZeroVectorError
 from near2.index import (
@@ -198,6 +198,15 @@ class TestSearchFunnel:
         exact = search_exact(index, query, 4, 5)
         funneled = search_funnel(index, query, 4, 4, shortlist_size=9, k=5)
         assert [(h.row, h.score) for h in funneled] == [(h.row, h.score) for h in exact]
+        # full-width rows: a shortlist row must keep the bits of its full-scan score
+        dims = DimSet((768, 64))
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            index = random_index(rng, 300, dims)
+            query = query_from(rng.normal(size=768), dims)
+            exact = search_exact(index, query, 768, 5)
+            funneled = search_funnel(index, query, 768, 768, shortlist_size=10, k=5)
+            assert [(h.row, h.score) for h in funneled] == [(h.row, h.score) for h in exact]
 
     def test_recall_monotone_in_shortlist(self):
         rng = np.random.default_rng(3)
@@ -307,6 +316,17 @@ class TestPersistence:
         data = path.read_bytes()
         path.write_bytes(data[: 8 + 16 + 2 + 4 + 2 + 9 * 8 * 2])  # mid-matrix
         with pytest.raises(FormatError, match="truncated"):
+            load_index(path)
+
+    @pytest.mark.parametrize("dims", [(8, 4, 6), (8, 4, 0), (8, 8, 4)])
+    def test_bad_dims_list_is_format_error(self, tmp_path, dims):
+        rng = np.random.default_rng(17)
+        path = tmp_path / "corpus.idx"
+        save_index(random_index(rng, 5, DimSet((8, 4, 2))), path)
+        data = bytearray(path.read_bytes())
+        data[8 + 16 + 2 : 8 + 16 + 2 + 12] = struct.pack("<3I", *dims)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="bad dimension list"):
             load_index(path)
 
     def test_bad_magic(self, tmp_path):
