@@ -8,6 +8,7 @@ into a `FormatError` that names the kind of file.
 
 from __future__ import annotations
 
+import os
 import struct
 
 from .errors import FormatError
@@ -27,9 +28,12 @@ class Reader:
     def __init__(self, fh, kind: str):
         self.fh = fh
         self.kind = kind
+        self.size = os.fstat(fh.fileno()).st_size
 
     def exact(self, n: int, what: str) -> bytes:
-        data = self.fh.read(n)
+        # checked against the file size first, so a corrupt length field
+        # cannot ask for a huge read buffer
+        data = self.fh.read(n) if n <= self.size - self.fh.tell() else b""
         if len(data) != n:
             raise FormatError(f"{self.kind} file truncated while reading {what}")
         return data

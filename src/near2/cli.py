@@ -3,7 +3,8 @@
 Flag values override config-file values, which override built-in defaults;
 the fully resolved configuration is echoed into every report for provenance.
 Diagnostics go to stderr, machine-readable output to files or stdout.
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data/format error or unreadable file,
+3 numerical failure.
 
 `search` prints score_norm, the score minus the lowest similarity the search
 computed: over the whole corpus for exact search, and over the shortlist
@@ -27,7 +28,7 @@ from .data import (
     write_records,
 )
 from .encoder import EncoderModel, encode, load_model, save_model
-from .errors import DataError, FormatError, InvalidDimensionError, NumericalError, ZeroVectorError
+from .errors import DataError, InvalidDimensionError, NumericalError, ZeroVectorError
 from .index import (
     build_index,
     load_index,
@@ -500,13 +501,7 @@ def run(argv) -> int:
         print(f"near2: usage error: {e}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (DataError, FormatError) as e:
-        print(f"near2: data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (ZeroVectorError,) as e:
-        print(f"near2: data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as e:
+    except (DataError, ZeroVectorError, OSError) as e:  # FormatError is a DataError
         print(f"near2: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:

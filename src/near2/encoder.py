@@ -6,6 +6,10 @@ hashed into a fixed bucket space, mean-pooled through an embedding table and
 linearly projected to the full nested dimension. Everything is exactly
 reproducible from (seed, text): hashing is integer arithmetic and parameter
 initialization uses the documented xorshift generator below.
+
+Training runs one forward pass per step: `feature_bags` tokenizes each text
+once per run, `embed_bag` is the one bag-to-vector path (`encode` uses it),
+and `backward` takes the step's bags with one upstream row each.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._binio import Reader, pack_header
+from .errors import FormatError
 from .nested import DimSet, NestedEmbedding
 
 DEFAULT_DIMS = DimSet((768, 512, 256, 128, 64))
@@ -166,21 +171,29 @@ class EncoderModel:
         return {"feature_table": self.feature_table, "projection": self.projection}
 
 
+def feature_bags(texts, bucket_count: int) -> dict[str, FeatureBag]:
+    """One FeatureBag per distinct text, each text tokenized exactly once."""
+    return {text: tokenize(text, bucket_count) for text in dict.fromkeys(texts)}
+
+
 def _pool(model: EncoderModel, bag: FeatureBag) -> np.ndarray:
     weights = bag.counts.astype(np.float64)
     rows = model.feature_table[bag.ids]
     return (rows * weights[:, None]).sum(axis=0) / weights.sum()
 
 
-def encode(model: EncoderModel, text: str) -> NestedEmbedding:
-    """Embed one text; empty feature bags yield a degenerate zero embedding."""
-    bag = tokenize(text, model.bucket_count)
+def embed_bag(model: EncoderModel, bag: FeatureBag) -> NestedEmbedding:
+    """Embed one feature bag; an empty bag yields a degenerate zero embedding."""
     if len(bag) == 0:
         return NestedEmbedding(
             np.zeros(model.full_dim), dims=model.dims, degenerate=True
         )
-    values = _pool(model, bag) @ model.projection
-    return NestedEmbedding(values, dims=model.dims)
+    return NestedEmbedding(_pool(model, bag) @ model.projection, dims=model.dims)
+
+
+def encode(model: EncoderModel, text: str) -> NestedEmbedding:
+    """Embed one text; empty feature bags yield a degenerate zero embedding."""
+    return embed_bag(model, tokenize(text, model.bucket_count))
 
 
 def encode_batch(model: EncoderModel, texts: list[str]) -> list[NestedEmbedding]:
@@ -189,30 +202,29 @@ def encode_batch(model: EncoderModel, texts: list[str]) -> list[NestedEmbedding]
 
 
 def backward(
-    model: EncoderModel, texts: list[str], upstream: list[np.ndarray]
+    model: EncoderModel, bags: list[FeatureBag], upstream: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Parameter gradients for sum_t upstream[t] . encode(texts[t]).
+    """Parameter gradients for sum_t upstream[t] . embed_bag(bags[t]).
 
-    Exact chain rule; buckets absent from every text keep exactly zero
-    gradient. Texts with empty bags contribute nothing.
+    `upstream` holds one row per bag. Exact chain rule: the projection
+    gradient is one pooled^T @ upstream product, and each bag adds its
+    count-weighted share of upstream @ projection^T to its own table rows.
+    Buckets absent from every bag keep exactly zero gradient; empty bags
+    contribute nothing.
     """
-    if len(texts) != len(upstream):
-        raise ValueError("one upstream gradient per text required")
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.ndim != 2 or upstream.shape[1] != model.full_dim:
+        raise ValueError(f"upstream gradient must have shape (bags, {model.full_dim})")
+    if upstream.shape[0] != len(bags):
+        raise ValueError("one upstream gradient row per bag required")
+    keep = [i for i, bag in enumerate(bags) if len(bag)]
+    bags, upstream = [bags[i] for i in keep], upstream[keep]
+    pooled = np.array([_pool(model, bag) for bag in bags]).reshape(len(bags), model.feature_dim)
     grad_table = np.zeros_like(model.feature_table)
-    grad_proj = np.zeros_like(model.projection)
-    for text, up in zip(texts, upstream):
-        up = np.asarray(up, dtype=np.float64)
-        if up.shape != (model.full_dim,):
-            raise ValueError(f"upstream gradient must have shape ({model.full_dim},)")
-        bag = tokenize(text, model.bucket_count)
-        if len(bag) == 0:
-            continue
-        pooled = _pool(model, bag)
-        grad_proj += np.outer(pooled, up)
-        grad_pooled = model.projection @ up
+    for bag, grad_pooled in zip(bags, upstream @ model.projection.T):
         weights = bag.counts.astype(np.float64) / bag.total
-        np.add.at(grad_table, bag.ids, weights[:, None] * grad_pooled[None, :])
-    return {"feature_table": grad_table, "projection": grad_proj}
+        grad_table[bag.ids] += weights[:, None] * grad_pooled[None, :]
+    return {"feature_table": grad_table, "projection": pooled.T @ upstream}
 
 
 # --- persistence ----------------------------------------------------------------
@@ -244,14 +256,17 @@ def load_model(path) -> EncoderModel:
             reader.exact(4 * feature_dim * full_dim, "projection"), dtype="<f4"
         ).astype(np.float64).reshape(feature_dim, full_dim)
         reader.end("model parameters")
-    return EncoderModel(
-        bucket_count=buckets,
-        feature_dim=feature_dim,
-        dims=dims,
-        seed=seed,
-        feature_table=table,
-        projection=proj,
-    )
+    try:
+        return EncoderModel(
+            bucket_count=buckets,
+            feature_dim=feature_dim,
+            dims=dims,
+            seed=seed,
+            feature_table=table,
+            projection=proj,
+        )
+    except ValueError as e:  # non-finite parameters
+        raise FormatError(f"bad model parameters: {e}") from None
 
 
 def model_file_size(model: EncoderModel) -> int:

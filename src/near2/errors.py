@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: `DataError` (and subclasses) exit 2,
+The CLI maps these onto exit codes: `DataError` (and subclasses) and `OSError` exit 2,
 `NumericalError` exits 3, everything argument-shaped exits 1.
 """
 

@@ -118,6 +118,12 @@ def _query_unit_prefix(query: NestedEmbedding, m: int) -> np.ndarray:
 
 
 def _top_hits(index: PrefixIndex, rows: np.ndarray, scores: np.ndarray, k: int) -> list[SearchHit]:
+    if k < scores.size:
+        # only rows scoring at least the k-th best can rank; sorting just
+        # those keeps the full sort's order, lower-row tie-break included
+        kth = np.partition(scores, scores.size - k)[scores.size - k]
+        keep = np.flatnonzero(scores >= kth)
+        rows, scores = rows[keep], scores[keep]
     order = np.lexsort((rows, -scores))[:k]
     return [
         SearchHit(row=int(rows[o]), doc_id=index.ids[rows[o]], score=float(scores[o]), rank=r)
@@ -267,14 +273,41 @@ def load_index(path) -> PrefixIndex:
         if not np.all(np.isfinite(matrix)):
             raise FormatError("non-finite vector entries")
 
-        ids, titles = [], []
-        for row in range(count):
-            (id_len,) = reader.unpack("H", f"id length of row {row}")
-            ids.append(reader.exact(id_len, f"id of row {row}").decode("utf-8"))
-            (title_len,) = reader.unpack("I", f"title length of row {row}")
-            titles.append(reader.exact(title_len, f"title of row {row}").decode("utf-8"))
-        reader.end("doc table")
+        ids, titles = _parse_doc_table(fh.read(), count)
     return PrefixIndex(ids=ids, titles=titles, matrix=matrix, dims=dims, degenerate=degenerate)
+
+
+_ID_LENGTH, _TITLE_LENGTH = struct.Struct("<H"), struct.Struct("<I")
+
+
+def _parse_doc_table(buf: bytes, count: int) -> tuple[list[str], list[str]]:
+    """The `count` (id, title) rows of a doc table that must fill `buf` exactly."""
+    ids, titles, pos, end = [], [], 0, len(buf)
+    try:
+        for row in range(count):
+            what = "id length"
+            (n,) = _ID_LENGTH.unpack_from(buf, pos)
+            what, pos = "id", pos + 2 + n
+            if pos > end:
+                raise _truncated(what, row)
+            ids.append(buf[pos - n : pos].decode("utf-8"))
+            what = "title length"
+            (n,) = _TITLE_LENGTH.unpack_from(buf, pos)
+            what, pos = "title", pos + 4 + n
+            if pos > end:
+                raise _truncated(what, row)
+            titles.append(buf[pos - n : pos].decode("utf-8"))
+    except struct.error:  # a length field cut short
+        raise _truncated(what, row) from None
+    except UnicodeDecodeError:
+        raise FormatError(f"{what} of row {row} is not valid UTF-8") from None
+    if pos != end:
+        raise FormatError("trailing bytes after doc table")
+    return ids, titles
+
+
+def _truncated(what: str, row: int) -> FormatError:
+    return FormatError(f"index file truncated while reading {what} of row {row}")
 
 
 def index_file_size(index: PrefixIndex) -> int:

@@ -6,11 +6,19 @@ full dimension only or composed across every nested dimension. The flagship
 schedule fine-tunes with both losses at the full dimension first, then
 continues with the nested composite. Optimizer state is reset at each phase
 boundary, and every bit of the run is determined by (data, config, seed).
+
+Within a phase of T steps the learning rate warms up linearly over the first
+w = ceil(T/10) steps and then decays linearly, and before each update both
+gradients are scaled together to a global L2 norm of at most 1.0
+(`warmup_linear`, `clip_grad_norm`). Each step is one forward pass: every
+distinct text is tokenized once per run and embedded once per step, and
+backward consumes those feature bags.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, replace
 
@@ -23,13 +31,16 @@ from .encoder import (
     DEFAULT_FEATURE_DIM,
     EncoderModel,
     backward,
-    encode,
+    embed_bag,
+    encode,  # unused here; bench/tracing.py wraps near2.trainer.encode
+    feature_bags,
 )
 from .errors import DataError, NumericalError
 from .losses import (
     MrlConfig,
     PairBatch,
     TripletBatch,
+    flatten_gradients,
     mnrl_hinge,
     mrl_compose,
     multitask_step_loss,
@@ -42,6 +53,9 @@ SCHEDULES = ("mnrl", "ocl", "mnrl+ocl", "mrl-first")
 
 # Per-query negative cap; bounds the P*N hinge term count per step.
 MAX_NEGATIVES_PER_QUERY = 8
+
+# Global L2 norm both gradients are clipped to before every AdamW update.
+MAX_GRAD_NORM = 1.0
 
 
 @dataclass(frozen=True)
@@ -233,18 +247,53 @@ def adamw_step(
     lr, b1, b2 = hyper.learning_rate, hyper.beta1, hyper.beta2
     for name, p in params.items():
         g = grads[name]
+        # p -= lr * m_hat / (sqrt(v_hat) + eps) with the same operations in the
+        # same order, but through two reused buffers: each temporary is as
+        # large as the feature table, and six of them set the run's peak memory
+        tmp = np.empty_like(p)
         if hyper.weight_decay:
-            p -= lr * hyper.weight_decay * p
+            p -= np.multiply(p, lr * hyper.weight_decay, out=tmp)
         m = state.first_moment[name]
         v = state.second_moment[name]
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=tmp)
         v *= b2
-        v += (1.0 - b2) * (g * g)
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + hyper.eps)
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        step = np.divide(m, 1.0 - b1**t)
+        step *= lr
+        np.divide(v, 1.0 - b2**t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += hyper.eps
+        step /= tmp
+        p -= step
     return params, state
+
+
+def warmup_linear(step: int, total: int) -> float:
+    """Learning-rate factor at 1-based step `step` of a `total`-step phase.
+
+    step/w for the first w = ceil(total/10) steps, then
+    (total - step + 1)/(total - w + 1): peak 1 at step w, never 0.
+    """
+    warmup = -(-total // 10)
+    if step <= warmup:
+        return step / warmup
+    return (total - step + 1) / (total - warmup + 1)
+
+
+def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale all gradients in place to a global L2 norm <= max_norm.
+
+    Returns the norm before clipping. A non-finite norm leaves the gradients
+    untouched, so adamw_step still rejects their non-finite entries.
+    """
+    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    if math.isfinite(norm) and norm > max_norm:
+        for g in grads.values():
+            g *= max_norm / norm
+    return norm
 
 
 # --- history --------------------------------------------------------------------
@@ -255,7 +304,7 @@ class TrainHistory:
     steps: list[dict] = field(default_factory=list)
     validation: list[dict] = field(default_factory=list)
 
-    def record_step(self, phase, epoch, step, loss, per_dim, warnings):
+    def record_step(self, phase, epoch, step, loss, per_dim, warnings, lr, grad_norm):
         self.steps.append(
             {
                 "kind": "step",
@@ -263,6 +312,8 @@ class TrainHistory:
                 "epoch": epoch,
                 "step": step,
                 "loss": loss,
+                "lr": lr,
+                "grad_norm": grad_norm,
                 "per_dim": {str(m): v for m, v in per_dim.items()},
                 "warnings": list(warnings),
             }
@@ -311,42 +362,36 @@ def _epoch_seed(seed: int, phase_index: int, epoch: int) -> int:
     return seed + 1_000_003 * (phase_index + 1) + epoch
 
 
-def _encode_cached(model, cache, text):
-    emb = cache.get(text)
-    if emb is None:
-        emb = encode(model, text)
-        cache[text] = emb
-    return emb
-
-
-def _step_loss(model, batch: StepBatch, phase: Phase, mrl_cfg: MrlConfig, config: TrainConfig):
-    """Loss output plus the flattened (texts, upstream-gradient) pairs for backward."""
-    cache: dict[str, object] = {}
-    texts: list[str] = []
-    upstream: list[np.ndarray] = []
-
-    triplet_batch = None
-    pair_batch = None
+def _step_loss(model, bags, batch: StepBatch, phase: Phase, mrl_cfg: MrlConfig, config: TrainConfig):
+    """Loss output, the step's distinct feature bags and one upstream row per bag:
+    each text is embedded once, and its row sums its occurrences' gradients
+    (exact, since backward is linear in upstream)."""
+    t, p = batch.triplets, batch.pairs
+    roles: dict[str, list[str]] = {}  # text occurrences in flatten_gradients' role order
     if phase.task in ("mnrl", "multitask"):
-        t = batch.triplets
-        triplet_batch = TripletBatch.from_embeddings(
-            [_encode_cached(model, cache, q) for q in t.queries],
-            [[_encode_cached(model, cache, p) for p in group] for group in t.positives],
-            [[_encode_cached(model, cache, n) for n in group] for group in t.negatives],
-        )
-    if phase.task in ("ocl", "multitask") and batch.pairs.labels:
-        p = batch.pairs
-        pair_batch = PairBatch.from_embeddings(
-            [_encode_cached(model, cache, s) for s in p.lefts],
-            [_encode_cached(model, cache, s) for s in p.rights],
-            p.labels,
-        )
+        roles.update(queries=t.queries, positives=sum(t.positives, []), negatives=sum(t.negatives, []))
+    if phase.task in ("ocl", "multitask") and p.labels:
+        roles.update(lefts=p.lefts, rights=p.rights)
+    if not roles:  # an ocl step without labeled pairs
+        return None, [], None
+    occurrences = [text for texts in roles.values() for text in texts]
+    slot = {text: i for i, text in enumerate(dict.fromkeys(occurrences))}
+    step_bags = [bags[text] for text in slot]
+    embeddings = np.stack([embed_bag(model, bag).values for bag in step_bags])
+
+    def rows(texts):
+        return embeddings[[slot[text] for text in texts]]
+
+    triplet_batch = pair_batch = None
+    if "queries" in roles:
+        triplet_batch = TripletBatch(rows(t.queries), [rows(g) for g in t.positives],
+                                     [rows(g) for g in t.negatives], model.dims)
+    if "lefts" in roles:
+        pair_batch = PairBatch(rows(p.lefts), rows(p.rights), p.labels, model.dims)
 
     if phase.task == "mnrl":
         out = mrl_compose(lambda b, m: mnrl_hinge(b, config.margin, m), triplet_batch, mrl_cfg)
     elif phase.task == "ocl":
-        if pair_batch is None:
-            return None, [], []
         out = mrl_compose(lambda b, m: ocl(b, config.margin_c, m), pair_batch, mrl_cfg)
     else:
         out = multitask_step_loss(
@@ -357,23 +402,11 @@ def _step_loss(model, batch: StepBatch, phase: Phase, mrl_cfg: MrlConfig, config
     if not np.isfinite(out.value):
         raise NumericalError(f"non-finite loss value {out.value!r}")
 
-    if triplet_batch is not None:
-        g = out.gradients
-        texts.extend(batch.triplets.queries)
-        upstream.extend(g["queries"])
-        for group_texts, group_grads in zip(batch.triplets.positives, g["positives"]):
-            texts.extend(group_texts)
-            upstream.extend(group_grads)
-        for group_texts, group_grads in zip(batch.triplets.negatives, g["negatives"]):
-            texts.extend(group_texts)
-            upstream.extend(group_grads)
-    if pair_batch is not None:
-        g = out.gradients
-        texts.extend(batch.pairs.lefts)
-        upstream.extend(g["lefts"])
-        texts.extend(batch.pairs.rights)
-        upstream.extend(g["rights"])
-    return out, texts, upstream
+    upstream = np.zeros((len(step_bags), model.full_dim))
+    for role, texts in roles.items():  # one role at a time keeps the temporaries small
+        flat = flatten_gradients(out.gradients, [role]).reshape(len(texts), model.full_dim)
+        np.add.at(upstream, [slot[text] for text in texts], flat)
+    return out, step_bags, upstream
 
 
 def train(
@@ -388,25 +421,31 @@ def train(
     are provided. With epochs=0 the model is returned untouched.
     """
     history = TrainHistory()
-    hyper = AdamHyper(learning_rate=config.learning_rate)
+    bags = feature_bags((s for r in records for s in (r.query, r.title)), model.bucket_count)
     global_step = 0
     for phase_index, phase in enumerate(schedule_phases(config.schedule)):
         state = OptimizerState.zeros(model.parameters())
         mrl_cfg = _phase_mrl_config(config, phase)
-        for epoch in range(1, config.epochs + 1):
-            batches = build_batches(
-                records, config.batch_size, _epoch_seed(config.seed, phase_index, epoch)
-            )
+        epochs = [
+            build_batches(records, config.batch_size, _epoch_seed(config.seed, phase_index, epoch))
+            for epoch in range(1, config.epochs + 1)
+        ]
+        total = sum(len(batches) for batches in epochs)
+        phase_step = 0
+        for epoch, batches in enumerate(epochs, start=1):
             for batch in batches:
-                out, texts, upstream = _step_loss(model, batch, phase, mrl_cfg, config)
+                phase_step += 1
+                out, step_bags, upstream = _step_loss(model, bags, batch, phase, mrl_cfg, config)
                 if out is None:
                     continue
-                grads = backward(model, texts, upstream)
-                adamw_step(model.parameters(), grads, state, hyper)
+                grads = backward(model, step_bags, upstream)
+                grad_norm = clip_grad_norm(grads, MAX_GRAD_NORM)
+                lr = config.learning_rate * warmup_linear(phase_step, total)
+                adamw_step(model.parameters(), grads, state, AdamHyper(learning_rate=lr))
                 global_step += 1
                 history.record_step(
                     phase.name, epoch, global_step, out.value,
-                    out.per_dim, out.warnings,
+                    out.per_dim, out.warnings, lr, grad_norm,
                 )
             if valid_records:
                 report = sequential_evaluate(

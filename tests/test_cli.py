@@ -9,7 +9,7 @@ import pytest
 import near2
 from near2.cli import main
 from near2.encoder import encode, load_model, save_model
-from near2.index import load_index, search_funnel
+from near2.index import index_file_size, load_index, memory_footprint, search_funnel
 
 TINY = [
     "--dims", "16,8,4", "--buckets", "128", "--feature-dim", "8",
@@ -131,6 +131,46 @@ def test_bad_arguments_exit_one_without_traceback(workspace, tmp_path, argv):
     proc = _cli(*argv)
     assert proc.returncode == 1
     assert "usage" in proc.stderr.lower()
+    assert "Traceback" not in proc.stderr
+
+
+def _non_finite_model(workspace, tmp_path):
+    model = load_model(workspace["model"])
+    model.projection[0, 0] = float("nan")
+    save_model(model, tmp_path / "nan.bin")
+    return tmp_path / "nan.bin"
+
+
+def _non_utf8_index(workspace, tmp_path):
+    index = load_index(workspace["index"])
+    data = bytearray(workspace["index"].read_bytes())
+    data[index_file_size(index) - memory_footprint(index, 4).doc_table_bytes + 2] = 0xFF
+    (tmp_path / "bad-id.idx").write_bytes(bytes(data))
+    return tmp_path / "bad-id.idx"
+
+
+@pytest.mark.parametrize("command, flag, bad_file", [
+    ("search", "--index", lambda ws, tmp: tmp),
+    ("search", "--model", lambda ws, tmp: tmp),
+    ("train", "--data", lambda ws, tmp: tmp),
+    ("train", "--out", lambda ws, tmp: tmp),
+    ("eval", "--report", lambda ws, tmp: tmp),
+    ("search", "--model", _non_finite_model),
+    ("search", "--index", _non_utf8_index),
+], ids=["index-dir", "model-dir", "train-data-dir", "train-out-dir", "eval-report-dir",
+        "non-finite-model", "non-utf8-index"])
+def test_bad_files_exit_two_without_traceback(workspace, tmp_path, command, flag, bad_file):
+    args = {
+        "search": {"--index": workspace["index"], "--model": workspace["model"], "--query": "plants"},
+        "train": {"--data": workspace["data"] / "train.jsonl", "--out": tmp_path / "m.bin",
+                  **dict(zip(TINY[::2], TINY[1::2]))},
+        "eval": {"--model": workspace["model"], "--test": workspace["data"] / "test.jsonl",
+                 "--dims": "16", "--report": tmp_path / "r.json"},
+    }[command]
+    args[flag] = bad_file(workspace, tmp_path)
+    proc = _cli(command, *(str(x) for item in args.items() for x in item))
+    assert proc.returncode == 2
+    assert "data error" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

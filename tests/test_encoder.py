@@ -133,14 +133,14 @@ class TestEncode:
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         model = tiny_model()
-        grads = backward(model, ["some text"], [np.zeros(model.full_dim)])
+        grads = backward(model, [tokenize("some text", model.bucket_count)], np.zeros((1, model.full_dim)))
         assert np.all(grads["feature_table"] == 0.0)
         assert np.all(grads["projection"] == 0.0)
 
     def test_scalar_chain_rule(self):
         model = EncoderModel.create(bucket_count=1, feature_dim=1, dims=DimSet((1,)), seed=3)
         up = np.array([2.5])
-        grads = backward(model, ["a"], [up])
+        grads = backward(model, [tokenize("a", model.bucket_count)], up[None, :])
         pooled = model.feature_table[0, 0]  # single bucket, count-weighted mean = row
         assert grads["projection"][0, 0] == pytest.approx(pooled * 2.5, rel=1e-12)
         assert grads["feature_table"][0, 0] == pytest.approx(model.projection[0, 0] * 2.5, rel=1e-12)
@@ -149,17 +149,43 @@ class TestBackward:
         model = tiny_model()
         text = "alpha beta"
         touched = set(tokenize(text, model.bucket_count).ids.tolist())
-        grads = backward(model, [text], [np.ones(model.full_dim)])
+        grads = backward(model, [tokenize(text, model.bucket_count)], np.ones((1, model.full_dim)))
         for row in range(model.bucket_count):
             if row not in touched:
                 assert np.all(grads["feature_table"][row] == 0.0)
 
     def test_shape_mismatch(self):
         model = tiny_model()
+        a, b = (tokenize(t, model.bucket_count) for t in ("a", "b"))
         with pytest.raises(ValueError):
-            backward(model, ["a"], [np.zeros(3)])
+            backward(model, [a], np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            backward(model, ["a", "b"], [np.zeros(model.full_dim)])
+            backward(model, [a, b], np.zeros((1, model.full_dim)))
+
+    def test_matches_per_occurrence_reference(self):
+        model = tiny_model(seed=5)
+        texts = ["red flower pot", "blue hose", "red flower pot", "", "pot"]
+        upstream = np.random.default_rng(0).normal(size=(len(texts), model.full_dim))
+
+        # reference: every occurrence on its own, re-tokenized and re-pooled
+        ref_table = np.zeros_like(model.feature_table)
+        ref_proj = np.zeros_like(model.projection)
+        for text, up in zip(texts, upstream):
+            bag = tokenize(text, model.bucket_count)
+            if len(bag) == 0:
+                continue
+            w = bag.counts / bag.total
+            ref_proj += np.outer(w @ model.feature_table[bag.ids], up)
+            np.add.at(ref_table, bag.ids, w[:, None] * (model.projection @ up)[None, :])
+
+        per_occurrence = backward(model, [tokenize(t, model.bucket_count) for t in texts], upstream)
+        distinct = list(dict.fromkeys(texts))
+        summed = np.zeros((len(distinct), model.full_dim))
+        np.add.at(summed, [distinct.index(t) for t in texts], upstream)
+        per_text = backward(model, [tokenize(t, model.bucket_count) for t in distinct], summed)
+        for grads in (per_occurrence, per_text):
+            np.testing.assert_allclose(grads["feature_table"], ref_table, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(grads["projection"], ref_proj, rtol=1e-12, atol=0)
 
     def test_grad_check_through_encoder(self):
         model = tiny_model(seed=1, buckets=32, feature_dim=4, dims=(8, 4))
@@ -191,7 +217,8 @@ class TestBackward:
             for group_texts, group in zip([[texts[2], texts[3]]], out.gradients["negatives"]):
                 up_texts.extend(group_texts)
                 upstream.extend(group)
-            grads = backward(model, up_texts, upstream)
+            bags = [tokenize(t, model.bucket_count) for t in up_texts]
+            grads = backward(model, bags, np.array(upstream))
             flat = np.concatenate([grads["feature_table"].ravel(), grads["projection"].ravel()])
             return out.value, flat
 
@@ -249,6 +276,14 @@ class TestPersistence:
         data[8 + 16 + 2 : 8 + 16 + 2 + 12] = struct.pack("<3I", *dims)
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="bad dimension list"):
+            load_model(path)
+
+    def test_non_finite_parameter_is_format_error(self, tmp_path):
+        model = tiny_model()
+        model.projection[0, 0] = np.nan
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        with pytest.raises(FormatError, match="finite"):
             load_model(path)
 
     def test_trailing_garbage(self, tmp_path):

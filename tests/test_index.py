@@ -3,11 +3,14 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from near2.encoder import EncoderModel, encode
+from near2.encoder import EncoderModel, encode, load_model, save_model
 from near2.errors import DataError, FormatError, InvalidDimensionError, ZeroVectorError
 from near2.index import (
     PrefixIndex,
+    _top_hits,
     all_scores,
     build_index,
     index_file_size,
@@ -350,6 +353,80 @@ class TestPersistence:
         assert hashlib.sha256(loaded.matrix.tobytes()).hexdigest() == checksum
         with pytest.raises(ValueError):
             loaded.matrix[0, 0] = 1.0
+
+
+    def test_non_utf8_id_is_format_error(self, tmp_path):
+        path = tmp_path / "corpus.idx"
+        index = random_index(np.random.default_rng(18), 5, DimSet((8,)))
+        save_index(index, path)
+        data = bytearray(path.read_bytes())
+        doc_table = index_file_size(index) - memory_footprint(index, 8).doc_table_bytes
+        data[doc_table + 2] = 0xFF  # first byte of the first id, after its u16 length
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="not valid UTF-8"):
+            load_index(path)
+
+    @pytest.mark.parametrize("cut, message", [
+        (1, "truncated while reading title of row 4"),
+        (len(b"title 4") + 2, "truncated while reading title length of row 4"),
+    ])
+    def test_truncated_doc_table_names_the_row(self, tmp_path, cut, message):
+        path = tmp_path / "corpus.idx"
+        save_index(random_index(np.random.default_rng(19), 5, DimSet((8,))), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(FormatError, match=message):
+            load_index(path)
+
+    def test_trailing_bytes_after_doc_table(self, tmp_path):
+        path = tmp_path / "corpus.idx"
+        save_index(random_index(np.random.default_rng(20), 5, DimSet((8,))), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing bytes"):
+            load_index(path)
+
+
+def _pristine(kind, path):
+    if kind == "model":
+        save_model(tiny_model(seed=3), path)
+    else:
+        index = random_index(np.random.default_rng(21), 6, DimSet((8, 4)), degenerate_rows=(2,))
+        save_index(index, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["model", "index"])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flips=st.lists(
+    st.tuples(st.one_of(st.integers(0, 63), st.integers(0, 2**20)), st.integers(1, 255)),
+    min_size=1, max_size=3,
+))
+def test_byte_flips_load_or_raise_format_error(tmp_path, kind, flips):
+    path = tmp_path / f"flipped.{kind}"
+    data = bytearray(_pristine(kind, path))
+    for pos, mask in flips:
+        data[pos % len(data)] ^= mask
+    path.write_bytes(bytes(data))
+    try:
+        (load_model if kind == "model" else load_index)(path)
+    except FormatError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scores=st.lists(st.integers(-3, 3), min_size=1, max_size=80),
+    k=st.integers(1, 90),
+    seed=st.integers(0, 2**16),
+)
+def test_top_hits_match_full_lexsort(scores, k, seed):
+    index = random_index(np.random.default_rng(0), 100, DimSet((4,)))
+    rows = np.random.default_rng(seed).permutation(100)[: len(scores)]
+    scores = np.array(scores, dtype=np.float64) / 4  # heavy ties
+    order = np.lexsort((rows, -scores))[:k]
+    hits = _top_hits(index, rows, scores, k)
+    assert [(h.row, h.score, h.rank) for h in hits] == [
+        (int(rows[o]), float(scores[o]), r) for r, o in enumerate(order, start=1)
+    ]
 
 
 class TestPrefixIndexEquivalence:

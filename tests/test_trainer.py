@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from near2 import encoder
 from near2.data import RelevanceRecord, SynthSpec, gen_synthetic
 from near2.encoder import EncoderModel
 from near2.errors import DataError, NumericalError
@@ -12,9 +15,11 @@ from near2.trainer import (
     TrainConfig,
     adamw_step,
     build_batches,
+    clip_grad_norm,
     run_ablation,
     schedule_phases,
     train,
+    warmup_linear,
 )
 
 
@@ -153,6 +158,45 @@ class TestAdamW:
                 np.testing.assert_allclose(params[k], reference[k], rtol=0, atol=1e-12)
 
 
+class TestWarmupAndClip:
+    def test_warmup_linear_factors(self):
+        # 16 steps: w = 2 warmup steps, then a linear decay that never reaches 0
+        assert [warmup_linear(s, 16) for s in (1, 2, 3, 16)] == [0.5, 1.0, 14 / 15, 1 / 15]
+        assert warmup_linear(1, 1) == 1.0
+        factors = [warmup_linear(s, 25) for s in range(1, 26)]
+        assert max(factors) == 1.0 == factors[2] and min(factors) > 0
+
+    def test_clip_scales_in_place_to_max_norm(self):
+        grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
+        assert clip_grad_norm(grads, 1.0) == 5.0
+        np.testing.assert_allclose(grads["a"], [0.6, 0.0], rtol=1e-15)
+        np.testing.assert_allclose(grads["b"], [[0.8]], rtol=1e-15)
+        small = {"a": np.array([0.3, 0.4])}
+        assert clip_grad_norm(small, 1.0) == pytest.approx(0.5)
+        assert small["a"].tolist() == [0.3, 0.4]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_still_reaches_numerical_error(self, bad):
+        params = {"w": np.array([1.0, 2.0])}
+        grads = {"w": np.array([bad, 5.0])}
+        clip_grad_norm(grads, 1.0)
+        assert grads["w"][1] == 5.0
+        with pytest.raises(NumericalError, match="1 non-finite"):
+            adamw_step(params, grads, OptimizerState.zeros(params), AdamHyper(learning_rate=0.1))
+
+    def test_history_records_scheduled_lr_and_pre_clip_norm(self):
+        config = tiny_config(epochs=2, learning_rate=0.05, schedule="mnrl")
+        train_recs, _, _ = small_dataset(seed=1, queries=16)
+        _, history = train(tiny_model(config), train_recs, config)
+        for phase in ("mnrl", "near2"):
+            rows = [s for s in history.steps if s["phase"] == phase]
+            total = len(rows)
+            assert [r["lr"] for r in rows] == [
+                0.05 * warmup_linear(s, total) for s in range(1, total + 1)
+            ]
+            assert all(r["grad_norm"] > 0 for r in rows)
+
+
 class TestSchedules:
     def test_four_schedules_defined(self):
         assert set(SCHEDULES) == {"mnrl", "ocl", "mnrl+ocl", "mrl-first"}
@@ -220,6 +264,20 @@ class TestTrain:
         _, history = train(tiny_model(config), train_recs, config)
         for phase in ("mnrl", "near2"):
             assert history.epoch_mean_loss(phase, 2) < history.epoch_mean_loss(phase, 1)
+
+    def test_each_text_tokenized_once_per_run(self, monkeypatch):
+        calls = Counter()
+        tokenize = encoder.tokenize
+
+        def counting(text, bucket_count):
+            calls[text] += 1
+            return tokenize(text, bucket_count)
+
+        monkeypatch.setattr(encoder, "tokenize", counting)
+        config = tiny_config(epochs=2)
+        train_recs, _, _ = small_dataset()
+        train(tiny_model(config), train_recs, config)
+        assert calls == Counter({s: 1 for r in train_recs for s in (r.query, r.title)})
 
     def test_jsonl_export_shape(self):
         config = tiny_config()
