@@ -42,14 +42,18 @@ class Reader:
         fmt = "<" + fmt
         return struct.unpack(fmt, self.exact(struct.calcsize(fmt), what))
 
-    def header(self, magic: bytes, version: int, fields: str, path) -> tuple:
-        """Check magic and version; returns the `fields` values that follow."""
+    def header(self, magic: bytes, version: int, fields: str, path, stale: str = "") -> tuple:
+        """Check magic and version; returns the `fields` values that follow.
+
+        `stale`, when given, is appended to the error for an older version.
+        """
         if self.exact(len(magic), "magic") != magic:
             article = "an" if self.kind[0] in "aeiou" else "a"
             raise FormatError(f"not {article} {self.kind} file: {path}")
         found, *values = self.unpack("I" + fields, "header")
         if found != version:
-            raise FormatError(f"unsupported {self.kind} version {found}")
+            hint = f"; {stale}" if stale and found < version else ""
+            raise FormatError(f"unsupported {self.kind} version {found}{hint}")
         return tuple(values)
 
     def dims(self, full_dim: int) -> DimSet:

@@ -9,6 +9,10 @@ Exit codes: 0 success, 1 usage error, 2 data/format error or unreadable file,
 `search` prints score_norm, the score minus the lowest similarity the search
 computed: over the whole corpus for exact search, and over the shortlist
 re-ranked at HIGH for `--funnel LOW:HIGH`.
+
+Index files are written in format version 2 (column bands and a norm table,
+see `near2.index`). A version-1 index from an older release is refused with
+exit 2; re-run `near2 index` on the same titles to rebuild it.
 """
 
 from __future__ import annotations

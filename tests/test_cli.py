@@ -9,7 +9,7 @@ import pytest
 import near2
 from near2.cli import main
 from near2.encoder import encode, load_model, save_model
-from near2.index import index_file_size, load_index, memory_footprint, search_funnel
+from near2.index import _sections, index_file_size, load_index, memory_footprint, search_funnel
 
 TINY = [
     "--dims", "16,8,4", "--buckets", "128", "--feature-dim", "8",
@@ -184,6 +184,34 @@ def test_model_with_bad_dims_exits_two_without_traceback(workspace, tmp_path):
                 "--query", "plants")
     assert proc.returncode == 2
     assert "bad dimension list" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_version_1_index_exits_two_naming_near2_index(workspace, tmp_path):
+    data = bytearray(workspace["index"].read_bytes())
+    data[8:12] = (1).to_bytes(4, "little")  # the version field
+    path = tmp_path / "v1.idx"
+    path.write_bytes(bytes(data))
+    proc = _cli("search", "--index", str(path), "--model", str(workspace["model"]),
+                "--query", "plants")
+    assert proc.returncode == 2
+    assert "version 1" in proc.stderr and "near2 index" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("section", [0, 1, 2, 3], ids=["norms", "band0", "band1", "band2"])
+def test_nan_in_index_section_exits_two_without_traceback(workspace, tmp_path, section):
+    index = load_index(workspace["index"])
+    offset, _ = _sections(index.count, index.dims)[0][section]
+    data = bytearray(workspace["index"].read_bytes())
+    # two float32 NaNs, which read as float64 are one NaN
+    data[offset : offset + 8] = b"\x00\x00\xc0\x7f\x00\x00\xf8\x7f"
+    path = tmp_path / "nan.idx"
+    path.write_bytes(bytes(data))
+    proc = _cli("search", "--index", str(path), "--model", str(workspace["model"]),
+                "--query", "plants")
+    assert proc.returncode == 2
+    assert "data error" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -10,6 +10,7 @@ from near2.encoder import EncoderModel, encode, load_model, save_model
 from near2.errors import DataError, FormatError, InvalidDimensionError, ZeroVectorError
 from near2.index import (
     PrefixIndex,
+    _sections,
     _top_hits,
     all_scores,
     build_index,
@@ -306,10 +307,18 @@ class TestPersistence:
         path = tmp_path / "corpus.idx"
         save_index(index, path)
         assert path.stat().st_size == index_file_size(index)
-        # vector section is exactly count * D * 4 bytes of the file
+        # the bands [0:4) and [4:8) are exactly count * D * 4 bytes of the file;
+        # the norm table holds count * |M| float64, and every section before
+        # the doc table is zero-padded to a multiple of 64 bytes
         doc_bytes = memory_footprint(index, 8).doc_table_bytes
         header = 8 + 16 + 2 + 4 * len(dims) + (index.count + 7) // 8
-        assert path.stat().st_size == header + index.count * dims.full * 4 + doc_bytes
+        norms = index.count * len(dims) * 8
+        band = index.count * 4 * 4
+
+        def pad(n):
+            return n + -n % 64
+
+        assert path.stat().st_size == pad(pad(pad(pad(header) + norms) + band) + band) + doc_bytes
 
     def test_truncated_matrix_is_format_error(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -317,7 +326,9 @@ class TestPersistence:
         path = tmp_path / "corpus.idx"
         save_index(index, path)
         data = path.read_bytes()
-        path.write_bytes(data[: 8 + 16 + 2 + 4 + 2 + 9 * 8 * 2])  # mid-matrix
+        # header and bitmap (36 bytes) padded to 64, the 9 x 1 norm table padded
+        # to 192, then half of the one 9 x 8 band
+        path.write_bytes(data[: 192 + 9 * 8 * 2])  # mid-band
         with pytest.raises(FormatError, match="truncated"):
             load_index(path)
 
@@ -354,6 +365,29 @@ class TestPersistence:
         with pytest.raises(ValueError):
             loaded.matrix[0, 0] = 1.0
 
+
+    def test_save_over_a_loaded_index_leaves_it_intact(self, tmp_path):
+        rng = np.random.default_rng(22)
+        dims = DimSet((16, 4))
+        path = tmp_path / "corpus.idx"
+        save_index(random_index(rng, 50, dims), path)
+        loaded = load_index(path)
+        query = query_from(rng.normal(size=16), dims)
+        before = [(h.row, h.score) for m in dims for h in search_exact(loaded, query, m, 10)]
+        save_index(random_index(rng, 50, dims), path)  # same shape, other rows
+        assert [(h.row, h.score) for m in dims for h in search_exact(loaded, query, m, 10)] == before
+        with pytest.raises(IsADirectoryError):
+            save_index(loaded, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.idx"]  # no temp file left
+
+    def test_version_1_file_names_the_rebuild(self, tmp_path):
+        path = tmp_path / "corpus.idx"
+        save_index(random_index(np.random.default_rng(24), 5, DimSet((8,))), path)
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=r"version 1; re-run `near2 index`"):
+            load_index(path)
 
     def test_non_utf8_id_is_format_error(self, tmp_path):
         path = tmp_path / "corpus.idx"
@@ -412,6 +446,45 @@ def test_byte_flips_load_or_raise_format_error(tmp_path, kind, flips):
         pass
 
 
+def _finite_or_format_error(search):
+    try:
+        hits = search()
+    except FormatError:
+        return
+    assert all(np.isfinite(h.score) for h in hits)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    section=st.integers(0, 3),  # the norm table, then the bands [0:2), [2:4), [4:8)
+    # half the flips hit the top byte of a float (4p + 3 is also the top byte
+    # of a float64), where an XOR such as 0x40 turns 0x3f into an inf or NaN
+    flips=st.lists(st.tuples(
+        st.one_of(st.integers(0, 2**18).map(lambda p: 4 * p + 3), st.integers(0, 2**20)),
+        st.one_of(st.sampled_from([0x40, 0x7F, 0x80]), st.integers(1, 255)),
+    ), min_size=1, max_size=3),
+)
+def test_section_byte_flips_search_finite_or_raise_format_error(tmp_path, section, flips):
+    dims = DimSet((8, 4, 2))
+    path = tmp_path / "flipped.idx"
+    index = random_index(np.random.default_rng(23), 6, dims, degenerate_rows=(2,))
+    save_index(index, path)
+    data = bytearray(path.read_bytes())
+    offset, length = _sections(index.count, dims)[0][section]
+    for pos, mask in flips:
+        data[offset + pos % length] ^= mask
+    path.write_bytes(bytes(data))
+    try:
+        loaded = load_index(path)
+    except FormatError:
+        return
+    query = query_from(np.random.default_rng(25).normal(size=8), dims)
+    for m in dims:
+        _finite_or_format_error(lambda: search_exact(loaded, query, m, loaded.count))
+        for m_high in (d for d in dims if d >= m):
+            _finite_or_format_error(lambda: search_funnel(loaded, query, m, m_high, 4, 3))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     scores=st.lists(st.integers(-3, 3), min_size=1, max_size=80),
@@ -449,3 +522,29 @@ class TestPrefixIndexEquivalence:
             hits_trunc = search_exact(truncated, q_trunc, m, 10)
             assert [(h.row, h.rank) for h in hits_full] == [(h.row, h.rank) for h in hits_trunc]
             assert all(a.score == b.score for a, b in zip(hits_full, hits_trunc))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([48, 17]),
+    data=st.data(),
+)
+def test_loaded_index_scores_bitwise_like_built(tmp_path, seed, d, data):
+    rng = np.random.default_rng(seed)
+    cuts = data.draw(st.sets(st.integers(1, d - 1), max_size=4), label="cuts")
+    dims = DimSet((d, *sorted(cuts, reverse=True)))
+    count = data.draw(st.integers(10, 120), label="count")
+    index = random_index(rng, count, dims, degenerate_rows=rng.permutation(count)[: count // 10])
+    save_index(index, tmp_path / "corpus.idx")
+    loaded = load_index(tmp_path / "corpus.idx")
+    query = query_from(rng.normal(size=d), dims)
+    for m in dims:
+        rows, scores = all_scores(index, query, m)
+        loaded_rows, loaded_scores = all_scores(loaded, query, m)
+        assert np.array_equal(loaded_rows, rows)
+        assert np.array_equal(loaded_scores, scores)
+        for m_low in (low for low in dims if low <= m):
+            exact = search_exact(loaded, query, m, 10)
+            funneled = search_funnel(loaded, query, m_low, m, shortlist_size=count, k=10)
+            assert [(h.row, h.score) for h in funneled] == [(h.row, h.score) for h in exact]
