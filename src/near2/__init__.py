@@ -9,17 +9,16 @@ __version__ = "0.1.0"
 
 from .nested import DimSet, NestedEmbedding, cosine_prefix, l2_normalize, truncate
 from .losses import (
+    LossBatch,
     LossOutput,
     MrlConfig,
-    PairBatch,
-    TripletBatch,
     grad_check,
     mnrl_hinge,
     mrl_compose,
     multitask_step_loss,
     ocl,
 )
-from .encoder import EncoderModel, encode, encode_batch, load_model, save_model, tokenize
+from .encoder import EncoderModel, encode, load_model, save_model, tokenize
 from .index import (
     PrefixIndex,
     SearchHit,
@@ -49,10 +48,9 @@ __all__ = [
     "cosine_prefix",
     "l2_normalize",
     "truncate",
+    "LossBatch",
     "LossOutput",
     "MrlConfig",
-    "PairBatch",
-    "TripletBatch",
     "grad_check",
     "mnrl_hinge",
     "mrl_compose",
@@ -60,7 +58,6 @@ __all__ = [
     "ocl",
     "EncoderModel",
     "encode",
-    "encode_batch",
     "load_model",
     "save_model",
     "tokenize",

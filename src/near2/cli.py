@@ -22,6 +22,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .data import (
     SynthSpec,
@@ -34,6 +36,7 @@ from .data import (
 from .encoder import EncoderModel, encode, load_model, save_model
 from .errors import DataError, InvalidDimensionError, NumericalError, ZeroVectorError
 from .index import (
+    all_scores,
     build_index,
     load_index,
     save_index,
@@ -43,6 +46,7 @@ from .index import (
 from .metrics import (
     DEFAULT_CORPUS_CAP,
     MetricsReport,
+    capped_corpus,
     delta_report,
     histogram_csv,
     normalize_scores,
@@ -369,9 +373,6 @@ def _cmd_hist(args) -> int:
     dim = int(res.get("dim", 0) or 0) or model.dims.full
     res.resolved["dim"] = dim
 
-    from .metrics import capped_corpus
-    from .index import all_scores
-
     split = split_judgments(records)
     if not split.judged:
         raise DataError("no judged queries in the test records")
@@ -387,7 +388,6 @@ def _cmd_hist(args) -> int:
             raise UsageError(str(e)) from None
     if not collected:
         raise DataError("no query produced any similarity scores")
-    import numpy as np
 
     rows = score_histogram(np.concatenate(collected), bins)
     _write_csv_report(out_path, _provenance("hist", res), histogram_csv(rows))

@@ -114,7 +114,11 @@ def xorshift_uniform(seed: int, count: int) -> np.ndarray:
         states ^= states >> np.uint64(7)
         states ^= states << np.uint64(17)
         out[b * _XS_LANES : (b + 1) * _XS_LANES] = states
-    return (out[:count] >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    # (out >> 11) * 2^-53 with the shift and the scale in place
+    out >>= np.uint64(11)
+    draws = out[:count].astype(np.float64)
+    draws *= 2.0**-53
+    return draws
 
 
 @dataclass
@@ -152,8 +156,12 @@ class EncoderModel:
         """
         b, h, d = int(bucket_count), int(feature_dim), dims.full
         bound = 1.0 / np.sqrt(h)
-        draws = xorshift_uniform(seed, b * h + h * d)
-        params = bound * (2.0 * draws - 1.0)
+        # bound * (2.0 * draws - 1.0), in place: each temporary would be as
+        # large as all the parameters
+        params = xorshift_uniform(seed, b * h + h * d)
+        params *= 2.0
+        params -= 1.0
+        params *= bound
         return cls(
             bucket_count=b,
             feature_dim=h,
@@ -194,11 +202,6 @@ def embed_bag(model: EncoderModel, bag: FeatureBag) -> NestedEmbedding:
 def encode(model: EncoderModel, text: str) -> NestedEmbedding:
     """Embed one text; empty feature bags yield a degenerate zero embedding."""
     return embed_bag(model, tokenize(text, model.bucket_count))
-
-
-def encode_batch(model: EncoderModel, texts: list[str]) -> list[NestedEmbedding]:
-    """Elementwise encode, order preserved."""
-    return [encode(model, text) for text in texts]
 
 
 def backward(

@@ -1,5 +1,12 @@
 """Ranking and contrastive losses over nested embeddings, with analytic gradients.
 
+Every loss reads one `LossBatch`: the step's embedding matrix, one raw row
+per distinct text, and row indices into it for each role (queries, their
+positives and negatives, pair lefts and rights). It returns one gradient of
+that matrix's shape; a row used in several places (a query that is also a
+pair left, a title that is one query's positive and another's negative)
+sums the gradients of all its uses. Only this module maps roles to rows.
+
 Three layers:
 
 * single-dimension task losses: a margin hinge pushing query-positive cosine
@@ -17,121 +24,91 @@ A loss at prefix dimension m has identically zero gradient beyond position m.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ZeroVectorError
-from .nested import DimSet, NestedEmbedding, EPS_ZERO
+from .nested import DimSet, EPS_ZERO
 
-Gradients = dict[str, object]
+
+def _row_indices(rows, n: int, name: str) -> np.ndarray:
+    rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+    if rows.size and (rows.min() < 0 or rows.max() >= n):
+        raise ValueError(f"{name} row index out of range for {n} embedding rows")
+    return rows
 
 
 @dataclass
-class TripletBatch:
-    """Per-query (query, positives, negatives) raw embedding arrays.
+class LossBatch:
+    """A step's (n, D) embedding matrix and the rows each role reads.
 
-    `positives[i]` and `negatives[i]` are (P_i, D) and (N_i, D) arrays for
-    query i; every query must bring at least one of each.
+    `queries` holds one row per query; `positives[i]` and `negatives[i]` hold
+    query i's rows, at least one of each. `lefts`, `rights` and `labels` are
+    parallel; label 1 marks a matching pair. Either part may be empty.
     """
 
-    queries: np.ndarray
-    positives: list[np.ndarray]
-    negatives: list[np.ndarray]
+    embeddings: np.ndarray
     dims: DimSet
+    queries: np.ndarray = ()
+    positives: list[np.ndarray] = ()
+    negatives: list[np.ndarray] = ()
+    lefts: np.ndarray = ()
+    rights: np.ndarray = ()
+    labels: np.ndarray = ()
 
     def __post_init__(self):
-        self.queries = np.asarray(self.queries, dtype=np.float64)
-        if self.queries.ndim != 2:
-            raise ValueError("queries must be a (Q, D) array")
-        q, d = self.queries.shape
-        if q < 1:
-            raise ValueError("triplet batch needs at least one query")
-        if d != self.dims.full:
-            raise ValueError(f"query width {d} != full dimension {self.dims.full}")
-        if len(self.positives) != q or len(self.negatives) != q:
+        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
+        d = self.dims.full
+        if self.embeddings.ndim != 2 or self.embeddings.shape[1] != d:
+            raise ValueError(f"embeddings must be an (n, {d}) array")
+        n = self.embeddings.shape[0]
+        self.queries = _row_indices(self.queries, n, "queries")
+        if len(self.positives) != len(self.queries) or len(self.negatives) != len(self.queries):
             raise ValueError("positives/negatives must align with queries")
-        self.positives = [np.asarray(p, dtype=np.float64) for p in self.positives]
-        self.negatives = [np.asarray(n, dtype=np.float64) for n in self.negatives]
+        self.positives = [_row_indices(g, n, f"positives[{i}]") for i, g in enumerate(self.positives)]
+        self.negatives = [_row_indices(g, n, f"negatives[{i}]") for i, g in enumerate(self.negatives)]
         for name, groups in (("positives", self.positives), ("negatives", self.negatives)):
             for i, g in enumerate(groups):
-                if g.ndim != 2 or g.shape[1] != d:
-                    raise ValueError(f"{name}[{i}] must be (*, {d})")
-                if g.shape[0] < 1:
+                if not g.size:
                     raise ValueError(f"query {i} has empty {name}")
-
-    @classmethod
-    def from_embeddings(
-        cls,
-        queries: Sequence[NestedEmbedding],
-        positives: Sequence[Sequence[NestedEmbedding]],
-        negatives: Sequence[Sequence[NestedEmbedding]],
-    ) -> "TripletBatch":
-        dims = _common_dims([q for q in queries]
-                            + [e for g in positives for e in g]
-                            + [e for g in negatives for e in g])
-        return cls(
-            queries=np.stack([q.values for q in queries]),
-            positives=[np.stack([e.values for e in g]) for g in positives],
-            negatives=[np.stack([e.values for e in g]) for g in negatives],
-            dims=dims,
-        )
-
-    def __len__(self) -> int:
-        return self.queries.shape[0]
-
-
-@dataclass
-class PairBatch:
-    """Parallel (left, right, label) arrays; label 1 marks a matching pair."""
-
-    lefts: np.ndarray
-    rights: np.ndarray
-    labels: np.ndarray
-    dims: DimSet
-
-    def __post_init__(self):
-        self.lefts = np.asarray(self.lefts, dtype=np.float64).reshape(-1, self.dims.full)
-        self.rights = np.asarray(self.rights, dtype=np.float64).reshape(-1, self.dims.full)
+        self.lefts = _row_indices(self.lefts, n, "lefts")
+        self.rights = _row_indices(self.rights, n, "rights")
         self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        n = self.lefts.shape[0]
-        if self.rights.shape[0] != n or self.labels.shape[0] != n:
+        if not len(self.lefts) == len(self.rights) == len(self.labels):
             raise ValueError("lefts, rights and labels must have equal length")
-        if n and not np.isin(self.labels, (0, 1)).all():
+        if not np.isin(self.labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
 
     @classmethod
-    def from_embeddings(
+    def from_texts(
         cls,
-        lefts: Sequence[NestedEmbedding],
-        rights: Sequence[NestedEmbedding],
-        labels: Sequence[int],
-    ) -> "PairBatch":
-        dims = _common_dims(list(lefts) + list(rights))
-        return cls(
-            lefts=np.stack([e.values for e in lefts]),
-            rights=np.stack([e.values for e in rights]),
-            labels=np.asarray(list(labels)),
-            dims=dims,
-        )
+        embed: Callable[[Hashable], np.ndarray],
+        dims: DimSet,
+        queries: Sequence[Hashable] = (),
+        positives: Sequence[Sequence[Hashable]] = (),
+        negatives: Sequence[Sequence[Hashable]] = (),
+        lefts: Sequence[Hashable] = (),
+        rights: Sequence[Hashable] = (),
+        labels: Sequence[int] = (),
+    ) -> tuple["LossBatch", list]:
+        """The batch with one row per distinct text, and those texts in row order.
 
-    @classmethod
-    def empty(cls, dims: DimSet) -> "PairBatch":
-        d = dims.full
-        return cls(np.zeros((0, d)), np.zeros((0, d)), np.zeros((0,), dtype=np.int64), dims)
+        Rows follow first occurrence over queries, positives, negatives,
+        lefts, rights; `embed(text)` gives a row's raw (D,) embedding.
+        """
+        slot: dict = {}
 
-    def __len__(self) -> int:
-        return self.lefts.shape[0]
+        def rows(texts):
+            return [slot.setdefault(text, len(slot)) for text in texts]
 
-
-def _common_dims(embeddings: Sequence[NestedEmbedding]) -> DimSet:
-    if not embeddings:
-        raise ValueError("cannot infer dimensions from an empty embedding list")
-    dims = embeddings[0].dims
-    for e in embeddings[1:]:
-        if e.dims != dims:
-            raise ValueError("all embeddings in a batch must share the same dimension set")
-    return dims
+        q = rows(queries)
+        pos = [rows(g) for g in positives]
+        neg = [rows(g) for g in negatives]
+        left, right = rows(lefts), rows(rights)
+        texts = list(slot)
+        embeddings = np.stack([embed(text) for text in texts])
+        return cls(embeddings, dims, q, pos, neg, left, right, labels), texts
 
 
 @dataclass(frozen=True)
@@ -156,29 +133,39 @@ class MrlConfig:
 
 @dataclass
 class LossOutput:
-    """A loss value, its per-prefix-dimension breakdown, and input gradients.
+    """A loss value, its per-prefix-dimension breakdown, and its gradient.
 
-    `gradients` mirrors the batch fields it was computed from: "queries" is a
-    (Q, D) array, "positives"/"negatives" are per-query lists of (P_i, D) /
-    (N_i, D) arrays, "lefts"/"rights" are (n, D) arrays.
+    `gradient` has the shape of the batch's embedding matrix: row r is the
+    derivative with respect to embedding row r, summed over every role and
+    occurrence that reads it. Rows no term reads are zero.
     """
 
     value: float
     per_dim: dict[int, float]
-    gradients: Gradients
+    gradient: np.ndarray
     warnings: tuple[str, ...] = field(default=())
 
 
-def _normalize_rows(rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalized m-prefixes and their norms; errors on degenerate rows."""
-    prefix = rows[:, :m]
+def _unit_rows(batch: LossBatch, rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalized m-prefixes of the given rows and their norms; errors on
+    degenerate rows."""
+    prefix = batch.embeddings[rows, :m]
     norms = np.linalg.norm(prefix, axis=1)
     if np.any(norms <= EPS_ZERO):
         raise ZeroVectorError(f"zero-norm {m}-prefix in batch")
     return prefix / norms[:, None], norms
 
 
-def mnrl_hinge(batch: TripletBatch, margin: float, m: int) -> LossOutput:
+def _scatter(batch: LossBatch, m: int, rows: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
+    """A gradient of the embedding matrix's shape holding `values` added onto
+    `rows` in columns [0, m); repeated rows add up."""
+    grad = np.zeros_like(batch.embeddings)
+    if rows:
+        np.add.at(grad, (np.concatenate(rows), slice(None, m)), np.concatenate(values))
+    return grad
+
+
+def mnrl_hinge(batch: LossBatch, margin: float, m: int) -> LossOutput:
     """Margin hinge over all query (positive, negative) combinations at prefix m.
 
     Per query: sum over i in 1..P, j in 1..N of
@@ -189,19 +176,17 @@ def mnrl_hinge(batch: TripletBatch, margin: float, m: int) -> LossOutput:
     if not 0.0 <= margin <= 2.0:
         raise ValueError(f"margin must be in [0, 2], got {margin}")
     m = batch.dims.require(m)
-    nq = len(batch)
-    d = batch.dims.full
-
-    grad_q = np.zeros((nq, d))
-    grad_p = [np.zeros_like(p) for p in batch.positives]
-    grad_n = [np.zeros_like(n) for n in batch.negatives]
+    nq = len(batch.queries)
+    if nq == 0:
+        raise ValueError("hinge loss needs at least one query")
 
     total = 0.0
-    for qi in range(nq):
-        qh, qnorm = _normalize_rows(batch.queries[qi : qi + 1], m)
+    rows, grads = [], []
+    for q, pos, neg in zip(batch.queries, batch.positives, batch.negatives):
+        qh, qnorm = _unit_rows(batch, [q], m)
         qh = qh[0]
-        ph, pnorms = _normalize_rows(batch.positives[qi], m)
-        nh, nnorms = _normalize_rows(batch.negatives[qi], m)
+        ph, pnorms = _unit_rows(batch, pos, m)
+        nh, nnorms = _unit_rows(batch, neg, m)
         sp = ph @ qh
         sn = nh @ qh
 
@@ -215,26 +200,20 @@ def mnrl_hinge(batch: TripletBatch, margin: float, m: int) -> LossOutput:
         wp = -active.sum(axis=1).astype(np.float64)
         wn = active.sum(axis=0).astype(np.float64)
 
-        grad_q[qi, :m] = (
-            wp @ ph - float(wp @ sp) * qh + wn @ nh - float(wn @ sn) * qh
-        ) / float(qnorm[0])
-        grad_p[qi][:, :m] = (wp[:, None] * (qh[None, :] - sp[:, None] * ph)) / pnorms[:, None]
-        grad_n[qi][:, :m] = (wn[:, None] * (qh[None, :] - sn[:, None] * nh)) / nnorms[:, None]
+        rows += [[q], pos, neg]
+        grads += [
+            (wp @ ph - float(wp @ sp) * qh + wn @ nh - float(wn @ sn) * qh)[None, :] / qnorm[:, None],
+            (wp[:, None] * (qh[None, :] - sp[:, None] * ph)) / pnorms[:, None],
+            (wn[:, None] * (qh[None, :] - sn[:, None] * nh)) / nnorms[:, None],
+        ]
 
     value = total / nq
-    grad_q /= nq
-    for g in grad_p:
-        g /= nq
-    for g in grad_n:
-        g /= nq
-    return LossOutput(
-        value=value,
-        per_dim={m: value},
-        gradients={"queries": grad_q, "positives": grad_p, "negatives": grad_n},
-    )
+    gradient = _scatter(batch, m, rows, grads)
+    gradient /= nq
+    return LossOutput(value=value, per_dim={m: value}, gradient=gradient)
 
 
-def mnrl_breakpoint_gap(batch: TripletBatch, margin: float, m: int) -> float:
+def mnrl_breakpoint_gap(batch: LossBatch, margin: float, m: int) -> float:
     """Smallest |margin - cos(q,p) + cos(q,n)| over the batch.
 
     Finite-difference probes closer to a hinge activation boundary than this
@@ -242,11 +221,11 @@ def mnrl_breakpoint_gap(batch: TripletBatch, margin: float, m: int) -> float:
     """
     m = batch.dims.require(m)
     gap = np.inf
-    for qi in range(len(batch)):
-        qh, _ = _normalize_rows(batch.queries[qi : qi + 1], m)
+    for q, pos, neg in zip(batch.queries, batch.positives, batch.negatives):
+        qh, _ = _unit_rows(batch, [q], m)
         qh = qh[0]
-        ph, _ = _normalize_rows(batch.positives[qi], m)
-        nh, _ = _normalize_rows(batch.negatives[qi], m)
+        ph, _ = _unit_rows(batch, pos, m)
+        nh, _ = _unit_rows(batch, neg, m)
         sp = ph @ qh
         sn = nh @ qh
         gap = min(gap, float(np.abs(margin - sp[:, None] + sn[None, :]).min()))
@@ -266,7 +245,7 @@ def _ocl_selection(d_pos: np.ndarray, d_neg: np.ndarray) -> tuple[np.ndarray, np
     return sel_pos, sel_neg
 
 
-def ocl(batch: PairBatch, margin_c: float, m: int) -> LossOutput:
+def ocl(batch: LossBatch, margin_c: float, m: int) -> LossOutput:
     """Online contrastive loss over the hardest pairs at prefix m.
 
     With cosine distance d = 1 - cos: mean of d^2 over selected (hard)
@@ -275,12 +254,12 @@ def ocl(batch: PairBatch, margin_c: float, m: int) -> LossOutput:
     """
     if not 0.0 < margin_c < 2.0:
         raise ValueError(f"margin_c must be in (0, 2), got {margin_c}")
-    if len(batch) == 0:
+    if len(batch.labels) == 0:
         raise ValueError("online contrastive loss needs at least one pair")
     m = batch.dims.require(m)
 
-    lh, lnorms = _normalize_rows(batch.lefts, m)
-    rh, rnorms = _normalize_rows(batch.rights, m)
+    lh, lnorms = _unit_rows(batch, batch.lefts, m)
+    rh, rnorms = _unit_rows(batch, batch.rights, m)
     cos = np.einsum("ij,ij->i", lh, rh)
     dist = 1.0 - cos
 
@@ -290,7 +269,7 @@ def ocl(batch: PairBatch, margin_c: float, m: int) -> LossOutput:
 
     value = 0.0
     # d loss / d dist, assembled over the full batch
-    ddist = np.zeros(len(batch))
+    ddist = np.zeros(len(batch.labels))
     if sel_pos.any():
         dp = dist[pos][sel_pos]
         value += float(np.mean(dp * dp))
@@ -306,23 +285,17 @@ def ocl(batch: PairBatch, margin_c: float, m: int) -> LossOutput:
         ddist[neg] = contrib
 
     dcos = -ddist
-    grad_l = np.zeros_like(batch.lefts)
-    grad_r = np.zeros_like(batch.rights)
-    grad_l[:, :m] = (dcos[:, None] * (rh - cos[:, None] * lh)) / lnorms[:, None]
-    grad_r[:, :m] = (dcos[:, None] * (lh - cos[:, None] * rh)) / rnorms[:, None]
-
-    return LossOutput(
-        value=value,
-        per_dim={m: value},
-        gradients={"lefts": grad_l, "rights": grad_r},
-    )
+    grad_l = (dcos[:, None] * (rh - cos[:, None] * lh)) / lnorms[:, None]
+    grad_r = (dcos[:, None] * (lh - cos[:, None] * rh)) / rnorms[:, None]
+    gradient = _scatter(batch, m, [batch.lefts, batch.rights], [grad_l, grad_r])
+    return LossOutput(value=value, per_dim={m: value}, gradient=gradient)
 
 
-def ocl_breakpoint_gap(batch: PairBatch, margin_c: float, m: int) -> float:
+def ocl_breakpoint_gap(batch: LossBatch, margin_c: float, m: int) -> float:
     """Distance to the nearest hard-pair selection or hinge boundary."""
     m = batch.dims.require(m)
-    lh, _ = _normalize_rows(batch.lefts, m)
-    rh, _ = _normalize_rows(batch.rights, m)
+    lh, _ = _unit_rows(batch, batch.lefts, m)
+    rh, _ = _unit_rows(batch, batch.rights, m)
     dist = 1.0 - np.einsum("ij,ij->i", lh, rh)
     pos = batch.labels == 1
     d_pos, d_neg = dist[pos], dist[~pos]
@@ -335,10 +308,10 @@ def ocl_breakpoint_gap(batch: PairBatch, margin_c: float, m: int) -> float:
     return float(min(gaps)) if gaps else np.inf
 
 
-TaskLoss = Callable[[object, int], LossOutput]
+TaskLoss = Callable[[LossBatch, int], LossOutput]
 
 
-def mrl_compose(task: TaskLoss, batch, config: MrlConfig) -> LossOutput:
+def mrl_compose(task: TaskLoss, batch: LossBatch, config: MrlConfig) -> LossOutput:
     """Weighted sum of a single-dimension task loss over every nested dimension.
 
     Evaluation and summation run in fixed descending-M order so results are
@@ -347,7 +320,7 @@ def mrl_compose(task: TaskLoss, batch, config: MrlConfig) -> LossOutput:
     """
     value = 0.0
     per_dim: dict[int, float] = {}
-    grads: Gradients | None = None
+    gradient = None
     warnings: tuple[str, ...] = ()
     for m, c in zip(config.dims, config.weights):
         try:
@@ -358,14 +331,15 @@ def mrl_compose(task: TaskLoss, batch, config: MrlConfig) -> LossOutput:
         value += c * out.value
         per_dim[m] = out.value
         warnings += out.warnings
-        scaled = _scale_gradients(out.gradients, c)
-        grads = scaled if grads is None else _add_gradients(grads, scaled)
-    return LossOutput(value=value, per_dim=per_dim, gradients=grads, warnings=warnings)
+        if gradient is None:
+            gradient = c * out.gradient
+        else:
+            gradient += c * out.gradient
+    return LossOutput(value=value, per_dim=per_dim, gradient=gradient, warnings=warnings)
 
 
 def multitask_step_loss(
-    triplets: TripletBatch,
-    pairs: PairBatch | None,
+    batch: LossBatch,
     config: MrlConfig,
     margin: float,
     margin_c: float,
@@ -373,18 +347,20 @@ def multitask_step_loss(
 ) -> LossOutput:
     """Composed hinge loss plus lambda_ocl times the composed contrastive loss.
 
-    An empty pair batch contributes 0 with a warning flag instead of failing,
-    so ranking-only steps remain valid.
+    A batch without pairs contributes 0 to the contrastive term, with a
+    warning flag instead of failing, so ranking-only steps remain valid.
     """
-    mnrl_out = mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), triplets, config)
+    mnrl_out = mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch, config)
     warnings = mnrl_out.warnings
-    if pairs is None or len(pairs) == 0:
+    gradient = mnrl_out.gradient
+    if len(batch.labels) == 0:
         if lambda_ocl > 0:
             warnings += ("empty pair batch: contrastive term treated as 0",)
         ocl_out = None
     else:
-        ocl_out = mrl_compose(lambda b, m: ocl(b, margin_c, m), pairs, config)
+        ocl_out = mrl_compose(lambda b, m: ocl(b, margin_c, m), batch, config)
         warnings += ocl_out.warnings
+        gradient += lambda_ocl * ocl_out.gradient
 
     per_dim = {}
     value = 0.0
@@ -394,58 +370,17 @@ def multitask_step_loss(
             task_m = task_m + lambda_ocl * ocl_out.per_dim[m]
         per_dim[m] = task_m
         value += c * task_m
-
-    grads = dict(mnrl_out.gradients)
-    if ocl_out is not None:
-        grads.update(_scale_gradients(ocl_out.gradients, lambda_ocl))
-    return LossOutput(value=value, per_dim=per_dim, gradients=grads, warnings=warnings)
+    return LossOutput(value=value, per_dim=per_dim, gradient=gradient, warnings=warnings)
 
 
 def multitask_breakpoint_gap(
-    triplets: TripletBatch,
-    pairs: PairBatch | None,
-    config: MrlConfig,
-    margin: float,
-    margin_c: float,
+    batch: LossBatch, config: MrlConfig, margin: float, margin_c: float
 ) -> float:
     """Minimum hinge/selection boundary distance across both losses and all dims."""
-    gap = min(mnrl_breakpoint_gap(triplets, margin, m) for m in config.dims)
-    if pairs is not None and len(pairs):
-        gap = min(gap, min(ocl_breakpoint_gap(pairs, margin_c, m) for m in config.dims))
+    gap = min(mnrl_breakpoint_gap(batch, margin, m) for m in config.dims)
+    if len(batch.labels):
+        gap = min(gap, min(ocl_breakpoint_gap(batch, margin_c, m) for m in config.dims))
     return gap
-
-
-def _scale_gradients(grads: Gradients, c: float) -> Gradients:
-    out: Gradients = {}
-    for key, g in grads.items():
-        if isinstance(g, list):
-            out[key] = [c * a for a in g]
-        else:
-            out[key] = c * g
-    return out
-
-
-def _add_gradients(a: Gradients, b: Gradients) -> Gradients:
-    out: Gradients = {}
-    for key in a:
-        ga, gb = a[key], b[key]
-        if isinstance(ga, list):
-            out[key] = [x + y for x, y in zip(ga, gb)]
-        else:
-            out[key] = ga + gb
-    return out
-
-
-def flatten_gradients(grads: Gradients, order: Sequence[str]) -> np.ndarray:
-    """Concatenate gradient blocks in a caller-chosen role order."""
-    parts = []
-    for key in order:
-        g = grads[key]
-        if isinstance(g, list):
-            parts.extend(a.ravel() for a in g)
-        else:
-            parts.append(np.asarray(g).ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 def grad_check(

@@ -11,8 +11,11 @@ Within a phase of T steps the learning rate warms up linearly over the first
 w = ceil(T/10) steps and then decays linearly, and before each update both
 gradients are scaled together to a global L2 norm of at most 1.0
 (`warmup_linear`, `clip_grad_norm`). Each step is one forward pass: every
-distinct text is tokenized once per run and embedded once per step, and
-backward consumes those feature bags.
+distinct text is tokenized once per run and embedded once per step into one
+row of the step's `LossBatch`. The loss returns one gradient row per distinct
+text, which `backward` takes as its upstream together with those texts'
+feature bags; how queries, titles and pairs map to rows is left to
+`near2.losses`.
 """
 
 from __future__ import annotations
@@ -37,10 +40,8 @@ from .encoder import (
 )
 from .errors import DataError, NumericalError
 from .losses import (
+    LossBatch,
     MrlConfig,
-    PairBatch,
-    TripletBatch,
-    flatten_gradients,
     mnrl_hinge,
     mrl_compose,
     multitask_step_loss,
@@ -363,50 +364,33 @@ def _epoch_seed(seed: int, phase_index: int, epoch: int) -> int:
 
 
 def _step_loss(model, bags, batch: StepBatch, phase: Phase, mrl_cfg: MrlConfig, config: TrainConfig):
-    """Loss output, the step's distinct feature bags and one upstream row per bag:
-    each text is embedded once, and its row sums its occurrences' gradients
-    (exact, since backward is linear in upstream)."""
+    """Loss output and the step's distinct feature bags, one per row of the
+    loss gradient. Each text is embedded once and its gradient row sums all its
+    occurrences (exact, since backward is linear in upstream)."""
     t, p = batch.triplets, batch.pairs
-    roles: dict[str, list[str]] = {}  # text occurrences in flatten_gradients' role order
+    roles = {}
     if phase.task in ("mnrl", "multitask"):
-        roles.update(queries=t.queries, positives=sum(t.positives, []), negatives=sum(t.negatives, []))
+        roles.update(queries=t.queries, positives=t.positives, negatives=t.negatives)
     if phase.task in ("ocl", "multitask") and p.labels:
-        roles.update(lefts=p.lefts, rights=p.rights)
+        roles.update(lefts=p.lefts, rights=p.rights, labels=p.labels)
     if not roles:  # an ocl step without labeled pairs
-        return None, [], None
-    occurrences = [text for texts in roles.values() for text in texts]
-    slot = {text: i for i, text in enumerate(dict.fromkeys(occurrences))}
-    step_bags = [bags[text] for text in slot]
-    embeddings = np.stack([embed_bag(model, bag).values for bag in step_bags])
-
-    def rows(texts):
-        return embeddings[[slot[text] for text in texts]]
-
-    triplet_batch = pair_batch = None
-    if "queries" in roles:
-        triplet_batch = TripletBatch(rows(t.queries), [rows(g) for g in t.positives],
-                                     [rows(g) for g in t.negatives], model.dims)
-    if "lefts" in roles:
-        pair_batch = PairBatch(rows(p.lefts), rows(p.rights), p.labels, model.dims)
+        return None, []
+    loss_batch, texts = LossBatch.from_texts(
+        lambda text: embed_bag(model, bags[text]).values, model.dims, **roles
+    )
 
     if phase.task == "mnrl":
-        out = mrl_compose(lambda b, m: mnrl_hinge(b, config.margin, m), triplet_batch, mrl_cfg)
+        out = mrl_compose(lambda b, m: mnrl_hinge(b, config.margin, m), loss_batch, mrl_cfg)
     elif phase.task == "ocl":
-        out = mrl_compose(lambda b, m: ocl(b, config.margin_c, m), pair_batch, mrl_cfg)
+        out = mrl_compose(lambda b, m: ocl(b, config.margin_c, m), loss_batch, mrl_cfg)
     else:
         out = multitask_step_loss(
-            triplet_batch, pair_batch, mrl_cfg,
-            config.margin, config.margin_c, config.lambda_ocl,
+            loss_batch, mrl_cfg, config.margin, config.margin_c, config.lambda_ocl
         )
 
     if not np.isfinite(out.value):
         raise NumericalError(f"non-finite loss value {out.value!r}")
-
-    upstream = np.zeros((len(step_bags), model.full_dim))
-    for role, texts in roles.items():  # one role at a time keeps the temporaries small
-        flat = flatten_gradients(out.gradients, [role]).reshape(len(texts), model.full_dim)
-        np.add.at(upstream, [slot[text] for text in texts], flat)
-    return out, step_bags, upstream
+    return out, [bags[text] for text in texts]
 
 
 def train(
@@ -435,10 +419,10 @@ def train(
         for epoch, batches in enumerate(epochs, start=1):
             for batch in batches:
                 phase_step += 1
-                out, step_bags, upstream = _step_loss(model, bags, batch, phase, mrl_cfg, config)
+                out, step_bags = _step_loss(model, bags, batch, phase, mrl_cfg, config)
                 if out is None:
                     continue
-                grads = backward(model, step_bags, upstream)
+                grads = backward(model, step_bags, out.gradient)
                 grad_norm = clip_grad_norm(grads, MAX_GRAD_NORM)
                 lr = config.learning_rate * warmup_linear(phase_step, total)
                 adamw_step(model.parameters(), grads, state, AdamHyper(learning_rate=lr))

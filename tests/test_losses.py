@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from near2.errors import NumericalError
 from near2.losses import (
+    LossBatch,
     LossOutput,
     MrlConfig,
-    PairBatch,
-    TripletBatch,
-    flatten_gradients,
     grad_check,
     mnrl_breakpoint_gap,
     mnrl_hinge,
@@ -17,7 +18,7 @@ from near2.losses import (
     ocl,
     ocl_breakpoint_gap,
 )
-from near2.nested import DimSet, NestedEmbedding
+from near2.nested import DimSet
 
 D2 = DimSet((2,))
 
@@ -27,13 +28,32 @@ def unit_at_cos(c):
     return np.array([c, np.sqrt(max(0.0, 1.0 - c * c))])
 
 
+def occurrence_rows(pos_counts, neg_counts, n_pairs=0):
+    """Row indices for one embedding row per occurrence, stacked as queries,
+    then each query's positives, then its negatives, then lefts, then rights."""
+    q = len(pos_counts)
+    counts = [q, *pos_counts, *neg_counts, n_pairs, n_pairs]
+    starts = np.cumsum([0, *counts])
+    blocks = [np.arange(s, s + c) for s, c in zip(starts, counts)]
+    return dict(queries=blocks[0], positives=blocks[1 : q + 1],
+                negatives=blocks[q + 1 : 2 * q + 1], lefts=blocks[-2], rights=blocks[-1])
+
+
+def occurrence_batch(dims, queries=(), positives=(), negatives=(), lefts=(), rights=(), labels=()):
+    """LossBatch with one embedding row per occurrence (see occurrence_rows)."""
+    blocks = [queries, *positives, *negatives, lefts, rights]
+    embeddings = np.concatenate([np.reshape(b, (-1, dims.full)) for b in blocks])
+    rows = occurrence_rows([len(p) for p in positives], [len(n) for n in negatives], len(labels))
+    return LossBatch(embeddings, dims, labels=labels, **rows)
+
+
 def triplet_from_cosines(pos_cos, neg_cos):
     """One query [1, 0], positives/negatives at prescribed cosines."""
-    return TripletBatch(
-        queries=np.array([[1.0, 0.0]]),
+    return occurrence_batch(
+        D2,
+        queries=[[1.0, 0.0]],
         positives=[np.stack([unit_at_cos(c) for c in pos_cos])],
         negatives=[np.stack([unit_at_cos(c) for c in neg_cos])],
-        dims=D2,
     )
 
 
@@ -41,16 +61,15 @@ def pairs_from_distances(distances, labels):
     """Pairs (left=[1,0], right at cosine 1-d) with the given labels."""
     lefts = np.tile([1.0, 0.0], (len(distances), 1))
     rights = np.stack([unit_at_cos(1.0 - d) for d in distances])
-    return PairBatch(lefts=lefts, rights=rights, labels=np.array(labels), dims=D2)
+    return occurrence_batch(D2, lefts=lefts, rights=rights, labels=labels)
 
 
-def random_batch(rng, dims, n_queries=3, max_pos=3, max_neg=4, scale=1.0):
+def random_triplets(rng, dims, n_queries=3, max_pos=3, max_neg=4, scale=1.0):
     d = dims.full
-    return TripletBatch(
+    return dict(
         queries=rng.normal(size=(n_queries, d)) * scale,
         positives=[rng.normal(size=(rng.integers(1, max_pos + 1), d)) for _ in range(n_queries)],
         negatives=[rng.normal(size=(rng.integers(1, max_neg + 1), d)) for _ in range(n_queries)],
-        dims=dims,
     )
 
 
@@ -59,12 +78,50 @@ def random_pairs(rng, dims, n=6):
     labels = rng.integers(0, 2, size=n)
     if labels.min() == labels.max():  # ensure both classes most of the time
         labels[0] = 1 - labels[0]
-    return PairBatch(
-        lefts=rng.normal(size=(n, d)),
-        rights=rng.normal(size=(n, d)),
-        labels=labels,
-        dims=dims,
-    )
+    return dict(lefts=rng.normal(size=(n, d)), rights=rng.normal(size=(n, d)), labels=labels)
+
+
+def random_batch(rng, dims, **kwargs):
+    return occurrence_batch(dims, **random_triplets(rng, dims, **kwargs))
+
+
+def random_pair_batch(rng, dims, n=6):
+    return occurrence_batch(dims, **random_pairs(rng, dims, n))
+
+
+class TestLossBatch:
+    def test_from_texts_gives_one_row_per_distinct_text_in_first_occurrence_order(self):
+        seen = []
+
+        def embed(text):
+            seen.append(text)
+            return np.array([float(len(seen)), 1.0])
+
+        batch, texts = LossBatch.from_texts(
+            embed, D2, queries=["q", "r"], positives=[["a"], ["b", "a"]],
+            negatives=[["r"], ["c"]], lefts=["q", "s"], rights=["a", "c"], labels=[1, 0],
+        )
+        assert texts == seen == ["q", "r", "a", "b", "c", "s"]
+        assert batch.embeddings.shape == (6, 2)
+        assert batch.queries.tolist() == [0, 1]
+        assert [g.tolist() for g in batch.positives] == [[2], [3, 2]]
+        assert [g.tolist() for g in batch.negatives] == [[1], [4]]
+        assert batch.lefts.tolist() == [0, 5]
+        assert batch.rights.tolist() == [2, 4]
+
+    def test_row_index_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            LossBatch(np.eye(2), D2, lefts=[0], rights=[2], labels=[1])
+
+    def test_width_must_match_full_dimension(self):
+        with pytest.raises(ValueError, match="embeddings"):
+            LossBatch(np.zeros((2, 3)), D2)
+
+    def test_pair_lengths_and_labels_validated(self):
+        with pytest.raises(ValueError, match="equal length"):
+            LossBatch(np.eye(2), D2, lefts=[0, 1], rights=[1], labels=[1])
+        with pytest.raises(ValueError, match="0 or 1"):
+            LossBatch(np.eye(2), D2, lefts=[0], rights=[1], labels=[2])
 
 
 class TestMnrlHinge:
@@ -77,8 +134,7 @@ class TestMnrlHinge:
         batch = triplet_from_cosines([1.0], [-1.0])
         out = mnrl_hinge(batch, margin=0.75, m=2)
         assert out.value == 0.0
-        assert all(np.all(g == 0.0) for g in out.gradients["positives"])
-        assert np.all(out.gradients["queries"] == 0.0)
+        assert np.all(out.gradient == 0.0)
 
     def test_all_equal_similarities_give_pn_margin(self):
         batch = triplet_from_cosines([0.5, 0.5], [0.5, 0.5])
@@ -92,28 +148,21 @@ class TestMnrlHinge:
 
     def test_empty_positives_rejected_at_construction(self):
         with pytest.raises(ValueError, match="empty positives"):
-            TripletBatch(
-                queries=np.array([[1.0, 0.0]]),
-                positives=[np.zeros((0, 2))],
-                negatives=[np.array([[0.0, 1.0]])],
-                dims=D2,
-            )
+            LossBatch(np.eye(2), D2, queries=[0], positives=[[]], negatives=[[1]])
 
     def test_gradient_locality_beyond_m(self):
         rng = np.random.default_rng(5)
         dims = DimSet((6, 3))
         batch = random_batch(rng, dims)
         out = mnrl_hinge(batch, margin=0.75, m=3)
-        assert np.all(out.gradients["queries"][:, 3:] == 0.0)
-        for g in out.gradients["positives"] + out.gradients["negatives"]:
-            assert np.all(g[:, 3:] == 0.0)
+        assert out.gradient.shape == batch.embeddings.shape
+        assert np.all(out.gradient[:, 3:] == 0.0)
 
     def test_hinge_inactive_triplet_contributes_nothing(self):
         batch = triplet_from_cosines([0.99], [-0.99])
         out = mnrl_hinge(batch, margin=0.75, m=2)
         assert out.value == 0.0
-        for key in ("queries",):
-            assert np.all(out.gradients[key] == 0.0)
+        assert np.all(out.gradient == 0.0)
 
 
 class TestOcl:
@@ -134,7 +183,7 @@ class TestOcl:
 
     def test_zero_pairs_rejected(self):
         with pytest.raises(ValueError, match="at least one pair"):
-            ocl(PairBatch.empty(D2), margin_c=0.5, m=2)
+            ocl(LossBatch(np.zeros((0, 2)), D2), margin_c=0.5, m=2)
 
     def test_margin_validated(self):
         batch = pairs_from_distances([0.5], [1])
@@ -145,7 +194,7 @@ class TestOcl:
         rng = np.random.default_rng(11)
         dims = DimSet((5, 2))
         for _ in range(50):
-            out = ocl(random_pairs(rng, dims), margin_c=0.5, m=int(rng.choice([5, 2])))
+            out = ocl(random_pair_batch(rng, dims), margin_c=0.5, m=int(rng.choice([5, 2])))
             assert out.value >= 0.0
 
 
@@ -156,7 +205,7 @@ class TestMrlCompose:
             return LossOutput(
                 value=values[m],
                 per_dim={m: values[m]},
-                gradients={"queries": np.full((1, 4), float(m))},
+                gradient=np.full((1, 4), float(m)),
             )
 
         return task
@@ -178,7 +227,7 @@ class TestMrlCompose:
         direct = mnrl_hinge(batch, 0.75, 4)
         composed = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, MrlConfig.uniform(DimSet((4,))))
         assert composed.value == direct.value
-        assert np.array_equal(composed.gradients["queries"], direct.gradients["queries"])
+        assert np.array_equal(composed.gradient, direct.gradient)
 
     def test_error_annotated_with_failing_m(self):
         def boom(batch, m):
@@ -207,38 +256,37 @@ class TestMrlCompose:
         base = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, base_cfg)
         scaled = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, scaled_cfg)
         assert scaled.value == 2 * base.value
-        assert np.array_equal(scaled.gradients["queries"], 2 * base.gradients["queries"])
+        assert np.array_equal(scaled.gradient, 2 * base.gradient)
 
 
 class TestMultitask:
     def test_lambda_zero_equals_mnrl_only(self):
         rng = np.random.default_rng(13)
         dims = DimSet((6, 3))
-        triplets = random_batch(rng, dims)
-        pairs = random_pairs(rng, dims)
+        batch = occurrence_batch(dims, **random_triplets(rng, dims), **random_pairs(rng, dims))
         cfg = MrlConfig.uniform(dims)
-        combined = multitask_step_loss(triplets, pairs, cfg, 0.75, 0.5, lambda_ocl=0.0)
-        mnrl_only = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), triplets, cfg)
+        combined = multitask_step_loss(batch, cfg, 0.75, 0.5, lambda_ocl=0.0)
+        mnrl_only = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, cfg)
         assert combined.value == mnrl_only.value
-        assert np.array_equal(combined.gradients["queries"], mnrl_only.gradients["queries"])
+        assert np.array_equal(combined.gradient, mnrl_only.gradient)
 
     def test_unit_lambda_adds_composites(self):
         rng = np.random.default_rng(17)
         dims = DimSet((6, 3))
-        triplets = random_batch(rng, dims)
-        pairs = random_pairs(rng, dims)
+        batch = occurrence_batch(dims, **random_triplets(rng, dims), **random_pairs(rng, dims))
         cfg = MrlConfig.uniform(dims)
-        combined = multitask_step_loss(triplets, pairs, cfg, 0.75, 0.5, lambda_ocl=1.0)
-        a = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), triplets, cfg)
-        b = mrl_compose(lambda b, m: ocl(b, 0.5, m), pairs, cfg)
+        combined = multitask_step_loss(batch, cfg, 0.75, 0.5, lambda_ocl=1.0)
+        a = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, cfg)
+        b = mrl_compose(lambda b, m: ocl(b, 0.5, m), batch, cfg)
         assert combined.value == pytest.approx(a.value + b.value, rel=1e-12)
+        assert np.array_equal(combined.gradient, a.gradient + b.gradient)
 
     def test_empty_pairs_warns_and_drops_term(self):
         rng = np.random.default_rng(19)
         dims = DimSet((4, 2))
         triplets = random_batch(rng, dims)
         cfg = MrlConfig.uniform(dims)
-        combined = multitask_step_loss(triplets, PairBatch.empty(dims), cfg, 0.75, 0.5, 1.0)
+        combined = multitask_step_loss(triplets, cfg, 0.75, 0.5, 1.0)
         mnrl_only = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), triplets, cfg)
         assert combined.value == mnrl_only.value
         assert any("empty pair batch" in w for w in combined.warnings)
@@ -274,32 +322,19 @@ class TestGradCheck:
 
 
 def _mnrl_theta_loss(dims, margin, shape_spec, cfg):
-    """Loss closure over a flat vector holding all batch embedding entries."""
-    nq, pos_counts, neg_counts = shape_spec
-    d = dims.full
+    """Loss closure over the flattened embedding matrix of a per-occurrence batch."""
+    _, pos_counts, neg_counts = shape_spec
+    rows = occurrence_rows(pos_counts, neg_counts)
 
-    def unflatten(theta):
-        chunks = theta.reshape(-1, d)
-        queries = chunks[:nq]
-        positives, negatives = [], []
-        at = nq
-        for c in pos_counts:
-            positives.append(chunks[at : at + c])
-            at += c
-        for c in neg_counts:
-            negatives.append(chunks[at : at + c])
-            at += c
-        return TripletBatch(queries=queries, positives=positives, negatives=negatives, dims=dims)
+    def batch_of(theta):
+        return LossBatch(theta.reshape(-1, dims.full), dims, **rows)
 
     def loss(theta):
-        batch = unflatten(theta)
-        out = mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch, cfg)
-        flat = flatten_gradients(out.gradients, ("queries", "positives", "negatives"))
-        return out.value, flat
+        out = mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch_of(theta), cfg)
+        return out.value, out.gradient.ravel()
 
     def gap(theta):
-        batch = unflatten(theta)
-        return min(mnrl_breakpoint_gap(batch, margin, m) for m in cfg.dims)
+        return min(mnrl_breakpoint_gap(batch_of(theta), margin, m) for m in cfg.dims)
 
     return loss, gap
 
@@ -321,22 +356,20 @@ def test_ocl_grad_check_random_seeds(seed):
     rng = np.random.default_rng(seed)
     dims = DimSet((5, 2))
     cfg = MrlConfig.uniform(dims)
-    pairs = random_pairs(rng, dims, n=5)
-    n, d = pairs.lefts.shape
+    pairs = random_pair_batch(rng, dims, n=5)
+
+    def batch_of(theta):
+        return LossBatch(theta.reshape(-1, dims.full), dims, lefts=pairs.lefts,
+                         rights=pairs.rights, labels=pairs.labels)
 
     def loss(theta):
-        chunks = theta.reshape(-1, d)
-        batch = PairBatch(lefts=chunks[:n], rights=chunks[n:], labels=pairs.labels, dims=dims)
-        out = mrl_compose(lambda b, m: ocl(b, 0.5, m), batch, cfg)
-        return out.value, flatten_gradients(out.gradients, ("lefts", "rights"))
+        out = mrl_compose(lambda b, m: ocl(b, 0.5, m), batch_of(theta), cfg)
+        return out.value, out.gradient.ravel()
 
     def gap(theta):
-        chunks = theta.reshape(-1, d)
-        batch = PairBatch(lefts=chunks[:n], rights=chunks[n:], labels=pairs.labels, dims=dims)
-        return min(ocl_breakpoint_gap(batch, 0.5, m) for m in cfg.dims)
+        return min(ocl_breakpoint_gap(batch_of(theta), 0.5, m) for m in cfg.dims)
 
-    theta = np.concatenate([pairs.lefts.ravel(), pairs.rights.ravel()])
-    err = grad_check(loss, theta, step=1e-5, gap=gap)
+    err = grad_check(loss, pairs.embeddings.ravel(), step=1e-5, gap=gap)
     assert err <= 1e-4
 
 
@@ -345,50 +378,64 @@ def test_multitask_grad_check_random_seeds(seed):
     rng = np.random.default_rng(100 + seed)
     dims = DimSet((4, 2))
     cfg = MrlConfig.uniform(dims)
-    triplets = random_batch(rng, dims, n_queries=2, max_pos=2, max_neg=2)
-    pairs = random_pairs(rng, dims, n=4)
-    d = dims.full
-    nq = len(triplets)
-    pos_counts = [p.shape[0] for p in triplets.positives]
-    neg_counts = [n.shape[0] for n in triplets.negatives]
-    np_pairs = pairs.lefts.shape[0]
+    triplets = random_triplets(rng, dims, n_queries=2, max_pos=2, max_neg=2)
+    batch = occurrence_batch(dims, **triplets, **random_pairs(rng, dims, n=4))
 
-    def unflatten(theta):
-        chunks = theta.reshape(-1, d)
-        at = 0
-        queries = chunks[at : at + nq]
-        at += nq
-        positives = []
-        for c in pos_counts:
-            positives.append(chunks[at : at + c])
-            at += c
-        negatives = []
-        for c in neg_counts:
-            negatives.append(chunks[at : at + c])
-            at += c
-        lefts = chunks[at : at + np_pairs]
-        at += np_pairs
-        rights = chunks[at : at + np_pairs]
-        t = TripletBatch(queries=queries, positives=positives, negatives=negatives, dims=dims)
-        p = PairBatch(lefts=lefts, rights=rights, labels=pairs.labels, dims=dims)
-        return t, p
+    def batch_of(theta):
+        return LossBatch(theta.reshape(-1, dims.full), dims, batch.queries, batch.positives,
+                         batch.negatives, batch.lefts, batch.rights, batch.labels)
 
     def loss(theta):
-        t, p = unflatten(theta)
-        out = multitask_step_loss(t, p, cfg, 0.75, 0.5, 1.0)
-        return out.value, flatten_gradients(
-            out.gradients, ("queries", "positives", "negatives", "lefts", "rights")
-        )
+        out = multitask_step_loss(batch_of(theta), cfg, 0.75, 0.5, 1.0)
+        return out.value, out.gradient.ravel()
 
     def gap(theta):
-        t, p = unflatten(theta)
-        return multitask_breakpoint_gap(t, p, cfg, 0.75, 0.5)
+        return multitask_breakpoint_gap(batch_of(theta), cfg, 0.75, 0.5)
 
-    theta = np.concatenate(
-        [triplets.queries.ravel()]
-        + [p.ravel() for p in triplets.positives]
-        + [n.ravel() for n in triplets.negatives]
-        + [pairs.lefts.ravel(), pairs.rights.ravel()]
-    )
-    err = grad_check(loss, theta, step=1e-5, gap=gap)
+    err = grad_check(loss, batch.embeddings.ravel(), step=1e-5, gap=gap)
     assert err <= 1e-4
+
+
+def _per_occurrence(texts, role):
+    """Distinct keys for each occurrence of `texts`, remembering the text last."""
+    return [(role, i, text) for i, text in enumerate(texts)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lambda_ocl=st.sampled_from([0.0, 0.5, 1.0]))
+def test_repeated_texts_share_one_row(seed, lambda_ocl):
+    # q1 is a query and a pair left; "a" is a positive of q1 and a negative of
+    # q2; "c" the other way round; the random draws add further repeats
+    rng = np.random.default_rng(seed)
+    dims = DimSet((6, 3))
+    vocab = ["q1", "q2", "q3", "a", "b", "c", "d"]
+    vectors = {text: rng.normal(size=dims.full) for text in vocab}
+    titles = vocab[3:]
+    queries = ["q1", "q2", "q3"]
+    positives = [["a", "b"], ["c"], list(rng.choice(titles, size=2))]
+    negatives = [["c", "d"], ["a", "q1"], list(rng.choice(titles, size=3))]
+    lefts = ["q1", "q2"] + list(rng.choice(vocab, size=3))
+    rights = ["b", "c"] + list(rng.choice(titles, size=3))
+    labels = [1, 0] + list(rng.integers(0, 2, size=3))
+
+    shared, texts = LossBatch.from_texts(
+        vectors.__getitem__, dims, queries, positives, negatives, lefts, rights, labels
+    )
+    occurrences, keys = LossBatch.from_texts(
+        lambda key: vectors[key[-1]], dims,
+        _per_occurrence(queries, "q"),
+        [_per_occurrence(g, ("p", i)) for i, g in enumerate(positives)],
+        [_per_occurrence(g, ("n", i)) for i, g in enumerate(negatives)],
+        _per_occurrence(lefts, "l"), _per_occurrence(rights, "r"), labels,
+    )
+    assert len(texts) < len(keys)
+
+    cfg = MrlConfig(dims, (1.0, 0.5))
+    a = multitask_step_loss(shared, cfg, 0.75, 0.5, lambda_ocl)
+    b = multitask_step_loss(occurrences, cfg, 0.75, 0.5, lambda_ocl)
+    assert a.value == b.value
+    assert a.per_dim == b.per_dim
+
+    summed = np.zeros_like(a.gradient)
+    np.add.at(summed, [texts.index(key[-1]) for key in keys], b.gradient)
+    assert np.abs(a.gradient - summed).max() <= 1e-12 * np.abs(summed).max()
