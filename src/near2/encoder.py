@@ -8,8 +8,10 @@ reproducible from (seed, text): hashing is integer arithmetic and parameter
 initialization uses the documented xorshift generator below.
 
 Training runs one forward pass per step: `feature_bags` tokenizes each text
-once per run, `embed_bag` is the one bag-to-vector path (`encode` uses it),
-and `backward` takes the step's bags with one upstream row each.
+once per run, `embed_bag` is the one bag-to-vector path (`encode` uses it)
+and also hands back the bag's pooled row, and `backward` takes the step's
+bags with one upstream row each, reusing those pooled rows and accumulating
+into a table-sized buffer the caller keeps for the run.
 """
 
 from __future__ import annotations
@@ -190,22 +192,32 @@ def _pool(model: EncoderModel, bag: FeatureBag) -> np.ndarray:
     return (rows * weights[:, None]).sum(axis=0) / weights.sum()
 
 
-def embed_bag(model: EncoderModel, bag: FeatureBag) -> NestedEmbedding:
-    """Embed one feature bag; an empty bag yields a degenerate zero embedding."""
+def embed_bag(model: EncoderModel, bag: FeatureBag) -> tuple[np.ndarray, NestedEmbedding]:
+    """A bag's pooled row and its embedding, that row times the projection.
+
+    The pooled row is the count-weighted mean of the bag's feature-table rows,
+    which `backward` needs again; an empty bag pools to zeros and yields a
+    degenerate zero embedding.
+    """
     if len(bag) == 0:
-        return NestedEmbedding(
+        return np.zeros(model.feature_dim), NestedEmbedding(
             np.zeros(model.full_dim), dims=model.dims, degenerate=True
         )
-    return NestedEmbedding(_pool(model, bag) @ model.projection, dims=model.dims)
+    pooled = _pool(model, bag)
+    return pooled, NestedEmbedding(pooled @ model.projection, dims=model.dims)
 
 
 def encode(model: EncoderModel, text: str) -> NestedEmbedding:
     """Embed one text; empty feature bags yield a degenerate zero embedding."""
-    return embed_bag(model, tokenize(text, model.bucket_count))
+    return embed_bag(model, tokenize(text, model.bucket_count))[1]
 
 
 def backward(
-    model: EncoderModel, bags: list[FeatureBag], upstream: np.ndarray
+    model: EncoderModel,
+    bags: list[FeatureBag],
+    upstream: np.ndarray,
+    pooled: np.ndarray | None = None,
+    grad_table: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients for sum_t upstream[t] . embed_bag(bags[t]).
 
@@ -214,16 +226,31 @@ def backward(
     count-weighted share of upstream @ projection^T to its own table rows.
     Buckets absent from every bag keep exactly zero gradient; empty bags
     contribute nothing.
+
+    `pooled`, one row per bag, holds the pooled rows `embed_bag` returned for
+    the current parameters; without it every bag is pooled again. The table
+    gradient accumulates into `grad_table`, an all-zero array of the feature
+    table's shape that a training run keeps and re-zeroes at the bags' rows
+    after each step, and is a fresh array without it. Either way the bits are
+    the same.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim != 2 or upstream.shape[1] != model.full_dim:
         raise ValueError(f"upstream gradient must have shape (bags, {model.full_dim})")
     if upstream.shape[0] != len(bags):
         raise ValueError("one upstream gradient row per bag required")
+    if pooled is not None and pooled.shape != (len(bags), model.feature_dim):
+        raise ValueError(f"pooled rows must have shape ({len(bags)}, {model.feature_dim})")
+    if grad_table is None:
+        grad_table = np.zeros_like(model.feature_table)
+    elif grad_table.shape != model.feature_table.shape:
+        raise ValueError(f"grad_table must have shape {model.feature_table.shape}")
     keep = [i for i, bag in enumerate(bags) if len(bag)]
+    if pooled is None:
+        pooled = np.array([_pool(model, bags[i]) for i in keep]).reshape(len(keep), model.feature_dim)
+    else:
+        pooled = pooled[keep]
     bags, upstream = [bags[i] for i in keep], upstream[keep]
-    pooled = np.array([_pool(model, bag) for bag in bags]).reshape(len(bags), model.feature_dim)
-    grad_table = np.zeros_like(model.feature_table)
     for bag, grad_pooled in zip(bags, upstream @ model.projection.T):
         weights = bag.counts.astype(np.float64) / bag.total
         grad_table[bag.ids] += weights[:, None] * grad_pooled[None, :]

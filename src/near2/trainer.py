@@ -8,14 +8,22 @@ continues with the nested composite. Optimizer state is reset at each phase
 boundary, and every bit of the run is determined by (data, config, seed).
 
 Within a phase of T steps the learning rate warms up linearly over the first
-w = ceil(T/10) steps and then decays linearly, and before each update both
-gradients are scaled together to a global L2 norm of at most 1.0
-(`warmup_linear`, `clip_grad_norm`). Each step is one forward pass: every
-distinct text is tokenized once per run and embedded once per step into one
-row of the step's `LossBatch`. The loss returns one gradient row per distinct
-text, which `backward` takes as its upstream together with those texts'
-feature bags; how queries, titles and pairs map to rows is left to
-`near2.losses`.
+w = ceil(T/10) steps and then decays linearly (`warmup_linear`), and each
+update scales both gradients together to a global L2 norm of at most 1.0.
+Each step is one forward pass: every distinct text is tokenized once per run
+and pooled and embedded once per step into one row of the step's
+`LossBatch`. The loss returns one gradient row per distinct text, which
+`backward` takes as its upstream together with those texts' feature bags and
+pooled rows; how queries, titles and pairs map to rows is left to
+`near2.losses`. The feature-table gradient accumulates into one buffer per
+`train` call, re-zeroed at the step's rows after each update.
+
+`adamw_step` is one fused pass per parameter over blocks of `ADAMW_BLOCK`
+entries: the clip scaling, weight decay, both moment updates and the
+bias-corrected step run block by block through two block-sized scratch
+buffers, with the same elementwise operations in the same order as the plain
+whole-array update, so every bit matches it while each array is read and
+written about once.
 """
 
 from __future__ import annotations
@@ -57,6 +65,11 @@ MAX_NEGATIVES_PER_QUERY = 8
 
 # Global L2 norm both gradients are clipped to before every AdamW update.
 MAX_GRAD_NORM = 1.0
+
+# Entries per block of adamw_step's fused pass: a block of the parameter, its
+# gradient, both moments and the two scratch buffers (6 x 256 KiB of float64)
+# stay within a 2 MiB L2 cache.
+ADAMW_BLOCK = 32 * 1024
 
 
 @dataclass(frozen=True)
@@ -210,6 +223,7 @@ class AdamHyper:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
+    max_grad_norm: float = math.inf  # global L2 norm the gradients are clipped to
 
 
 @dataclass
@@ -232,44 +246,64 @@ def adamw_step(
     grads: dict[str, np.ndarray],
     state: OptimizerState,
     hyper: AdamHyper,
-) -> tuple[dict[str, np.ndarray], OptimizerState]:
-    """One AdamW update, in place, with bias correction.
+) -> tuple[float, float]:
+    """One clipped AdamW update, in place, with bias correction.
 
-    Fixed order per parameter: decoupled weight decay computed from the
-    pre-step value first, then the moment update. Non-finite gradients abort
-    the step before anything is touched.
+    Returns the global L2 norm of the gradients before clipping and the clip
+    factor applied: `max_grad_norm / norm` when the norm is finite and above
+    `max_grad_norm`, else 1.0. Clipping scales `grads` in place.
+
+    A finite norm proves every gradient entry finite, so entries are counted
+    only when it is not: non-finite entries abort the step before anything is
+    touched, while finite entries whose squares overflow the norm step
+    unclipped. Then each parameter is updated in one pass over blocks of
+    `ADAMW_BLOCK` entries, doing in each block, in this order: the clip
+    scaling, decoupled weight decay from the pre-step value, both moment
+    updates and the bias-corrected step. These are the same elementwise
+    operations in the same order as a whole-array update, so the bits do not
+    depend on the block size. Parameters, gradients and moments must be
+    contiguous.
     """
-    for name, g in grads.items():
-        bad = np.count_nonzero(~np.isfinite(g))
-        if bad:
-            raise NumericalError(f"{bad} non-finite gradient entries in {name!r}; step aborted")
+    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    if not math.isfinite(norm):
+        for name, g in grads.items():
+            bad = np.count_nonzero(~np.isfinite(g))
+            if bad:
+                raise NumericalError(f"{bad} non-finite gradient entries in {name!r}; step aborted")
+    clip = hyper.max_grad_norm / norm if math.isfinite(norm) and norm > hyper.max_grad_norm else 1.0
     state.step += 1
     t = state.step
-    lr, b1, b2 = hyper.learning_rate, hyper.beta1, hyper.beta2
-    for name, p in params.items():
-        g = grads[name]
-        # p -= lr * m_hat / (sqrt(v_hat) + eps) with the same operations in the
-        # same order, but through two reused buffers: each temporary is as
-        # large as the feature table, and six of them set the run's peak memory
-        tmp = np.empty_like(p)
-        if hyper.weight_decay:
-            p -= np.multiply(p, lr * hyper.weight_decay, out=tmp)
-        m = state.first_moment[name]
-        v = state.second_moment[name]
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=tmp)
-        v *= b2
-        np.multiply(g, g, out=tmp)
-        tmp *= 1.0 - b2
-        v += tmp
-        step = np.divide(m, 1.0 - b1**t)
-        step *= lr
-        np.divide(v, 1.0 - b2**t, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += hyper.eps
-        step /= tmp
-        p -= step
-    return params, state
+    lr, b1, b2, eps = hyper.learning_rate, hyper.beta1, hyper.beta2, hyper.eps
+    decay = lr * hyper.weight_decay
+    m_correction, v_correction = 1.0 - b1**t, 1.0 - b2**t
+    scratch = np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK)
+    for name, param in params.items():
+        flat = [
+            a.reshape(-1, copy=False)
+            for a in (param, grads[name], state.first_moment[name], state.second_moment[name])
+        ]
+        for start in range(0, flat[0].size, ADAMW_BLOCK):
+            p, g, m, v = (a[start : start + ADAMW_BLOCK] for a in flat)
+            tmp, den = (buf[: p.size] for buf in scratch)
+            if clip != 1.0:
+                g *= clip
+            if hyper.weight_decay:
+                p -= np.multiply(p, decay, out=tmp)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=tmp)
+            v *= b2
+            np.multiply(g, g, out=tmp)
+            tmp *= 1.0 - b2
+            v += tmp
+            # p -= lr * m_hat / (sqrt(v_hat) + eps)
+            np.divide(m, m_correction, out=tmp)
+            tmp *= lr
+            np.divide(v, v_correction, out=den)
+            np.sqrt(den, out=den)
+            den += eps
+            tmp /= den
+            p -= tmp
+    return norm, clip
 
 
 def warmup_linear(step: int, total: int) -> float:
@@ -284,19 +318,6 @@ def warmup_linear(step: int, total: int) -> float:
     return (total - step + 1) / (total - warmup + 1)
 
 
-def clip_grad_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place to a global L2 norm <= max_norm.
-
-    Returns the norm before clipping. A non-finite norm leaves the gradients
-    untouched, so adamw_step still rejects their non-finite entries.
-    """
-    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
-    if math.isfinite(norm) and norm > max_norm:
-        for g in grads.values():
-            g *= max_norm / norm
-    return norm
-
-
 # --- history --------------------------------------------------------------------
 
 
@@ -305,7 +326,7 @@ class TrainHistory:
     steps: list[dict] = field(default_factory=list)
     validation: list[dict] = field(default_factory=list)
 
-    def record_step(self, phase, epoch, step, loss, per_dim, warnings, lr, grad_norm):
+    def record_step(self, phase, epoch, step, loss, per_dim, warnings, lr, grad_norm, clip):
         self.steps.append(
             {
                 "kind": "step",
@@ -315,6 +336,7 @@ class TrainHistory:
                 "loss": loss,
                 "lr": lr,
                 "grad_norm": grad_norm,
+                "clip": clip,
                 "per_dim": {str(m): v for m, v in per_dim.items()},
                 "warnings": list(warnings),
             }
@@ -364,9 +386,10 @@ def _epoch_seed(seed: int, phase_index: int, epoch: int) -> int:
 
 
 def _step_loss(model, bags, batch: StepBatch, phase: Phase, mrl_cfg: MrlConfig, config: TrainConfig):
-    """Loss output and the step's distinct feature bags, one per row of the
-    loss gradient. Each text is embedded once and its gradient row sums all its
-    occurrences (exact, since backward is linear in upstream)."""
+    """Loss output, and the step's distinct feature bags and their pooled rows,
+    one per row of the loss gradient. Each text is pooled and embedded once and
+    its gradient row sums all its occurrences (exact, since backward is linear
+    in upstream)."""
     t, p = batch.triplets, batch.pairs
     roles = {}
     if phase.task in ("mnrl", "multitask"):
@@ -374,10 +397,16 @@ def _step_loss(model, bags, batch: StepBatch, phase: Phase, mrl_cfg: MrlConfig, 
     if phase.task in ("ocl", "multitask") and p.labels:
         roles.update(lefts=p.lefts, rights=p.rights, labels=p.labels)
     if not roles:  # an ocl step without labeled pairs
-        return None, []
-    loss_batch, texts = LossBatch.from_texts(
-        lambda text: embed_bag(model, bags[text]).values, model.dims, **roles
-    )
+        return None, [], None
+    pooled = []
+
+    def embed(text):
+        row, embedding = embed_bag(model, bags[text])
+        pooled.append(row)
+        return embedding.values
+
+    # from_texts embeds each distinct text once, in row order
+    loss_batch, texts = LossBatch.from_texts(embed, model.dims, **roles)
 
     if phase.task == "mnrl":
         out = mrl_compose(lambda b, m: mnrl_hinge(b, config.margin, m), loss_batch, mrl_cfg)
@@ -390,7 +419,7 @@ def _step_loss(model, bags, batch: StepBatch, phase: Phase, mrl_cfg: MrlConfig, 
 
     if not np.isfinite(out.value):
         raise NumericalError(f"non-finite loss value {out.value!r}")
-    return out, [bags[text] for text in texts]
+    return out, [bags[text] for text in texts], np.array(pooled)
 
 
 def train(
@@ -406,6 +435,7 @@ def train(
     """
     history = TrainHistory()
     bags = feature_bags((s for r in records for s in (r.query, r.title)), model.bucket_count)
+    grad_table = np.zeros_like(model.feature_table)  # all zeros between steps
     global_step = 0
     for phase_index, phase in enumerate(schedule_phases(config.schedule)):
         state = OptimizerState.zeros(model.parameters())
@@ -419,17 +449,18 @@ def train(
         for epoch, batches in enumerate(epochs, start=1):
             for batch in batches:
                 phase_step += 1
-                out, step_bags = _step_loss(model, bags, batch, phase, mrl_cfg, config)
+                out, step_bags, pooled = _step_loss(model, bags, batch, phase, mrl_cfg, config)
                 if out is None:
                     continue
-                grads = backward(model, step_bags, out.gradient)
-                grad_norm = clip_grad_norm(grads, MAX_GRAD_NORM)
+                grads = backward(model, step_bags, out.gradient, pooled, grad_table)
                 lr = config.learning_rate * warmup_linear(phase_step, total)
-                adamw_step(model.parameters(), grads, state, AdamHyper(learning_rate=lr))
+                hyper = AdamHyper(learning_rate=lr, max_grad_norm=MAX_GRAD_NORM)
+                grad_norm, clip = adamw_step(model.parameters(), grads, state, hyper)
+                grad_table[np.concatenate([bag.ids for bag in step_bags])] = 0.0
                 global_step += 1
                 history.record_step(
                     phase.name, epoch, global_step, out.value,
-                    out.per_dim, out.warnings, lr, grad_norm,
+                    out.per_dim, out.warnings, lr, grad_norm, clip,
                 )
             if valid_records:
                 report = sequential_evaluate(

@@ -7,6 +7,7 @@ import pytest
 from near2.encoder import (
     EncoderModel,
     backward,
+    embed_bag,
     encode,
     fnv1a64,
     load_model,
@@ -163,6 +164,29 @@ class TestBackward:
             backward(model, [a], np.zeros((1, 3)))
         with pytest.raises(ValueError):
             backward(model, [a, b], np.zeros((1, model.full_dim)))
+        with pytest.raises(ValueError):
+            backward(model, [a, b], np.zeros((2, model.full_dim)), np.zeros((1, model.feature_dim)))
+        with pytest.raises(ValueError):
+            backward(model, [a], np.zeros((1, model.full_dim)), grad_table=np.zeros((2, 2)))
+
+    def test_pooled_rows_and_reused_buffer_match_fresh_call(self):
+        model = tiny_model(seed=2)
+        rng = np.random.default_rng(3)
+        buffer = np.zeros_like(model.feature_table)
+        steps = (["red flower pot", "", "blue hose"], ["garden hose", "red pot", "blue hose"])
+        for texts in steps:
+            bags = [tokenize(t, model.bucket_count) for t in texts]
+            pooled = np.array([embed_bag(model, bag)[0] for bag in bags])
+            upstream = rng.normal(size=(len(bags), model.full_dim))
+            fresh = backward(model, bags, upstream)
+            reused = backward(model, bags, upstream, pooled, buffer)
+            assert reused["feature_table"] is buffer
+            for name, grad in fresh.items():
+                assert np.array_equal(reused[name], grad)
+            # what train does after each update, and the next step's parameters
+            buffer[np.concatenate([bag.ids for bag in bags])] = 0.0
+            assert not buffer.any()
+            model.feature_table += 0.01 * rng.normal(size=model.feature_table.shape)
 
     def test_matches_per_occurrence_reference(self):
         model = tiny_model(seed=5)

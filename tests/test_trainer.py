@@ -1,21 +1,24 @@
+import hashlib
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from near2 import encoder
+from near2 import encoder, trainer
 from near2.data import RelevanceRecord, SynthSpec, gen_synthetic
 from near2.encoder import EncoderModel
 from near2.errors import DataError, NumericalError
 from near2.nested import DimSet
 from near2.trainer import (
+    ADAMW_BLOCK,
+    MAX_GRAD_NORM,
     SCHEDULES,
     AdamHyper,
     OptimizerState,
     TrainConfig,
     adamw_step,
     build_batches,
-    clip_grad_norm,
     run_ablation,
     schedule_phases,
     train,
@@ -101,6 +104,46 @@ class TestBuildBatches:
                 assert not (set(group) & grade3_titles)
 
 
+def reference_clipped_adamw(params, grads, state, hyper):
+    """Global-norm clipping then AdamW, one whole-array operation at a time."""
+    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    if math.isfinite(norm) and norm > hyper.max_grad_norm:
+        for g in grads.values():
+            g *= hyper.max_grad_norm / norm
+    state.step += 1
+    t = state.step
+    lr, b1, b2 = hyper.learning_rate, hyper.beta1, hyper.beta2
+    for name, p in params.items():
+        g = grads[name]
+        tmp = np.empty_like(p)
+        if hyper.weight_decay:
+            p -= np.multiply(p, lr * hyper.weight_decay, out=tmp)
+        m = state.first_moment[name]
+        v = state.second_moment[name]
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=tmp)
+        v *= b2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        step = np.divide(m, 1.0 - b1**t)
+        step *= lr
+        np.divide(v, 1.0 - b2**t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += hyper.eps
+        step /= tmp
+        p -= step
+    return norm
+
+
+def assert_same_bits(params, state, ref_params, ref_state):
+    assert state.step == ref_state.step
+    for name in params:
+        assert np.array_equal(params[name], ref_params[name])
+        assert np.array_equal(state.first_moment[name], ref_state.first_moment[name])
+        assert np.array_equal(state.second_moment[name], ref_state.second_moment[name])
+
+
 class TestAdamW:
     def test_zero_grad_zero_decay_is_identity(self):
         params = {"w": np.array([1.0, -2.0])}
@@ -157,6 +200,44 @@ class TestAdamW:
             for k in reference:
                 np.testing.assert_allclose(params[k], reference[k], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    @pytest.mark.parametrize("max_grad_norm", [math.inf, 1.0], ids=["unclipped", "clipped"])
+    def test_blocked_pass_matches_whole_array_reference(self, weight_decay, max_grad_norm):
+        rng = np.random.default_rng(11)
+        # below, equal to, and not a multiple of the block, over several blocks
+        shapes = {"small": (ADAMW_BLOCK // 3,), "one": (ADAMW_BLOCK,), "many": (5, ADAMW_BLOCK // 2 + 7)}
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref_params = {k: v.copy() for k, v in params.items()}
+        state, ref_state = OptimizerState.zeros(params), OptimizerState.zeros(params)
+        hyper = AdamHyper(learning_rate=0.01, weight_decay=weight_decay, max_grad_norm=max_grad_norm)
+        for scale in (1e-4, 1.0, 3.0):
+            grads = {k: scale * rng.normal(size=s) for k, s in shapes.items()}
+            ref_grads = {k: v.copy() for k, v in grads.items()}
+            norm, clip = adamw_step(params, grads, state, hyper)
+            assert norm == reference_clipped_adamw(ref_params, ref_grads, ref_state, hyper)
+            assert clip == min(1.0, max_grad_norm / norm)
+            for k in grads:
+                assert np.array_equal(grads[k], ref_grads[k])
+            assert_same_bits(params, state, ref_params, ref_state)
+        if max_grad_norm == 1.0:
+            assert clip < 1.0
+
+    def test_finite_entries_overflowing_the_norm_step_unclipped(self):
+        shapes = {"w": (ADAMW_BLOCK + 3,), "b": (4,)}
+        params = {k: np.linspace(-1.0, 1.0, num=s[0]) for k, s in shapes.items()}
+        ref_params = {k: v.copy() for k, v in params.items()}
+        state, ref_state = OptimizerState.zeros(params), OptimizerState.zeros(params)
+        hyper = AdamHyper(learning_rate=0.1, max_grad_norm=MAX_GRAD_NORM)
+        grads = {"w": np.full(shapes["w"], 1e200), "b": np.array([1e200, -3.0, 0.0, 2.0])}
+        ref_grads = {k: v.copy() for k, v in grads.items()}
+        with np.errstate(over="ignore"):
+            norm, clip = adamw_step(params, grads, state, hyper)
+            assert reference_clipped_adamw(ref_params, ref_grads, ref_state, hyper) == norm
+        assert norm == math.inf and clip == 1.0
+        assert grads["b"].tolist() == [1e200, -3.0, 0.0, 2.0]
+        assert_same_bits(params, state, ref_params, ref_state)
+        assert all(np.isfinite(p).all() for p in params.values())
+
 
 class TestWarmupAndClip:
     def test_warmup_linear_factors(self):
@@ -167,22 +248,34 @@ class TestWarmupAndClip:
         assert max(factors) == 1.0 == factors[2] and min(factors) > 0
 
     def test_clip_scales_in_place_to_max_norm(self):
+        params = {"a": np.array([0.5, -1.0]), "b": np.array([[2.0]])}
+        prescaled = {k: v.copy() for k, v in params.items()}
+        hyper = AdamHyper(learning_rate=0.1, max_grad_norm=1.0)
         grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
-        assert clip_grad_norm(grads, 1.0) == 5.0
+        assert adamw_step(params, grads, OptimizerState.zeros(params), hyper) == (5.0, 0.2)
         np.testing.assert_allclose(grads["a"], [0.6, 0.0], rtol=1e-15)
         np.testing.assert_allclose(grads["b"], [[0.8]], rtol=1e-15)
+        # the clipped update is the unclipped update of pre-scaled gradients
+        scaled = {"a": np.array([3.0, 0.0]) * (1.0 / 5.0), "b": np.array([[4.0]]) * (1.0 / 5.0)}
+        adamw_step(prescaled, scaled, OptimizerState.zeros(prescaled), AdamHyper(learning_rate=0.1))
+        for k in params:
+            assert np.array_equal(params[k], prescaled[k])
         small = {"a": np.array([0.3, 0.4])}
-        assert clip_grad_norm(small, 1.0) == pytest.approx(0.5)
+        params = {"a": np.zeros(2)}
+        norm, clip = adamw_step(params, small, OptimizerState.zeros(params), hyper)
+        assert norm == pytest.approx(0.5) and clip == 1.0
         assert small["a"].tolist() == [0.3, 0.4]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_gradient_still_reaches_numerical_error(self, bad):
         params = {"w": np.array([1.0, 2.0])}
         grads = {"w": np.array([bad, 5.0])}
-        clip_grad_norm(grads, 1.0)
-        assert grads["w"][1] == 5.0
+        state = OptimizerState.zeros(params)
+        hyper = AdamHyper(learning_rate=0.1, max_grad_norm=MAX_GRAD_NORM)
         with pytest.raises(NumericalError, match="1 non-finite"):
-            adamw_step(params, grads, OptimizerState.zeros(params), AdamHyper(learning_rate=0.1))
+            adamw_step(params, grads, state, hyper)
+        assert grads["w"][1] == 5.0
+        assert params["w"].tolist() == [1.0, 2.0] and state.step == 0
 
     def test_history_records_scheduled_lr_and_pre_clip_norm(self):
         config = tiny_config(epochs=2, learning_rate=0.05, schedule="mnrl")
@@ -195,6 +288,8 @@ class TestWarmupAndClip:
                 0.05 * warmup_linear(s, total) for s in range(1, total + 1)
             ]
             assert all(r["grad_norm"] > 0 for r in rows)
+            assert [r["clip"] for r in rows] == [min(1.0, MAX_GRAD_NORM / r["grad_norm"]) for r in rows]
+            assert any(r["clip"] < 1.0 for r in rows)
 
 
 class TestSchedules:
@@ -278,6 +373,43 @@ class TestTrain:
         train_recs, _, _ = small_dataset()
         train(tiny_model(config), train_recs, config)
         assert calls == Counter({s: 1 for r in train_recs for s in (r.query, r.title)})
+
+    def test_each_text_pooled_once_per_step(self, monkeypatch):
+        pooled, steps = [], []
+        pool, backward = encoder._pool, trainer.backward
+
+        def counting_pool(model, bag):
+            pooled.append(id(bag))
+            return pool(model, bag)
+
+        def recording_backward(model, bags, *args):
+            steps.append((Counter(pooled), Counter(id(bag) for bag in bags if len(bag))))
+            pooled.clear()
+            grads = backward(model, bags, *args)
+            assert not pooled, "backward pooled a bag again"
+            return grads
+
+        monkeypatch.setattr(encoder, "_pool", counting_pool)
+        monkeypatch.setattr(trainer, "backward", recording_backward)
+        config = tiny_config(epochs=2)
+        train_recs, _, _ = small_dataset()
+        _, history = train(tiny_model(config), train_recs, config)
+        assert len(steps) == len(history.steps)
+        for pooled_bags, step_bags in steps:
+            assert pooled_bags == step_bags
+
+    def test_trained_bits_are_pinned(self):
+        # two epochs of both phases, every step clipped; a change here changes
+        # every model trained from a seed
+        config = tiny_config(epochs=2)
+        train_recs, _, _ = small_dataset()
+        model, history = train(tiny_model(config), train_recs, config)
+        assert {s["phase"] for s in history.steps} == {"mnrl+ocl", "near2"}
+        assert all(s["clip"] < 1.0 for s in history.steps)
+        digest = hashlib.sha256()
+        for p in (model.feature_table, model.projection):
+            digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        assert digest.hexdigest() == "924d4c80ddba6b24e789b5e2c700cd432697b84dd1e6d074e811d79e62a54651"
 
     def test_jsonl_export_shape(self):
         config = tiny_config()
