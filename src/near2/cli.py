@@ -2,9 +2,16 @@
 
 Flag values override config-file values, which override built-in defaults;
 the fully resolved configuration is echoed into every report for provenance.
+A config file (`--config FILE`) holds one JSON object whose keys are flag
+names with `_` for `-` (`feature_dim` for `--feature-dim`). Each value is
+parsed and checked exactly like its flag; a JSON list may stand for a
+comma-separated value. Keys a subcommand does not take are ignored, so one
+file can serve several subcommands.
+
 Diagnostics go to stderr, machine-readable output to files or stdout.
-Exit codes: 0 success, 1 usage error, 2 data/format error or unreadable file,
-3 numerical failure.
+Exit codes: 0 success, 1 usage error (a bad flag or config-file value, or a
+dimension outside the model's nested set), 2 data/format error or unreadable
+file, 3 numerical failure.
 
 `search` prints score_norm, the score minus the lowest similarity the search
 computed: over the whole corpus for exact search, and over the shortlist
@@ -19,21 +26,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .data import (
-    SynthSpec,
-    distinct_titles,
-    gen_synthetic,
-    load_records,
-    split_judgments,
-    write_records,
-)
-from .encoder import EncoderModel, encode, load_model, save_model
+from .data import SynthSpec, distinct_titles, gen_synthetic, load_records, write_records
+from .encoder import DEFAULT_DIMS, EncoderModel, encode, load_model, save_model
 from .errors import DataError, InvalidDimensionError, NumericalError, ZeroVectorError
 from .index import (
     all_scores,
@@ -45,10 +47,11 @@ from .index import (
 )
 from .metrics import (
     DEFAULT_CORPUS_CAP,
+    DEFAULT_KS,
     MetricsReport,
-    capped_corpus,
     delta_report,
     histogram_csv,
+    judged_queries,
     normalize_scores,
     score_histogram,
     sequential_evaluate,
@@ -71,22 +74,147 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_dims(value) -> DimSet:
-    if isinstance(value, (list, tuple)):
-        return DimSet(tuple(int(v) for v in value))
-    try:
-        return DimSet(tuple(int(v) for v in str(value).split(",") if v.strip()))
-    except ValueError as e:
-        raise UsageError(f"bad --dims value {value!r}: {e}") from None
+# --- option values ----------------------------------------------------------------
+# Each parser takes a flag's string or a config file's JSON value and raises
+# ValueError with the reason it is bad.
 
 
-def _parse_ks(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
+def _int(value) -> int:
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError("expected an integer")
+
+
+def _count(value) -> int:
+    n = _int(value)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
+
+
+def _float(value) -> float:
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except ValueError:
+            x = math.nan
+        if math.isfinite(x):
+            return x
+    raise ValueError("expected a finite number")
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false")
+    return value
+
+
+def _schedule(value) -> str:
+    if value not in SCHEDULES:
+        raise ValueError(f"valid schedules: {', '.join(SCHEDULES)}")
+    return value
+
+
+def _list_of(parse: Callable) -> Callable:
+    def parse_list(value) -> tuple:
+        if isinstance(value, str):
+            value = [v for v in value.split(",") if v.strip()]
+        items = tuple(parse(v) for v in (value if isinstance(value, list) else [value]))
+        if not items:
+            raise ValueError("expected at least one value")
+        return items
+
+    return parse_list
+
+
+def _dims(value) -> DimSet:
+    return DimSet(_list_of(_int)(value))
+
+
+def _funnel(value) -> tuple[int, int]:
     try:
-        return tuple(int(v) for v in str(value).split(",") if v.strip())
+        low, high = (int(v) for v in str(value).split(":"))
     except ValueError:
-        raise UsageError(f"bad --ks value {value!r}") from None
+        raise ValueError("must look like LOW:HIGH") from None
+    if low > high:
+        raise ValueError(f"LOW ({low}) must not exceed HIGH ({high})")
+    return low, high
+
+
+# --- option tables ----------------------------------------------------------------
+
+REQUIRED = object()
+
+
+class Option(NamedTuple):
+    parse: Callable
+    default: object = None  # None: unset unless given; REQUIRED: must be given
+    help: str | None = None
+
+
+# option -> (TrainConfig field, parser); each default is the field's default
+_TRAINING = {
+    "dims": ("dims", _dims),
+    "batch": ("batch_size", _int),
+    "epochs": ("epochs", _int),
+    "lr": ("learning_rate", _float),
+    "margin": ("margin", _float),
+    "margin_c": ("margin_c", _float),
+    "lambda_ocl": ("lambda_ocl", _float),
+    "schedule": ("schedule", _schedule),
+    "seed": ("seed", _int),
+    "buckets": ("bucket_count", _int),
+    "feature_dim": ("feature_dim", _int),
+    "corpus_cap": ("corpus_cap", _int),
+}
+
+# option -> (SynthSpec field, parser); each default is the field's default
+_SYNTH = {
+    "seed": ("seed", _int),
+    "queries": ("query_count", _int),
+    "titles_per_query": ("titles_per_query", _int),
+    "categories": ("category_count", _int),
+    "alphanum_fraction": ("alphanum_fraction", _float),
+    "shared_substring_fraction": ("shared_substring_fraction", _float),
+}
+
+
+def _field_options(cls, fields: dict, skip=()) -> dict[str, Option]:
+    return {
+        name: Option(parse, getattr(cls, field))
+        for name, (field, parse) in fields.items() if name not in skip
+    }
+
+
+def _build(cls, fields: dict, values: dict):
+    """cls from the options' resolved values; its own range checks are usage errors."""
+    try:
+        return cls(**{field: values[name] for name, (field, _) in fields.items() if name in values})
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
+def _resolve(command: str, options: dict[str, Option], flags: dict, file_config: dict) -> dict:
+    """Each option's value: its flag, else its config-file key, else its default."""
+    values = {}
+    for name, option in options.items():
+        flag = "--" + name.replace("_", "-")
+        raw, source = flags[name], flag
+        if raw is None and file_config.get(name) is not None:
+            raw, source = file_config[name], f"config key {name!r}"
+        if raw is None:
+            if option.default is REQUIRED:
+                raise UsageError(f"{command} requires {flag}")
+            values[name] = option.default
+            continue
+        try:
+            values[name] = option.parse(raw)
+        except ValueError as e:
+            raise UsageError(f"bad {source} value {raw!r}: {e}") from None
+    return values
 
 
 def _load_config_file(path) -> dict:
@@ -102,22 +230,6 @@ def _load_config_file(path) -> dict:
     return obj
 
 
-class Resolver:
-    """flags > config file > defaults, remembering every resolved value."""
-
-    def __init__(self, args, file_config: dict):
-        self.args = vars(args)
-        self.file = file_config
-        self.resolved: dict = {}
-
-    def get(self, key: str, default=None):
-        value = self.args.get(key)
-        if value is None:
-            value = self.file.get(key, default)
-        self.resolved[key] = value
-        return value
-
-
 def _records_or_die(path, what: str):
     try:
         records, issues = load_records(path)
@@ -130,30 +242,9 @@ def _records_or_die(path, what: str):
     return records
 
 
-def _train_config(res: Resolver) -> TrainConfig:
-    dims = _parse_dims(res.get("dims", "768,512,256,128,64"))
-    res.resolved["dims"] = dims
-    return TrainConfig(
-        epochs=int(res.get("epochs", 2)),
-        batch_size=int(res.get("batch", 32)),
-        learning_rate=float(res.get("lr", 5e-5)),
-        margin=float(res.get("margin", 0.75)),
-        margin_c=float(res.get("margin_c", 0.5)),
-        lambda_ocl=float(res.get("lambda_ocl", 1.0)),
-        dims=dims,
-        seed=int(res.get("seed", 0)),
-        schedule=str(res.get("schedule", "mnrl+ocl")),
-        bucket_count=int(res.get("buckets", 2**15)),
-        feature_dim=int(res.get("feature_dim", 128)),
-        corpus_cap=int(res.get("corpus_cap", DEFAULT_CORPUS_CAP)),
-    )
-
-
-def _provenance(command: str, res: Resolver) -> dict:
-    resolved = {
-        k: (list(v.dims) if isinstance(v, DimSet) else v) for k, v in sorted(res.resolved.items())
-    }
-    return {"command": command, "version": __version__, "config": resolved}
+def _provenance(command: str, values: dict) -> dict:
+    config = {k: (list(v) if isinstance(v, DimSet) else v) for k, v in values.items()}
+    return {"command": command, "version": __version__, "config": config}
 
 
 def _write_json_report(path, payload: dict) -> None:
@@ -171,20 +262,9 @@ def _write_csv_report(path, header: dict, body: str) -> None:
 # --- subcommands ------------------------------------------------------------------
 
 
-def _cmd_synth(args) -> int:
-    res = Resolver(args, _load_config_file(args.config))
-    try:
-        spec = SynthSpec(
-            seed=int(res.get("seed", 0)),
-            query_count=int(res.get("queries", 100)),
-            titles_per_query=int(res.get("titles_per_query", 10)),
-            category_count=int(res.get("categories", 10)),
-            alphanum_fraction=float(res.get("alphanum_fraction", 0.2)),
-            shared_substring_fraction=float(res.get("shared_substring_fraction", 0.3)),
-        )
-    except ValueError as e:  # SynthSpec checks its own ranges
-        raise UsageError(str(e)) from None
-    out_dir = Path(res.get("out", "."))
+def _cmd_synth(values: dict) -> int:
+    spec = _build(SynthSpec, _SYNTH, values)
+    out_dir = Path(values["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
     train_recs, valid_recs, test_recs = gen_synthetic(spec)
     for name, recs in (("train", train_recs), ("valid", valid_recs), ("test", test_recs)):
@@ -193,18 +273,10 @@ def _cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train(args) -> int:
-    res = Resolver(args, _load_config_file(args.config))
-    config = _train_config(res)
-    data_path = res.get("data")
-    if data_path is None:
-        raise UsageError("train requires --data")
-    out_path = res.get("out")
-    if out_path is None:
-        raise UsageError("train requires --out")
-    records = _records_or_die(data_path, "train")
-    valid_path = res.get("valid")
-    valid_records = _records_or_die(valid_path, "valid") if valid_path else None
+def _cmd_train(values: dict) -> int:
+    config = _build(TrainConfig, _TRAINING, values)
+    records = _records_or_die(values["data"], "train")
+    valid_records = _records_or_die(values["valid"], "valid") if values["valid"] else None
 
     model = EncoderModel.create(
         bucket_count=config.bucket_count,
@@ -213,13 +285,15 @@ def _cmd_train(args) -> int:
         seed=config.seed,
     )
     model, history = train(model, records, config, valid_records)
+    out_path = values["out"]
     save_model(model, out_path)
     print(f"near2: model written to {out_path}", file=sys.stderr)
 
-    history_path = res.get("history")
+    history_path = values["history"]
     if history_path:
         with open(history_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"kind": "header", **_provenance("train", res)}, sort_keys=True) + "\n")
+            header = {"kind": "header", **_provenance("train", values)}
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
             fh.write(history.to_jsonl())
         print(f"near2: history written to {history_path}", file=sys.stderr)
     if history.steps:
@@ -228,63 +302,34 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _cmd_index(args) -> int:
-    res = Resolver(args, _load_config_file(args.config))
-    model_path, titles_path, out_path = res.get("model"), res.get("titles"), res.get("out")
-    if not (model_path and titles_path and out_path):
-        raise UsageError("index requires --model, --titles and --out")
-    model = load_model(model_path)
-    records = _records_or_die(titles_path, "titles")
+def _cmd_index(values: dict) -> int:
+    model = load_model(values["model"])
+    records = _records_or_die(values["titles"], "titles")
     index = build_index(model, distinct_titles(records))
-    save_index(index, out_path)
-    print(f"near2: indexed {index.count} titles to {out_path}", file=sys.stderr)
+    save_index(index, values["out"])
+    print(f"near2: indexed {index.count} titles to {values['out']}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_search(args) -> int:
-    res = Resolver(args, _load_config_file(args.config))
-    index_path, model_path = res.get("index"), res.get("model")
-    query_text = res.get("query")
-    if not (index_path and model_path and query_text is not None):
-        raise UsageError("search requires --index, --model and --query")
-    dim = int(res.get("dim", 0) or 0)
-    k = int(res.get("k", 10))
-    if k < 1:
-        raise UsageError(f"--k must be >= 1, got {k}")
-    funnel = res.get("funnel")
+def _cmd_search(values: dict) -> int:
+    k, funnel = values["k"], values["funnel"]
     if funnel:
-        try:
-            low_s, high_s = str(funnel).split(":")
-            m_low, m_high = int(low_s), int(high_s)
-        except ValueError:
-            raise UsageError(f"--funnel must look like LOW:HIGH, got {funnel!r}") from None
-        if m_low > m_high:
-            raise UsageError(f"--funnel LOW ({m_low}) must not exceed HIGH ({m_high})")
-        shortlist = res.get("shortlist")
-        s = int(shortlist) if shortlist is not None else 4 * k
-        res.resolved["shortlist"] = s
-        if s < k:
-            raise UsageError(f"--shortlist ({s}) must be >= --k ({k})")
+        shortlist = values["shortlist"] or 4 * k
+        if shortlist < k:
+            raise UsageError(f"--shortlist ({shortlist}) must be >= --k ({k})")
 
-    index = load_index(index_path)
-    model = load_model(model_path)
-    if dim == 0:
-        dim = index.dims.full
-        res.resolved["dim"] = dim
-    query = encode(model, query_text)
-
-    try:
-        if funnel:
-            # ranking the whole shortlist at m_high costs no extra scan; its
-            # first k hits are exactly search_funnel(..., k), and its last
-            # score is the lowest m_high similarity the funnel computed
-            ranked = search_funnel(index, query, m_low, m_high, s, s)
-            hits = ranked[:k]
-            min_score = ranked[-1].score if ranked else float("nan")
-        else:
-            hits, min_score = search_exact_with_min(index, query, dim, k)
-    except InvalidDimensionError as e:
-        raise UsageError(str(e)) from None
+    index = load_index(values["index"])
+    model = load_model(values["model"])
+    query = encode(model, values["query"])
+    if funnel:
+        # ranking the whole shortlist at HIGH costs no extra scan; its first
+        # k hits are exactly search_funnel(..., k), and its last score is the
+        # lowest HIGH similarity the funnel computed
+        ranked = search_funnel(index, query, *funnel, shortlist, shortlist)
+        hits = ranked[:k]
+        min_score = ranked[-1].score if ranked else float("nan")
+    else:
+        hits, min_score = search_exact_with_min(index, query, values["dim"] or index.dims.full, k)
 
     print("rank\tdoc_id\ttitle\tscore\tscore_norm")
     for hit in hits:
@@ -293,28 +338,19 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args) -> int:
-    res = Resolver(args, _load_config_file(args.config))
-    model_path, test_path, report_path = res.get("model"), res.get("test"), res.get("report")
-    if not (model_path and test_path and report_path):
-        raise UsageError("eval requires --model, --test and --report")
-    dims = _parse_dims(res.get("dims", "768,512,256,128,64"))
-    res.resolved["dims"] = dims
-    ks = _parse_ks(res.get("ks", "3,5,10"))
-    res.resolved["ks"] = list(ks)
-    corpus_cap = int(res.get("corpus_cap", DEFAULT_CORPUS_CAP))
-    seed = int(res.get("seed", 0))
-    graded = bool(res.get("graded", False))
-
-    model = load_model(model_path)
-    records = _records_or_die(test_path, "test")
+def _cmd_eval(values: dict) -> int:
+    report_path, baseline_path = values["report"], values["baseline"]
+    model = load_model(values["model"])
+    records = _records_or_die(values["test"], "test")
     report = sequential_evaluate(
-        model, records, dims, ks=ks, corpus_cap=corpus_cap, seed=seed, graded=graded
+        model, records, values["dims"], ks=values["ks"], corpus_cap=values["corpus_cap"],
+        seed=values["seed"], graded=values["graded"],
     )
-    _write_json_report(report_path, {**_provenance("eval", res), "report": report.to_dict()})
+    if baseline_path:
+        values["delta_out"] = values["delta_out"] or str(report_path) + ".delta.csv"
+    _write_json_report(report_path, {**_provenance("eval", values), "report": report.to_dict()})
     print(f"near2: metrics report written to {report_path}", file=sys.stderr)
 
-    baseline_path = res.get("baseline")
     if baseline_path:
         try:
             with open(baseline_path, "r", encoding="utf-8") as fh:
@@ -322,27 +358,14 @@ def _cmd_eval(args) -> int:
         except (OSError, KeyError, json.JSONDecodeError) as e:
             raise DataError(f"cannot read baseline report {baseline_path}: {e}") from None
         delta = delta_report(report, baseline)
-        delta_path = res.get("delta_out") or str(report_path) + ".delta.csv"
-        res.resolved["delta_out"] = delta_path
-        _write_csv_report(delta_path, _provenance("eval", res), delta.to_csv())
-        print(f"near2: delta table written to {delta_path}", file=sys.stderr)
+        _write_csv_report(values["delta_out"], _provenance("eval", values), delta.to_csv())
+        print(f"near2: delta table written to {values['delta_out']}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_ablate(args) -> int:
-    res = Resolver(args, _load_config_file(args.config))
-    data_path, report_path = res.get("data"), res.get("report")
-    if not (data_path and report_path):
-        raise UsageError("ablate requires --data and --report")
-    schedules = res.get("schedules", ",".join(SCHEDULES))
-    if isinstance(schedules, str):
-        schedules = tuple(s.strip() for s in schedules.split(",") if s.strip())
-    for s in schedules:
-        if s not in SCHEDULES:
-            raise UsageError(f"unknown schedule {s!r}; valid: {', '.join(SCHEDULES)}")
-    config = _train_config(res)
-
-    data = Path(data_path)
+def _cmd_ablate(values: dict) -> int:
+    config = _build(TrainConfig, _TRAINING, values)
+    data = Path(values["data"])
     if data.is_dir():
         train_records = _records_or_die(data / "train.jsonl", "train")
         test_records = _records_or_die(data / "test.jsonl", "test")
@@ -350,145 +373,102 @@ def _cmd_ablate(args) -> int:
         train_records = _records_or_die(data, "data")
         test_records = train_records
 
-    report = run_ablation(train_records, test_records, config, schedules)
-    _write_json_report(report_path, {**_provenance("ablate", res), "ablation": report.to_dict()})
-    csv_path = res.get("csv") or str(report_path) + ".csv"
-    res.resolved["csv"] = csv_path
-    _write_csv_report(csv_path, _provenance("ablate", res), report.to_csv())
+    report = run_ablation(train_records, test_records, config, values["schedules"])
+    report_path = values["report"]
+    csv_path = values["csv"] = values["csv"] or str(report_path) + ".csv"
+    _write_json_report(report_path, {**_provenance("ablate", values), "ablation": report.to_dict()})
+    _write_csv_report(csv_path, _provenance("ablate", values), report.to_csv())
     print(f"near2: ablation report written to {report_path} and {csv_path}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_hist(args) -> int:
-    res = Resolver(args, _load_config_file(args.config))
-    model_path, test_path, out_path = res.get("model"), res.get("test"), res.get("out")
-    if not (model_path and test_path and out_path):
-        raise UsageError("hist requires --model, --test and --out")
-    bins = int(res.get("bins", 40))
-    corpus_cap = int(res.get("corpus_cap", DEFAULT_CORPUS_CAP))
-    seed = int(res.get("seed", 0))
-
-    model = load_model(model_path)
-    records = _records_or_die(test_path, "test")
-    dim = int(res.get("dim", 0) or 0) or model.dims.full
-    res.resolved["dim"] = dim
-
-    split = split_judgments(records)
-    if not split.judged:
-        raise DataError("no judged queries in the test records")
-    index = build_index(model, capped_corpus(split, corpus_cap, seed))
-    collected = []
-    for judgment in split.judged:
-        emb = encode(model, judgment.query)
-        if emb.degenerate:
-            continue
-        try:
-            collected.append(all_scores(index, emb, dim)[1])
-        except InvalidDimensionError as e:
-            raise UsageError(str(e)) from None
-    if not collected:
-        raise DataError("no query produced any similarity scores")
-
-    rows = score_histogram(np.concatenate(collected), bins)
-    _write_csv_report(out_path, _provenance("hist", res), histogram_csv(rows))
-    print(f"near2: histogram written to {out_path}", file=sys.stderr)
+def _cmd_hist(values: dict) -> int:
+    model = load_model(values["model"])
+    records = _records_or_die(values["test"], "test")
+    dim = values["dim"] = values["dim"] or model.dims.full
+    index, usable, _ = judged_queries(model, records, values["corpus_cap"], values["seed"])
+    scores = np.concatenate([all_scores(index, emb, dim)[1] for _, emb in usable])
+    rows = score_histogram(scores, values["bins"])
+    _write_csv_report(values["out"], _provenance("hist", values), histogram_csv(rows))
+    print(f"near2: histogram written to {values['out']}", file=sys.stderr)
     return EXIT_OK
 
 
 # --- parser -----------------------------------------------------------------------
+
+# command -> (handler, help, options); each option is a flag and a config key
+COMMANDS: dict[str, tuple[Callable, str, dict[str, Option]]] = {
+    "synth": (_cmd_synth, "generate a seeded synthetic relevance dataset", {
+        **_field_options(SynthSpec, _SYNTH),
+        "out": Option(str, ".", "output directory for train/valid/test.jsonl"),
+    }),
+    "train": (_cmd_train, "train the nested encoder on relevance records", {
+        "data": Option(str, REQUIRED),
+        "valid": Option(str),
+        **_field_options(TrainConfig, _TRAINING),
+        "out": Option(str, REQUIRED),
+        "history": Option(str),
+    }),
+    "index": (_cmd_index, "embed titles into a prefix-searchable index", {
+        "model": Option(str, REQUIRED),
+        "titles": Option(str, REQUIRED),
+        "out": Option(str, REQUIRED),
+    }),
+    "search": (_cmd_search, "top-k cosine search at any nested dimension", {
+        "index": Option(str, REQUIRED),
+        "model": Option(str, REQUIRED),
+        "query": Option(str, REQUIRED),
+        "dim": Option(_int, None, "prefix dimension; default the full dimension"),
+        "k": Option(_count, 10),
+        "funnel": Option(_funnel, None,
+                         "LOW:HIGH coarse-to-fine two-stage search; score_norm is anchored "
+                         "to the lowest HIGH-dimension score in the shortlist"),
+        "shortlist": Option(_count, None, "funnel shortlist size; default 4 * k"),
+    }),
+    "eval": (_cmd_eval, "run the sequential evaluator over a test set", {
+        "model": Option(str, REQUIRED),
+        "test": Option(str, REQUIRED),
+        "dims": Option(_dims, DEFAULT_DIMS),
+        "ks": Option(_list_of(_count), DEFAULT_KS),
+        "corpus_cap": Option(_int, DEFAULT_CORPUS_CAP),
+        "report": Option(str, REQUIRED),
+        "baseline": Option(str),
+        "delta_out": Option(str),
+        "seed": Option(_int, 0),
+        "graded": Option(_bool, False),
+    }),
+    "ablate": (_cmd_ablate, "train and compare all ablation schedules", {
+        "data": Option(str, REQUIRED, "dataset directory from synth, or a single records file"),
+        "schedules": Option(_list_of(_schedule), SCHEDULES),
+        "report": Option(str, REQUIRED),
+        "csv": Option(str),
+        **_field_options(TrainConfig, _TRAINING, skip=("schedule",)),
+    }),
+    "hist": (_cmd_hist, "similarity-score histogram over a test set", {
+        "model": Option(str, REQUIRED),
+        "test": Option(str, REQUIRED),
+        "bins": Option(_count, 40),
+        "out": Option(str, REQUIRED),
+        "dim": Option(_int, None, "prefix dimension; default the full dimension"),
+        "corpus_cap": Option(_int, DEFAULT_CORPUS_CAP),
+        "seed": Option(_int, 0),
+    }),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="near2", description=__doc__)
     parser.add_argument("--version", action="version", version=f"near2 {__version__}")
     sub = parser.add_subparsers(dest="cmd", metavar="COMMAND")
-
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for command, (_, help_text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file with default flag values")
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("synth", _cmd_synth, "generate a seeded synthetic relevance dataset")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--queries", type=int)
-    p.add_argument("--titles-per-query", dest="titles_per_query", type=int)
-    p.add_argument("--categories", type=int)
-    p.add_argument("--alphanum-fraction", dest="alphanum_fraction", type=float)
-    p.add_argument("--shared-substring-fraction", dest="shared_substring_fraction", type=float)
-    p.add_argument("--out", help="output directory for train/valid/test.jsonl")
-
-    p = add("train", _cmd_train, "train the nested encoder on relevance records")
-    p.add_argument("--data")
-    p.add_argument("--valid")
-    p.add_argument("--dims")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--margin-c", dest="margin_c", type=float)
-    p.add_argument("--lambda-ocl", dest="lambda_ocl", type=float)
-    p.add_argument("--schedule", choices=SCHEDULES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--history")
-    p.add_argument("--buckets", type=int)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--corpus-cap", dest="corpus_cap", type=int)
-
-    p = add("index", _cmd_index, "embed titles into a prefix-searchable index")
-    p.add_argument("--model")
-    p.add_argument("--titles")
-    p.add_argument("--out")
-
-    p = add("search", _cmd_search, "top-k cosine search at any nested dimension")
-    p.add_argument("--index")
-    p.add_argument("--model")
-    p.add_argument("--query")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument(
-        "--funnel", metavar="LOW:HIGH",
-        help="coarse-to-fine two-stage search; score_norm is anchored to the lowest "
-             "HIGH-dimension score in the shortlist",
-    )
-    p.add_argument("--shortlist", type=int)
-
-    p = add("eval", _cmd_eval, "run the sequential evaluator over a test set")
-    p.add_argument("--model")
-    p.add_argument("--test")
-    p.add_argument("--dims")
-    p.add_argument("--ks")
-    p.add_argument("--corpus-cap", dest="corpus_cap", type=int)
-    p.add_argument("--report")
-    p.add_argument("--baseline")
-    p.add_argument("--delta-out", dest="delta_out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--graded", action="store_const", const=True)
-
-    p = add("ablate", _cmd_ablate, "train and compare all ablation schedules")
-    p.add_argument("--data", help="dataset directory from synth, or a single records file")
-    p.add_argument("--schedules")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--report")
-    p.add_argument("--csv")
-    p.add_argument("--dims")
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--buckets", type=int)
-    p.add_argument("--feature-dim", dest="feature_dim", type=int)
-    p.add_argument("--corpus-cap", dest="corpus_cap", type=int)
-
-    p = add("hist", _cmd_hist, "similarity-score histogram over a test set")
-    p.add_argument("--model")
-    p.add_argument("--test")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--out")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--corpus-cap", dest="corpus_cap", type=int)
-    p.add_argument("--seed", type=int)
-
+        for name, option in options.items():
+            flag = "--" + name.replace("_", "-")
+            if option.parse is _bool:
+                p.add_argument(flag, dest=name, action="store_const", const=True, help=option.help)
+            else:
+                p.add_argument(flag, dest=name, help=option.help)
     return parser
 
 
@@ -496,12 +476,14 @@ def run(argv) -> int:
     """Parse argv and dispatch; returns the process exit code."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "fn", None) is None:
+        flags = vars(parser.parse_args(argv))
+        command = flags.pop("cmd")
+        if command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        return args.fn(args)
-    except UsageError as e:
+        handler, _, options = COMMANDS[command]
+        return handler(_resolve(command, options, flags, _load_config_file(flags["config"])))
+    except (UsageError, InvalidDimensionError) as e:
         print(f"near2: usage error: {e}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE

@@ -232,8 +232,9 @@ class SynthSpec:
     shared_substring_fraction: float = 0.3
 
     def __post_init__(self):
-        if min(self.query_count, self.titles_per_query, self.category_count) < 1:
-            raise ValueError("counts must be >= 1")
+        for name in ("query_count", "titles_per_query", "category_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("alphanum_fraction", "shared_substring_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: `DataError` (and subclasses) and `OSError` exit 2,
-`NumericalError` exits 3, everything argument-shaped exits 1.
+`NumericalError` exits 3, and everything argument-shaped exits 1: a bad flag or
+config-file value, a range a config dataclass rejects, and `InvalidDimensionError`.
 """
 
 

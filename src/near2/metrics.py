@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import JudgmentsSplit, RelevanceRecord, split_judgments
+from .data import JudgmentsSplit, QueryJudgment, RelevanceRecord, split_judgments
 from .encoder import EncoderModel, encode
 from .errors import DataError, ZeroVectorError
-from .index import build_index, search_exact
-from .nested import DimSet
+from .index import PrefixIndex, build_index, search_exact
+from .nested import DimSet, NestedEmbedding
 
 DEFAULT_KS = (3, 5, 10)
 DEFAULT_CORPUS_CAP = 200_000
@@ -146,6 +146,27 @@ def capped_corpus(
     return [entry for entry in corpus if entry[0] in picked]
 
 
+def judged_queries(
+    model: EncoderModel, records: list[RelevanceRecord], corpus_cap: int, seed: int
+) -> tuple[PrefixIndex, list[tuple[QueryJudgment, NestedEmbedding]], int]:
+    """The set-up every evaluation over a test set shares.
+
+    Splits the records into judged queries and a corpus, indexes the capped
+    corpus and embeds each distinct judged query once. Returns the index, the
+    (judgment, embedding) pairs in judged order, and how many judged queries
+    were skipped because their text embeds degenerately.
+    """
+    split = split_judgments(records)
+    if not split.judged:
+        raise DataError("no judged queries: every query lacks a grade > 3 title")
+    index = build_index(model, capped_corpus(split, corpus_cap, seed))
+    embeddings = {q: encode(model, q) for q in dict.fromkeys(j.query for j in split.judged)}
+    usable = [(j, embeddings[j.query]) for j in split.judged if not embeddings[j.query].degenerate]
+    if not usable:
+        raise DataError("every judged query embeds degenerately")
+    return index, usable, len(split.judged) - len(usable)
+
+
 def sequential_evaluate(
     model: EncoderModel,
     records: list[RelevanceRecord],
@@ -163,26 +184,7 @@ def sequential_evaluate(
     """
     dims = dims if isinstance(dims, DimSet) else DimSet(tuple(dims))
     ks = tuple(sorted(int(k) for k in ks))
-    split = split_judgments(records)
-    if not split.judged:
-        raise DataError("no judged queries: every query lacks a grade > 3 title")
-    corpus = capped_corpus(split, corpus_cap, seed)
-    index = build_index(model, corpus)
-
-    usable = []
-    skipped = 0
-    embeddings = {}
-    for judgment in split.judged:
-        emb = embeddings.get(judgment.query)
-        if emb is None:
-            emb = encode(model, judgment.query)
-            embeddings[judgment.query] = emb
-        if emb.degenerate:
-            skipped += 1
-        else:
-            usable.append((judgment, emb))
-    if not usable:
-        raise DataError("every judged query embeds degenerately")
+    index, usable, skipped = judged_queries(model, records, corpus_cap, seed)
 
     k_max = max(ks)
     cells: dict[tuple[int, int], MetricsCell] = {}

@@ -112,32 +112,3 @@ def cosine_prefix(a: NestedEmbedding, b: NestedEmbedding, m: int) -> float:
     bp = l2_normalize(truncate(b, m))
     return float(np.clip(np.dot(ap, bp), -1.0, 1.0))
 
-
-def cosine_prefix_arrays(a: np.ndarray, b: np.ndarray, m: int) -> float:
-    """cosine_prefix on raw value arrays, without declared-dimension checks."""
-    ap = l2_normalize(np.asarray(a, dtype=np.float64)[:m])
-    bp = l2_normalize(np.asarray(b, dtype=np.float64)[:m])
-    return float(np.clip(np.dot(ap, bp), -1.0, 1.0))
-
-
-def cosine_prefix_with_grad(
-    a: np.ndarray, b: np.ndarray, m: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Prefix cosine plus gradients with respect to the raw prefix entries.
-
-    Returns (cos, d cos/d a[:m], d cos/d b[:m]). The post-hoc clamp is treated
-    as the identity: rounding can only push |cos| past 1 by a few ulps, so the
-    clamp never changes the analytic gradient in any probe-able region.
-    """
-    ap = np.asarray(a, dtype=np.float64)[:m]
-    bp = np.asarray(b, dtype=np.float64)[:m]
-    na = float(np.linalg.norm(ap))
-    nb = float(np.linalg.norm(bp))
-    if na <= EPS_ZERO or nb <= EPS_ZERO:
-        raise ZeroVectorError("cosine gradient undefined for zero-norm prefix")
-    ah = ap / na
-    bh = bp / nb
-    c = float(np.dot(ah, bh))
-    grad_a = (bh - c * ah) / na
-    grad_b = (ah - c * bh) / nb
-    return float(np.clip(c, -1.0, 1.0)), grad_a, grad_b

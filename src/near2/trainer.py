@@ -81,7 +81,6 @@ class TrainConfig:
     margin_c: float = 0.5
     lambda_ocl: float = 1.0
     dims: DimSet = DEFAULT_DIMS
-    weights: tuple[float, ...] | None = None  # None = uniform 1.0
     seed: int = 0
     schedule: str = "mnrl+ocl"
     bucket_count: int = DEFAULT_BUCKETS
@@ -92,16 +91,20 @@ class TrainConfig:
         if self.schedule not in SCHEDULES:
             raise ValueError(f"schedule must be one of {SCHEDULES}, got {self.schedule!r}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-
-    def mrl_config(self) -> MrlConfig:
-        if self.weights is None:
-            return MrlConfig.uniform(self.dims)
-        return MrlConfig(self.dims, tuple(self.weights))
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        # the ranges the losses and the tokenizer accept, so a bad value fails before step 1
+        if not 0.0 <= self.margin <= 2.0:
+            raise ValueError(f"margin must be in [0, 2], got {self.margin}")
+        if not 0.0 < self.margin_c < 2.0:
+            raise ValueError(f"margin_c must be in (0, 2), got {self.margin_c}")
+        if self.bucket_count < 1:
+            raise ValueError(f"bucket_count must be >= 1, got {self.bucket_count}")
+        if self.feature_dim < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
 
 
 @dataclass(frozen=True)
@@ -375,9 +378,7 @@ class TrainHistory:
 
 
 def _phase_mrl_config(config: TrainConfig, phase: Phase) -> MrlConfig:
-    if phase.nested:
-        return config.mrl_config()
-    return MrlConfig(DimSet((config.dims.full,)), (1.0,))
+    return MrlConfig.uniform(config.dims if phase.nested else DimSet((config.dims.full,)))
 
 
 def _epoch_seed(seed: int, phase_index: int, epoch: int) -> int:

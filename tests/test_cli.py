@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import near2
-from near2.cli import main
+from near2.cli import build_parser, main
 from near2.encoder import encode, load_model, save_model
 from near2.index import _sections, index_file_size, load_index, memory_footprint, search_funnel
 
@@ -132,6 +133,90 @@ def test_bad_arguments_exit_one_without_traceback(workspace, tmp_path, argv):
     assert proc.returncode == 1
     assert "usage" in proc.stderr.lower()
     assert "Traceback" not in proc.stderr
+
+
+def _base_args(command, workspace, tmp_path):
+    """Flags a run of `command` needs; every output path starts with "out"."""
+    tiny = dict(zip(TINY[::2], TINY[1::2]))
+    test = workspace["data"] / "test.jsonl"
+    return {
+        "train": {"--data": workspace["data"] / "train.jsonl", "--out": tmp_path / "out.bin", **tiny},
+        "ablate": {"--data": workspace["data"], "--report": tmp_path / "out.json", **tiny},
+        "eval": {"--model": workspace["model"], "--test": test, "--report": tmp_path / "out.json"},
+        "hist": {"--model": workspace["model"], "--test": test, "--out": tmp_path / "out.csv"},
+        "search": {"--index": workspace["index"], "--model": workspace["model"], "--query": "plants"},
+    }[command]
+
+
+BAD_VALUES = [
+    ("train", "lr", -1), ("train", "margin", 5), ("train", "margin_c", 0),
+    ("train", "buckets", 0), ("train", "feature_dim", 0), ("train", "batch", 0),
+    ("train", "epochs", -1), ("ablate", "lr", -1), ("eval", "ks", 0),
+    ("eval", "dims", "16,8,5"), ("hist", "bins", 0), ("train", "lr", "fast"),
+    ("train", "schedule", "bogus"), ("eval", "corpus_cap", "lots"), ("search", "k", "ten"),
+    ("hist", "bins", "ten"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command, name, value", BAD_VALUES,
+                         ids=[f"{c}-{n}={v}" for c, n, v in BAD_VALUES])
+def test_bad_value_exits_one_before_writing(workspace, tmp_path, capsys, command, name, value,
+                                            source):
+    flag = "--" + name.replace("_", "-")
+    args = {k: v for k, v in _base_args(command, workspace, tmp_path).items() if k != flag}
+    if source == "flag":
+        args[flag] = value
+    else:
+        config = tmp_path / "near2.json"
+        config.write_text(json.dumps({name: value}))
+        args["--config"] = config
+    code = main([command, *(str(x) for item in args.items() for x in item)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "usage" in captured.err.lower()
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_bad_value_message_names_option_and_source(workspace, tmp_path, capsys):
+    argv = ["search", *(str(x) for item in _base_args("search", workspace, tmp_path).items()
+                        for x in item)]
+    assert main([*argv, "--k", "ten"]) == 1
+    assert "bad --k value 'ten': expected an integer" in capsys.readouterr().err
+    config = tmp_path / "near2.json"
+    config.write_text(json.dumps({"k": 0, "not_an_option": [1]}))  # unknown keys are ignored
+    assert main([*argv, "--config", str(config)]) == 1
+    assert "bad config key 'k' value 0: must be >= 1" in capsys.readouterr().err
+
+
+def test_empty_list_value_exits_one(workspace, tmp_path, capsys):
+    args = _base_args("eval", workspace, tmp_path)
+    assert main(["eval", *(str(x) for item in args.items() for x in item), "--ks", ""]) == 1
+    assert "bad --ks value '': expected at least one value" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+FLAGS = {
+    "synth": "seed queries titles-per-query categories alphanum-fraction "
+             "shared-substring-fraction out",
+    "train": "data valid dims batch epochs lr margin margin-c lambda-ocl schedule seed out "
+             "history buckets feature-dim corpus-cap",
+    "index": "model titles out",
+    "search": "index model query dim k funnel shortlist",
+    "eval": "model test dims ks corpus-cap report baseline delta-out seed graded",
+    "ablate": "data schedules seed report csv dims batch epochs lr margin margin-c lambda-ocl "
+              "buckets feature-dim corpus-cap",
+    "hist": "model test bins out dim corpus-cap seed",
+}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_subcommand_flag_set(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {s for action in sub.choices[command]._actions for s in action.option_strings}
+    assert flags == {"-h", "--help", "--config", *("--" + f for f in FLAGS[command].split())}
 
 
 def _non_finite_model(workspace, tmp_path):

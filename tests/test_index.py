@@ -22,7 +22,7 @@ from near2.index import (
     search_exact_with_min,
     search_funnel,
 )
-from near2.nested import DimSet, NestedEmbedding, cosine_prefix_arrays
+from near2.nested import DimSet, NestedEmbedding, cosine_prefix
 
 
 def tiny_model(seed=0):
@@ -59,7 +59,7 @@ def brute_force_hits(index, query, m, k):
     ]
     scored = []
     for r in rows:
-        c = cosine_prefix_arrays(index.matrix[r].astype(np.float64), query.values, m)
+        c = cosine_prefix(query_from(index.matrix[r], index.dims), query, m)
         scored.append((r, c))
     scored.sort(key=lambda rc: (-rc[1], rc[0]))
     return scored[:k]
@@ -233,7 +233,7 @@ class TestSearchFunnel:
         query = query_from(rng.normal(size=16), dims)
         funneled = search_funnel(index, query, 4, 16, shortlist_size=20, k=5)
         for h in funneled:
-            expected = cosine_prefix_arrays(index.matrix[h.row].astype(np.float64), query.values, 16)
+            expected = cosine_prefix(query_from(index.matrix[h.row], dims), query, 16)
             assert h.score == pytest.approx(expected, abs=1e-12)
 
     def test_validation(self):

@@ -21,7 +21,7 @@ from near2.metrics import (
     score_histogram,
     sequential_evaluate,
 )
-from near2.nested import DimSet, cosine_prefix_arrays
+from near2.nested import DimSet, cosine_prefix
 
 
 class TestPrecisionRecall:
@@ -202,7 +202,7 @@ class TestSequentialEvaluate:
                 for row, (tid, _) in enumerate(corpus):
                     if embs[tid].degenerate:
                         continue
-                    c = cosine_prefix_arrays(embs[tid].values, qe.values, m)
+                    c = cosine_prefix(embs[tid], qe, m)
                     scored.append((tid, c, row))
                 scored.sort(key=lambda x: (-x[1], x[2]))
                 ranked = [tid for tid, _, _ in scored]

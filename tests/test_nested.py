@@ -8,7 +8,6 @@ from near2.nested import (
     DimSet,
     NestedEmbedding,
     cosine_prefix,
-    cosine_prefix_with_grad,
     l2_normalize,
     truncate,
 )
@@ -141,23 +140,3 @@ def test_symmetry_exact_and_range(av, bv, m):
     assert ab == ba
     assert -1.0 <= ab <= 1.0
 
-
-def test_cosine_grad_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=5)
-    b = rng.normal(size=5)
-    m = 4
-    _, ga, gb = cosine_prefix_with_grad(a, b, m)
-    h = 1e-6
-    for i in range(m):
-        for vec, grad in ((a, ga), (b, gb)):
-            hi, lo = vec.copy(), vec.copy()
-            hi[i] += h
-            lo[i] -= h
-            if vec is a:
-                num = (np.dot(hi[:m], b[:m]) / np.linalg.norm(hi[:m]) / np.linalg.norm(b[:m])
-                       - np.dot(lo[:m], b[:m]) / np.linalg.norm(lo[:m]) / np.linalg.norm(b[:m])) / (2 * h)
-            else:
-                num = (np.dot(a[:m], hi[:m]) / np.linalg.norm(a[:m]) / np.linalg.norm(hi[:m])
-                       - np.dot(a[:m], lo[:m]) / np.linalg.norm(a[:m]) / np.linalg.norm(lo[:m])) / (2 * h)
-            assert grad[i] == pytest.approx(num, abs=1e-7)
