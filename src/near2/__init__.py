@@ -11,7 +11,6 @@ from .nested import DimSet, NestedEmbedding, cosine_prefix, l2_normalize, trunca
 from .losses import (
     LossBatch,
     LossOutput,
-    MrlConfig,
     grad_check,
     mnrl_hinge,
     mrl_compose,
@@ -50,7 +49,6 @@ __all__ = [
     "truncate",
     "LossBatch",
     "LossOutput",
-    "MrlConfig",
     "grad_check",
     "mnrl_hinge",
     "mrl_compose",

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .data import SynthSpec, distinct_titles, gen_synthetic, load_records, write_records
-from .encoder import DEFAULT_DIMS, EncoderModel, encode, load_model, save_model
+from .encoder import EncoderModel, encode, load_model, save_model
 from .errors import DataError, InvalidDimensionError, NumericalError, ZeroVectorError
 from .index import (
     all_scores,
@@ -329,7 +329,8 @@ def _cmd_search(values: dict) -> int:
         hits = ranked[:k]
         min_score = ranked[-1].score if ranked else float("nan")
     else:
-        hits, min_score = search_exact_with_min(index, query, values["dim"] or index.dims.full, k)
+        dim = index.dims.full if values["dim"] is None else values["dim"]
+        hits, min_score = search_exact_with_min(index, query, dim, k)
 
     print("rank\tdoc_id\ttitle\tscore\tscore_norm")
     for hit in hits:
@@ -341,6 +342,8 @@ def _cmd_search(values: dict) -> int:
 def _cmd_eval(values: dict) -> int:
     report_path, baseline_path = values["report"], values["baseline"]
     model = load_model(values["model"])
+    if values["dims"] is None:
+        values["dims"] = model.dims
     records = _records_or_die(values["test"], "test")
     report = sequential_evaluate(
         model, records, values["dims"], ks=values["ks"], corpus_cap=values["corpus_cap"],
@@ -385,7 +388,8 @@ def _cmd_ablate(values: dict) -> int:
 def _cmd_hist(values: dict) -> int:
     model = load_model(values["model"])
     records = _records_or_die(values["test"], "test")
-    dim = values["dim"] = values["dim"] or model.dims.full
+    dim = values["dim"]
+    dim = values["dim"] = model.dims.full if dim is None else model.dims.require(dim)
     index, usable, _ = judged_queries(model, records, values["corpus_cap"], values["seed"])
     scores = np.concatenate([all_scores(index, emb, dim)[1] for _, emb in usable])
     rows = score_histogram(scores, values["bins"])
@@ -428,7 +432,7 @@ COMMANDS: dict[str, tuple[Callable, str, dict[str, Option]]] = {
     "eval": (_cmd_eval, "run the sequential evaluator over a test set", {
         "model": Option(str, REQUIRED),
         "test": Option(str, REQUIRED),
-        "dims": Option(_dims, DEFAULT_DIMS),
+        "dims": Option(_dims, None, "nested dimensions to evaluate; default the model's own"),
         "ks": Option(_list_of(_count), DEFAULT_KS),
         "corpus_cap": Option(_int, DEFAULT_CORPUS_CAP),
         "report": Option(str, REQUIRED),

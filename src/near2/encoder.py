@@ -216,8 +216,8 @@ def backward(
     model: EncoderModel,
     bags: list[FeatureBag],
     upstream: np.ndarray,
-    pooled: np.ndarray | None = None,
-    grad_table: np.ndarray | None = None,
+    pooled: np.ndarray,
+    grad_table: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Parameter gradients for sum_t upstream[t] . embed_bag(bags[t]).
 
@@ -228,29 +228,22 @@ def backward(
     contribute nothing.
 
     `pooled`, one row per bag, holds the pooled rows `embed_bag` returned for
-    the current parameters; without it every bag is pooled again. The table
-    gradient accumulates into `grad_table`, an all-zero array of the feature
-    table's shape that a training run keeps and re-zeroes at the bags' rows
-    after each step, and is a fresh array without it. Either way the bits are
-    the same.
+    the current parameters. The table gradient accumulates into `grad_table`,
+    an all-zero array of the feature table's shape that a training run keeps
+    and re-zeroes at the bags' rows after each step; it is returned as the
+    `feature_table` gradient.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.ndim != 2 or upstream.shape[1] != model.full_dim:
         raise ValueError(f"upstream gradient must have shape (bags, {model.full_dim})")
     if upstream.shape[0] != len(bags):
         raise ValueError("one upstream gradient row per bag required")
-    if pooled is not None and pooled.shape != (len(bags), model.feature_dim):
+    if pooled.shape != (len(bags), model.feature_dim):
         raise ValueError(f"pooled rows must have shape ({len(bags)}, {model.feature_dim})")
-    if grad_table is None:
-        grad_table = np.zeros_like(model.feature_table)
-    elif grad_table.shape != model.feature_table.shape:
+    if grad_table.shape != model.feature_table.shape:
         raise ValueError(f"grad_table must have shape {model.feature_table.shape}")
     keep = [i for i, bag in enumerate(bags) if len(bag)]
-    if pooled is None:
-        pooled = np.array([_pool(model, bags[i]) for i in keep]).reshape(len(keep), model.feature_dim)
-    else:
-        pooled = pooled[keep]
-    bags, upstream = [bags[i] for i in keep], upstream[keep]
+    bags, pooled, upstream = [bags[i] for i in keep], pooled[keep], upstream[keep]
     for bag, grad_pooled in zip(bags, upstream @ model.projection.T):
         weights = bag.counts.astype(np.float64) / bag.total
         grad_table[bag.ids] += weights[:, None] * grad_pooled[None, :]

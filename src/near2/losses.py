@@ -12,13 +12,14 @@ Three layers:
 * single-dimension task losses: a margin hinge pushing query-positive cosine
   above query-negative cosine (`mnrl_hinge`), and an online contrastive loss
   over the hardest labeled pairs in a batch (`ocl`);
-* `mrl_compose`, the weighted sum of a task loss across every nested prefix
-  dimension;
+* `mrl_compose`, the plain sum of a task loss across every nested prefix
+  dimension of a `DimSet`;
 * `multitask_step_loss`, the per-step combination of both composed losses.
 
 All gradients are with respect to the raw (unnormalized) embedding entries.
 A loss at prefix dimension m has identically zero gradient beyond position m.
-`grad_check` verifies any of them against central finite differences.
+`grad_check` verifies any of them against central finite differences, skipping
+probes that `breakpoint_gap` finds too close to a hinge or selection kink.
 """
 
 from __future__ import annotations
@@ -111,26 +112,6 @@ class LossBatch:
         return cls(embeddings, dims, q, pos, neg, left, right, labels), texts
 
 
-@dataclass(frozen=True)
-class MrlConfig:
-    """Nested dimension set M and per-dimension positive weights c_m."""
-
-    dims: DimSet
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        weights = tuple(float(w) for w in self.weights)
-        if len(weights) != len(self.dims):
-            raise ValueError("one weight per nested dimension required")
-        if any(w <= 0 for w in weights):
-            raise ValueError("all nested-dimension weights must be positive")
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def uniform(cls, dims: DimSet) -> "MrlConfig":
-        return cls(dims=dims, weights=(1.0,) * len(dims))
-
-
 @dataclass
 class LossOutput:
     """A loss value, its per-prefix-dimension breakdown, and its gradient.
@@ -154,6 +135,25 @@ def _unit_rows(batch: LossBatch, rows: np.ndarray, m: int) -> tuple[np.ndarray, 
     if np.any(norms <= EPS_ZERO):
         raise ZeroVectorError(f"zero-norm {m}-prefix in batch")
     return prefix / norms[:, None], norms
+
+
+def _query_similarities(batch: LossBatch, m: int):
+    """Per query, in batch order: the unit m-prefix and norm of the query, the
+    unit m-prefixes and norms of its positives and of its negatives, and the
+    positives' and negatives' cosines against the query."""
+    for q, pos, neg in zip(batch.queries, batch.positives, batch.negatives):
+        qh, qnorm = _unit_rows(batch, [q], m)
+        ph, pnorms = _unit_rows(batch, pos, m)
+        nh, nnorms = _unit_rows(batch, neg, m)
+        qh = qh[0]
+        yield qh, qnorm, ph, pnorms, nh, nnorms, ph @ qh, nh @ qh
+
+
+def _pair_cosines(batch: LossBatch, m: int):
+    """Unit m-prefixes and norms of the pair lefts and rights, and each pair's cosine."""
+    lh, lnorms = _unit_rows(batch, batch.lefts, m)
+    rh, rnorms = _unit_rows(batch, batch.rights, m)
+    return lh, lnorms, rh, rnorms, np.einsum("ij,ij->i", lh, rh)
 
 
 def _scatter(batch: LossBatch, m: int, rows: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
@@ -182,14 +182,10 @@ def mnrl_hinge(batch: LossBatch, margin: float, m: int) -> LossOutput:
 
     total = 0.0
     rows, grads = [], []
-    for q, pos, neg in zip(batch.queries, batch.positives, batch.negatives):
-        qh, qnorm = _unit_rows(batch, [q], m)
-        qh = qh[0]
-        ph, pnorms = _unit_rows(batch, pos, m)
-        nh, nnorms = _unit_rows(batch, neg, m)
-        sp = ph @ qh
-        sn = nh @ qh
-
+    sims = _query_similarities(batch, m)
+    for q, pos, neg, (qh, qnorm, ph, pnorms, nh, nnorms, sp, sn) in zip(
+        batch.queries, batch.positives, batch.negatives, sims
+    ):
         hinge = margin - sp[:, None] + sn[None, :]
         active = hinge > 0.0
         if not active.any():
@@ -211,25 +207,6 @@ def mnrl_hinge(batch: LossBatch, margin: float, m: int) -> LossOutput:
     gradient = _scatter(batch, m, rows, grads)
     gradient /= nq
     return LossOutput(value=value, per_dim={m: value}, gradient=gradient)
-
-
-def mnrl_breakpoint_gap(batch: LossBatch, margin: float, m: int) -> float:
-    """Smallest |margin - cos(q,p) + cos(q,n)| over the batch.
-
-    Finite-difference probes closer to a hinge activation boundary than this
-    are unreliable; the gradient checker uses it to skip them.
-    """
-    m = batch.dims.require(m)
-    gap = np.inf
-    for q, pos, neg in zip(batch.queries, batch.positives, batch.negatives):
-        qh, _ = _unit_rows(batch, [q], m)
-        qh = qh[0]
-        ph, _ = _unit_rows(batch, pos, m)
-        nh, _ = _unit_rows(batch, neg, m)
-        sp = ph @ qh
-        sn = nh @ qh
-        gap = min(gap, float(np.abs(margin - sp[:, None] + sn[None, :]).min()))
-    return gap
 
 
 def _ocl_selection(d_pos: np.ndarray, d_neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +235,7 @@ def ocl(batch: LossBatch, margin_c: float, m: int) -> LossOutput:
         raise ValueError("online contrastive loss needs at least one pair")
     m = batch.dims.require(m)
 
-    lh, lnorms = _unit_rows(batch, batch.lefts, m)
-    rh, rnorms = _unit_rows(batch, batch.rights, m)
-    cos = np.einsum("ij,ij->i", lh, rh)
+    lh, lnorms, rh, rnorms, cos = _pair_cosines(batch, m)
     dist = 1.0 - cos
 
     pos = batch.labels == 1
@@ -291,28 +266,11 @@ def ocl(batch: LossBatch, margin_c: float, m: int) -> LossOutput:
     return LossOutput(value=value, per_dim={m: value}, gradient=gradient)
 
 
-def ocl_breakpoint_gap(batch: LossBatch, margin_c: float, m: int) -> float:
-    """Distance to the nearest hard-pair selection or hinge boundary."""
-    m = batch.dims.require(m)
-    lh, _ = _unit_rows(batch, batch.lefts, m)
-    rh, _ = _unit_rows(batch, batch.rights, m)
-    dist = 1.0 - np.einsum("ij,ij->i", lh, rh)
-    pos = batch.labels == 1
-    d_pos, d_neg = dist[pos], dist[~pos]
-    gaps = []
-    if d_neg.size:
-        gaps.append(np.abs(margin_c - d_neg).min())
-    if d_pos.size and d_neg.size:
-        gaps.append(np.abs(d_pos - d_neg.min()).min())
-        gaps.append(np.abs(d_neg - d_pos.max()).min())
-    return float(min(gaps)) if gaps else np.inf
-
-
 TaskLoss = Callable[[LossBatch, int], LossOutput]
 
 
-def mrl_compose(task: TaskLoss, batch: LossBatch, config: MrlConfig) -> LossOutput:
-    """Weighted sum of a single-dimension task loss over every nested dimension.
+def mrl_compose(task: TaskLoss, batch: LossBatch, dims: DimSet) -> LossOutput:
+    """Sum of a single-dimension task loss over every nested dimension in `dims`.
 
     Evaluation and summation run in fixed descending-M order so results are
     bit-reproducible. Gradient entry t accumulates a contribution from every
@@ -321,26 +279,24 @@ def mrl_compose(task: TaskLoss, batch: LossBatch, config: MrlConfig) -> LossOutp
     value = 0.0
     per_dim: dict[int, float] = {}
     gradient = None
-    warnings: tuple[str, ...] = ()
-    for m, c in zip(config.dims, config.weights):
+    for m in dims:
         try:
             out = task(batch, m)
         except Exception as e:
             e.args = e.args + (f"while composing nested dimension m={m}",)
             raise
-        value += c * out.value
+        value += out.value
         per_dim[m] = out.value
-        warnings += out.warnings
         if gradient is None:
-            gradient = c * out.gradient
+            gradient = out.gradient
         else:
-            gradient += c * out.gradient
-    return LossOutput(value=value, per_dim=per_dim, gradient=gradient, warnings=warnings)
+            gradient += out.gradient
+    return LossOutput(value=value, per_dim=per_dim, gradient=gradient)
 
 
 def multitask_step_loss(
     batch: LossBatch,
-    config: MrlConfig,
+    dims: DimSet,
     margin: float,
     margin_c: float,
     lambda_ocl: float,
@@ -350,37 +306,48 @@ def multitask_step_loss(
     A batch without pairs contributes 0 to the contrastive term, with a
     warning flag instead of failing, so ranking-only steps remain valid.
     """
-    mnrl_out = mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch, config)
-    warnings = mnrl_out.warnings
+    mnrl_out = mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch, dims)
     gradient = mnrl_out.gradient
+    per_dim = dict(mnrl_out.per_dim)
+    warnings: tuple[str, ...] = ()
     if len(batch.labels) == 0:
         if lambda_ocl > 0:
-            warnings += ("empty pair batch: contrastive term treated as 0",)
-        ocl_out = None
+            warnings = ("empty pair batch: contrastive term treated as 0",)
     else:
-        ocl_out = mrl_compose(lambda b, m: ocl(b, margin_c, m), batch, config)
-        warnings += ocl_out.warnings
+        ocl_out = mrl_compose(lambda b, m: ocl(b, margin_c, m), batch, dims)
         gradient += lambda_ocl * ocl_out.gradient
-
-    per_dim = {}
+        for m in dims:
+            per_dim[m] += lambda_ocl * ocl_out.per_dim[m]
     value = 0.0
-    for m, c in zip(config.dims, config.weights):
-        task_m = mnrl_out.per_dim[m]
-        if ocl_out is not None:
-            task_m = task_m + lambda_ocl * ocl_out.per_dim[m]
-        per_dim[m] = task_m
-        value += c * task_m
+    for m in dims:
+        value += per_dim[m]
     return LossOutput(value=value, per_dim=per_dim, gradient=gradient, warnings=warnings)
 
 
-def multitask_breakpoint_gap(
-    batch: LossBatch, config: MrlConfig, margin: float, margin_c: float
-) -> float:
-    """Minimum hinge/selection boundary distance across both losses and all dims."""
-    gap = min(mnrl_breakpoint_gap(batch, margin, m) for m in config.dims)
-    if len(batch.labels):
-        gap = min(gap, min(ocl_breakpoint_gap(batch, margin_c, m) for m in config.dims))
-    return gap
+def breakpoint_gap(batch: LossBatch, dims: DimSet, margin: float, margin_c: float) -> float:
+    """Distance from the nearest kink of the batch's losses at any m in `dims`.
+
+    The hinge kinks are |margin - cos(q,p) + cos(q,n)| when the batch has
+    queries; with pairs, the contrastive kinks are |margin_c - d| for negative
+    distances d and, with both labels present, the distances from the hard-pair
+    selection thresholds. Finite-difference probes closer to a kink than this
+    are unreliable; `grad_check` uses it to skip them.
+    """
+    gaps = [np.inf]
+    for m in dims:
+        m = batch.dims.require(m)
+        for *_, sp, sn in _query_similarities(batch, m):
+            gaps.append(np.abs(margin - sp[:, None] + sn[None, :]).min())
+        if len(batch.labels):
+            dist = 1.0 - _pair_cosines(batch, m)[-1]
+            pos = batch.labels == 1
+            d_pos, d_neg = dist[pos], dist[~pos]
+            if d_neg.size:
+                gaps.append(np.abs(margin_c - d_neg).min())
+            if d_pos.size and d_neg.size:
+                gaps.append(np.abs(d_pos - d_neg.min()).min())
+                gaps.append(np.abs(d_neg - d_pos.max()).min())
+    return float(min(gaps))
 
 
 def grad_check(

@@ -49,7 +49,6 @@ from .encoder import (
 from .errors import DataError, NumericalError
 from .losses import (
     LossBatch,
-    MrlConfig,
     mnrl_hinge,
     mrl_compose,
     multitask_step_loss,
@@ -101,6 +100,8 @@ class TrainConfig:
             raise ValueError(f"margin must be in [0, 2], got {self.margin}")
         if not 0.0 < self.margin_c < 2.0:
             raise ValueError(f"margin_c must be in (0, 2), got {self.margin_c}")
+        if self.lambda_ocl < 0:
+            raise ValueError(f"lambda_ocl must be >= 0, got {self.lambda_ocl}")
         if self.bucket_count < 1:
             raise ValueError(f"bucket_count must be >= 1, got {self.bucket_count}")
         if self.feature_dim < 1:
@@ -377,8 +378,9 @@ class TrainHistory:
 # --- training loop ---------------------------------------------------------------
 
 
-def _phase_mrl_config(config: TrainConfig, phase: Phase) -> MrlConfig:
-    return MrlConfig.uniform(config.dims if phase.nested else DimSet((config.dims.full,)))
+def _phase_mrl_config(config: TrainConfig, phase: Phase) -> DimSet:
+    """The dims a phase's loss sums over: every nested one, or the full one alone."""
+    return config.dims if phase.nested else DimSet((config.dims.full,))
 
 
 def _epoch_seed(seed: int, phase_index: int, epoch: int) -> int:
@@ -386,7 +388,7 @@ def _epoch_seed(seed: int, phase_index: int, epoch: int) -> int:
     return seed + 1_000_003 * (phase_index + 1) + epoch
 
 
-def _step_loss(model, bags, batch: StepBatch, phase: Phase, mrl_cfg: MrlConfig, config: TrainConfig):
+def _step_loss(model, bags, batch: StepBatch, phase: Phase, dims: DimSet, config: TrainConfig):
     """Loss output, and the step's distinct feature bags and their pooled rows,
     one per row of the loss gradient. Each text is pooled and embedded once and
     its gradient row sums all its occurrences (exact, since backward is linear
@@ -410,13 +412,11 @@ def _step_loss(model, bags, batch: StepBatch, phase: Phase, mrl_cfg: MrlConfig, 
     loss_batch, texts = LossBatch.from_texts(embed, model.dims, **roles)
 
     if phase.task == "mnrl":
-        out = mrl_compose(lambda b, m: mnrl_hinge(b, config.margin, m), loss_batch, mrl_cfg)
+        out = mrl_compose(lambda b, m: mnrl_hinge(b, config.margin, m), loss_batch, dims)
     elif phase.task == "ocl":
-        out = mrl_compose(lambda b, m: ocl(b, config.margin_c, m), loss_batch, mrl_cfg)
+        out = mrl_compose(lambda b, m: ocl(b, config.margin_c, m), loss_batch, dims)
     else:
-        out = multitask_step_loss(
-            loss_batch, mrl_cfg, config.margin, config.margin_c, config.lambda_ocl
-        )
+        out = multitask_step_loss(loss_batch, dims, config.margin, config.margin_c, config.lambda_ocl)
 
     if not np.isfinite(out.value):
         raise NumericalError(f"non-finite loss value {out.value!r}")
@@ -440,7 +440,7 @@ def train(
     global_step = 0
     for phase_index, phase in enumerate(schedule_phases(config.schedule)):
         state = OptimizerState.zeros(model.parameters())
-        mrl_cfg = _phase_mrl_config(config, phase)
+        dims = _phase_mrl_config(config, phase)
         epochs = [
             build_batches(records, config.batch_size, _epoch_seed(config.seed, phase_index, epoch))
             for epoch in range(1, config.epochs + 1)
@@ -450,7 +450,7 @@ def train(
         for epoch, batches in enumerate(epochs, start=1):
             for batch in batches:
                 phase_step += 1
-                out, step_bags, pooled = _step_loss(model, bags, batch, phase, mrl_cfg, config)
+                out, step_bags, pooled = _step_loss(model, bags, batch, phase, dims, config)
                 if out is None:
                     continue
                 grads = backward(model, step_bags, out.gradient, pooled, grad_table)

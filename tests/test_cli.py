@@ -154,7 +154,8 @@ BAD_VALUES = [
     ("train", "epochs", -1), ("ablate", "lr", -1), ("eval", "ks", 0),
     ("eval", "dims", "16,8,5"), ("hist", "bins", 0), ("train", "lr", "fast"),
     ("train", "schedule", "bogus"), ("eval", "corpus_cap", "lots"), ("search", "k", "ten"),
-    ("hist", "bins", "ten"),
+    ("hist", "bins", "ten"), ("train", "lambda_ocl", -1), ("ablate", "lambda_ocl", -1),
+    ("search", "dim", 0), ("hist", "dim", 0),
 ]
 
 
@@ -313,6 +314,19 @@ def test_eval_report_embeds_config(workspace):
     assert payload["config"]["dims"] == [16, 8]
     assert payload["config"]["ks"] == [3, 5]
     assert "report" in payload and "metrics" in payload["report"]
+
+
+def test_eval_defaults_to_the_models_dims(workspace, tmp_path):
+    args = ["eval", "--model", str(workspace["model"]), "--test",
+            str(workspace["data"] / "test.jsonl"), "--ks", "3"]
+    default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+    assert main([*args, "--report", str(default)]) == 0
+    assert main([*args, "--dims", "16,8,4", "--report", str(explicit)]) == 0
+    payloads = [json.loads(path.read_text()) for path in (default, explicit)]
+    assert payloads[0]["config"]["dims"] == [16, 8, 4]
+    for payload in payloads:
+        del payload["config"]["report"]
+    assert payloads[0] == payloads[1]
 
 
 def test_eval_repeat_is_byte_identical(workspace):

@@ -17,7 +17,7 @@ from near2.encoder import (
     xorshift_uniform,
 )
 from near2.errors import FormatError
-from near2.losses import LossBatch, MrlConfig, grad_check, mnrl_breakpoint_gap, mnrl_hinge, mrl_compose
+from near2.losses import LossBatch, breakpoint_gap, grad_check, mnrl_hinge, mrl_compose
 from near2.nested import DimSet
 
 
@@ -133,17 +133,27 @@ class TestEncode:
         assert np.array_equal(encode(model, "linear check").values, 2.0 * base)
 
 
+def pooled_rows(model, bags):
+    """The pooled rows embed_bag gives the bags, one per bag."""
+    return np.array([embed_bag(model, bag)[0] for bag in bags]).reshape(len(bags), model.feature_dim)
+
+
+def fresh_backward(model, bags, upstream):
+    """backward over the bags' pooled rows into a fresh zero table."""
+    return backward(model, bags, upstream, pooled_rows(model, bags), np.zeros_like(model.feature_table))
+
+
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         model = tiny_model()
-        grads = backward(model, [tokenize("some text", model.bucket_count)], np.zeros((1, model.full_dim)))
+        grads = fresh_backward(model, [tokenize("some text", model.bucket_count)], np.zeros((1, model.full_dim)))
         assert np.all(grads["feature_table"] == 0.0)
         assert np.all(grads["projection"] == 0.0)
 
     def test_scalar_chain_rule(self):
         model = EncoderModel.create(bucket_count=1, feature_dim=1, dims=DimSet((1,)), seed=3)
         up = np.array([2.5])
-        grads = backward(model, [tokenize("a", model.bucket_count)], up[None, :])
+        grads = fresh_backward(model, [tokenize("a", model.bucket_count)], up[None, :])
         pooled = model.feature_table[0, 0]  # single bucket, count-weighted mean = row
         assert grads["projection"][0, 0] == pytest.approx(pooled * 2.5, rel=1e-12)
         assert grads["feature_table"][0, 0] == pytest.approx(model.projection[0, 0] * 2.5, rel=1e-12)
@@ -152,7 +162,7 @@ class TestBackward:
         model = tiny_model()
         text = "alpha beta"
         touched = set(tokenize(text, model.bucket_count).ids.tolist())
-        grads = backward(model, [tokenize(text, model.bucket_count)], np.ones((1, model.full_dim)))
+        grads = fresh_backward(model, [tokenize(text, model.bucket_count)], np.ones((1, model.full_dim)))
         for row in range(model.bucket_count):
             if row not in touched:
                 assert np.all(grads["feature_table"][row] == 0.0)
@@ -160,14 +170,16 @@ class TestBackward:
     def test_shape_mismatch(self):
         model = tiny_model()
         a, b = (tokenize(t, model.bucket_count) for t in ("a", "b"))
+        one, two = pooled_rows(model, [a]), pooled_rows(model, [a, b])
+        table = np.zeros_like(model.feature_table)
         with pytest.raises(ValueError):
-            backward(model, [a], np.zeros((1, 3)))
+            backward(model, [a], np.zeros((1, 3)), one, table)
         with pytest.raises(ValueError):
-            backward(model, [a, b], np.zeros((1, model.full_dim)))
+            backward(model, [a, b], np.zeros((1, model.full_dim)), two, table)
         with pytest.raises(ValueError):
-            backward(model, [a, b], np.zeros((2, model.full_dim)), np.zeros((1, model.feature_dim)))
+            backward(model, [a, b], np.zeros((2, model.full_dim)), one, table)
         with pytest.raises(ValueError):
-            backward(model, [a], np.zeros((1, model.full_dim)), grad_table=np.zeros((2, 2)))
+            backward(model, [a], np.zeros((1, model.full_dim)), one, np.zeros((2, 2)))
 
     def test_pooled_rows_and_reused_buffer_match_fresh_call(self):
         model = tiny_model(seed=2)
@@ -176,9 +188,9 @@ class TestBackward:
         steps = (["red flower pot", "", "blue hose"], ["garden hose", "red pot", "blue hose"])
         for texts in steps:
             bags = [tokenize(t, model.bucket_count) for t in texts]
-            pooled = np.array([embed_bag(model, bag)[0] for bag in bags])
+            pooled = pooled_rows(model, bags)
             upstream = rng.normal(size=(len(bags), model.full_dim))
-            fresh = backward(model, bags, upstream)
+            fresh = backward(model, bags, upstream, pooled, np.zeros_like(model.feature_table))
             reused = backward(model, bags, upstream, pooled, buffer)
             assert reused["feature_table"] is buffer
             for name, grad in fresh.items():
@@ -204,11 +216,11 @@ class TestBackward:
             ref_proj += np.outer(w @ model.feature_table[bag.ids], up)
             np.add.at(ref_table, bag.ids, w[:, None] * (model.projection @ up)[None, :])
 
-        per_occurrence = backward(model, [tokenize(t, model.bucket_count) for t in texts], upstream)
+        per_occurrence = fresh_backward(model, [tokenize(t, model.bucket_count) for t in texts], upstream)
         distinct = list(dict.fromkeys(texts))
         summed = np.zeros((len(distinct), model.full_dim))
         np.add.at(summed, [distinct.index(t) for t in texts], upstream)
-        per_text = backward(model, [tokenize(t, model.bucket_count) for t in distinct], summed)
+        per_text = fresh_backward(model, [tokenize(t, model.bucket_count) for t in distinct], summed)
         for grads in (per_occurrence, per_text):
             np.testing.assert_allclose(grads["feature_table"], ref_table, rtol=1e-12, atol=0)
             np.testing.assert_allclose(grads["projection"], ref_proj, rtol=1e-12, atol=0)
@@ -217,7 +229,6 @@ class TestBackward:
         model = tiny_model(seed=1, buckets=32, feature_dim=4, dims=(8, 4))
         texts = ["red flower pot", "blue flower", "green garden hose", "red pot"]
         dims = model.dims
-        cfg = MrlConfig.uniform(dims)
         shapes = {k: v.shape for k, v in model.parameters().items()}
 
         def set_params(theta):
@@ -234,15 +245,15 @@ class TestBackward:
         def loss(theta):
             set_params(theta)
             batch, distinct = batch_of(texts)
-            out = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, cfg)
+            out = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, dims)
             bags = [tokenize(t, model.bucket_count) for t in distinct]
-            grads = backward(model, bags, out.gradient)
+            grads = fresh_backward(model, bags, out.gradient)
             flat = np.concatenate([grads["feature_table"].ravel(), grads["projection"].ravel()])
             return out.value, flat
 
         def gap(theta):
             set_params(theta)
-            return min(mnrl_breakpoint_gap(batch_of(texts)[0], 0.75, m) for m in dims)
+            return breakpoint_gap(batch_of(texts)[0], dims, 0.75, 0.5)
 
         theta0 = np.concatenate(
             [model.feature_table.ravel().copy(), model.projection.ravel().copy()]

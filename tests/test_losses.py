@@ -8,15 +8,12 @@ from near2.errors import NumericalError
 from near2.losses import (
     LossBatch,
     LossOutput,
-    MrlConfig,
+    breakpoint_gap,
     grad_check,
-    mnrl_breakpoint_gap,
     mnrl_hinge,
     mrl_compose,
-    multitask_breakpoint_gap,
     multitask_step_loss,
     ocl,
-    ocl_breakpoint_gap,
 )
 from near2.nested import DimSet
 
@@ -211,21 +208,15 @@ class TestMrlCompose:
         return task
 
     def test_uniform_sum(self):
-        cfg = MrlConfig(DimSet((4, 2)), (1.0, 1.0))
-        out = mrl_compose(self.fake_task({4: 0.3, 2: 0.5}), None, cfg)
+        out = mrl_compose(self.fake_task({4: 0.3, 2: 0.5}), None, DimSet((4, 2)))
         assert out.value == pytest.approx(0.8, rel=1e-12)
         assert out.per_dim == {4: 0.3, 2: 0.5}
-
-    def test_weighted_sum(self):
-        cfg = MrlConfig(DimSet((4, 2)), (2.0, 0.5))
-        out = mrl_compose(self.fake_task({4: 0.3, 2: 0.5}), None, cfg)
-        assert out.value == pytest.approx(2 * 0.3 + 0.5 * 0.5, rel=1e-12)
 
     def test_single_dimension_degenerate_case(self):
         rng = np.random.default_rng(2)
         batch = random_batch(rng, DimSet((4,)))
         direct = mnrl_hinge(batch, 0.75, 4)
-        composed = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, MrlConfig.uniform(DimSet((4,))))
+        composed = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, DimSet((4,)))
         assert composed.value == direct.value
         assert np.array_equal(composed.gradient, direct.gradient)
 
@@ -234,29 +225,16 @@ class TestMrlCompose:
             raise ValueError("synthetic failure")
 
         with pytest.raises(ValueError, match="m=4"):
-            mrl_compose(boom, None, MrlConfig.uniform(DimSet((4, 2))))
+            mrl_compose(boom, None, DimSet((4, 2)))
 
     def test_decomposition_invariant_random(self):
         rng = np.random.default_rng(7)
         dims = DimSet((6, 4, 2))
         for _ in range(100):
-            weights = tuple(float(w) for w in rng.uniform(0.1, 3.0, size=3))
-            cfg = MrlConfig(dims, weights)
             batch = random_batch(rng, dims)
-            out = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, cfg)
-            recomputed = sum(c * out.per_dim[m] for m, c in zip(cfg.dims, cfg.weights))
+            out = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, dims)
+            recomputed = sum(out.per_dim[m] for m in dims)
             assert abs(out.value - recomputed) <= 1e-9
-
-    def test_weight_scaling_is_exact_for_powers_of_two(self):
-        rng = np.random.default_rng(9)
-        dims = DimSet((6, 3))
-        batch = random_batch(rng, dims)
-        base_cfg = MrlConfig(dims, (1.25, 0.75))
-        scaled_cfg = MrlConfig(dims, (2 * 1.25, 2 * 0.75))
-        base = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, base_cfg)
-        scaled = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, scaled_cfg)
-        assert scaled.value == 2 * base.value
-        assert np.array_equal(scaled.gradient, 2 * base.gradient)
 
 
 class TestMultitask:
@@ -264,9 +242,8 @@ class TestMultitask:
         rng = np.random.default_rng(13)
         dims = DimSet((6, 3))
         batch = occurrence_batch(dims, **random_triplets(rng, dims), **random_pairs(rng, dims))
-        cfg = MrlConfig.uniform(dims)
-        combined = multitask_step_loss(batch, cfg, 0.75, 0.5, lambda_ocl=0.0)
-        mnrl_only = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, cfg)
+        combined = multitask_step_loss(batch, dims, 0.75, 0.5, lambda_ocl=0.0)
+        mnrl_only = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, dims)
         assert combined.value == mnrl_only.value
         assert np.array_equal(combined.gradient, mnrl_only.gradient)
 
@@ -274,10 +251,9 @@ class TestMultitask:
         rng = np.random.default_rng(17)
         dims = DimSet((6, 3))
         batch = occurrence_batch(dims, **random_triplets(rng, dims), **random_pairs(rng, dims))
-        cfg = MrlConfig.uniform(dims)
-        combined = multitask_step_loss(batch, cfg, 0.75, 0.5, lambda_ocl=1.0)
-        a = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, cfg)
-        b = mrl_compose(lambda b, m: ocl(b, 0.5, m), batch, cfg)
+        combined = multitask_step_loss(batch, dims, 0.75, 0.5, lambda_ocl=1.0)
+        a = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, dims)
+        b = mrl_compose(lambda b, m: ocl(b, 0.5, m), batch, dims)
         assert combined.value == pytest.approx(a.value + b.value, rel=1e-12)
         assert np.array_equal(combined.gradient, a.gradient + b.gradient)
 
@@ -285,11 +261,35 @@ class TestMultitask:
         rng = np.random.default_rng(19)
         dims = DimSet((4, 2))
         triplets = random_batch(rng, dims)
-        cfg = MrlConfig.uniform(dims)
-        combined = multitask_step_loss(triplets, cfg, 0.75, 0.5, 1.0)
-        mnrl_only = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), triplets, cfg)
+        combined = multitask_step_loss(triplets, dims, 0.75, 0.5, 1.0)
+        mnrl_only = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), triplets, dims)
         assert combined.value == mnrl_only.value
         assert any("empty pair batch" in w for w in combined.warnings)
+
+
+class TestBreakpointGap:
+    def test_hinge_kink_distance(self):
+        batch = triplet_from_cosines([0.9, 0.5], [0.2])
+        # |0.75 - 0.9 + 0.2| = 0.05 beats |0.75 - 0.5 + 0.2| = 0.45
+        assert breakpoint_gap(batch, D2, 0.75, 0.5) == pytest.approx(0.05, rel=1e-9)
+
+    def test_pair_kink_distance(self):
+        batch = pairs_from_distances([0.8, 0.3], [1, 0])
+        # |margin_c - 0.3| = 0.2 beats the selection thresholds |0.8 - 0.3| = 0.5
+        assert breakpoint_gap(batch, D2, 0.75, 0.5) == pytest.approx(0.2, rel=1e-9)
+
+    def test_no_terms_is_infinite(self):
+        assert breakpoint_gap(LossBatch(np.zeros((0, 2)), D2), D2, 0.75, 0.5) == np.inf
+
+    def test_covers_both_losses_at_every_dimension(self):
+        rng = np.random.default_rng(23)
+        dims = DimSet((6, 3))
+        triplets, pairs = random_triplets(rng, dims), random_pairs(rng, dims)
+        both = occurrence_batch(dims, **triplets, **pairs)
+        parts = (occurrence_batch(dims, **triplets), occurrence_batch(dims, **pairs))
+        gap = breakpoint_gap(both, dims, 0.75, 0.5)
+        assert gap == min(breakpoint_gap(part, dims, 0.75, 0.5) for part in parts)
+        assert gap == min(breakpoint_gap(both, DimSet((m,)), 0.75, 0.5) for m in dims)
 
 
 class TestGradCheck:
@@ -321,7 +321,7 @@ class TestGradCheck:
             grad_check(lambda t: (0.0, np.zeros_like(t)), np.zeros(2), step=0.0)
 
 
-def _mnrl_theta_loss(dims, margin, shape_spec, cfg):
+def _mnrl_theta_loss(dims, margin, shape_spec):
     """Loss closure over the flattened embedding matrix of a per-occurrence batch."""
     _, pos_counts, neg_counts = shape_spec
     rows = occurrence_rows(pos_counts, neg_counts)
@@ -330,11 +330,11 @@ def _mnrl_theta_loss(dims, margin, shape_spec, cfg):
         return LossBatch(theta.reshape(-1, dims.full), dims, **rows)
 
     def loss(theta):
-        out = mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch_of(theta), cfg)
+        out = mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch_of(theta), dims)
         return out.value, out.gradient.ravel()
 
     def gap(theta):
-        return min(mnrl_breakpoint_gap(batch_of(theta), margin, m) for m in cfg.dims)
+        return breakpoint_gap(batch_of(theta), dims, margin, 0.5)
 
     return loss, gap
 
@@ -342,11 +342,10 @@ def _mnrl_theta_loss(dims, margin, shape_spec, cfg):
 def test_mnrl_composite_grad_check_seed_7():
     rng = np.random.default_rng(7)
     dims = DimSet((6, 3))
-    cfg = MrlConfig.uniform(dims)
     shape = (2, [2, 1], [2, 2])
     total = (2 + 3 + 4) * dims.full
     theta = rng.normal(size=total)
-    loss, gap = _mnrl_theta_loss(dims, 0.75, shape, cfg)
+    loss, gap = _mnrl_theta_loss(dims, 0.75, shape)
     err = grad_check(loss, theta, step=1e-5, gap=gap)
     assert err <= 1e-4
 
@@ -355,7 +354,6 @@ def test_mnrl_composite_grad_check_seed_7():
 def test_ocl_grad_check_random_seeds(seed):
     rng = np.random.default_rng(seed)
     dims = DimSet((5, 2))
-    cfg = MrlConfig.uniform(dims)
     pairs = random_pair_batch(rng, dims, n=5)
 
     def batch_of(theta):
@@ -363,11 +361,11 @@ def test_ocl_grad_check_random_seeds(seed):
                          rights=pairs.rights, labels=pairs.labels)
 
     def loss(theta):
-        out = mrl_compose(lambda b, m: ocl(b, 0.5, m), batch_of(theta), cfg)
+        out = mrl_compose(lambda b, m: ocl(b, 0.5, m), batch_of(theta), dims)
         return out.value, out.gradient.ravel()
 
     def gap(theta):
-        return min(ocl_breakpoint_gap(batch_of(theta), 0.5, m) for m in cfg.dims)
+        return breakpoint_gap(batch_of(theta), dims, 0.75, 0.5)
 
     err = grad_check(loss, pairs.embeddings.ravel(), step=1e-5, gap=gap)
     assert err <= 1e-4
@@ -377,7 +375,6 @@ def test_ocl_grad_check_random_seeds(seed):
 def test_multitask_grad_check_random_seeds(seed):
     rng = np.random.default_rng(100 + seed)
     dims = DimSet((4, 2))
-    cfg = MrlConfig.uniform(dims)
     triplets = random_triplets(rng, dims, n_queries=2, max_pos=2, max_neg=2)
     batch = occurrence_batch(dims, **triplets, **random_pairs(rng, dims, n=4))
 
@@ -386,11 +383,11 @@ def test_multitask_grad_check_random_seeds(seed):
                          batch.negatives, batch.lefts, batch.rights, batch.labels)
 
     def loss(theta):
-        out = multitask_step_loss(batch_of(theta), cfg, 0.75, 0.5, 1.0)
+        out = multitask_step_loss(batch_of(theta), dims, 0.75, 0.5, 1.0)
         return out.value, out.gradient.ravel()
 
     def gap(theta):
-        return multitask_breakpoint_gap(batch_of(theta), cfg, 0.75, 0.5)
+        return breakpoint_gap(batch_of(theta), dims, 0.75, 0.5)
 
     err = grad_check(loss, batch.embeddings.ravel(), step=1e-5, gap=gap)
     assert err <= 1e-4
@@ -430,9 +427,8 @@ def test_repeated_texts_share_one_row(seed, lambda_ocl):
     )
     assert len(texts) < len(keys)
 
-    cfg = MrlConfig(dims, (1.0, 0.5))
-    a = multitask_step_loss(shared, cfg, 0.75, 0.5, lambda_ocl)
-    b = multitask_step_loss(occurrences, cfg, 0.75, 0.5, lambda_ocl)
+    a = multitask_step_loss(shared, dims, 0.75, 0.5, lambda_ocl)
+    b = multitask_step_loss(occurrences, dims, 0.75, 0.5, lambda_ocl)
     assert a.value == b.value
     assert a.per_dim == b.per_dim
 

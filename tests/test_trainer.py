@@ -308,6 +308,21 @@ class TestSchedules:
         with pytest.raises(ValueError):
             TrainConfig(schedule="bogus")
 
+    def test_negative_lambda_ocl_rejected(self):
+        with pytest.raises(ValueError, match=r"lambda_ocl must be >= 0, got -0\.5"):
+            TrainConfig(lambda_ocl=-0.5)
+        assert TrainConfig(lambda_ocl=0.0).lambda_ocl == 0.0
+
+
+# sha256 of the float64 parameters after tiny_config(epochs=2, schedule=...)
+# training on small_dataset()
+TRAINED_DIGESTS = {
+    "mnrl": "e12f816d686316b6116d0d3c5adf8ca5c7641e88e383575cfb393693a7c3f94c",
+    "ocl": "9616aa427f5af6dac4431522ccb7ba4bc8cd270fd506cc18229d567b83611450",
+    "mnrl+ocl": "924d4c80ddba6b24e789b5e2c700cd432697b84dd1e6d074e811d79e62a54651",
+    "mrl-first": "d393ad5821dddfaed060153f40ff230b2c214ed42b1f6319c16c0103783c1c66",
+}
+
 
 class TestTrain:
     def test_zero_epochs_is_identity(self):
@@ -410,6 +425,17 @@ class TestTrain:
         for p in (model.feature_table, model.projection):
             digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
         assert digest.hexdigest() == "924d4c80ddba6b24e789b5e2c700cd432697b84dd1e6d074e811d79e62a54651"
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_trained_bits_are_pinned_for_every_schedule(self, schedule):
+        # each schedule reaches the nested composites through its own loss path
+        config = tiny_config(epochs=2, schedule=schedule)
+        train_recs, _, _ = small_dataset()
+        model, _ = train(tiny_model(config), train_recs, config)
+        digest = hashlib.sha256()
+        for p in (model.feature_table, model.projection):
+            digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+        assert digest.hexdigest() == TRAINED_DIGESTS[schedule]
 
     def test_jsonl_export_shape(self):
         config = tiny_config()
