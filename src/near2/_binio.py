@@ -3,13 +3,18 @@
 Both start (little-endian) with an 8-byte magic, a u32 format version, a few
 format-specific fixed fields, then dims_count u16 and the dims as u32 each in
 strictly descending order. `Reader` turns every short read or layout defect
-into a `FormatError` that names the kind of file.
+into a `FormatError` that names the kind of file. `write_atomically` is how
+both files are written.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import os
 import struct
+
+import numpy as np
 
 from .errors import FormatError
 from .nested import DimSet
@@ -22,6 +27,25 @@ def pack_header(magic: bytes, version: int, fields: str, values, dims: DimSet) -
         + struct.pack("<I" + fields, version, *values)
         + struct.pack(f"<H{len(dims)}I", len(dims), *dims)
     )
+
+
+def write_atomically(path, write) -> None:
+    """Call `write(fh)` on a new file beside `path`, then rename it over `path`.
+
+    A failed write leaves the old file as it was and no temporary file; a
+    process that has the old file mapped keeps reading the old file's bytes,
+    which overwriting it in place would change, or truncate, under the map.
+    """
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 class Reader:
@@ -37,6 +61,17 @@ class Reader:
         if len(data) != n:
             raise FormatError(f"{self.kind} file truncated while reading {what}")
         return data
+
+    def array(self, dtype: str, shape: tuple, what: str) -> np.ndarray:
+        """The next bytes read straight into a new array of `shape`."""
+        n = np.dtype(dtype).itemsize * math.prod(shape)
+        # checked against the file size before allocating, as in `exact`
+        if n > self.size - self.fh.tell():
+            raise FormatError(f"{self.kind} file truncated while reading {what}")
+        array = np.empty(shape, dtype)
+        if self.fh.readinto(array.reshape(-1).view("u1")) != n:
+            raise FormatError(f"{self.kind} file truncated while reading {what}")
+        return array
 
     def unpack(self, fmt: str, what: str) -> tuple:
         fmt = "<" + fmt

@@ -17,9 +17,11 @@ file, 3 numerical failure.
 computed: over the whole corpus for exact search, and over the shortlist
 re-ranked at HIGH for `--funnel LOW:HIGH`.
 
-Index files are written in format version 2 (column bands and a norm table,
-see `near2.index`). A version-1 index from an older release is refused with
-exit 2; re-run `near2 index` on the same titles to rebuild it.
+Index files are written in format version 3 (column bands, a norm table and
+a doc table of offsets into UTF-8 blobs, see `near2.index`). A version-1 or
+version-2 index from an older release is refused with exit 2; re-run
+`near2 index` on the same titles to rebuild it. `search` refuses, with exit
+2, a model whose nested dims differ from the index's.
 """
 
 from __future__ import annotations
@@ -319,7 +321,15 @@ def _cmd_search(values: dict) -> int:
             raise UsageError(f"--shortlist ({shortlist}) must be >= --k ({k})")
 
     index = load_index(values["index"])
+    dim = index.dims.full if values["dim"] is None else values["dim"]
+    for m in funnel or (dim,):
+        index.dims.require(m)
     model = load_model(values["model"])
+    if model.dims != index.dims:
+        raise DataError(
+            f"model dims {list(model.dims)} differ from the index's {list(index.dims)}; "
+            "search with the model the index was built with"
+        )
     query = encode(model, values["query"])
     if funnel:
         # ranking the whole shortlist at HIGH costs no extra scan; its first
@@ -329,7 +339,6 @@ def _cmd_search(values: dict) -> int:
         hits = ranked[:k]
         min_score = ranked[-1].score if ranked else float("nan")
     else:
-        dim = index.dims.full if values["dim"] is None else values["dim"]
         hits, min_score = search_exact_with_min(index, query, dim, k)
 
     print("rank\tdoc_id\ttitle\tscore\tscore_norm")
@@ -460,11 +469,18 @@ COMMANDS: dict[str, tuple[Callable, str, dict[str, Option]]] = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(only: str | None = None) -> _Parser:
+    """The parser for every command, or with `only` the one subparser it names.
+
+    Both print the same usage line, since the commands are listed only in
+    the full parser's help.
+    """
     parser = _Parser(prog="near2", description=__doc__)
     parser.add_argument("--version", action="version", version=f"near2 {__version__}")
     sub = parser.add_subparsers(dest="cmd", metavar="COMMAND")
     for command, (_, help_text, options) in COMMANDS.items():
+        if only is not None and command != only:
+            continue
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file with default flag values")
         for name, option in options.items():
@@ -478,7 +494,9 @@ def build_parser() -> _Parser:
 
 def run(argv) -> int:
     """Parse argv and dispatch; returns the process exit code."""
-    parser = build_parser()
+    # a leading command name is the only way a command is chosen, so the other
+    # subparsers cannot be used; anything else gets the full parser's messages
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         flags = vars(parser.parse_args(argv))
         command = flags.pop("cmd")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._binio import Reader, pack_header
+from ._binio import Reader, pack_header, write_atomically
 from .errors import FormatError
 from .nested import DimSet, NestedEmbedding
 
@@ -125,13 +125,20 @@ def xorshift_uniform(seed: int, count: int) -> np.ndarray:
 
 @dataclass
 class EncoderModel:
-    """Feature-hash table plus linear projection to the full nested dimension."""
+    """Feature-hash table plus linear projection to the full nested dimension.
+
+    A created model holds both in float64. A loaded model holds the feature
+    table in the file's float32, since a text reads only its own rows and
+    `_pool` widens those exactly, and the projection widened to float64;
+    `train` works on a float64 copy of a float32 table and leaves the loaded
+    model as it was.
+    """
 
     bucket_count: int
     feature_dim: int
     dims: DimSet
     seed: int
-    feature_table: np.ndarray  # (B, H) float64
+    feature_table: np.ndarray  # (B, H) float64, or float32 when loaded
     projection: np.ndarray  # (H, D) float64
 
     def __post_init__(self):
@@ -188,6 +195,7 @@ def feature_bags(texts, bucket_count: int) -> dict[str, FeatureBag]:
 
 def _pool(model: EncoderModel, bag: FeatureBag) -> np.ndarray:
     weights = bag.counts.astype(np.float64)
+    # float32 rows of a loaded table widen exactly in the float64 product
     rows = model.feature_table[bag.ids]
     return (rows * weights[:, None]).sum(axis=0) / weights.sum()
 
@@ -258,26 +266,27 @@ def backward(
 
 
 def save_model(model: EncoderModel, path) -> None:
+    """Write the model beside `path`, then rename it over `path`."""
     header_fields = (model.bucket_count, model.feature_dim, model.full_dim)
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(pack_header(MODEL_MAGIC, MODEL_VERSION, "III", header_fields, model.dims))
         fh.write(struct.pack("<Q", model.seed & _U64))
         fh.write(model.feature_table.astype("<f4").tobytes(order="C"))
         fh.write(model.projection.astype("<f4").tobytes(order="C"))
 
+    write_atomically(path, write)
+
 
 def load_model(path) -> EncoderModel:
+    """Read a model back: the feature table stays float32, the projection is widened."""
     with open(path, "rb") as fh:
         reader = Reader(fh, "model")
         buckets, feature_dim, full_dim = reader.header(MODEL_MAGIC, MODEL_VERSION, "III", path)
         dims = reader.dims(full_dim)
         (seed,) = reader.unpack("Q", "seed")
-        table = np.frombuffer(
-            reader.exact(4 * buckets * feature_dim, "feature table"), dtype="<f4"
-        ).astype(np.float64).reshape(buckets, feature_dim)
-        proj = np.frombuffer(
-            reader.exact(4 * feature_dim * full_dim, "projection"), dtype="<f4"
-        ).astype(np.float64).reshape(feature_dim, full_dim)
+        table = reader.array("<f4", (buckets, feature_dim), "feature table")
+        proj = reader.array("<f4", (feature_dim, full_dim), "projection").astype(np.float64)
         reader.end("model parameters")
     try:
         return EncoderModel(

@@ -12,27 +12,27 @@ A loaded index memory-maps its bands, so a search reads from disk only the
 bands (and, for a funnel's re-rank, the shortlist rows) it scores. Loading
 validates the norm table but not the vectors: a non-finite vector entry is
 caught when a scan reads it, as a non-finite dot product, and raises
-`FormatError`.
+`FormatError`. The doc table is mapped too: ids and titles are each one
+UTF-8 blob cut by offsets (`TextColumn`), checked whole at load and decoded
+a row at a time, only for the hits a search returns.
 """
 
 from __future__ import annotations
 
-import contextlib
 import mmap
-import os
-import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from ._binio import Reader, pack_header
+from ._binio import Reader, pack_header, write_atomically
 from .encoder import EncoderModel, encode
 from .errors import DataError, FormatError, ZeroVectorError
 from .nested import DimSet, NestedEmbedding, EPS_ZERO, l2_normalize, truncate
 
 INDEX_MAGIC = b"NEAR2IDX"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,45 @@ class SearchHit:
 def _band_edges(dims: DimSet) -> list[int]:
     """Column edges of the bands: 0, then every dim in ascending order."""
     return [0, *sorted(dims)]
+
+
+class TextColumn(Sequence):
+    """Row-indexable strings held as one UTF-8 blob and count + 1 offsets.
+
+    Row r is blob[offsets[r]:offsets[r + 1]], decoded only when it is read.
+    Built indexes hold the blob as bytes, loaded ones as a view of the map.
+    """
+
+    def __init__(self, offsets: np.ndarray, blob):
+        self.offsets = offsets  # (count + 1,) uint64, ascending from 0 to len(blob)
+        self.blob = blob
+
+    @classmethod
+    def of(cls, strings) -> "TextColumn":
+        if isinstance(strings, TextColumn):
+            return strings
+        encoded = [s.encode("utf-8") for s in strings]
+        offsets = np.zeros(len(encoded) + 1, dtype="<u8")
+        np.cumsum(np.array([len(b) for b in encoded], dtype="<u8"), out=offsets[1:])
+        return cls(offsets, b"".join(encoded))
+
+    def __len__(self) -> int:
+        return self.offsets.shape[0] - 1
+
+    def __getitem__(self, row) -> str:
+        row = range(len(self))[row]
+        return str(self.blob[int(self.offsets[row]) : int(self.offsets[row + 1])], "utf-8")
+
+    def take(self, rows: np.ndarray) -> list[str]:
+        """The strings of an array of rows, in its order."""
+        blob = self.blob
+        starts, ends = self.offsets[rows].tolist(), self.offsets[rows + 1].tolist()
+        return [str(blob[a:b], "utf-8") for a, b in zip(starts, ends)]
+
+    @property
+    def nbytes(self) -> int:
+        """Serialized bytes: the offsets and the blob."""
+        return self.offsets.nbytes + len(self.blob)
 
 
 class PrefixIndex:
@@ -79,6 +118,7 @@ class PrefixIndex:
         """Without `norms`, the norm table is computed from the bands."""
         degenerate = np.asarray(degenerate, dtype=bool)
         count = bands[0].shape[0]
+        ids, titles = TextColumn.of(ids), TextColumn.of(titles)
         if len(ids) != count or len(titles) != count or degenerate.shape != (count,):
             raise ValueError("ids, titles, degenerate flags and matrix rows must align")
         self.bands = _kernels.Bands(bands)
@@ -91,8 +131,8 @@ class PrefixIndex:
                 raise ValueError("index rows must be finite")
         for array in (*bands, norms, degenerate):
             array.setflags(write=False)
-        self.ids = list(ids)
-        self.titles = list(titles)
+        self.ids = ids
+        self.titles = titles
         self.dims = dims
         self.degenerate = degenerate
         # count x |M| float64; column j holds every row's prefix norm at dims[j]
@@ -163,9 +203,12 @@ def _top_hits(index: PrefixIndex, rows: np.ndarray, scores: np.ndarray, k: int) 
         keep = np.flatnonzero(scores >= kth)
         rows, scores = rows[keep], scores[keep]
     order = np.lexsort((rows, -scores))[:k]
+    rows, scores = rows[order], scores[order]
     return [
-        SearchHit(row=int(rows[o]), doc_id=index.ids[rows[o]], score=float(scores[o]), rank=r)
-        for r, o in enumerate(order, start=1)
+        SearchHit(row=row, doc_id=doc_id, score=score, rank=r)
+        for r, (row, doc_id, score) in enumerate(
+            zip(rows.tolist(), index.ids.take(rows), scores.tolist()), start=1
+        )
     ]
 
 
@@ -272,92 +315,86 @@ class MemoryFootprint:
 
 
 def memory_footprint(index: PrefixIndex, m: int) -> MemoryFootprint:
-    """count * m * 4 vector bytes for prefix m, and the doc table's serialized size.
+    """count * m * 4 vector bytes for prefix m, and the doc table's size.
 
     The vector bytes are exactly the bands a prefix-m scan reads, since the
     bands are cut at the dims; the norm table adds count * 8 bytes per m.
+    The doc table is both columns' offsets and UTF-8 blobs, without padding.
     """
     m = index.dims.require(m)
-    doc_bytes = sum(
-        2 + len(i.encode("utf-8")) + 4 + len(t.encode("utf-8"))
-        for i, t in zip(index.ids, index.titles)
-    )
+    doc_bytes = index.ids.nbytes + index.titles.nbytes
     return MemoryFootprint(vector_bytes=index.count * m * 4, doc_table_bytes=doc_bytes)
 
 
 # --- persistence ----------------------------------------------------------------
 #
-# Layout (little-endian), version 2: magic "NEAR2IDX", version u32 = 2, D u32,
+# Layout (little-endian), version 3: magic "NEAR2IDX", version u32 = 3, D u32,
 # count u64, dims_count u16 then dims u32 each (descending), degenerate-row
 # bitmap of ceil(count/8) bytes (row r -> byte r>>3, bit r&7, LSB first,
 # padding bits 0); then the norm table, count x dims_count float64 row-major
 # (row r, column j = the norm of row r's first dims[j] entries); then one
 # count x width float32 row-major band per dim in ascending order, band i
 # holding columns [M_(i-1), M_i) with M_0 = 0 and M_i the i-th smallest dim;
-# then per row: id length u16 + UTF-8 id + title length u32 + UTF-8 title.
-# Zero bytes pad the bitmap, the norm table and every band to a multiple of
-# 64 bytes from the start of the file, so each band can be memory-mapped as
-# an aligned array. Version 1 (one row-major count x D block, no norm table)
-# is not read.
+# then the doc table: 2 x (count + 1) u64 offsets, the ids' then the titles',
+# each ascending from 0 to its blob's length; the ids' UTF-8 blob; and the
+# titles' UTF-8 blob, which ends the file. Row r's id is the ids blob's bytes
+# [id_offsets[r], id_offsets[r + 1]), and likewise its title. Zero bytes pad
+# every section but the last to a multiple of 64 bytes from the start of the
+# file, so each can be memory-mapped as an aligned array. Versions 1 (one
+# row-major count x D block, no norm table) and 2 (a length-prefixed id and
+# title per row) are not read.
 
 _ALIGN = 64
 
 
-def _sections(count: int, dims: DimSet) -> tuple[list[tuple[int, int]], int]:
-    """(offset, length) of the norm table and of each band, and the doc table offset."""
+def _sections(
+    count: int, dims: DimSet, id_bytes: int = 0, title_bytes: int = 0
+) -> tuple[list[tuple[int, int]], int]:
+    """(offset, length) of each section after the bitmap, and the file size.
+
+    The sections in file order: the norm table, one band per dim, the doc
+    table's offsets, the ids blob and the titles blob, which ends the file.
+    """
     edges = _band_edges(dims)
     lengths = [8 * count * len(dims)] + [4 * count * (hi - lo) for lo, hi in zip(edges, edges[1:])]
+    lengths += [16 * (count + 1), id_bytes, title_bytes]
     sections, pos = [], 8 + 16 + 2 + 4 * len(dims) + (count + 7) // 8
     for length in lengths:
         pos += -pos % _ALIGN
         sections.append((pos, length))
         pos += length
-    return sections, pos + -pos % _ALIGN
+    return sections, pos
 
 
 def save_index(index: PrefixIndex, path) -> None:
     """Write the index beside `path`, then rename it over `path`.
 
-    A process that has the old file mapped keeps reading the old file's bytes;
-    overwriting it in place would change, or truncate, pages under the map.
+    A process that has the old file mapped keeps reading the old file's bytes.
     """
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            _write_index(index, fh)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+    write_atomically(path, lambda fh: _write_index(index, fh))
 
 
 def _write_index(index: PrefixIndex, fh) -> None:
     header_fields = (index.dims.full, index.count)
     fh.write(pack_header(INDEX_MAGIC, INDEX_VERSION, "IQ", header_fields, index.dims))
     fh.write(np.packbits(index.degenerate, bitorder="little").tobytes())
-    sections, doc_table = _sections(index.count, index.dims)
+    ids, titles = index.ids, index.titles
+    sections, _ = _sections(index.count, index.dims, len(ids.blob), len(titles.blob))
     arrays = [index._norms.astype("<f8", copy=False)]
     arrays += [band.astype("<f4", copy=False) for band in index.bands.arrays]
+    arrays += [np.concatenate([ids.offsets, titles.offsets]).astype("<u8", copy=False)]
+    arrays += [np.frombuffer(ids.blob, np.uint8), np.frombuffer(titles.blob, np.uint8)]
     for (offset, _), array in zip(sections, arrays):
         fh.write(bytes(offset - fh.tell()))
         fh.write(np.ascontiguousarray(array))
-    fh.write(bytes(doc_table - fh.tell()))
-    for doc_id, title in zip(index.ids, index.titles):
-        id_bytes = doc_id.encode("utf-8")
-        title_bytes = title.encode("utf-8")
-        fh.write(struct.pack("<H", len(id_bytes)))
-        fh.write(id_bytes)
-        fh.write(struct.pack("<I", len(title_bytes)))
-        fh.write(title_bytes)
 
 
 def load_index(path) -> PrefixIndex:
     """Read an index back; any structural defect raises before an index exists.
 
-    The bands stay memory-mapped; non-finite vector entries are found by the
-    scan that reads them (see `_dot_products`).
+    The bands and the doc table stay memory-mapped; non-finite vector entries
+    are found by the scan that reads them (see `_dot_products`). Every id and
+    title is checked to be valid UTF-8 here, but decoded only when read.
     """
     with open(path, "rb") as fh:
         reader = Reader(fh, "index")
@@ -374,19 +411,39 @@ def load_index(path) -> PrefixIndex:
         degenerate = flags[:count].astype(bool)
 
         bitmap_end = fh.tell()
-        sections, doc_table = _sections(count, dims)
-        if reader.size < doc_table:
-            raise FormatError("index file truncated while reading norm table and vector bands")
+        offsets_at, offsets_length = _sections(count, dims)[0][-3]
+        if reader.size < offsets_at + offsets_length:
+            raise FormatError(
+                "index file truncated while reading norm table, vector bands and doc table offsets"
+            )
         # the map outlives `fh`: the arrays below hold it open
         buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
+    offsets = np.frombuffer(buf, "<u8", 2 * (count + 1), offsets_at).reshape(2, count + 1)
+    if not (np.all(offsets[:, 0] == 0) and np.all(offsets[:, 1:] >= offsets[:, :-1])):
+        raise FormatError("doc table offsets must ascend from 0")
+    id_offsets, title_offsets = offsets
+    sections, size = _sections(count, dims, int(id_offsets[-1]), int(title_offsets[-1]))
+    for what, column_offsets, (at, length) in (
+        ("id", id_offsets, sections[-2]), ("title", title_offsets, sections[-1])
+    ):
+        if length and len(buf) < at + length:
+            # the first row whose bytes run past the end of the file
+            row = np.searchsorted(column_offsets[1:], max(len(buf) - at, 0), side="right")
+            raise FormatError(f"index file truncated while reading {what} of row {row}")
+    if len(buf) != size:
+        raise FormatError(
+            "index file truncated while reading doc table" if len(buf) < size
+            else "trailing bytes after doc table"
+        )
+
     gaps = zip([bitmap_end] + [offset + length for offset, length in sections],
-               [offset for offset, _ in sections] + [doc_table])
+               [offset for offset, _ in sections])
     for start, stop in gaps:
         if buf[start:stop].strip(b"\0"):
             raise FormatError("nonzero padding bytes between index sections")
 
-    (norm_at, _), *band_sections = sections
+    (norm_at, _), *band_sections = sections[:-3]
     norms = np.frombuffer(buf, "<f8", count * len(dims), norm_at).reshape(count, len(dims))
     # computed tables are finite, non-negative and never shrink as m grows,
     # which keeps every funnel survivor usable at its re-rank dim
@@ -399,45 +456,34 @@ def load_index(path) -> PrefixIndex:
         np.frombuffer(buf, "<f4", count * (hi - lo), offset).reshape(count, hi - lo)
         for (offset, _), lo, hi in zip(band_sections, edges, edges[1:])
     ]
-    ids, titles = _parse_doc_table(buf[doc_table:], count)
+    ids = _text_column(buf, id_offsets, sections[-2], "id")
+    titles = _text_column(buf, title_offsets, sections[-1], "title")
     return PrefixIndex._from_bands(ids, titles, bands, dims, degenerate, norms)
 
 
-_ID_LENGTH, _TITLE_LENGTH = struct.Struct("<H"), struct.Struct("<I")
+def _text_column(buf, offsets: np.ndarray, section: tuple[int, int], what: str) -> TextColumn:
+    """The column over a mapped blob whose every row is valid UTF-8.
 
-
-def _parse_doc_table(buf: bytes, count: int) -> tuple[list[str], list[str]]:
-    """The `count` (id, title) rows of a doc table that must fill `buf` exactly."""
-    ids, titles, pos, end = [], [], 0, len(buf)
+    The whole blob decodes, and no offset but the end falls on a UTF-8
+    continuation byte, so every row's slice starts and ends on a character
+    boundary and decodes too.
+    """
+    at, length = section
+    blob = memoryview(buf)[at : at + length]
     try:
-        for row in range(count):
-            what = "id length"
-            (n,) = _ID_LENGTH.unpack_from(buf, pos)
-            what, pos = "id", pos + 2 + n
-            if pos > end:
-                raise _truncated(what, row)
-            ids.append(buf[pos - n : pos].decode("utf-8"))
-            what = "title length"
-            (n,) = _TITLE_LENGTH.unpack_from(buf, pos)
-            what, pos = "title", pos + 4 + n
-            if pos > end:
-                raise _truncated(what, row)
-            titles.append(buf[pos - n : pos].decode("utf-8"))
-    except struct.error:  # a length field cut short
-        raise _truncated(what, row) from None
-    except UnicodeDecodeError:
+        str(blob, "utf-8")
+    except UnicodeDecodeError as e:
+        row = np.searchsorted(offsets[1:], e.start, side="right")
         raise FormatError(f"{what} of row {row} is not valid UTF-8") from None
-    if pos != end:
-        raise FormatError("trailing bytes after doc table")
-    return ids, titles
-
-
-def _truncated(what: str, row: int) -> FormatError:
-    return FormatError(f"index file truncated while reading {what} of row {row}")
+    inner = offsets[offsets < length]  # ascending, so a prefix of `offsets`
+    cut = np.flatnonzero(np.frombuffer(blob, np.uint8)[inner] & 0xC0 == 0x80)
+    if cut.size:
+        # offsets[cut[0]] splits a character, and the row before it ends there
+        raise FormatError(f"{what} of row {cut[0] - 1} is not valid UTF-8")
+    return TextColumn(offsets, blob)
 
 
 def index_file_size(index: PrefixIndex) -> int:
     """Exact serialized byte count implied by the format: header and bitmap,
-    the norm table and the bands, each padded to 64 bytes, then the doc table."""
-    doc = memory_footprint(index, index.dims.full).doc_table_bytes
-    return _sections(index.count, index.dims)[1] + doc
+    then every section, each but the last padded to 64 bytes."""
+    return _sections(index.count, index.dims, len(index.ids.blob), len(index.titles.blob))[1]

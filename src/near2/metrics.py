@@ -180,9 +180,12 @@ def sequential_evaluate(
 
     For each prefix dimension m the evaluator runs an exact top-k search per
     query and averages precision/recall/NDCG/MRR at each cutoff. Queries whose
-    text embeds degenerately are skipped and counted.
+    text embeds degenerately are skipped and counted. Every dimension is
+    checked against the model's before anything is embedded.
     """
     dims = dims if isinstance(dims, DimSet) else DimSet(tuple(dims))
+    for m in dims:
+        model.dims.require(m)
     ks = tuple(sorted(int(k) for k in ks))
     index, usable, skipped = judged_queries(model, records, corpus_cap, seed)
 

@@ -432,8 +432,16 @@ def train(
     """Run the configured schedule; returns the trained model and its history.
 
     The sequential evaluator runs after every epoch when validation records
-    are provided. With epochs=0 the model is returned untouched.
+    are provided. With epochs=0 the model is returned untouched. A float64
+    model is trained in place; a loaded model, whose feature table is
+    float32, is first copied into a float64 model and left as it was.
     """
+    if model.feature_table.dtype != np.float64:
+        model = replace(
+            model,
+            feature_table=model.feature_table.astype(np.float64),
+            projection=model.projection.copy(),
+        )
     history = TrainHistory()
     bags = feature_bags((s for r in records for s in (r.query, r.title)), model.bucket_count)
     grad_table = np.zeros_like(model.feature_table)  # all zeros between steps

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import near2
+from near2 import cli, metrics
 from near2.cli import build_parser, main
-from near2.encoder import encode, load_model, save_model
-from near2.index import _sections, index_file_size, load_index, memory_footprint, search_funnel
+from near2.encoder import EncoderModel, encode, load_model, save_model
+from near2.index import _sections, load_index, search_funnel
+from near2.nested import DimSet
 
 TINY = [
     "--dims", "16,8,4", "--buckets", "128", "--feature-dim", "8",
@@ -220,6 +222,38 @@ def test_subcommand_flag_set(command):
     assert flags == {"-h", "--help", "--config", *("--" + f for f in FLAGS[command].split())}
 
 
+def test_run_builds_only_the_named_subparser(workspace, monkeypatch, capsys):
+    built = []
+
+    def recording_build_parser(only=None):
+        built.append(only)
+        return build_parser(only)
+
+    monkeypatch.setattr(cli, "build_parser", recording_build_parser)
+    assert main(["search", "--index", str(workspace["index"]), "--model",
+                 str(workspace["model"]), "--query", "plants"]) == 0
+    assert main(["bogus"]) == 1
+    assert "invalid choice: 'bogus' (choose from 'synth', 'train'" in capsys.readouterr().err
+    assert built == ["search", None]
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_one_command_parser_has_the_full_parsers_usage_and_flags(command):
+    def subparser(parser):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices[command]
+
+    full, one = build_parser(), build_parser(command)
+    assert one.format_usage() == full.format_usage()
+    assert subparser(one).format_help() == subparser(full).format_help()
+
+
+def test_top_level_help_lists_every_command(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in FLAGS)
+
+
 def _non_finite_model(workspace, tmp_path):
     model = load_model(workspace["model"])
     model.projection[0, 0] = float("nan")
@@ -230,7 +264,7 @@ def _non_finite_model(workspace, tmp_path):
 def _non_utf8_index(workspace, tmp_path):
     index = load_index(workspace["index"])
     data = bytearray(workspace["index"].read_bytes())
-    data[index_file_size(index) - memory_footprint(index, 4).doc_table_bytes + 2] = 0xFF
+    data[_sections(index.count, index.dims)[0][-2][0]] = 0xFF  # the ids blob's first byte
     (tmp_path / "bad-id.idx").write_bytes(bytes(data))
     return tmp_path / "bad-id.idx"
 
@@ -271,6 +305,18 @@ def test_model_with_bad_dims_exits_two_without_traceback(workspace, tmp_path):
     assert proc.returncode == 2
     assert "bad dimension list" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("dims", [(32, 16), (16, 12, 4)], ids=["other-full-dim", "other-cuts"])
+def test_model_with_other_dims_than_the_index_exits_two(workspace, tmp_path, dims):
+    path = tmp_path / "other-dims.bin"
+    save_model(EncoderModel.create(bucket_count=128, feature_dim=8, dims=DimSet(dims)), path)
+    proc = _cli("search", "--index", str(workspace["index"]), "--model", str(path),
+                "--query", "plants", "--dim", "16")
+    assert proc.returncode == 2
+    assert f"model dims {list(dims)} differ from the index's [16, 8, 4]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_version_1_index_exits_two_naming_near2_index(workspace, tmp_path):
@@ -327,6 +373,17 @@ def test_eval_defaults_to_the_models_dims(workspace, tmp_path):
     for payload in payloads:
         del payload["config"]["report"]
     assert payloads[0] == payloads[1]
+
+
+def test_eval_checks_dims_before_building_the_index(workspace, tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(metrics, "build_index", lambda *a: calls.append(a))
+    code = main(["eval", "--model", str(workspace["model"]), "--test",
+                 str(workspace["data"] / "test.jsonl"), "--dims", "16,5",
+                 "--report", str(tmp_path / "out.json")])
+    assert code == 1
+    assert "dimension 5 is not in the nested set [16, 8, 4]" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_eval_repeat_is_byte_identical(workspace):

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from near2.encoder import (
     EncoderModel,
@@ -276,6 +278,17 @@ class TestPersistence:
         assert np.array_equal(loaded.feature_table, model.feature_table.astype(np.float32))
         assert np.array_equal(loaded.projection, model.projection.astype(np.float32))
 
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(tiny_model(seed=1), path)
+        before = path.read_bytes()
+        broken = tiny_model(seed=2)
+        broken.projection = None  # fails after the header and the table are written
+        with pytest.raises(AttributeError):
+            save_model(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]  # no temp file left
+
     def test_file_size_matches_format_arithmetic(self, tmp_path):
         model = tiny_model()
         path = tmp_path / "model.bin"
@@ -322,3 +335,26 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError, match="trailing"):
             load_model(path)
+
+
+@pytest.fixture(scope="module")
+def loaded_and_widened(tmp_path_factory):
+    """A saved model loaded back, and the same model with its table widened to float64."""
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    save_model(tiny_model(seed=5, buckets=4096, feature_dim=16), path)
+    widened = load_model(path)
+    widened.feature_table = widened.feature_table.astype(np.float64)
+    return load_model(path), widened
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet=st.one_of(
+    st.sampled_from("aé日 -x9Ü"), st.characters(blacklist_categories=("Cs",))
+), max_size=40))
+def test_loaded_model_encodes_bitwise_like_its_float64_copy(loaded_and_widened, text):
+    loaded, widened = loaded_and_widened
+    assert loaded.feature_table.dtype == np.float32
+    got, want = encode(loaded, text), encode(widened, text)
+    assert got.degenerate == want.degenerate
+    assert got.values.dtype == np.float64
+    assert got.values.tobytes() == want.values.tobytes()

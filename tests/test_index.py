@@ -282,8 +282,8 @@ class TestPersistence:
         path = tmp_path / "corpus.idx"
         save_index(index, path)
         loaded = load_index(path)
-        assert loaded.ids == index.ids
-        assert loaded.titles == index.titles
+        assert list(loaded.ids) == list(index.ids)
+        assert list(loaded.titles) == list(index.titles)
         assert np.array_equal(loaded.matrix, index.matrix)
         assert np.array_equal(loaded.degenerate, index.degenerate)
         assert list(loaded.dims) == list(index.dims)
@@ -297,8 +297,8 @@ class TestPersistence:
         path = tmp_path / "u.idx"
         save_index(index, path)
         loaded = load_index(path)
-        assert loaded.ids == index.ids
-        assert loaded.titles == index.titles
+        assert list(loaded.ids) == list(index.ids)
+        assert list(loaded.titles) == list(index.titles)
 
     def test_file_size_matches_format_arithmetic(self, tmp_path):
         rng = np.random.default_rng(13)
@@ -308,17 +308,22 @@ class TestPersistence:
         save_index(index, path)
         assert path.stat().st_size == index_file_size(index)
         # the bands [0:4) and [4:8) are exactly count * D * 4 bytes of the file;
-        # the norm table holds count * |M| float64, and every section before
-        # the doc table is zero-padded to a multiple of 64 bytes
-        doc_bytes = memory_footprint(index, 8).doc_table_bytes
+        # the norm table holds count * |M| float64, the doc table two
+        # (count + 1) u64 offset runs and the two UTF-8 blobs, and every
+        # section but the titles blob is zero-padded to a multiple of 64 bytes
         header = 8 + 16 + 2 + 4 * len(dims) + (index.count + 7) // 8
         norms = index.count * len(dims) * 8
         band = index.count * 4 * 4
+        offsets = 2 * (index.count + 1) * 8
+        ids = sum(len(f"doc{i}") for i in range(index.count))
+        titles = sum(len(f"title {i}") for i in range(index.count))
+        assert memory_footprint(index, 8).doc_table_bytes == offsets + ids + titles
 
         def pad(n):
             return n + -n % 64
 
-        assert path.stat().st_size == pad(pad(pad(pad(header) + norms) + band) + band) + doc_bytes
+        vectors = pad(pad(pad(pad(header) + norms) + band) + band)
+        assert path.stat().st_size == pad(pad(vectors + offsets) + ids) + titles
 
     def test_truncated_matrix_is_format_error(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -389,20 +394,29 @@ class TestPersistence:
         with pytest.raises(FormatError, match=r"version 1; re-run `near2 index`"):
             load_index(path)
 
+    def test_version_2_file_names_the_rebuild(self, tmp_path):
+        path = tmp_path / "corpus.idx"
+        save_index(random_index(np.random.default_rng(24), 5, DimSet((8,))), path)
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", 2)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=r"version 2; re-run `near2 index`"):
+            load_index(path)
+
     def test_non_utf8_id_is_format_error(self, tmp_path):
         path = tmp_path / "corpus.idx"
         index = random_index(np.random.default_rng(18), 5, DimSet((8,)))
         save_index(index, path)
         data = bytearray(path.read_bytes())
-        doc_table = index_file_size(index) - memory_footprint(index, 8).doc_table_bytes
-        data[doc_table + 2] = 0xFF  # first byte of the first id, after its u16 length
+        ids_at, _ = _sections(index.count, index.dims)[0][-2]
+        data[ids_at] = 0xFF  # first byte of the first id, at the start of the ids blob
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="not valid UTF-8"):
             load_index(path)
 
     @pytest.mark.parametrize("cut, message", [
         (1, "truncated while reading title of row 4"),
-        (len(b"title 4") + 2, "truncated while reading title length of row 4"),
+        (len(b"title 4") + 2, "truncated while reading title of row 3"),
     ])
     def test_truncated_doc_table_names_the_row(self, tmp_path, cut, message):
         path = tmp_path / "corpus.idx"
@@ -444,6 +458,70 @@ def test_byte_flips_load_or_raise_format_error(tmp_path, kind, flips):
         (load_model if kind == "model" else load_index)(path)
     except FormatError:
         pass
+
+
+# strings of one- to four-byte characters, empty ones included, so that
+# multi-byte characters sit next to many row boundaries
+_DOC_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from("aé日😀"), st.characters(blacklist_categories=("Cs",))),
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.tuples(_DOC_TEXT, _DOC_TEXT), min_size=1, max_size=12))
+def test_doc_table_round_trips_any_unicode(tmp_path, rows):
+    ids, titles = [i for i, _ in rows], [t for _, t in rows]
+    index = PrefixIndex(ids, titles, np.ones((len(rows), 4), np.float32), DimSet((4, 2)),
+                        np.zeros(len(rows), bool))
+    save_index(index, tmp_path / "corpus.idx")
+    loaded = load_index(tmp_path / "corpus.idx")
+    backwards = np.arange(len(rows))[::-1]
+    for built in (index, loaded):
+        assert [built.ids[r] for r in range(len(rows))] == ids
+        assert [built.titles[r] for r in range(len(rows))] == titles
+        assert built.ids.take(backwards) == ids[::-1]
+    assert (tmp_path / "corpus.idx").stat().st_size == index_file_size(loaded)
+    assert memory_footprint(loaded, 4).doc_table_bytes == (
+        16 * (len(rows) + 1) + sum(len(s.encode("utf-8")) for s in ids + titles)
+    )
+
+
+def _doc_table_index():
+    # multi-byte characters on both sides of nearly every row boundary
+    ids = ["é日", "日é", "😀", "éé", "", "日本", "é", "ü"]
+    titles = ["über é", "", "日本語", "a😀", "é", "😀😀", "ü", "end é"]
+    return PrefixIndex(ids, titles, np.ones((8, 4), np.float32), DimSet((4,)), np.zeros(8, bool))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    section=st.sampled_from([-3, -2, -1]),  # the offsets, the ids blob, the titles blob
+    # small masks on an offset's low byte move it by a few bytes, often into
+    # the middle of a character while the offsets still ascend
+    flips=st.lists(st.tuples(
+        st.one_of(st.integers(0, 17).map(lambda entry: 8 * entry), st.integers(0, 2**20)),
+        st.one_of(st.integers(1, 3), st.integers(1, 255)),
+    ), min_size=1, max_size=3),
+)
+def test_doc_table_byte_flips_load_or_raise_format_error(tmp_path, section, flips):
+    index = _doc_table_index()
+    path = tmp_path / "flipped.idx"
+    save_index(index, path)
+    data = bytearray(path.read_bytes())
+    blobs = len(index.ids.blob), len(index.titles.blob)
+    offset, length = _sections(index.count, index.dims, *blobs)[0][section]
+    for pos, mask in flips:
+        data[offset + pos % length] ^= mask
+    path.write_bytes(bytes(data))
+    try:
+        loaded = load_index(path)
+    except FormatError:
+        return
+    for column in (loaded.ids, loaded.titles):
+        # every row decodes, and the rows cut the blob into consecutive pieces
+        rows = [column[r] for r in range(loaded.count)]
+        assert "".join(rows) == bytes(column.blob).decode("utf-8")
 
 
 def _finite_or_format_error(search):

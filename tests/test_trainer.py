@@ -437,6 +437,26 @@ class TestTrain:
             digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
         assert digest.hexdigest() == TRAINED_DIGESTS[schedule]
 
+    def test_training_a_loaded_model_matches_its_float64_copy(self, tmp_path):
+        # a loaded model holds a float32 table; train copies it to float64 and
+        # leaves the loaded model as it was
+        config = tiny_config(epochs=2)
+        train_recs, _, _ = small_dataset()
+        encoder.save_model(tiny_model(config), tmp_path / "model.bin")
+        loaded = encoder.load_model(tmp_path / "model.bin")
+        before = {k: v.copy() for k, v in loaded.parameters().items()}
+        widened = encoder.load_model(tmp_path / "model.bin")
+        widened.feature_table = widened.feature_table.astype(np.float64)
+        trained, history = train(loaded, train_recs, config)
+        expected, expected_history = train(widened, train_recs, config)
+        assert history.to_jsonl() == expected_history.to_jsonl()
+        for name, value in trained.parameters().items():
+            assert value.dtype == np.float64
+            assert value.tobytes() == expected.parameters()[name].tobytes()
+        assert loaded.feature_table.dtype == np.float32
+        for name, value in loaded.parameters().items():
+            assert value.tobytes() == before[name].tobytes()
+
     def test_jsonl_export_shape(self):
         config = tiny_config()
         train_recs, valid_recs, _ = small_dataset()
