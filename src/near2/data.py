@@ -16,7 +16,9 @@ import string
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .encoder import fnv1a64
+import numpy as np
+
+from .encoder import CHUNK_TEXTS, fnv1a64_many
 from .errors import DataError
 
 GRADE_MIN, GRADE_MAX = 1, 5
@@ -266,8 +268,12 @@ def _model_code(rng: random.Random) -> str:
     )
 
 
-def _title_id(category: int, title: str) -> str:
-    return f"c{category:02d}-{fnv1a64(title.encode('utf-8')):016x}"
+def _title_hashes(titles: list[str]) -> list[int]:
+    """`fnv1a64` of every title's UTF-8 bytes, hashed as one batch."""
+    lengths = np.fromiter(map(len, map(str.encode, titles)), dtype=np.int64, count=len(titles))
+    ends = np.cumsum(lengths)
+    data = np.frombuffer("".join(titles).encode("utf-8"), dtype=np.uint8)
+    return fnv1a64_many(data, ends - lengths, ends).tolist()
 
 
 def synth_category_of(ident: str) -> int:
@@ -293,6 +299,18 @@ def gen_synthetic(
     pools = _category_pools(rng, spec.category_count)
 
     records: list[RelevanceRecord] = []
+    # (qid, query, title, title category, grade, central) of records whose title
+    # ids are not hashed yet; hashed a batch at a time to keep memory flat
+    pending: list[tuple[str, str, str, int, int, int]] = []
+
+    def flush():
+        for (qid, query, title, category, grade, central), title_hash in zip(
+            pending, _title_hashes([row[2] for row in pending])
+        ):
+            title_id = f"c{category:02d}-{title_hash:016x}"
+            records.append(RelevanceRecord(qid, query, title_id, title, grade, central))
+        pending.clear()
+
     qids: list[str] = []
     for qi in range(spec.query_count):
         cat = rng.randrange(spec.category_count)
@@ -313,17 +331,10 @@ def gen_synthetic(
         n_neg = max(1, t - n_pos - n_g3)
 
         def emit(title_tokens, category, grade):
-            title = " ".join(title_tokens)
-            records.append(
-                RelevanceRecord(
-                    qid=qid,
-                    query=query,
-                    title_id=_title_id(category, title),
-                    title=title,
-                    grade=grade,
-                    central=1 if category == cat else 0,
-                )
-            )
+            central = 1 if category == cat else 0
+            pending.append((qid, query, " ".join(title_tokens), category, grade, central))
+            if len(pending) == CHUNK_TEXTS:
+                flush()
 
         for p in range(n_pos):
             extras = rng.sample([w for w in pools[cat] if w not in q_tokens], rng.randint(2, 4))
@@ -356,6 +367,7 @@ def gen_synthetic(
                 tokens.insert(rng.randrange(len(tokens) + 1), near)
             emit(tokens, other, rng.choice((1, 2)))
 
+    flush()
     order = list(range(spec.query_count))
     rng.shuffle(order)
     n_valid = max(1, spec.query_count // 10) if spec.query_count >= 3 else 0

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import _kernels
 from ._binio import Reader, pack_header, write_atomically
-from .encoder import EncoderModel, encode
+from .encoder import CHUNK_TEXTS, EncoderModel, embed_bag, tokenize_many
+from .encoder import encode  # unused here; bench/tracing.py wraps near2.index.encode
 from .errors import DataError, FormatError, ZeroVectorError
 from .nested import DimSet, NestedEmbedding, EPS_ZERO, l2_normalize, truncate
 
@@ -161,7 +162,12 @@ class PrefixIndex:
 
 def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixIndex:
     """Embed titles in input order. Degenerate (empty-text) rows are stored but
-    flagged and never returned by a search."""
+    flagged and never returned by a search.
+
+    Titles are tokenized `CHUNK_TEXTS` at a time, so memory stays flat in the
+    corpus, and embedded one bag at a time by `embed_bag`, so every row equals
+    `encode` of its title, bit for bit.
+    """
     if not titles:
         raise DataError("cannot build an index from zero titles")
     seen: set[str] = set()
@@ -172,11 +178,13 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
     edges = _band_edges(model.dims)
     bands = [np.empty((len(titles), hi - lo), dtype=np.float32) for lo, hi in zip(edges, edges[1:])]
     degenerate = np.zeros(len(titles), dtype=bool)
-    for row, (_, text) in enumerate(titles):
-        emb = encode(model, text)
-        for band, lo, hi in zip(bands, edges, edges[1:]):
-            band[row] = emb.values[lo:hi]
-        degenerate[row] = emb.degenerate
+    for first in range(0, len(titles), CHUNK_TEXTS):
+        chunk = [text for _, text in titles[first : first + CHUNK_TEXTS]]
+        for row, bag in enumerate(tokenize_many(chunk, model.bucket_count), start=first):
+            emb = embed_bag(model, bag)[1]
+            for band, lo, hi in zip(bands, edges, edges[1:]):
+                band[row] = emb.values[lo:hi]
+            degenerate[row] = emb.degenerate
     return PrefixIndex._from_bands(
         ids=[doc_id for doc_id, _ in titles],
         titles=[text for _, text in titles],

@@ -40,6 +40,7 @@ from .encoder import (
     DEFAULT_BUCKETS,
     DEFAULT_DIMS,
     DEFAULT_FEATURE_DIM,
+    MAX_BUCKETS,
     EncoderModel,
     backward,
     embed_bag,
@@ -102,8 +103,8 @@ class TrainConfig:
             raise ValueError(f"margin_c must be in (0, 2), got {self.margin_c}")
         if self.lambda_ocl < 0:
             raise ValueError(f"lambda_ocl must be >= 0, got {self.lambda_ocl}")
-        if self.bucket_count < 1:
-            raise ValueError(f"bucket_count must be >= 1, got {self.bucket_count}")
+        if not 1 <= self.bucket_count <= MAX_BUCKETS:
+            raise ValueError(f"bucket_count must be in [1, {MAX_BUCKETS}], got {self.bucket_count}")
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
 

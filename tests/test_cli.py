@@ -157,7 +157,7 @@ BAD_VALUES = [
     ("eval", "dims", "16,8,5"), ("hist", "bins", 0), ("train", "lr", "fast"),
     ("train", "schedule", "bogus"), ("eval", "corpus_cap", "lots"), ("search", "k", "ten"),
     ("hist", "bins", "ten"), ("train", "lambda_ocl", -1), ("ablate", "lambda_ocl", -1),
-    ("search", "dim", 0), ("hist", "dim", 0),
+    ("search", "dim", 0), ("hist", "dim", 0), ("train", "buckets", 2**32),
 ]
 
 

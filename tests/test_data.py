@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -79,6 +80,14 @@ class TestSynthetic:
         b = gen_synthetic(spec)
         dump = lambda triple: json.dumps([[r.to_json() for r in part] for part in triple])
         assert dump(a) == dump(b)
+
+    def test_bytes_are_pinned(self):
+        # title ids are FNV-1a hashes of the titles; a change here changes
+        # every synthetic dataset, and so every benchmark input
+        triple = gen_synthetic(SynthSpec(seed=42, query_count=30, titles_per_query=8))
+        dump = json.dumps([[r.to_json() for r in part] for part in triple])
+        digest = hashlib.sha256(dump.encode("utf-8")).hexdigest()
+        assert digest == "da2ee014ef48c29c38f1b45992c8e768c5fe08be2f1b95e64470bb856f69fb51"
 
     def test_alphanum_zero_means_no_digits(self):
         train, valid, test = gen_synthetic(SynthSpec(seed=1, query_count=40, alphanum_fraction=0.0))

@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from near2 import encoder
 from near2.encoder import (
+    MAX_BUCKETS,
     EncoderModel,
     backward,
     embed_bag,
     encode,
     fnv1a64,
+    fnv1a64_many,
     load_model,
     model_file_size,
     save_model,
     tokenize,
+    tokenize_many,
     xorshift_uniform,
 )
 from near2.errors import FormatError
@@ -35,6 +39,16 @@ class TestFnv:
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+
+    @given(st.lists(st.binary(max_size=40), max_size=12))
+    def test_batch_equals_scalar(self, blobs):
+        lengths = np.array([len(b) for b in blobs], dtype=np.int64)
+        ends = np.cumsum(lengths)
+        data = np.frombuffer(b"".join(blobs), dtype=np.uint8)
+        hashes = fnv1a64_many(data, ends - lengths, ends)
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == [fnv1a64(b) for b in blobs]
 
 
 class TestTokenize:
@@ -71,6 +85,78 @@ class TestTokenize:
 
     def test_punctuation_is_separator(self):
         assert tokenize("plants!", 2**15).ids.tolist() == tokenize("plants", 2**15).ids.tolist()
+
+
+def same_bag(a, b) -> bool:
+    return (
+        a.ids.dtype == b.ids.dtype == np.int64
+        and a.counts.dtype == b.counts.dtype == np.int64
+        and a.ids.tolist() == b.ids.tolist()
+        and a.counts.tolist() == b.counts.tolist()
+    )
+
+
+BUCKET_COUNTS = (1, 7, 64, 2**15, MAX_BUCKETS)
+
+# each one a way a batch tokenizer can drift from the one-text loop
+HAND_TEXTS = [
+    "",
+    "?!. ,;",
+    "foo_bar __ baz_",
+    "İstanbul ẞ STRASSE",  # lowercase changes the length
+    "😀 a😀b 😀😀😀x 𝔘𝔫𝔦𝔠𝔬𝔡𝔢",  # astral plane
+    "٣٤٥ model١٢ ๑๒๓ ²³",  # non-Latin digits
+    "abc\ud800def gh",  # a lone surrogate between tokens
+    "x" * 300 + " é" * 2 + "ü" * 257,  # tokens longer than 256 code points
+    "Ünïcödé ÀÉÎ 漢字かなカナ",
+]
+
+
+class TestTokenizeMany:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.text(max_size=30), max_size=12), st.sampled_from(BUCKET_COUNTS))
+    def test_equals_tokenize(self, texts, bucket_count):
+        bags = tokenize_many(texts, bucket_count)
+        assert len(bags) == len(texts)
+        for text, bag in zip(texts, bags):
+            assert same_bag(bag, tokenize(text, bucket_count))
+
+    @pytest.mark.parametrize("bucket_count", BUCKET_COUNTS)
+    @pytest.mark.parametrize("text", HAND_TEXTS)
+    def test_hand_cases(self, text, bucket_count):
+        (bag,) = tokenize_many([text], bucket_count)
+        assert same_bag(bag, tokenize(text, bucket_count))
+
+    def test_hand_cases_in_one_batch(self):
+        for bag, text in zip(tokenize_many(HAND_TEXTS, 2**15), HAND_TEXTS):
+            assert same_bag(bag, tokenize(text, 2**15))
+
+    def test_empty_list(self):
+        assert tokenize_many([], 64) == []
+
+    @pytest.mark.parametrize("bucket_count", [0, -1, MAX_BUCKETS + 1])
+    def test_bucket_count_out_of_range(self, bucket_count):
+        with pytest.raises(ValueError, match="bucket_count"):
+            tokenize_many(["a"], bucket_count)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.text(max_size=20), min_size=1, max_size=12),
+        st.integers(min_value=1, max_value=13),
+    )
+    def test_bag_independent_of_neighbours_and_chunking(self, texts, chunk):
+        alone = [tokenize_many([text], 2**15)[0] for text in texts]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(encoder, "CHUNK_TEXTS", chunk)
+            chunked = tokenize_many(texts, 2**15)
+        for a, b in zip(alone, chunked):
+            assert same_bag(a, b)
+
+    def test_default_chunk_boundary(self):
+        texts = [f"item{i} x{i % 7}y" for i in range(encoder.CHUNK_TEXTS + 5)]
+        bags = tokenize_many(texts, 2**15)
+        for i in (0, encoder.CHUNK_TEXTS - 1, encoder.CHUNK_TEXTS, len(texts) - 1):
+            assert same_bag(bags[i], tokenize(texts[i], 2**15))
 
 
 class TestXorshift:

@@ -1,12 +1,14 @@
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from near2.encoder import EncoderModel, encode, load_model, save_model
+from near2.data import SynthSpec, distinct_titles, gen_synthetic
+from near2.encoder import CHUNK_TEXTS, EncoderModel, encode, load_model, save_model
 from near2.errors import DataError, FormatError, InvalidDimensionError, ZeroVectorError
 from near2.index import (
     PrefixIndex,
@@ -90,6 +92,74 @@ class TestBuild:
     def test_zero_titles(self):
         with pytest.raises(DataError):
             build_index(tiny_model(), [])
+
+
+def build_index_oracle(model, titles):
+    """The per-title `encode` loop that `build_index` ran before it worked in chunks."""
+    edges = [0, *sorted(model.dims)]
+    bands = [np.empty((len(titles), hi - lo), dtype=np.float32) for lo, hi in zip(edges, edges[1:])]
+    degenerate = np.zeros(len(titles), dtype=bool)
+    for row, (_, text) in enumerate(titles):
+        emb = encode(model, text)
+        for band, lo, hi in zip(bands, edges, edges[1:]):
+            band[row] = emb.values[lo:hi]
+        degenerate[row] = emb.degenerate
+    return PrefixIndex._from_bands(
+        ids=[doc_id for doc_id, _ in titles],
+        titles=[text for _, text in titles],
+        bands=bands,
+        dims=model.dims,
+        degenerate=degenerate,
+    )
+
+
+def oracle_titles():
+    """More titles than one build chunk, with degenerate rows on both sides of its edge."""
+    train, valid, test = gen_synthetic(SynthSpec(seed=3, query_count=140, titles_per_query=8))
+    texts = [text for _, text in distinct_titles(train + valid + test)][: CHUNK_TEXTS + 40]
+    texts[5:5] = ["???", "Ünïcödé 漢字 😀x", "İstanbul_ẞ ٣٤٥"]
+    texts[CHUNK_TEXTS] = ""
+    assert len(texts) > CHUNK_TEXTS + 1
+    return [(f"d{i}", text) for i, text in enumerate(texts)]
+
+
+@pytest.fixture(scope="module")
+def oracle_models(tmp_path_factory):
+    created = EncoderModel.create(
+        bucket_count=512, feature_dim=16, dims=DimSet((32, 16, 8)), seed=11
+    )
+    path = tmp_path_factory.mktemp("oracle") / "model.bin"
+    save_model(created, path)
+    return {"created": created, "loaded": load_model(path)}
+
+
+@pytest.mark.parametrize("kind", ["created", "loaded"])
+def test_build_matches_per_title_encode_bitwise(oracle_models, kind):
+    model = oracle_models[kind]
+    assert model.feature_table.dtype == (np.float64 if kind == "created" else np.float32)
+    titles = oracle_titles()
+    index, expected = build_index(model, titles), build_index_oracle(model, titles)
+    for band, want in zip(index.bands.arrays, expected.bands.arrays):
+        assert band.dtype == want.dtype and band.tobytes() == want.tobytes()
+    assert index._norms.tobytes() == expected._norms.tobytes()
+    assert index.degenerate.tolist() == expected.degenerate.tolist()
+    assert index.degenerate[[5, CHUNK_TEXTS]].all() and index.degenerate.sum() == 2
+    assert list(index.ids) == list(expected.ids) and list(index.titles) == list(expected.titles)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
+def test_overflowing_projection_raises_like_encode():
+    model = tiny_model()
+    model = replace(
+        model,
+        feature_table=np.full_like(model.feature_table, 1e200),
+        projection=np.full_like(model.projection, 1e200),
+    )
+    with pytest.raises(ValueError) as expected:
+        encode(model, "plant")
+    with pytest.raises(ValueError) as got:
+        build_index(model, [("a", "???"), ("b", "plant")])
+    assert str(got.value) == str(expected.value) == "embedding values must be finite"
 
 
 class TestSearchExact:

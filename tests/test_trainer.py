@@ -377,13 +377,18 @@ class TestTrain:
 
     def test_each_text_tokenized_once_per_run(self, monkeypatch):
         calls = Counter()
-        tokenize = encoder.tokenize
+        tokenize, tokenize_many = encoder.tokenize, encoder.tokenize_many
 
         def counting(text, bucket_count):
             calls[text] += 1
             return tokenize(text, bucket_count)
 
+        def counting_many(texts, bucket_count):
+            calls.update(texts)
+            return tokenize_many(texts, bucket_count)
+
         monkeypatch.setattr(encoder, "tokenize", counting)
+        monkeypatch.setattr(encoder, "tokenize_many", counting_many)
         config = tiny_config(epochs=2)
         train_recs, _, _ = small_dataset()
         train(tiny_model(config), train_recs, config)
