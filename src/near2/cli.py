@@ -443,7 +443,7 @@ COMMANDS: dict[str, tuple[Callable, str, dict[str, Option]]] = {
         "test": Option(str, REQUIRED),
         "dims": Option(_dims, None, "nested dimensions to evaluate; default the model's own"),
         "ks": Option(_list_of(_count), DEFAULT_KS),
-        "corpus_cap": Option(_int, DEFAULT_CORPUS_CAP),
+        "corpus_cap": Option(_count, DEFAULT_CORPUS_CAP),
         "report": Option(str, REQUIRED),
         "baseline": Option(str),
         "delta_out": Option(str),
@@ -463,7 +463,7 @@ COMMANDS: dict[str, tuple[Callable, str, dict[str, Option]]] = {
         "bins": Option(_count, 40),
         "out": Option(str, REQUIRED),
         "dim": Option(_int, None, "prefix dimension; default the full dimension"),
-        "corpus_cap": Option(_int, DEFAULT_CORPUS_CAP),
+        "corpus_cap": Option(_count, DEFAULT_CORPUS_CAP),
         "seed": Option(_int, 0),
     }),
 }

@@ -14,11 +14,12 @@ corpora through it. `tokenize` is the scalar one-text loop behind `encode`: a
 query is one text, where the loop is faster than the batch set-up, and it is
 the reference the batch path is tested against.
 
+`embed_bag` is the one bag-to-vector path; it returns the pooled and the raw
+embedding row as arrays, and `encode` alone wraps one in a `NestedEmbedding`.
 Training runs one forward pass per step: `feature_bags` tokenizes each text
-once per run, `embed_bag` is the one bag-to-vector path (`encode` uses it)
-and also hands back the bag's pooled row, and `backward` takes the step's
-bags with one upstream row each, reusing those pooled rows and accumulating
-into a table-sized buffer the caller keeps for the run.
+once per run, `embed_bag` embeds it, and `backward` takes the step's bags with
+one upstream row each, reusing their pooled rows and accumulating into a
+table-sized buffer the caller keeps for the run.
 """
 
 from __future__ import annotations
@@ -238,6 +239,10 @@ class EncoderModel:
 
     def __post_init__(self):
         b, h, d = self.bucket_count, self.feature_dim, self.dims.full
+        if not 1 <= b <= MAX_BUCKETS:
+            raise ValueError(f"bucket_count must be in [1, {MAX_BUCKETS}], got {b}")
+        if h < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {h}")
         if self.feature_table.shape != (b, h):
             raise ValueError(f"feature_table must be ({b}, {h})")
         if self.projection.shape != (h, d):
@@ -301,24 +306,23 @@ def _pool(model: EncoderModel, bag: FeatureBag) -> np.ndarray:
     return (rows * weights[:, None]).sum(axis=0) / weights.sum()
 
 
-def embed_bag(model: EncoderModel, bag: FeatureBag) -> tuple[np.ndarray, NestedEmbedding]:
-    """A bag's pooled row and its embedding, that row times the projection.
+def embed_bag(model: EncoderModel, bag: FeatureBag) -> tuple[np.ndarray, np.ndarray]:
+    """A bag's (pooled, values) rows: the pooled (H,) row, which `backward`
+    needs again, and the raw (D,) embedding, pooled times the projection.
 
-    The pooled row is the count-weighted mean of the bag's feature-table rows,
-    which `backward` needs again; an empty bag pools to zeros and yields a
-    degenerate zero embedding.
+    The pooled row is the count-weighted mean of the bag's feature-table rows;
+    an empty bag gives zero rows. Finiteness is left to the caller.
     """
     if len(bag) == 0:
-        return np.zeros(model.feature_dim), NestedEmbedding(
-            np.zeros(model.full_dim), dims=model.dims, degenerate=True
-        )
+        return np.zeros(model.feature_dim), np.zeros(model.full_dim)
     pooled = _pool(model, bag)
-    return pooled, NestedEmbedding(pooled @ model.projection, dims=model.dims)
+    return pooled, pooled @ model.projection
 
 
 def encode(model: EncoderModel, text: str) -> NestedEmbedding:
-    """Embed one text; empty feature bags yield a degenerate zero embedding."""
-    return embed_bag(model, tokenize(text, model.bucket_count))[1]
+    """Embed one text; an empty feature bag yields a degenerate zero embedding."""
+    bag = tokenize(text, model.bucket_count)
+    return NestedEmbedding(embed_bag(model, bag)[1], dims=model.dims, degenerate=len(bag) == 0)
 
 
 def backward(
@@ -398,7 +402,7 @@ def load_model(path) -> EncoderModel:
             feature_table=table,
             projection=proj,
         )
-    except ValueError as e:  # non-finite parameters
+    except ValueError as e:  # out-of-range sizes or non-finite parameters
         raise FormatError(f"bad model parameters: {e}") from None
 
 

@@ -154,11 +154,6 @@ class PrefixIndex:
         m = self.dims.require(m)
         return self._norms[:, self.dims.dims.index(m)]
 
-    def usable_rows(self, m: int) -> np.ndarray:
-        """Ascending indices of rows searchable at m (non-degenerate, nonzero prefix)."""
-        mask = ~self.degenerate & (self.prefix_norms(m) > EPS_ZERO)
-        return np.flatnonzero(mask)
-
 
 def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixIndex:
     """Embed titles in input order. Degenerate (empty-text) rows are stored but
@@ -166,7 +161,8 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
 
     Titles are tokenized `CHUNK_TEXTS` at a time, so memory stays flat in the
     corpus, and embedded one bag at a time by `embed_bag`, so every row equals
-    `encode` of its title, bit for bit.
+    `encode` of its title, bit for bit; a non-finite row raises ValueError as
+    `encode` does.
     """
     if not titles:
         raise DataError("cannot build an index from zero titles")
@@ -181,10 +177,12 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
     for first in range(0, len(titles), CHUNK_TEXTS):
         chunk = [text for _, text in titles[first : first + CHUNK_TEXTS]]
         for row, bag in enumerate(tokenize_many(chunk, model.bucket_count), start=first):
-            emb = embed_bag(model, bag)[1]
+            values = embed_bag(model, bag)[1]
+            if not np.all(np.isfinite(values)):
+                raise ValueError("embedding values must be finite")
             for band, lo, hi in zip(bands, edges, edges[1:]):
-                band[row] = emb.values[lo:hi]
-            degenerate[row] = emb.degenerate
+                band[row] = values[lo:hi]
+            degenerate[row] = len(bag) == 0
     return PrefixIndex._from_bands(
         ids=[doc_id for doc_id, _ in titles],
         titles=[text for _, text in titles],
@@ -192,15 +190,6 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
         dims=model.dims,
         degenerate=degenerate,
     )
-
-
-def _query_unit_prefix(query: NestedEmbedding, m: int) -> np.ndarray:
-    if query.degenerate:
-        raise ZeroVectorError("cannot search with a degenerate (empty-text) query")
-    try:
-        return l2_normalize(truncate(query, m))
-    except ZeroVectorError:
-        raise ZeroVectorError(f"query has a zero-norm {m}-prefix") from None
 
 
 def _top_hits(index: PrefixIndex, rows: np.ndarray, scores: np.ndarray, k: int) -> list[SearchHit]:
@@ -220,20 +209,31 @@ def _top_hits(index: PrefixIndex, rows: np.ndarray, scores: np.ndarray, k: int) 
     ]
 
 
-def _dot_products(index: PrefixIndex, qhat: np.ndarray, m: int, rows=None) -> np.ndarray:
-    """Prefix-m dots of `rows`, or of every row when None.
+def _scores(
+    index: PrefixIndex, query: NestedEmbedding, m: int, rows: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, prefix-m cosines) of the given searchable rows, or of every
+    searchable row when `rows` is None.
 
-    The loader does not check vectors, so this is where corrupt vector bytes
-    are caught: exactly those the scan read.
+    The one scoring path. A full scan reads every row and then drops the
+    unsearchable ones (degenerate, or with a zero m-prefix). The loader does
+    not check vectors, so this is where corrupt vector bytes are caught:
+    exactly those the scan read.
     """
+    if query.degenerate:
+        raise ZeroVectorError("cannot search with a degenerate (empty-text) query")
+    try:
+        qhat = l2_normalize(truncate(query, m))
+    except ZeroVectorError:
+        raise ZeroVectorError(f"query has a zero-norm {m}-prefix") from None
     dots = _kernels.prefix_dot_products(index.bands, qhat, m, rows)
     if not np.all(np.isfinite(dots)):
         raise FormatError(f"non-finite vector entries within the first {m} columns of the index")
-    return dots
-
-
-def _cosines(index: PrefixIndex, rows: np.ndarray, dots: np.ndarray, m: int) -> np.ndarray:
-    return np.clip(dots / index.prefix_norms(m)[rows], -1.0, 1.0)
+    norms = index.prefix_norms(m)
+    if rows is None:
+        rows = np.flatnonzero(~index.degenerate & (norms > EPS_ZERO))
+        dots = dots[rows]
+    return rows, np.clip(dots / norms[rows], -1.0, 1.0)
 
 
 def search_exact(index: PrefixIndex, query: NestedEmbedding, m: int, k: int) -> list[SearchHit]:
@@ -271,9 +271,7 @@ def all_scores(index: PrefixIndex, query: NestedEmbedding, m: int) -> tuple[np.n
     """
     m = index.dims.require(m)
     query.dims.require(m)
-    qhat = _query_unit_prefix(query, m)
-    rows = index.usable_rows(m)
-    return rows, _cosines(index, rows, _dot_products(index, qhat, m)[rows], m)
+    return _scores(index, query, m)
 
 
 def search_funnel(
@@ -309,9 +307,7 @@ def search_funnel(
     survivors = np.sort(np.array([hit.row for hit in stage1], dtype=np.int64))
 
     # prefix norms never shrink as m grows, so every survivor is usable at m_high
-    qhat = _query_unit_prefix(query, m_high)
-    scores = _cosines(index, survivors, _dot_products(index, qhat, m_high, survivors), m_high)
-    return _top_hits(index, survivors, scores, k)
+    return _top_hits(index, *_scores(index, query, m_high, survivors), k)
 
 
 @dataclass(frozen=True)
@@ -401,7 +397,7 @@ def load_index(path) -> PrefixIndex:
     """Read an index back; any structural defect raises before an index exists.
 
     The bands and the doc table stay memory-mapped; non-finite vector entries
-    are found by the scan that reads them (see `_dot_products`). Every id and
+    are found by the scan that reads them (see `_scores`). Every id and
     title is checked to be valid UTF-8 here, but decoded only when read.
     """
     with open(path, "rb") as fh:

@@ -14,7 +14,8 @@ Three layers:
   over the hardest labeled pairs in a batch (`ocl`);
 * `mrl_compose`, the plain sum of a task loss across every nested prefix
   dimension of a `DimSet`;
-* `multitask_step_loss`, the per-step combination of both composed losses.
+* `multitask_step_loss`, the one loss of every training step: the composed
+  hinge loss on queries plus the weighted composed contrastive loss on pairs.
 
 All gradients are with respect to the raw (unnormalized) embedding entries.
 A loss at prefix dimension m has identically zero gradient beyond position m.
@@ -63,6 +64,8 @@ class LossBatch:
         d = self.dims.full
         if self.embeddings.ndim != 2 or self.embeddings.shape[1] != d:
             raise ValueError(f"embeddings must be an (n, {d}) array")
+        if not np.all(np.isfinite(self.embeddings)):
+            raise ValueError("embeddings must be finite")
         n = self.embeddings.shape[0]
         self.queries = _row_indices(self.queries, n, "queries")
         if len(self.positives) != len(self.queries) or len(self.negatives) != len(self.queries):
@@ -301,23 +304,31 @@ def multitask_step_loss(
     margin_c: float,
     lambda_ocl: float,
 ) -> LossOutput:
-    """Composed hinge loss plus lambda_ocl times the composed contrastive loss.
+    """The composed hinge loss if the batch has queries, plus lambda_ocl times
+    the composed contrastive loss if it has pairs; either alone equals its
+    `mrl_compose` bit for bit (the contrastive one at lambda_ocl = 1).
 
     A batch without pairs contributes 0 to the contrastive term, with a
-    warning flag instead of failing, so ranking-only steps remain valid.
+    warning flag when lambda_ocl > 0 instead of failing, so ranking-only steps
+    remain valid.
     """
-    mnrl_out = mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch, dims)
-    gradient = mnrl_out.gradient
-    per_dim = dict(mnrl_out.per_dim)
-    warnings: tuple[str, ...] = ()
-    if len(batch.labels) == 0:
-        if lambda_ocl > 0:
-            warnings = ("empty pair batch: contrastive term treated as 0",)
-    else:
-        ocl_out = mrl_compose(lambda b, m: ocl(b, margin_c, m), batch, dims)
-        gradient += lambda_ocl * ocl_out.gradient
+    parts = []  # (weight, composed loss)
+    if len(batch.queries):
+        parts.append((1.0, mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch, dims)))
+    if len(batch.labels):
+        parts.append((lambda_ocl, mrl_compose(lambda b, m: ocl(b, margin_c, m), batch, dims)))
+    if not parts:
+        raise ValueError("a step loss needs queries or pairs")
+    empty = not len(batch.labels) and lambda_ocl > 0
+    warnings = ("empty pair batch: contrastive term treated as 0",) if empty else ()
+    (weight, first), *rest = parts
+    gradient = first.gradient
+    gradient *= weight
+    per_dim = {m: weight * first.per_dim[m] for m in dims}
+    for weight, out in rest:
+        gradient += weight * out.gradient
         for m in dims:
-            per_dim[m] += lambda_ocl * ocl_out.per_dim[m]
+            per_dim[m] += weight * out.per_dim[m]
     value = 0.0
     for m in dims:
         value += per_dim[m]

@@ -181,12 +181,13 @@ def sequential_evaluate(
     For each prefix dimension m the evaluator runs an exact top-k search per
     query and averages precision/recall/NDCG/MRR at each cutoff. Queries whose
     text embeds degenerately are skipped and counted. Every dimension is
-    checked against the model's before anything is embedded.
+    checked against the model's before anything is embedded. The cutoffs are
+    sorted and de-duplicated, so the report's grid holds each one once.
     """
     dims = dims if isinstance(dims, DimSet) else DimSet(tuple(dims))
     for m in dims:
         model.dims.require(m)
-    ks = tuple(sorted(int(k) for k in ks))
+    ks = tuple(sorted({int(k) for k in ks}))
     index, usable, skipped = judged_queries(model, records, corpus_cap, seed)
 
     k_max = max(ks)

@@ -7,23 +7,28 @@ schedule fine-tunes with both losses at the full dimension first, then
 continues with the nested composite. Optimizer state is reset at each phase
 boundary, and every bit of the run is determined by (data, config, seed).
 
+Every step makes one `multitask_step_loss` call on the `StepBatch` roles its
+phase's task reads (`TASK_ROLES`): "mnrl" passes no pairs, "ocl" no queries
+and contrastive weight 1, "multitask" both and weight `lambda_ocl`.
+
 Within a phase of T steps the learning rate warms up linearly over the first
 w = ceil(T/10) steps and then decays linearly (`warmup_linear`), and each
 update scales both gradients together to a global L2 norm of at most 1.0.
 Each step is one forward pass: every distinct text is tokenized once per run
-and pooled and embedded once per step into one row of the step's
+and pooled and embedded once per step into one raw row of the step's
 `LossBatch`. The loss returns one gradient row per distinct text, which
 `backward` takes as its upstream together with those texts' feature bags and
 pooled rows; how queries, titles and pairs map to rows is left to
 `near2.losses`. The feature-table gradient accumulates into one buffer per
 `train` call, re-zeroed at the step's rows after each update.
 
-`adamw_step` is one fused pass per parameter over blocks of `ADAMW_BLOCK`
-entries: the clip scaling, weight decay, both moment updates and the
-bias-corrected step run block by block through two block-sized scratch
-buffers, with the same elementwise operations in the same order as the plain
-whole-array update, so every bit matches it while each array is read and
-written about once.
+`adamw_step` takes only the learning rate; the betas, epsilon, weight decay
+and clip norm are module constants. It is one fused pass per parameter over
+blocks of `ADAMW_BLOCK` entries: the clip scaling, weight decay, both moment
+updates and the bias-corrected step run block by block through two
+block-sized scratch buffers, with the same elementwise operations in the same
+order as the plain whole-array update, so every bit matches it while each
+array is read and written about once.
 """
 
 from __future__ import annotations
@@ -50,10 +55,8 @@ from .encoder import (
 from .errors import DataError, NumericalError
 from .losses import (
     LossBatch,
-    mnrl_hinge,
-    mrl_compose,
+    mrl_compose,  # unused here; bench/tracing.py wraps near2.trainer.mrl_compose
     multitask_step_loss,
-    ocl,
 )
 from .metrics import DEFAULT_CORPUS_CAP, DEFAULT_KS, MetricsReport, delta_report, sequential_evaluate
 from .nested import DimSet
@@ -65,6 +68,11 @@ MAX_NEGATIVES_PER_QUERY = 8
 
 # Global L2 norm both gradients are clipped to before every AdamW update.
 MAX_GRAD_NORM = 1.0
+# AdamW's moment decay rates, denominator epsilon and decoupled weight decay.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 # Entries per block of adamw_step's fused pass: a block of the parameter, its
 # gradient, both moments and the two scratch buffers (6 x 256 KiB of float64)
@@ -107,6 +115,34 @@ class TrainConfig:
             raise ValueError(f"bucket_count must be in [1, {MAX_BUCKETS}], got {self.bucket_count}")
         if self.feature_dim < 1:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
+        if self.corpus_cap < 1:
+            raise ValueError(f"corpus_cap must be >= 1, got {self.corpus_cap}")
+
+
+@dataclass
+class StepBatch:
+    """One step's texts under the role names `LossBatch.from_texts` takes."""
+
+    queries: list[str] = field(default_factory=list)
+    positives: list[list[str]] = field(default_factory=list)
+    negatives: list[list[str]] = field(default_factory=list)
+    lefts: list[str] = field(default_factory=list)
+    rights: list[str] = field(default_factory=list)
+    labels: list[int] = field(default_factory=list)
+
+    def add_pairs(self, query: str, pairs: list[tuple[str, int]]) -> None:
+        for title, label in pairs:
+            self.lefts.append(query)
+            self.rights.append(title)
+            self.labels.append(label)
+
+
+# The StepBatch roles each task's loss reads.
+TASK_ROLES = {
+    "mnrl": ("queries", "positives", "negatives"),
+    "ocl": ("lefts", "rights", "labels"),
+    "multitask": ("queries", "positives", "negatives", "lefts", "rights", "labels"),
+}
 
 
 @dataclass(frozen=True)
@@ -114,7 +150,7 @@ class Phase:
     """One stage of a schedule: which loss, and whether it is nested."""
 
     name: str
-    task: str  # "mnrl" | "ocl" | "multitask"
+    task: str  # a TASK_ROLES key
     nested: bool
 
 
@@ -138,26 +174,6 @@ def schedule_phases(schedule: str) -> tuple[Phase, ...]:
 
 
 # --- batching -------------------------------------------------------------------
-
-
-@dataclass
-class TripletTexts:
-    queries: list[str]
-    positives: list[list[str]]
-    negatives: list[list[str]]
-
-
-@dataclass
-class PairTexts:
-    lefts: list[str] = field(default_factory=list)
-    rights: list[str] = field(default_factory=list)
-    labels: list[int] = field(default_factory=list)
-
-
-@dataclass
-class StepBatch:
-    triplets: TripletTexts
-    pairs: PairTexts
 
 
 def build_batches(
@@ -188,47 +204,27 @@ def build_batches(
 
     batches: list[StepBatch] = []
     for start in range(0, len(usable), batch_size):
-        chunk = usable[start : start + batch_size]
-        triplets = TripletTexts(queries=[], positives=[], negatives=[])
-        pairs = PairTexts()
-        for qid in chunk:
+        batch = StepBatch()
+        for qid in usable[start : start + batch_size]:
             q = by_query[qid]
             negs = q["neg"]
             if len(negs) > MAX_NEGATIVES_PER_QUERY:
                 negs = rng.sample(negs, MAX_NEGATIVES_PER_QUERY)
-            triplets.queries.append(q["query"])
-            triplets.positives.append(list(q["pos"]))
-            triplets.negatives.append(list(negs))
-            for title, label in q["pairs"]:
-                pairs.lefts.append(q["query"])
-                pairs.rights.append(title)
-                pairs.labels.append(label)
-        batches.append(StepBatch(triplets=triplets, pairs=pairs))
+            batch.queries.append(q["query"])
+            batch.positives.append(list(q["pos"]))
+            batch.negatives.append(list(negs))
+            batch.add_pairs(q["query"], q["pairs"])
+        batches.append(batch)
 
     # queries unusable for ranking still train OCL through their labeled pairs
     usable_set = set(usable)
     orphans = [qid for qid in by_query if qid not in usable_set and by_query[qid]["pairs"]]
     for i, qid in enumerate(orphans):
-        q = by_query[qid]
-        target = batches[i % len(batches)].pairs
-        for title, label in q["pairs"]:
-            target.lefts.append(q["query"])
-            target.rights.append(title)
-            target.labels.append(label)
+        batches[i % len(batches)].add_pairs(by_query[qid]["query"], by_query[qid]["pairs"])
     return batches
 
 
 # --- AdamW ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdamHyper:
-    learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-    max_grad_norm: float = math.inf  # global L2 norm the gradients are clipped to
 
 
 @dataclass
@@ -250,13 +246,15 @@ def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: OptimizerState,
-    hyper: AdamHyper,
+    learning_rate: float,
 ) -> tuple[float, float]:
-    """One clipped AdamW update, in place, with bias correction.
+    """One clipped AdamW update at `learning_rate`, in place, with bias correction.
 
-    Returns the global L2 norm of the gradients before clipping and the clip
-    factor applied: `max_grad_norm / norm` when the norm is finite and above
-    `max_grad_norm`, else 1.0. Clipping scales `grads` in place.
+    The betas, epsilon and weight decay are `ADAM_BETA1`, `ADAM_BETA2`,
+    `ADAM_EPS` and `WEIGHT_DECAY`. Returns the global L2 norm of the gradients
+    before clipping and the clip factor applied: `MAX_GRAD_NORM / norm` when
+    the norm is finite and above `MAX_GRAD_NORM`, else 1.0. Clipping scales
+    `grads` in place.
 
     A finite norm proves every gradient entry finite, so entries are counted
     only when it is not: non-finite entries abort the step before anything is
@@ -275,11 +273,11 @@ def adamw_step(
             bad = np.count_nonzero(~np.isfinite(g))
             if bad:
                 raise NumericalError(f"{bad} non-finite gradient entries in {name!r}; step aborted")
-    clip = hyper.max_grad_norm / norm if math.isfinite(norm) and norm > hyper.max_grad_norm else 1.0
+    clip = MAX_GRAD_NORM / norm if math.isfinite(norm) and norm > MAX_GRAD_NORM else 1.0
     state.step += 1
     t = state.step
-    lr, b1, b2, eps = hyper.learning_rate, hyper.beta1, hyper.beta2, hyper.eps
-    decay = lr * hyper.weight_decay
+    lr, b1, b2, eps = learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    decay = lr * WEIGHT_DECAY
     m_correction, v_correction = 1.0 - b1**t, 1.0 - b2**t
     scratch = np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK)
     for name, param in params.items():
@@ -292,8 +290,7 @@ def adamw_step(
             tmp, den = (buf[: p.size] for buf in scratch)
             if clip != 1.0:
                 g *= clip
-            if hyper.weight_decay:
-                p -= np.multiply(p, decay, out=tmp)
+            p -= np.multiply(p, decay, out=tmp)
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=tmp)
             v *= b2
@@ -379,11 +376,6 @@ class TrainHistory:
 # --- training loop ---------------------------------------------------------------
 
 
-def _phase_mrl_config(config: TrainConfig, phase: Phase) -> DimSet:
-    """The dims a phase's loss sums over: every nested one, or the full one alone."""
-    return config.dims if phase.nested else DimSet((config.dims.full,))
-
-
 def _epoch_seed(seed: int, phase_index: int, epoch: int) -> int:
     # distinct, deterministic shuffle stream per (phase, epoch)
     return seed + 1_000_003 * (phase_index + 1) + epoch
@@ -394,31 +386,21 @@ def _step_loss(model, bags, batch: StepBatch, phase: Phase, dims: DimSet, config
     one per row of the loss gradient. Each text is pooled and embedded once and
     its gradient row sums all its occurrences (exact, since backward is linear
     in upstream)."""
-    t, p = batch.triplets, batch.pairs
-    roles = {}
-    if phase.task in ("mnrl", "multitask"):
-        roles.update(queries=t.queries, positives=t.positives, negatives=t.negatives)
-    if phase.task in ("ocl", "multitask") and p.labels:
-        roles.update(lefts=p.lefts, rights=p.rights, labels=p.labels)
-    if not roles:  # an ocl step without labeled pairs
+    if phase.task == "ocl" and not batch.labels:  # nothing to train on
         return None, [], None
+    roles = {name: getattr(batch, name) for name in TASK_ROLES[phase.task]}
     pooled = []
 
     def embed(text):
-        row, embedding = embed_bag(model, bags[text])
+        row, values = embed_bag(model, bags[text])
         pooled.append(row)
-        return embedding.values
+        return values
 
     # from_texts embeds each distinct text once, in row order
     loss_batch, texts = LossBatch.from_texts(embed, model.dims, **roles)
-
-    if phase.task == "mnrl":
-        out = mrl_compose(lambda b, m: mnrl_hinge(b, config.margin, m), loss_batch, dims)
-    elif phase.task == "ocl":
-        out = mrl_compose(lambda b, m: ocl(b, config.margin_c, m), loss_batch, dims)
-    else:
-        out = multitask_step_loss(loss_batch, dims, config.margin, config.margin_c, config.lambda_ocl)
-
+    # "mnrl" has no pairs, and its weight 0 raises no empty-pair warning
+    weight = {"mnrl": 0.0, "ocl": 1.0}.get(phase.task, config.lambda_ocl)
+    out = multitask_step_loss(loss_batch, dims, config.margin, config.margin_c, weight)
     if not np.isfinite(out.value):
         raise NumericalError(f"non-finite loss value {out.value!r}")
     return out, [bags[text] for text in texts], np.array(pooled)
@@ -449,7 +431,7 @@ def train(
     global_step = 0
     for phase_index, phase in enumerate(schedule_phases(config.schedule)):
         state = OptimizerState.zeros(model.parameters())
-        dims = _phase_mrl_config(config, phase)
+        dims = config.dims if phase.nested else DimSet((config.dims.full,))
         epochs = [
             build_batches(records, config.batch_size, _epoch_seed(config.seed, phase_index, epoch))
             for epoch in range(1, config.epochs + 1)
@@ -464,8 +446,7 @@ def train(
                     continue
                 grads = backward(model, step_bags, out.gradient, pooled, grad_table)
                 lr = config.learning_rate * warmup_linear(phase_step, total)
-                hyper = AdamHyper(learning_rate=lr, max_grad_norm=MAX_GRAD_NORM)
-                grad_norm, clip = adamw_step(model.parameters(), grads, state, hyper)
+                grad_norm, clip = adamw_step(model.parameters(), grads, state, lr)
                 grad_table[np.concatenate([bag.ids for bag in step_bags])] = 0.0
                 global_step += 1
                 history.record_step(

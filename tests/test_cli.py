@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import near2
-from near2 import cli, metrics
+from near2 import cli, metrics, trainer
 from near2.cli import build_parser, main
 from near2.encoder import EncoderModel, encode, load_model, save_model
 from near2.index import _sections, load_index, search_funnel
@@ -294,6 +294,53 @@ def test_bad_files_exit_two_without_traceback(workspace, tmp_path, command, flag
     assert "Traceback" not in proc.stderr
 
 
+def _zero_bucket_model(workspace, tmp_path):
+    """The workspace model's file with a header declaring 0 buckets and no table rows."""
+    model = load_model(workspace["model"])
+    data = workspace["model"].read_bytes()
+    table_at = 8 + 16 + 2 + 4 * len(model.dims) + 8
+    table_end = table_at + 4 * model.bucket_count * model.feature_dim
+    path = tmp_path / "zero-buckets.bin"
+    path.write_bytes(data[:12] + (0).to_bytes(4, "little") + data[16:table_at] + data[table_end:])
+    return path
+
+
+@pytest.mark.parametrize("command", ["index", "eval", "search"])
+def test_zero_bucket_model_exits_two_without_traceback(workspace, tmp_path, command):
+    model = _zero_bucket_model(workspace, tmp_path)
+    test = workspace["data"] / "test.jsonl"
+    argv = {
+        "index": ["--titles", test, "--out", tmp_path / "out.idx"],
+        "eval": ["--test", test, "--report", tmp_path / "out.json"],
+        "search": ["--index", workspace["index"], "--query", "plants"],
+    }[command]
+    proc = _cli(command, "--model", str(model), *(str(x) for x in argv))
+    assert proc.returncode == 2
+    assert "data error" in proc.stderr and "bucket_count must be in [1," in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("command", ["train", "ablate", "eval", "hist"])
+def test_corpus_cap_below_one_exits_one_before_any_work(workspace, tmp_path, capsys, monkeypatch,
+                                                        command, cap):
+    calls = []
+    monkeypatch.setattr(trainer, "adamw_step", lambda *a: calls.append("adamw_step"))
+    monkeypatch.setattr(metrics, "build_index", lambda *a: calls.append("build_index"))
+    args = _base_args(command, workspace, tmp_path)
+    if command == "train":
+        args["--valid"] = workspace["data"] / "valid.jsonl"
+    args["--corpus-cap"] = cap
+    code = main([command, *(str(x) for item in args.items() for x in item)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "corpus_cap must be >= 1" in err or "bad --corpus-cap value" in err
+    assert "Traceback" not in err
+    assert calls == []
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_model_with_bad_dims_exits_two_without_traceback(workspace, tmp_path):
     path = tmp_path / "bad-dims.bin"
     save_model(load_model(workspace["model"]), path)
@@ -413,6 +460,20 @@ def test_eval_delta_against_baseline(workspace):
     text = delta_path.read_text()
     assert text.startswith("# near2 ")
     assert "+0.00%" in text  # identical model vs itself
+
+
+def test_eval_duplicate_ks_count_once(workspace, tmp_path):
+    args = ["eval", "--model", str(workspace["model"]), "--test",
+            str(workspace["data"] / "test.jsonl"), "--dims", "16,8"]
+    dup, plain = tmp_path / "dup.json", tmp_path / "plain.json"
+    assert main(args + ["--ks", "5,5,3", "--report", str(dup)]) == 0
+    assert main(args + ["--ks", "3,5", "--report", str(plain)]) == 0
+    report = json.loads(dup.read_text())["report"]
+    assert report["ks"] == [3, 5]
+    assert report == json.loads(plain.read_text())["report"]
+    # and it serves as the baseline of a run without the duplicate
+    assert main(args + ["--ks", "3,5", "--report", str(tmp_path / "cand.json"),
+                        "--baseline", str(dup)]) == 0
 
 
 def test_missing_data_file_exits_two(workspace):

@@ -213,6 +213,16 @@ class TestEncode:
             digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
         assert digest.hexdigest() == "2b6fdaea15d5b1199777b44c6e3a4044f68c1495d115ba3c1e4c412d60fa20eb"
 
+    def test_embed_bag_gives_the_raw_rows_encode_wraps(self):
+        model = tiny_model()
+        for text in ("some plant pots", ""):
+            bag = tokenize(text, model.bucket_count)
+            pooled, values = embed_bag(model, bag)
+            assert pooled.shape == (model.feature_dim,) and values.shape == (model.full_dim,)
+            embedding = encode(model, text)
+            assert values.tobytes() == embedding.values.tobytes()
+            assert embedding.degenerate == (len(bag) == 0)
+
     def test_linearity_in_touched_rows(self):
         model = tiny_model()
         bag = tokenize("linear check", model.bucket_count)
@@ -413,6 +423,24 @@ class TestPersistence:
         save_model(model, path)
         with pytest.raises(FormatError, match="finite"):
             load_model(path)
+
+    @pytest.mark.parametrize("buckets, feature_dim, message", [
+        (0, 8, r"bucket_count must be in \[1, 4294967295\], got 0"),
+        (64, 0, "feature_dim must be >= 1, got 0"),
+    ], ids=["zero-buckets", "zero-feature-dim"])
+    def test_empty_parameter_shape_is_format_error(self, tmp_path, buckets, feature_dim, message):
+        # a header that agrees with its (empty) parameter sections, so only the sizes are bad
+        model = tiny_model()
+        b, h, d = buckets, feature_dim, model.full_dim
+        path = tmp_path / "model.bin"
+        path.write_bytes(
+            encoder.pack_header(encoder.MODEL_MAGIC, encoder.MODEL_VERSION, "III", (b, h, d), model.dims)
+            + struct.pack("<Q", 0) + bytes(4 * (b * h + h * d))
+        )
+        with pytest.raises(FormatError, match=message):
+            load_model(path)
+        with pytest.raises(ValueError, match=message):
+            EncoderModel(b, h, model.dims, 0, np.zeros((b, h)), np.zeros((h, d)))
 
     def test_trailing_garbage(self, tmp_path):
         model = tiny_model()

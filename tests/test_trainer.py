@@ -1,6 +1,7 @@
 import hashlib
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,13 @@ from near2.encoder import EncoderModel
 from near2.errors import DataError, NumericalError
 from near2.nested import DimSet
 from near2.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ADAMW_BLOCK,
     MAX_GRAD_NORM,
     SCHEDULES,
-    AdamHyper,
+    WEIGHT_DECAY,
     OptimizerState,
     TrainConfig,
     adamw_step,
@@ -67,9 +71,8 @@ class TestBuildBatches:
     def test_grade_rules(self):
         batches = build_batches(records_one_query([5, 3, 1]), batch_size=4, seed=0)
         assert len(batches) == 1
-        t = batches[0].triplets
-        assert t.positives[0] == ["title 0 red"]
-        assert t.negatives[0] == ["title 2 red"]
+        assert batches[0].positives[0] == ["title 0 red"]
+        assert batches[0].negatives[0] == ["title 2 red"]
 
     def test_all_grade_three_is_error(self):
         with pytest.raises(DataError, match="zero usable queries"):
@@ -78,46 +81,45 @@ class TestBuildBatches:
     def test_missing_negative_excluded_from_triplets(self):
         records = records_one_query([5, 4]) + records_one_query([5, 1], qid="q2")
         batches = build_batches(records, batch_size=4, seed=0)
-        assert [q for b in batches for q in b.triplets.queries] == ["red plant"]
+        assert [q for b in batches for q in b.queries] == ["red plant"]
         # the excluded query's centrality pairs still appear somewhere
-        pair_rights = [r for b in batches for r in b.pairs.rights]
+        pair_rights = [r for b in batches for r in b.rights]
         assert "title 0 red" in pair_rights and "title 1 red" in pair_rights
 
     def test_deterministic(self):
         train_recs, _, _ = small_dataset()
         a = build_batches(train_recs, 4, seed=9)
         b = build_batches(train_recs, 4, seed=9)
-        assert [bt.triplets.queries for bt in a] == [bt.triplets.queries for bt in b]
-        assert [bt.pairs.labels for bt in a] == [bt.pairs.labels for bt in b]
+        assert [bt.queries for bt in a] == [bt.queries for bt in b]
+        assert [bt.labels for bt in a] == [bt.labels for bt in b]
 
     def test_negative_cap(self):
         records = records_one_query([5] + [1] * 20)
         batches = build_batches(records, 4, seed=0)
-        assert len(batches[0].triplets.negatives[0]) == 8
+        assert len(batches[0].negatives[0]) == 8
 
     def test_no_grade_three_in_any_triplet(self):
         train_recs, _, _ = small_dataset(seed=3, queries=20)
         grade3_titles = {r.title for r in train_recs if r.grade == 3}
         batches = build_batches(train_recs, 4, seed=1)
         for b in batches:
-            for group in b.triplets.positives + b.triplets.negatives:
+            for group in b.positives + b.negatives:
                 assert not (set(group) & grade3_titles)
 
 
-def reference_clipped_adamw(params, grads, state, hyper):
+def reference_clipped_adamw(params, grads, state, lr):
     """Global-norm clipping then AdamW, one whole-array operation at a time."""
     norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
-    if math.isfinite(norm) and norm > hyper.max_grad_norm:
+    if math.isfinite(norm) and norm > MAX_GRAD_NORM:
         for g in grads.values():
-            g *= hyper.max_grad_norm / norm
+            g *= MAX_GRAD_NORM / norm
     state.step += 1
     t = state.step
-    lr, b1, b2 = hyper.learning_rate, hyper.beta1, hyper.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = grads[name]
         tmp = np.empty_like(p)
-        if hyper.weight_decay:
-            p -= np.multiply(p, lr * hyper.weight_decay, out=tmp)
+        p -= np.multiply(p, lr * WEIGHT_DECAY, out=tmp)
         m = state.first_moment[name]
         v = state.second_moment[name]
         m *= b1
@@ -130,7 +132,7 @@ def reference_clipped_adamw(params, grads, state, hyper):
         step *= lr
         np.divide(v, 1.0 - b2**t, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += hyper.eps
+        tmp += ADAM_EPS
         step /= tmp
         p -= step
     return norm
@@ -145,34 +147,31 @@ def assert_same_bits(params, state, ref_params, ref_state):
 
 
 class TestAdamW:
-    def test_zero_grad_zero_decay_is_identity(self):
+    def test_zero_grad_only_decays(self):
         params = {"w": np.array([1.0, -2.0])}
         state = OptimizerState.zeros(params)
-        hyper = AdamHyper(learning_rate=0.1, weight_decay=0.0)
-        adamw_step(params, {"w": np.zeros(2)}, state, hyper)
-        assert params["w"].tolist() == [1.0, -2.0]
+        adamw_step(params, {"w": np.zeros(2)}, state, 0.1)
+        assert params["w"].tolist() == [p - p * (0.1 * WEIGHT_DECAY) for p in (1.0, -2.0)]
 
     def test_first_step_moves_by_lr(self):
         params = {"w": np.array([0.0])}
         state = OptimizerState.zeros(params)
-        hyper = AdamHyper(learning_rate=0.1, weight_decay=0.0)
-        adamw_step(params, {"w": np.array([1.0])}, state, hyper)
-        # bias-corrected first step is lr * 1/(1 + eps)
+        adamw_step(params, {"w": np.array([1.0])}, state, 0.1)
+        # a zero parameter does not decay; the bias-corrected first step is lr * 1/(1 + eps)
         assert params["w"][0] == pytest.approx(-0.1, rel=1e-7)
 
     def test_decoupled_decay(self):
         params = {"w": np.array([1.0])}
         state = OptimizerState.zeros(params)
-        hyper = AdamHyper(learning_rate=0.1, weight_decay=0.01)
-        adamw_step(params, {"w": np.array([0.0])}, state, hyper)
+        adamw_step(params, {"w": np.array([0.0])}, state, 0.1)
+        assert WEIGHT_DECAY == 0.01
         assert params["w"][0] == pytest.approx(0.999, rel=1e-15)
 
     def test_nonfinite_gradient_aborts_before_mutation(self):
         params = {"w": np.array([1.0]), "v": np.array([2.0])}
         state = OptimizerState.zeros(params)
-        hyper = AdamHyper(learning_rate=0.1)
         with pytest.raises(NumericalError, match="non-finite"):
-            adamw_step(params, {"w": np.array([np.nan]), "v": np.array([0.0])}, state, hyper)
+            adamw_step(params, {"w": np.array([np.nan]), "v": np.array([0.0])}, state, 0.1)
         assert params["w"][0] == 1.0 and params["v"][0] == 2.0
         assert state.step == 0
 
@@ -182,57 +181,57 @@ class TestAdamW:
         params = {k: rng.normal(size=s) for k, s in shapes.items()}
         reference = {k: v.copy() for k, v in params.items()}
         state = OptimizerState.zeros(params)
-        hyper = AdamHyper(learning_rate=0.01, weight_decay=0.004)
+        lr = 0.01
 
         m = {k: np.zeros_like(v) for k, v in reference.items()}
         v2 = {k: np.zeros_like(v) for k, v in reference.items()}
         for t in range(1, 6):
             grads = {k: rng.normal(size=s) for k, s in shapes.items()}
-            adamw_step(params, grads, state, hyper)
+            norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+            clipped = {k: g * min(1.0, MAX_GRAD_NORM / norm) for k, g in grads.items()}
+            adamw_step(params, grads, state, lr)
             for k in reference:
-                p, g = reference[k], grads[k]
-                p -= hyper.learning_rate * hyper.weight_decay * p
-                m[k] = hyper.beta1 * m[k] + (1 - hyper.beta1) * g
-                v2[k] = hyper.beta2 * v2[k] + (1 - hyper.beta2) * g * g
-                m_hat = m[k] / (1 - hyper.beta1**t)
-                v_hat = v2[k] / (1 - hyper.beta2**t)
-                p -= hyper.learning_rate * m_hat / (np.sqrt(v_hat) + hyper.eps)
+                p, g = reference[k], clipped[k]
+                p -= lr * WEIGHT_DECAY * p
+                m[k] = ADAM_BETA1 * m[k] + (1 - ADAM_BETA1) * g
+                v2[k] = ADAM_BETA2 * v2[k] + (1 - ADAM_BETA2) * g * g
+                m_hat = m[k] / (1 - ADAM_BETA1**t)
+                v_hat = v2[k] / (1 - ADAM_BETA2**t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             for k in reference:
                 np.testing.assert_allclose(params[k], reference[k], rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-    @pytest.mark.parametrize("max_grad_norm", [math.inf, 1.0], ids=["unclipped", "clipped"])
-    def test_blocked_pass_matches_whole_array_reference(self, weight_decay, max_grad_norm):
+    def test_blocked_pass_matches_whole_array_reference(self):
         rng = np.random.default_rng(11)
         # below, equal to, and not a multiple of the block, over several blocks
         shapes = {"small": (ADAMW_BLOCK // 3,), "one": (ADAMW_BLOCK,), "many": (5, ADAMW_BLOCK // 2 + 7)}
         params = {k: rng.normal(size=s) for k, s in shapes.items()}
         ref_params = {k: v.copy() for k, v in params.items()}
         state, ref_state = OptimizerState.zeros(params), OptimizerState.zeros(params)
-        hyper = AdamHyper(learning_rate=0.01, weight_decay=weight_decay, max_grad_norm=max_grad_norm)
+        clips = []
         for scale in (1e-4, 1.0, 3.0):
             grads = {k: scale * rng.normal(size=s) for k, s in shapes.items()}
             ref_grads = {k: v.copy() for k, v in grads.items()}
-            norm, clip = adamw_step(params, grads, state, hyper)
-            assert norm == reference_clipped_adamw(ref_params, ref_grads, ref_state, hyper)
-            assert clip == min(1.0, max_grad_norm / norm)
+            norm, clip = adamw_step(params, grads, state, 0.01)
+            assert norm == reference_clipped_adamw(ref_params, ref_grads, ref_state, 0.01)
+            assert clip == min(1.0, MAX_GRAD_NORM / norm)
+            clips.append(clip)
             for k in grads:
                 assert np.array_equal(grads[k], ref_grads[k])
             assert_same_bits(params, state, ref_params, ref_state)
-        if max_grad_norm == 1.0:
-            assert clip < 1.0
+        # an unclipped step, then clipped ones
+        assert clips[0] == 1.0 and clips[-1] < 1.0
 
     def test_finite_entries_overflowing_the_norm_step_unclipped(self):
         shapes = {"w": (ADAMW_BLOCK + 3,), "b": (4,)}
         params = {k: np.linspace(-1.0, 1.0, num=s[0]) for k, s in shapes.items()}
         ref_params = {k: v.copy() for k, v in params.items()}
         state, ref_state = OptimizerState.zeros(params), OptimizerState.zeros(params)
-        hyper = AdamHyper(learning_rate=0.1, max_grad_norm=MAX_GRAD_NORM)
         grads = {"w": np.full(shapes["w"], 1e200), "b": np.array([1e200, -3.0, 0.0, 2.0])}
         ref_grads = {k: v.copy() for k, v in grads.items()}
         with np.errstate(over="ignore"):
-            norm, clip = adamw_step(params, grads, state, hyper)
-            assert reference_clipped_adamw(ref_params, ref_grads, ref_state, hyper) == norm
+            norm, clip = adamw_step(params, grads, state, 0.1)
+            assert reference_clipped_adamw(ref_params, ref_grads, ref_state, 0.1) == norm
         assert norm == math.inf and clip == 1.0
         assert grads["b"].tolist() == [1e200, -3.0, 0.0, 2.0]
         assert_same_bits(params, state, ref_params, ref_state)
@@ -250,19 +249,20 @@ class TestWarmupAndClip:
     def test_clip_scales_in_place_to_max_norm(self):
         params = {"a": np.array([0.5, -1.0]), "b": np.array([[2.0]])}
         prescaled = {k: v.copy() for k, v in params.items()}
-        hyper = AdamHyper(learning_rate=0.1, max_grad_norm=1.0)
+        assert MAX_GRAD_NORM == 1.0
         grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}
-        assert adamw_step(params, grads, OptimizerState.zeros(params), hyper) == (5.0, 0.2)
+        assert adamw_step(params, grads, OptimizerState.zeros(params), 0.1) == (5.0, 0.2)
         np.testing.assert_allclose(grads["a"], [0.6, 0.0], rtol=1e-15)
         np.testing.assert_allclose(grads["b"], [[0.8]], rtol=1e-15)
-        # the clipped update is the unclipped update of pre-scaled gradients
+        # the clipped update is the unclipped update of pre-scaled gradients,
+        # whose norm is exactly 1.0, so they are not clipped again
         scaled = {"a": np.array([3.0, 0.0]) * (1.0 / 5.0), "b": np.array([[4.0]]) * (1.0 / 5.0)}
-        adamw_step(prescaled, scaled, OptimizerState.zeros(prescaled), AdamHyper(learning_rate=0.1))
+        assert adamw_step(prescaled, scaled, OptimizerState.zeros(prescaled), 0.1)[1] == 1.0
         for k in params:
             assert np.array_equal(params[k], prescaled[k])
         small = {"a": np.array([0.3, 0.4])}
         params = {"a": np.zeros(2)}
-        norm, clip = adamw_step(params, small, OptimizerState.zeros(params), hyper)
+        norm, clip = adamw_step(params, small, OptimizerState.zeros(params), 0.1)
         assert norm == pytest.approx(0.5) and clip == 1.0
         assert small["a"].tolist() == [0.3, 0.4]
 
@@ -271,9 +271,8 @@ class TestWarmupAndClip:
         params = {"w": np.array([1.0, 2.0])}
         grads = {"w": np.array([bad, 5.0])}
         state = OptimizerState.zeros(params)
-        hyper = AdamHyper(learning_rate=0.1, max_grad_norm=MAX_GRAD_NORM)
         with pytest.raises(NumericalError, match="1 non-finite"):
-            adamw_step(params, grads, state, hyper)
+            adamw_step(params, grads, state, 0.1)
         assert grads["w"][1] == 5.0
         assert params["w"].tolist() == [1.0, 2.0] and state.step == 0
 
@@ -322,6 +321,28 @@ TRAINED_DIGESTS = {
     "mnrl+ocl": "924d4c80ddba6b24e789b5e2c700cd432697b84dd1e6d074e811d79e62a54651",
     "mrl-first": "d393ad5821dddfaed060153f40ff230b2c214ed42b1f6319c16c0103783c1c66",
 }
+
+
+# sha256 of TrainHistory.to_jsonl() after tiny_config(epochs=2, schedule=...,
+# lambda_ocl=...) training on pairs_from_one_query(), validated every epoch
+HISTORY_DIGESTS = {
+    ("mnrl", 1.0): "9d268e293401cb810169d4461fe67e7a124b911e33fd58de68854c9af93a5157",
+    ("mnrl", 0.0): "9d268e293401cb810169d4461fe67e7a124b911e33fd58de68854c9af93a5157",
+    ("ocl", 1.0): "553b4ec2f7704ea71907d4df6d4451d4b967bd586b4025433ca887c062d94bd9",
+    ("ocl", 0.0): "553b4ec2f7704ea71907d4df6d4451d4b967bd586b4025433ca887c062d94bd9",
+    ("mnrl+ocl", 1.0): "72f4f8c0c010bb828dc915468bc1abe738907e2f52186a7b50e993c6cbdeccfe",
+    ("mnrl+ocl", 0.0): "c77dc65a27736c44cd8ead55dc561d154328eeee7a829a41ff2f425854ae38c2",
+    ("mrl-first", 1.0): "5e769bfeca06a16e5d57a375504ebc7e6d25b5c9ec93e30f8e117bc89c096837",
+    ("mrl-first", 0.0): "a6ea92aa911110e2fddca57c0df415d8b8810397a4932a8098f634cf0a1961a5",
+}
+
+
+def pairs_from_one_query():
+    """small_dataset()'s train and valid records, centrality kept on one query's
+    train records only, so most steps have no labelled pairs."""
+    train_recs, valid_recs, _ = small_dataset()
+    keep = train_recs[0].qid
+    return [r if r.qid == keep else replace(r, central=None) for r in train_recs], valid_recs
 
 
 class TestTrain:
@@ -441,6 +462,22 @@ class TestTrain:
         for p in (model.feature_table, model.projection):
             digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
         assert digest.hexdigest() == TRAINED_DIGESTS[schedule]
+
+    @pytest.mark.parametrize("lambda_ocl", [1.0, 0.0])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_histories_are_pinned(self, schedule, lambda_ocl):
+        # every loss path's step records and validation rows; pair-less steps
+        # are skipped by "ocl" and warned about by a weighted multitask phase
+        config = tiny_config(epochs=2, schedule=schedule, lambda_ocl=lambda_ocl)
+        train_recs, valid_recs = pairs_from_one_query()
+        _, history = train(tiny_model(config), train_recs, config, valid_recs)
+        full = 2 * 2 * len(build_batches(train_recs, config.batch_size, seed=0))
+        assert len(history.steps) < full if schedule == "ocl" else len(history.steps) == full
+        multitask = schedule in ("mnrl+ocl", "mrl-first")
+        assert any(s["warnings"] for s in history.steps) == (multitask and lambda_ocl > 0)
+        assert history.validation
+        digest = hashlib.sha256(history.to_jsonl().encode("utf-8")).hexdigest()
+        assert digest == HISTORY_DIGESTS[(schedule, lambda_ocl)]
 
     def test_training_a_loaded_model_matches_its_float64_copy(self, tmp_path):
         # a loaded model holds a float32 table; train copies it to float64 and
