@@ -11,7 +11,6 @@ from .nested import DimSet, NestedEmbedding, cosine_prefix, l2_normalize, trunca
 from .losses import (
     LossBatch,
     LossOutput,
-    grad_check,
     mnrl_hinge,
     mrl_compose,
     multitask_step_loss,
@@ -49,7 +48,6 @@ __all__ = [
     "truncate",
     "LossBatch",
     "LossOutput",
-    "grad_check",
     "mnrl_hinge",
     "mrl_compose",
     "multitask_step_loss",

@@ -2,10 +2,11 @@
 
 Every loss reads one `LossBatch`: the step's embedding matrix, one raw row
 per distinct text, and row indices into it for each role (queries, their
-positives and negatives, pair lefts and rights). It returns one gradient of
-that matrix's shape; a row used in several places (a query that is also a
-pair left, a title that is one query's positive and another's negative)
-sums the gradients of all its uses. Only this module maps roles to rows.
+positives and negatives, pair lefts and rights), laid out once as the row
+pairs whose cosines the losses read. A loss gives the derivative of its value
+with respect to each pair's cosine; `_cosine_gradient` turns that into one
+gradient of the matrix's shape, where a row used in several places sums the
+gradients of all its uses. Only this module maps roles to rows.
 
 Three layers:
 
@@ -19,8 +20,6 @@ Three layers:
 
 All gradients are with respect to the raw (unnormalized) embedding entries.
 A loss at prefix dimension m has identically zero gradient beyond position m.
-`grad_check` verifies any of them against central finite differences, skipping
-probes that `breakpoint_gap` finds too close to a hinge or selection kink.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .errors import NumericalError, ZeroVectorError
+from .errors import ZeroVectorError
 from .nested import DimSet, EPS_ZERO
 
 
@@ -41,6 +40,35 @@ def _row_indices(rows, n: int, name: str) -> np.ndarray:
     return rows
 
 
+class _Pairs:
+    """Row pairs (a[t], b[t]) as indices into `rows`, the distinct batch rows
+    they read, and both endpoints of every pair sorted by row: row i's
+    endpoints start at `starts[i]`, each with its `pair` and its `partners` row."""
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        ends = np.concatenate([a, b])
+        self.rows, ends, counts = np.unique(ends, return_inverse=True, return_counts=True)
+        self.a, self.b = ends[: len(a)], ends[len(a) :]
+        order = np.argsort(ends, kind="stable")
+        self.starts = np.cumsum(counts) - counts
+        self.partners = np.concatenate([self.b, self.a])[order]
+        self.pair = np.tile(np.arange(len(a)), 2)[order]
+
+
+def _hinge_layout(queries, positives, negatives) -> tuple[_Pairs, tuple[np.ndarray, np.ndarray]]:
+    """The hinge's pairs, every (query, positive) occurrence and then every
+    (query, negative) one, and for each term (query i, positive j, negative k),
+    in that order, the index of its positive pair and of its negative pair."""
+    n_pos = np.array([len(g) for g in positives], dtype=np.intp)
+    n_neg = np.array([len(g) for g in negatives], dtype=np.intp)
+    a = np.repeat(np.tile(queries, 2), np.concatenate([n_pos, n_neg]))
+    pairs = _Pairs(a, np.concatenate([np.zeros(0, dtype=np.intp), *positives, *negatives]))
+    blocks = np.repeat(n_neg, n_pos)  # terms per positive pair
+    offset = np.arange(blocks.sum()) - np.repeat(np.cumsum(blocks) - blocks, blocks)
+    first_neg = np.repeat(n_pos.sum() + np.cumsum(n_neg) - n_neg, n_pos)
+    return pairs, (np.repeat(np.arange(blocks.size), blocks), np.repeat(first_neg, blocks) + offset)
+
+
 @dataclass
 class LossBatch:
     """A step's (n, D) embedding matrix and the rows each role reads.
@@ -48,6 +76,8 @@ class LossBatch:
     `queries` holds one row per query; `positives[i]` and `negatives[i]` hold
     query i's rows, at least one of each. `lefts`, `rights` and `labels` are
     parallel; label 1 marks a matching pair. Either part may be empty.
+    Construction lays out the m-independent pairs the losses read:
+    `hinge_pairs`, `hinge_terms` (`_hinge_layout`) and `label_pairs`.
     """
 
     embeddings: np.ndarray
@@ -83,6 +113,8 @@ class LossBatch:
             raise ValueError("lefts, rights and labels must have equal length")
         if not np.isin(self.labels, (0, 1)).all():
             raise ValueError("labels must be 0 or 1")
+        self.hinge_pairs, self.hinge_terms = _hinge_layout(self.queries, self.positives, self.negatives)
+        self.label_pairs = _Pairs(self.lefts, self.rights)
 
     @classmethod
     def from_texts(
@@ -130,42 +162,27 @@ class LossOutput:
     warnings: tuple[str, ...] = field(default=())
 
 
-def _unit_rows(batch: LossBatch, rows: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalized m-prefixes of the given rows and their norms; errors on
-    degenerate rows."""
-    prefix = batch.embeddings[rows, :m]
+def _pair_cosines(batch: LossBatch, pairs: _Pairs, m: int):
+    """Unit m-prefixes and norms of `pairs.rows`, and each pair's cosine, a
+    per-pair dot whose bits depend only on its two rows."""
+    prefix = batch.embeddings[pairs.rows, :m]
     norms = np.linalg.norm(prefix, axis=1)
     if np.any(norms <= EPS_ZERO):
         raise ZeroVectorError(f"zero-norm {m}-prefix in batch")
-    return prefix / norms[:, None], norms
+    unit = prefix / norms[:, None]
+    return unit, norms, np.einsum("ij,ij->i", unit[pairs.a], unit[pairs.b])
 
 
-def _query_similarities(batch: LossBatch, m: int):
-    """Per query, in batch order: the unit m-prefix and norm of the query, the
-    unit m-prefixes and norms of its positives and of its negatives, and the
-    positives' and negatives' cosines against the query."""
-    for q, pos, neg in zip(batch.queries, batch.positives, batch.negatives):
-        qh, qnorm = _unit_rows(batch, [q], m)
-        ph, pnorms = _unit_rows(batch, pos, m)
-        nh, nnorms = _unit_rows(batch, neg, m)
-        qh = qh[0]
-        yield qh, qnorm, ph, pnorms, nh, nnorms, ph @ qh, nh @ qh
-
-
-def _pair_cosines(batch: LossBatch, m: int):
-    """Unit m-prefixes and norms of the pair lefts and rights, and each pair's cosine."""
-    lh, lnorms = _unit_rows(batch, batch.lefts, m)
-    rh, rnorms = _unit_rows(batch, batch.rights, m)
-    return lh, lnorms, rh, rnorms, np.einsum("ij,ij->i", lh, rh)
-
-
-def _scatter(batch: LossBatch, m: int, rows: list[np.ndarray], values: list[np.ndarray]) -> np.ndarray:
-    """A gradient of the embedding matrix's shape holding `values` added onto
-    `rows` in columns [0, m); repeated rows add up."""
-    grad = np.zeros_like(batch.embeddings)
-    if rows:
-        np.add.at(grad, (np.concatenate(rows), slice(None, m)), np.concatenate(values))
-    return grad
+def _cosine_gradient(batch: LossBatch, pairs: _Pairs, unit, norms, cos, weights, m: int):
+    """Gradient of sum_t weights[t] * cos(pair t) with respect to the raw rows,
+    in columns [0, m): row r gets (sum w * u_partner - d_r * u_r) / |x_r| over
+    its pair endpoints, d_r summing w * cos over the same endpoints."""
+    w = weights[pairs.pair]
+    toward = np.add.reduceat(w[:, None] * unit[pairs.partners], pairs.starts)
+    d = np.add.reduceat(w * cos[pairs.pair], pairs.starts)
+    gradient = np.zeros_like(batch.embeddings)
+    gradient[pairs.rows, :m] = (toward - d[:, None] * unit) / norms[:, None]
+    return gradient
 
 
 def mnrl_hinge(batch: LossBatch, margin: float, m: int) -> LossOutput:
@@ -183,46 +200,16 @@ def mnrl_hinge(batch: LossBatch, margin: float, m: int) -> LossOutput:
     if nq == 0:
         raise ValueError("hinge loss needs at least one query")
 
-    total = 0.0
-    rows, grads = [], []
-    sims = _query_similarities(batch, m)
-    for q, pos, neg, (qh, qnorm, ph, pnorms, nh, nnorms, sp, sn) in zip(
-        batch.queries, batch.positives, batch.negatives, sims
-    ):
-        hinge = margin - sp[:, None] + sn[None, :]
-        active = hinge > 0.0
-        if not active.any():
-            continue
-        total += float(hinge[active].sum())
-
-        # d loss / d similarity, before the final 1/Q
-        wp = -active.sum(axis=1).astype(np.float64)
-        wn = active.sum(axis=0).astype(np.float64)
-
-        rows += [[q], pos, neg]
-        grads += [
-            (wp @ ph - float(wp @ sp) * qh + wn @ nh - float(wn @ sn) * qh)[None, :] / qnorm[:, None],
-            (wp[:, None] * (qh[None, :] - sp[:, None] * ph)) / pnorms[:, None],
-            (wn[:, None] * (qh[None, :] - sn[:, None] * nh)) / nnorms[:, None],
-        ]
-
-    value = total / nq
-    gradient = _scatter(batch, m, rows, grads)
-    gradient /= nq
+    pairs, (tp, tn) = batch.hinge_pairs, batch.hinge_terms
+    unit, norms, cos = _pair_cosines(batch, pairs, m)
+    hinge = margin - cos[tp] + cos[tn]
+    active = hinge > 0.0
+    value = float(hinge[active].sum()) / nq
+    # d loss / d cos: -1 on each active term's positive pair, +1 on its negative pair
+    n = len(cos)
+    weights = (np.bincount(tn[active], minlength=n) - np.bincount(tp[active], minlength=n)) / nq
+    gradient = _cosine_gradient(batch, pairs, unit, norms, cos, weights, m)
     return LossOutput(value=value, per_dim={m: value}, gradient=gradient)
-
-
-def _ocl_selection(d_pos: np.ndarray, d_neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hard-pair masks: positives farther than the closest negative, negatives
-    closer than the farthest positive. With one class absent, the whole present
-    class is selected (plain contrastive fallback)."""
-    if d_pos.size and d_neg.size:
-        sel_pos = d_pos > d_neg.min()
-        sel_neg = d_neg < d_pos.max()
-    else:
-        sel_pos = np.ones_like(d_pos, dtype=bool)
-        sel_neg = np.ones_like(d_neg, dtype=bool)
-    return sel_pos, sel_neg
 
 
 def ocl(batch: LossBatch, margin_c: float, m: int) -> LossOutput:
@@ -238,34 +225,26 @@ def ocl(batch: LossBatch, margin_c: float, m: int) -> LossOutput:
         raise ValueError("online contrastive loss needs at least one pair")
     m = batch.dims.require(m)
 
-    lh, lnorms, rh, rnorms, cos = _pair_cosines(batch, m)
+    unit, norms, cos = _pair_cosines(batch, batch.label_pairs, m)
     dist = 1.0 - cos
-
-    pos = batch.labels == 1
-    neg = ~pos
-    sel_pos, sel_neg = _ocl_selection(dist[pos], dist[neg])
+    # hard pairs: positives farther than the closest negative, negatives closer
+    # than the farthest positive; with one class absent, all of the other
+    pos, neg = batch.labels == 1, batch.labels == 0
+    sel_pos, sel_neg = pos, neg
+    if pos.any() and neg.any():
+        sel_pos, sel_neg = pos & (dist > dist[neg].min()), neg & (dist < dist[pos].max())
 
     value = 0.0
-    # d loss / d dist, assembled over the full batch
-    ddist = np.zeros(len(batch.labels))
+    ddist = np.zeros(len(dist))  # d loss / d dist
     if sel_pos.any():
-        dp = dist[pos][sel_pos]
+        dp = dist[sel_pos]
         value += float(np.mean(dp * dp))
-        contrib = np.zeros(int(pos.sum()))
-        contrib[sel_pos] = 2.0 * dp / sel_pos.sum()
-        ddist[pos] = contrib
+        ddist[sel_pos] = 2.0 * dp / dp.size
     if sel_neg.any():
-        dn = dist[neg][sel_neg]
-        slack = np.maximum(0.0, margin_c - dn)
+        slack = np.maximum(0.0, margin_c - dist[sel_neg])
         value += float(np.mean(slack * slack))
-        contrib = np.zeros(int(neg.sum()))
-        contrib[sel_neg] = -2.0 * slack / sel_neg.sum()
-        ddist[neg] = contrib
-
-    dcos = -ddist
-    grad_l = (dcos[:, None] * (rh - cos[:, None] * lh)) / lnorms[:, None]
-    grad_r = (dcos[:, None] * (lh - cos[:, None] * rh)) / rnorms[:, None]
-    gradient = _scatter(batch, m, [batch.lefts, batch.rights], [grad_l, grad_r])
+        ddist[sel_neg] = -2.0 * slack / slack.size
+    gradient = _cosine_gradient(batch, batch.label_pairs, unit, norms, cos, -ddist, m)
     return LossOutput(value=value, per_dim={m: value}, gradient=gradient)
 
 
@@ -286,7 +265,7 @@ def mrl_compose(task: TaskLoss, batch: LossBatch, dims: DimSet) -> LossOutput:
         try:
             out = task(batch, m)
         except Exception as e:
-            e.args = e.args + (f"while composing nested dimension m={m}",)
+            e.args = (f"{e} while composing nested dimension m={m}",)
             raise
         value += out.value
         per_dim[m] = out.value
@@ -305,102 +284,28 @@ def multitask_step_loss(
     lambda_ocl: float,
 ) -> LossOutput:
     """The composed hinge loss if the batch has queries, plus lambda_ocl times
-    the composed contrastive loss if it has pairs; either alone equals its
-    `mrl_compose` bit for bit (the contrastive one at lambda_ocl = 1).
+    the composed contrastive loss if it has pairs and lambda_ocl > 0; either
+    alone equals its `mrl_compose` (the hinge bit for bit, the contrastive one
+    at lambda_ocl = 1). At lambda_ocl = 0 the pairs are never read.
 
     A batch without pairs contributes 0 to the contrastive term, with a
     warning flag when lambda_ocl > 0 instead of failing, so ranking-only steps
     remain valid.
     """
-    parts = []  # (weight, composed loss)
-    if len(batch.queries):
-        parts.append((1.0, mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch, dims)))
-    if len(batch.labels):
-        parts.append((lambda_ocl, mrl_compose(lambda b, m: ocl(b, margin_c, m), batch, dims)))
-    if not parts:
+    if not len(batch.queries) and not len(batch.labels):
         raise ValueError("a step loss needs queries or pairs")
-    empty = not len(batch.labels) and lambda_ocl > 0
-    warnings = ("empty pair batch: contrastive term treated as 0",) if empty else ()
-    (weight, first), *rest = parts
-    gradient = first.gradient
-    gradient *= weight
-    per_dim = {m: weight * first.per_dim[m] for m in dims}
-    for weight, out in rest:
-        gradient += weight * out.gradient
+    if len(batch.queries):
+        out = mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch, dims)
+    else:
+        out = LossOutput(0.0, dict.fromkeys(dims, 0.0), np.zeros_like(batch.embeddings))
+    if len(batch.labels) and lambda_ocl > 0:
+        contrastive = mrl_compose(lambda b, m: ocl(b, margin_c, m), batch, dims)
+        out.gradient += lambda_ocl * contrastive.gradient
         for m in dims:
-            per_dim[m] += weight * out.per_dim[m]
+            out.per_dim[m] += lambda_ocl * contrastive.per_dim[m]
     value = 0.0
     for m in dims:
-        value += per_dim[m]
-    return LossOutput(value=value, per_dim=per_dim, gradient=gradient, warnings=warnings)
-
-
-def breakpoint_gap(batch: LossBatch, dims: DimSet, margin: float, margin_c: float) -> float:
-    """Distance from the nearest kink of the batch's losses at any m in `dims`.
-
-    The hinge kinks are |margin - cos(q,p) + cos(q,n)| when the batch has
-    queries; with pairs, the contrastive kinks are |margin_c - d| for negative
-    distances d and, with both labels present, the distances from the hard-pair
-    selection thresholds. Finite-difference probes closer to a kink than this
-    are unreliable; `grad_check` uses it to skip them.
-    """
-    gaps = [np.inf]
-    for m in dims:
-        m = batch.dims.require(m)
-        for *_, sp, sn in _query_similarities(batch, m):
-            gaps.append(np.abs(margin - sp[:, None] + sn[None, :]).min())
-        if len(batch.labels):
-            dist = 1.0 - _pair_cosines(batch, m)[-1]
-            pos = batch.labels == 1
-            d_pos, d_neg = dist[pos], dist[~pos]
-            if d_neg.size:
-                gaps.append(np.abs(margin_c - d_neg).min())
-            if d_pos.size and d_neg.size:
-                gaps.append(np.abs(d_pos - d_neg.min()).min())
-                gaps.append(np.abs(d_neg - d_pos.max()).min())
-    return float(min(gaps))
-
-
-def grad_check(
-    loss: Callable[[np.ndarray], tuple[float, np.ndarray]],
-    params: np.ndarray,
-    step: float,
-    gap: Callable[[np.ndarray], float] | None = None,
-    gap_threshold: float = 1e-7,
-) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    `loss(theta)` must return (value, gradient). Per coordinate the relative
-    error is |analytic - numeric| / max(1e-8, |analytic| + |numeric|). When a
-    `gap` callable is given, coordinates whose probe points land within
-    `gap_threshold` of a hinge or selection breakpoint are skipped, since the
-    finite difference straddles a kink there.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    params = np.asarray(params, dtype=np.float64)
-    _, analytic = loss(params)
-    analytic = np.asarray(analytic, dtype=np.float64)
-    if analytic.shape != params.shape:
-        raise ValueError("analytic gradient shape must match params")
-
-    worst = 0.0
-    for i in range(params.size):
-        probes = []
-        skip = False
-        for sign in (1.0, -1.0):
-            theta = params.copy()
-            theta[i] += sign * step
-            if gap is not None and gap(theta) < gap_threshold:
-                skip = True
-                break
-            v, _ = loss(theta)
-            if not np.isfinite(v):
-                raise NumericalError(f"non-finite loss at probe for coordinate {i}")
-            probes.append(v)
-        if skip:
-            continue
-        numeric = (probes[0] - probes[1]) / (2.0 * step)
-        err = abs(analytic[i] - numeric) / max(1e-8, abs(analytic[i]) + abs(numeric))
-        worst = max(worst, err)
-    return worst
+        value += out.per_dim[m]
+    empty = not len(batch.labels) and lambda_ocl > 0
+    warnings = ("empty pair batch: contrastive term treated as 0",) if empty else ()
+    return LossOutput(value=value, per_dim=out.per_dim, gradient=out.gradient, warnings=warnings)

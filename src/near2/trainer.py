@@ -16,11 +16,11 @@ w = ceil(T/10) steps and then decays linearly (`warmup_linear`), and each
 update scales both gradients together to a global L2 norm of at most 1.0.
 Each step is one forward pass: every distinct text is tokenized once per run
 and pooled and embedded once per step into one raw row of the step's
-`LossBatch`. The loss returns one gradient row per distinct text, which
-`backward` takes as its upstream together with those texts' feature bags and
-pooled rows; how queries, titles and pairs map to rows is left to
-`near2.losses`. The feature-table gradient accumulates into one buffer per
-`train` call, re-zeroed at the step's rows after each update.
+`LossBatch`, whose losses read it through cosines of row pairs (so a text
+without features, a zero row, is refused before the first step). The loss
+returns one gradient row per distinct text, `backward`'s upstream next to
+those texts' feature bags and pooled rows. The feature-table gradient
+accumulates into one buffer per `train` call, re-zeroed after each update.
 
 `adamw_step` takes only the learning rate; the betas, epsilon, weight decay
 and clip norm are module constants. It is one fused pass per parameter over
@@ -381,6 +381,30 @@ def _epoch_seed(seed: int, phase_index: int, epoch: int) -> int:
     return seed + 1_000_003 * (phase_index + 1) + epoch
 
 
+def _pair_weight(phase: Phase, config: TrainConfig) -> float:
+    # "mnrl" has no pairs, and its weight 0 raises no empty-pair warning
+    return {"mnrl": 0.0, "ocl": 1.0}.get(phase.task, config.lambda_ocl)
+
+
+def _check_features(records: list[RelevanceRecord], bags, reads_pairs: bool) -> None:
+    """Raise `DataError` naming and counting the records a loss reads whose
+    query or title has an empty feature bag (a zero row has no cosine): those
+    graded off 3 of a query with both sides, and the labelled ones if `reads_pairs`."""
+    ranked = {r.qid for r in records if r.grade > RELEVANT_ABOVE}
+    ranked &= {r.qid for r in records if r.grade < RELEVANT_ABOVE}
+    bad = [
+        r for r in records
+        if (r.qid in ranked and r.grade != RELEVANT_ABOVE or reads_pairs and r.central is not None)
+        and not (len(bags[r.query]) and len(bags[r.title]))
+    ]
+    if bad:
+        r = bad[0]
+        raise DataError(
+            f"{len(bad)} training record(s) a loss reads have a query or title without features, "
+            f"the first qid {r.qid!r} title id {r.title_id!r} ({r.query!r} / {r.title!r})"
+        )
+
+
 def _step_loss(model, bags, batch: StepBatch, phase: Phase, dims: DimSet, config: TrainConfig):
     """Loss output, and the step's distinct feature bags and their pooled rows,
     one per row of the loss gradient. Each text is pooled and embedded once and
@@ -398,8 +422,7 @@ def _step_loss(model, bags, batch: StepBatch, phase: Phase, dims: DimSet, config
 
     # from_texts embeds each distinct text once, in row order
     loss_batch, texts = LossBatch.from_texts(embed, model.dims, **roles)
-    # "mnrl" has no pairs, and its weight 0 raises no empty-pair warning
-    weight = {"mnrl": 0.0, "ocl": 1.0}.get(phase.task, config.lambda_ocl)
+    weight = _pair_weight(phase, config)
     out = multitask_step_loss(loss_batch, dims, config.margin, config.margin_c, weight)
     if not np.isfinite(out.value):
         raise NumericalError(f"non-finite loss value {out.value!r}")
@@ -427,9 +450,11 @@ def train(
         )
     history = TrainHistory()
     bags = feature_bags((s for r in records for s in (r.query, r.title)), model.bucket_count)
+    phases = schedule_phases(config.schedule)
+    _check_features(records, bags, any(_pair_weight(p, config) > 0 for p in phases))
     grad_table = np.zeros_like(model.feature_table)  # all zeros between steps
     global_step = 0
-    for phase_index, phase in enumerate(schedule_phases(config.schedule)):
+    for phase_index, phase in enumerate(phases):
         state = OptimizerState.zeros(model.parameters())
         dims = config.dims if phase.nested else DimSet((config.dims.full,))
         epochs = [

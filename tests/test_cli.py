@@ -476,6 +476,24 @@ def test_eval_duplicate_ks_count_once(workspace, tmp_path):
                         "--baseline", str(dup)]) == 0
 
 
+def test_featureless_training_title_exits_two_naming_the_record(workspace, tmp_path, capsys):
+    lines = (workspace["data"] / "train.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    record = next(r for r in records if r["grade"] > 3)
+    record["title"] = "!!! ---"
+    data = tmp_path / "train.jsonl"
+    data.write_text("".join(json.dumps(r) + "\n" for r in records))
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.bin"), *TINY])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        "near2: data error: 1 training record(s) a loss reads have a query or title without "
+        f"features, the first qid {record['qid']!r} title id {record['title_id']!r} "
+        f"({record['query']!r} / '!!! ---')\n"
+    )
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_missing_data_file_exits_two(workspace):
     assert main([
         "eval", "--model", str(workspace["model"]), "--test", "/nonexistent.jsonl",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loss_oracle import breakpoint_gap, grad_check
 from near2 import encoder
 from near2.encoder import (
     MAX_BUCKETS,
@@ -23,7 +24,7 @@ from near2.encoder import (
     xorshift_uniform,
 )
 from near2.errors import FormatError
-from near2.losses import LossBatch, breakpoint_gap, grad_check, mnrl_hinge, mrl_compose
+from near2.losses import LossBatch, mnrl_hinge, mrl_compose
 from near2.nested import DimSet
 
 

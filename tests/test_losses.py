@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from near2.errors import NumericalError
+import loss_oracle as oracle
+from loss_oracle import breakpoint_gap, grad_check
+from near2.errors import NumericalError, ZeroVectorError
 from near2.losses import (
     LossBatch,
     LossOutput,
-    breakpoint_gap,
-    grad_check,
     mnrl_hinge,
     mrl_compose,
     multitask_step_loss,
@@ -224,7 +224,8 @@ class TestMrlCompose:
         def boom(batch, m):
             raise ValueError("synthetic failure")
 
-        with pytest.raises(ValueError, match="m=4"):
+        message = "^synthetic failure while composing nested dimension m=4$"
+        with pytest.raises(ValueError, match=message):
             mrl_compose(boom, None, DimSet((4, 2)))
 
     def test_decomposition_invariant_random(self):
@@ -245,6 +246,23 @@ class TestMultitask:
         combined = multitask_step_loss(batch, dims, 0.75, 0.5, lambda_ocl=0.0)
         mnrl_only = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, dims)
         assert combined.value == mnrl_only.value
+        assert np.array_equal(combined.gradient, mnrl_only.gradient)
+
+    def test_lambda_zero_never_reads_the_pairs(self):
+        # the batch's only zero-norm row is a pair right: at weight 0 the step
+        # is the hinge loss alone, at any positive weight the pair is an error
+        rng = np.random.default_rng(29)
+        dims = DimSet((6, 3))
+        pairs = random_pairs(rng, dims)
+        pairs["rights"][0] = 0.0
+        batch = occurrence_batch(dims, **random_triplets(rng, dims), **pairs)
+        message = "^zero-norm 6-prefix in batch while composing nested dimension m=6$"
+        with pytest.raises(ZeroVectorError, match=message):
+            multitask_step_loss(batch, dims, 0.75, 0.5, lambda_ocl=0.5)
+        combined = multitask_step_loss(batch, dims, 0.75, 0.5, lambda_ocl=0.0)
+        mnrl_only = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, dims)
+        assert combined.value == mnrl_only.value
+        assert combined.per_dim == mnrl_only.per_dim
         assert np.array_equal(combined.gradient, mnrl_only.gradient)
 
     def test_unit_lambda_adds_composites(self):
@@ -435,3 +453,66 @@ def test_repeated_texts_share_one_row(seed, lambda_ocl):
     summed = np.zeros_like(a.gradient)
     np.add.at(summed, [texts.index(key[-1]) for key in keys], b.gradient)
     assert np.abs(a.gradient - summed).max() <= 1e-12 * np.abs(summed).max()
+
+
+def oracle_batch(rng, dims, n_queries, n_pairs, labels, separated):
+    """A batch whose rows repeat within a group and across roles: a title is a
+    positive twice, or one query's positive and another's negative, or a pair
+    right, and a pair left may be a query. No pair joins a row to itself and
+    no row is both a title and a query, nor one query's positive and negative:
+    there two terms cancel exactly and the gradient left is rounding noise,
+    with no scale to compare against. With `separated` every query's
+    positives are near-copies of it, so at margin 0 no hinge is active; the
+    labelled pairs never read a near-copy, whose nearly parallel cosine
+    gradient would be as ill-conditioned as that noise.
+    """
+    n_titles = 8
+    query_rows = n_titles + np.arange(n_queries)
+    twin_rows = query_rows + n_queries
+    rows = rng.normal(size=(n_titles + n_queries, dims.full))
+    twins = 1.5 * rows[query_rows] + 1e-3 * rng.normal(size=(n_queries, dims.full))
+    embeddings = np.concatenate([rows, twins])
+    titles = np.arange(n_titles)
+    positives = [
+        np.full(rng.integers(1, 3), twin) if separated else rng.choice(titles, rng.integers(1, 4))
+        for twin in twin_rows
+    ]
+    negatives = [rng.choice(np.setdiff1d(titles, p), rng.integers(1, 4)) for p in positives]
+    lefts = rng.integers(0, len(rows), n_pairs)
+    rights = (lefts + rng.integers(1, len(rows), n_pairs)) % len(rows)
+    pair_labels = {"mixed": rng.integers(0, 2, n_pairs), "1": np.ones(n_pairs), "0": np.zeros(n_pairs)}
+    return LossBatch(
+        embeddings, dims, query_rows, positives, negatives, lefts, rights, pair_labels[labels]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_queries=st.integers(0, 4),
+    n_pairs=st.integers(0, 6),
+    labels=st.sampled_from(["mixed", "1", "0"]),
+    separated=st.booleans(),
+    margin=st.sampled_from([0.0, 0.75]),
+    lambda_ocl=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_step_loss_agrees_with_the_per_dimension_oracle(
+    seed, n_queries, n_pairs, labels, separated, margin, lambda_ocl
+):
+    dims = DimSet((6, 3))
+    batch = oracle_batch(np.random.default_rng(seed), dims, n_queries, n_pairs, labels, separated)
+    if not n_queries and not n_pairs:
+        for loss in (multitask_step_loss, oracle.multitask_step_loss):
+            with pytest.raises(ValueError, match="needs queries or pairs"):
+                loss(batch, dims, margin, 0.5, lambda_ocl)
+        return
+    new = multitask_step_loss(batch, dims, margin, 0.5, lambda_ocl)
+    old = oracle.multitask_step_loss(batch, dims, margin, 0.5, lambda_ocl)
+    # the hinge's cosines come from per-pair dots here and from matrix-vector
+    # products in the oracle, one rounding apart (about 1e-16), which exceeds
+    # 1e-12 relative only for a dimension whose whole loss is below 1e-4
+    for a, b in [(new.value, old.value), *((new.per_dim[m], old.per_dim[m]) for m in dims)]:
+        assert abs(a - b) <= 1e-12 * abs(b) + 1e-15
+    assert list(new.per_dim) == list(old.per_dim)
+    assert np.abs(new.gradient - old.gradient).max() <= 1e-12 * np.abs(old.gradient).max()
+    assert new.warnings == old.warnings

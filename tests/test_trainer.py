@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -316,24 +317,24 @@ class TestSchedules:
 # sha256 of the float64 parameters after tiny_config(epochs=2, schedule=...)
 # training on small_dataset()
 TRAINED_DIGESTS = {
-    "mnrl": "e12f816d686316b6116d0d3c5adf8ca5c7641e88e383575cfb393693a7c3f94c",
-    "ocl": "9616aa427f5af6dac4431522ccb7ba4bc8cd270fd506cc18229d567b83611450",
-    "mnrl+ocl": "924d4c80ddba6b24e789b5e2c700cd432697b84dd1e6d074e811d79e62a54651",
-    "mrl-first": "d393ad5821dddfaed060153f40ff230b2c214ed42b1f6319c16c0103783c1c66",
+    "mnrl": "41d141e163737cabd9e0ffb00656388e7d5be202bc2266952eb3bc352825f83f",
+    "ocl": "91cc519ce35a1fde190102cffca13b79addebd7c214108378e7998b3b8b9837f",
+    "mnrl+ocl": "7e4b06da0fcde579da1f234b8ac009f26899b3d2912b1a2e5df64d0b65aa60ba",
+    "mrl-first": "7c735d17660b23ca8f0633e14e2bdc6f74afcd0cca66cedf715f53f458af7e34",
 }
 
 
 # sha256 of TrainHistory.to_jsonl() after tiny_config(epochs=2, schedule=...,
 # lambda_ocl=...) training on pairs_from_one_query(), validated every epoch
 HISTORY_DIGESTS = {
-    ("mnrl", 1.0): "9d268e293401cb810169d4461fe67e7a124b911e33fd58de68854c9af93a5157",
-    ("mnrl", 0.0): "9d268e293401cb810169d4461fe67e7a124b911e33fd58de68854c9af93a5157",
-    ("ocl", 1.0): "553b4ec2f7704ea71907d4df6d4451d4b967bd586b4025433ca887c062d94bd9",
-    ("ocl", 0.0): "553b4ec2f7704ea71907d4df6d4451d4b967bd586b4025433ca887c062d94bd9",
-    ("mnrl+ocl", 1.0): "72f4f8c0c010bb828dc915468bc1abe738907e2f52186a7b50e993c6cbdeccfe",
-    ("mnrl+ocl", 0.0): "c77dc65a27736c44cd8ead55dc561d154328eeee7a829a41ff2f425854ae38c2",
-    ("mrl-first", 1.0): "5e769bfeca06a16e5d57a375504ebc7e6d25b5c9ec93e30f8e117bc89c096837",
-    ("mrl-first", 0.0): "a6ea92aa911110e2fddca57c0df415d8b8810397a4932a8098f634cf0a1961a5",
+    ("mnrl", 1.0): "ec5a2ebd2b209c511f0ce761733ce35916eae902b76d4108d8a5a7abb194eb45",
+    ("mnrl", 0.0): "ec5a2ebd2b209c511f0ce761733ce35916eae902b76d4108d8a5a7abb194eb45",
+    ("ocl", 1.0): "e6a6134f090c8dc9e095df4a640450ee89953581aa64607c1d7bc333feaadfaf",
+    ("ocl", 0.0): "e6a6134f090c8dc9e095df4a640450ee89953581aa64607c1d7bc333feaadfaf",
+    ("mnrl+ocl", 1.0): "9613579eca0caa3988ad431fa450acb3169e3b6b816faf0244c8cd4cf5ba00d8",
+    ("mnrl+ocl", 0.0): "73fe90d40c8974c59393dc92866cdfb025c20b097e04e3f89213fa33e7dc9493",
+    ("mrl-first", 1.0): "a34a5b24491321c52adfc3bfaa80071f6fab27d23ce242b6ab3cac6d52c0e62d",
+    ("mrl-first", 0.0): "42c127201789e5cc10d733ad67244605f7aebea6df6a07535b6336b63295c168",
 }
 
 
@@ -450,7 +451,7 @@ class TestTrain:
         digest = hashlib.sha256()
         for p in (model.feature_table, model.projection):
             digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
-        assert digest.hexdigest() == "924d4c80ddba6b24e789b5e2c700cd432697b84dd1e6d074e811d79e62a54651"
+        assert digest.hexdigest() == "7e4b06da0fcde579da1f234b8ac009f26899b3d2912b1a2e5df64d0b65aa60ba"
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_trained_bits_are_pinned_for_every_schedule(self, schedule):
@@ -508,6 +509,42 @@ class TestTrain:
         lines = history.to_jsonl().strip().split("\n")
         kinds = {json.loads(line)["kind"] for line in lines}
         assert kinds == {"step", "validation"}
+
+
+def with_featureless_title(records, pick):
+    """`records` with the title of the first record `pick` accepts made
+    featureless, and that record."""
+    i = next(i for i, r in enumerate(records) if pick(r))
+    records = list(records)
+    records[i] = replace(records[i], title="!!! ---")
+    return records, records[i]
+
+
+class TestFeaturelessTexts:
+    def test_featureless_title_fails_before_the_first_step(self, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(trainer, "_step_loss", no_step)
+        config = tiny_config()
+        train_recs, _, _ = small_dataset()
+        # a positive, read by the hinge, and a grade-3 labelled record, read by OCL
+        train_recs, first = with_featureless_title(train_recs, lambda r: r.grade > 3)
+        train_recs, _ = with_featureless_title(train_recs, lambda r: r.grade == 3)
+        tail = f"the first qid {first.qid!r} title id {first.title_id!r} ({first.query!r} / '!!! ---')"
+        with pytest.raises(DataError, match=r"^2 training record\(s\) .*" + re.escape(tail) + "$"):
+            train(tiny_model(config), train_recs, config)
+
+    @pytest.mark.parametrize("schedule, lambda_ocl", [("mnrl", 1.0), ("mnrl+ocl", 0.0)])
+    def test_featureless_text_no_loss_reads_is_accepted(self, schedule, lambda_ocl):
+        # a grade-3 record feeds only the contrastive loss, which neither run reads
+        config = tiny_config(schedule=schedule, lambda_ocl=lambda_ocl)
+        train_recs, _, _ = small_dataset()
+        train_recs, _ = with_featureless_title(train_recs, lambda r: r.grade == 3)
+        _, history = train(tiny_model(config), train_recs, config)
+        assert history.steps
+        with pytest.raises(DataError, match=r"^1 training record\(s\)"):
+            train(tiny_model(config), train_recs, replace(config, schedule="ocl"))
 
 
 class TestAblation:
