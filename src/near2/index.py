@@ -29,7 +29,7 @@ from . import _kernels
 from ._binio import Reader, pack_header, write_atomically
 from .encoder import CHUNK_TEXTS, EncoderModel, embed_bag, tokenize_many
 from .encoder import encode  # unused here; bench/tracing.py wraps near2.index.encode
-from .errors import DataError, FormatError, ZeroVectorError
+from .errors import DataError, FormatError, NumericalError, ZeroVectorError
 from .nested import DimSet, NestedEmbedding, EPS_ZERO, l2_normalize, truncate
 
 INDEX_MAGIC = b"NEAR2IDX"
@@ -116,7 +116,8 @@ class PrefixIndex:
         return index
 
     def _assign(self, ids, titles, bands, dims, degenerate, norms=None) -> None:
-        """Without `norms`, the norm table is computed from the bands."""
+        """Without `norms`, the norm table is computed from the bands, and a
+        row with a non-finite entry raises `NumericalError`."""
         degenerate = np.asarray(degenerate, dtype=bool)
         count = bands[0].shape[0]
         ids, titles = TextColumn.of(ids), TextColumn.of(titles)
@@ -128,8 +129,10 @@ class PrefixIndex:
                 [np.sqrt(_kernels.prefix_sq_norms(self.bands, m)) for m in dims], axis=1
             )
             # a row's norm at D is finite exactly when all its entries are
-            if not np.all(np.isfinite(norms)):
-                raise ValueError("index rows must be finite")
+            finite = np.isfinite(norms)
+            if not finite.all():
+                bad = count - np.count_nonzero(finite.all(axis=1))
+                raise NumericalError(f"{bad} of {count} index rows are not finite as float32")
         for array in (*bands, norms, degenerate):
             array.setflags(write=False)
         self.ids = ids
@@ -162,7 +165,8 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
     Titles are tokenized `CHUNK_TEXTS` at a time, so memory stays flat in the
     corpus, and embedded one bag at a time by `embed_bag`, so every row equals
     `encode` of its title, bit for bit; a non-finite row raises ValueError as
-    `encode` does.
+    `encode` does. A finite row that overflows the index's float32 raises
+    `NumericalError` from the norm table's check.
     """
     if not titles:
         raise DataError("cannot build an index from zero titles")
@@ -174,15 +178,18 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
     edges = _band_edges(model.dims)
     bands = [np.empty((len(titles), hi - lo), dtype=np.float32) for lo, hi in zip(edges, edges[1:])]
     degenerate = np.zeros(len(titles), dtype=bool)
-    for first in range(0, len(titles), CHUNK_TEXTS):
-        chunk = [text for _, text in titles[first : first + CHUNK_TEXTS]]
-        for row, bag in enumerate(tokenize_many(chunk, model.bucket_count), start=first):
-            values = embed_bag(model, bag)[1]
-            if not np.all(np.isfinite(values)):
-                raise ValueError("embedding values must be finite")
-            for band, lo, hi in zip(bands, edges, edges[1:]):
-                band[row] = values[lo:hi]
-            degenerate[row] = len(bag) == 0
+    # overflow warns nothing: a row that is not finite in float64 is refused
+    # here, one that overflows the float32 bands by the norm table's check
+    with np.errstate(over="ignore"):
+        for first in range(0, len(titles), CHUNK_TEXTS):
+            chunk = [text for _, text in titles[first : first + CHUNK_TEXTS]]
+            for row, bag in enumerate(tokenize_many(chunk, model.bucket_count), start=first):
+                values = embed_bag(model, bag)[1]
+                if not np.all(np.isfinite(values)):
+                    raise ValueError("embedding values must be finite")
+                for band, lo, hi in zip(bands, edges, edges[1:]):
+                    band[row] = values[lo:hi]
+                degenerate[row] = len(bag) == 0
     return PrefixIndex._from_bands(
         ids=[doc_id for doc_id, _ in titles],
         titles=[text for _, text in titles],

@@ -29,7 +29,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .errors import ZeroVectorError
+from .errors import NumericalError, ZeroVectorError
 from .nested import DimSet, EPS_ZERO
 
 
@@ -78,6 +78,7 @@ class LossBatch:
     parallel; label 1 marks a matching pair. Either part may be empty.
     Construction lays out the m-independent pairs the losses read:
     `hinge_pairs`, `hinge_terms` (`_hinge_layout`) and `label_pairs`.
+    Non-finite embeddings raise `NumericalError`.
     """
 
     embeddings: np.ndarray
@@ -95,7 +96,7 @@ class LossBatch:
         if self.embeddings.ndim != 2 or self.embeddings.shape[1] != d:
             raise ValueError(f"embeddings must be an (n, {d}) array")
         if not np.all(np.isfinite(self.embeddings)):
-            raise ValueError("embeddings must be finite")
+            raise NumericalError("embeddings must be finite")
         n = self.embeddings.shape[0]
         self.queries = _row_indices(self.queries, n, "queries")
         if len(self.positives) != len(self.queries) or len(self.negatives) != len(self.queries):

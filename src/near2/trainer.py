@@ -23,12 +23,19 @@ those texts' feature bags and pooled rows. The feature-table gradient
 accumulates into one buffer per `train` call, re-zeroed after each update.
 
 `adamw_step` takes only the learning rate; the betas, epsilon, weight decay
-and clip norm are module constants. It is one fused pass per parameter over
-blocks of `ADAMW_BLOCK` entries: the clip scaling, weight decay, both moment
-updates and the bias-corrected step run block by block through two
-block-sized scratch buffers, with the same elementwise operations in the same
-order as the plain whole-array update, so every bit matches it while each
-array is read and written about once.
+and clip norm are module constants. It also takes, per parameter, the rows
+that get the full update: `train` lists the feature-table rows the current
+phase has touched, a mask that resets with the optimizer state at each phase
+boundary and only grows within a phase. A row no step of the phase has
+touched has zero gradient and zero moments, and the whole-array update would
+only decay it (decoupled weight decay, Loshchilov & Hutter, arXiv 1711.05101:
+every other term is 0 / (sqrt(0) + eps) = 0, and p - 0.0 == p). So each
+parameter gets one blocked decay pass over all its entries and one update
+pass over the listed rows, gathered and scattered back in blocks of about
+`ADAMW_BLOCK` entries. The clip scaling, both moment updates and the
+bias-corrected step are the same elementwise operations in the same order as
+the plain whole-array update, so every bit matches it, while a step reads the
+untouched ~90 % of the table only to decay it.
 """
 
 from __future__ import annotations
@@ -74,10 +81,11 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01
 
-# Entries per block of adamw_step's fused pass: a block of the parameter, its
-# gradient, both moments and the two scratch buffers (6 x 256 KiB of float64)
-# stay within a 2 MiB L2 cache.
-ADAMW_BLOCK = 32 * 1024
+# Entries per block of adamw_step's passes: a block of the parameter, its
+# gradient, both moments and the two scratch buffers (6 x 64 KiB of float64)
+# stay well within a 2 MiB L2 cache. Blocks of 32K entries ran no faster, and
+# their four gather buffers raised the peak RSS of `near2 train` by ~1 MiB.
+ADAMW_BLOCK = 8 * 1024
 
 
 @dataclass(frozen=True)
@@ -247,6 +255,7 @@ def adamw_step(
     grads: dict[str, np.ndarray],
     state: OptimizerState,
     learning_rate: float,
+    rows: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, float]:
     """One clipped AdamW update at `learning_rate`, in place, with bias correction.
 
@@ -256,16 +265,24 @@ def adamw_step(
     the norm is finite and above `MAX_GRAD_NORM`, else 1.0. Clipping scales
     `grads` in place.
 
+    `rows` maps a parameter's name to the sorted, distinct indices of the rows
+    (first-axis slices) that get the full update; a parameter it does not name
+    gets it on every row. An unlisted row must have zero gradient and zero
+    moments, and then only decays: the whole-array update would add
+    0 / (sqrt(0) + eps) = 0 to it and leave its moments at zero, and
+    p - 0.0 == p, so its bits are the same.
+
     A finite norm proves every gradient entry finite, so entries are counted
     only when it is not: non-finite entries abort the step before anything is
     touched, while finite entries whose squares overflow the norm step
-    unclipped. Then each parameter is updated in one pass over blocks of
-    `ADAMW_BLOCK` entries, doing in each block, in this order: the clip
-    scaling, decoupled weight decay from the pre-step value, both moment
-    updates and the bias-corrected step. These are the same elementwise
-    operations in the same order as a whole-array update, so the bits do not
-    depend on the block size. Parameters, gradients and moments must be
-    contiguous.
+    unclipped. Then each parameter gets two passes over blocks of about
+    `ADAMW_BLOCK` entries: decoupled weight decay of every entry from its
+    pre-step value, then, on the listed rows only, the clip scaling, both
+    moment updates and the bias-corrected step. Listed rows are gathered a
+    block at a time and scattered back, clipped gradient included. These are
+    the same elementwise operations in the same order as a whole-array update,
+    so the bits do not depend on the block size or on the row set.
+    Parameters, gradients and moments must be contiguous.
     """
     norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
     if not math.isfinite(norm):
@@ -279,18 +296,34 @@ def adamw_step(
     lr, b1, b2, eps = learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     decay = lr * WEIGHT_DECAY
     m_correction, v_correction = 1.0 - b1**t, 1.0 - b2**t
-    scratch = np.empty(ADAMW_BLOCK), np.empty(ADAMW_BLOCK)
+    rows = rows or {}
     for name, param in params.items():
-        flat = [
-            a.reshape(-1, copy=False)
+        arrays = [
+            a.reshape(len(a), -1, copy=False)
             for a in (param, grads[name], state.first_moment[name], state.second_moment[name])
         ]
-        for start in range(0, flat[0].size, ADAMW_BLOCK):
-            p, g, m, v = (a[start : start + ADAMW_BLOCK] for a in flat)
-            tmp, den = (buf[: p.size] for buf in scratch)
+        width = arrays[0].shape[1]
+        per_block = max(1, ADAMW_BLOCK // width)
+        listed = rows.get(name)
+        # two scratch blocks, plus four to gather listed rows into
+        scratch = np.empty((2 if listed is None else 6, per_block, width))
+        # decoupled weight decay of every row, from its pre-step value
+        for start in range(0, len(param), per_block):
+            p = arrays[0][start : start + per_block]
+            p -= np.multiply(p, decay, out=scratch[0, : len(p)])
+        for start in range(0, len(param) if listed is None else len(listed), per_block):
+            if listed is None:  # views of contiguous rows
+                block = [a[start : start + per_block] for a in arrays]
+            else:  # gathered, and scattered back below
+                chunk = listed[start : start + per_block]
+                block = [
+                    np.take(a, chunk, axis=0, out=buf[: len(chunk)])
+                    for a, buf in zip(arrays, scratch[2:])
+                ]
+            p, g, m, v = block
+            tmp, den = scratch[:2, : len(p)]
             if clip != 1.0:
                 g *= clip
-            p -= np.multiply(p, decay, out=tmp)
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=tmp)
             v *= b2
@@ -305,6 +338,9 @@ def adamw_step(
             den += eps
             tmp /= den
             p -= tmp
+            if listed is not None:
+                for a, b in zip(arrays, block):
+                    a[chunk] = b
     return norm, clip
 
 
@@ -420,8 +456,10 @@ def _step_loss(model, bags, batch: StepBatch, phase: Phase, dims: DimSet, config
         pooled.append(row)
         return values
 
-    # from_texts embeds each distinct text once, in row order
-    loss_batch, texts = LossBatch.from_texts(embed, model.dims, **roles)
+    # from_texts embeds each distinct text once, in row order; an embedding
+    # that overflows warns nothing, as LossBatch refuses non-finite rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss_batch, texts = LossBatch.from_texts(embed, model.dims, **roles)
     weight = _pair_weight(phase, config)
     out = multitask_step_loss(loss_batch, dims, config.margin, config.margin_c, weight)
     if not np.isfinite(out.value):
@@ -441,6 +479,9 @@ def train(
     are provided. With epochs=0 the model is returned untouched. A float64
     model is trained in place; a loaded model, whose feature table is
     float32, is first copied into a float64 model and left as it was.
+    A step that meets non-finite values (a diverging run's embeddings, its
+    loss or its gradients) raises `NumericalError` naming the phase, epoch
+    and step.
     """
     if model.feature_table.dtype != np.float64:
         model = replace(
@@ -456,6 +497,7 @@ def train(
     global_step = 0
     for phase_index, phase in enumerate(phases):
         state = OptimizerState.zeros(model.parameters())
+        touched = np.zeros(model.bucket_count, dtype=bool)  # table rows this phase's steps read
         dims = config.dims if phase.nested else DimSet((config.dims.full,))
         epochs = [
             build_batches(records, config.batch_size, _epoch_seed(config.seed, phase_index, epoch))
@@ -466,13 +508,23 @@ def train(
         for epoch, batches in enumerate(epochs, start=1):
             for batch in batches:
                 phase_step += 1
-                out, step_bags, pooled = _step_loss(model, bags, batch, phase, dims, config)
-                if out is None:
-                    continue
-                grads = backward(model, step_bags, out.gradient, pooled, grad_table)
-                lr = config.learning_rate * warmup_linear(phase_step, total)
-                grad_norm, clip = adamw_step(model.parameters(), grads, state, lr)
-                grad_table[np.concatenate([bag.ids for bag in step_bags])] = 0.0
+                try:
+                    out, step_bags, pooled = _step_loss(model, bags, batch, phase, dims, config)
+                    if out is None:
+                        continue
+                    grads = backward(model, step_bags, out.gradient, pooled, grad_table)
+                    ids = np.concatenate([bag.ids for bag in step_bags])
+                    touched[ids] = True
+                    lr = config.learning_rate * warmup_linear(phase_step, total)
+                    grad_norm, clip = adamw_step(
+                        model.parameters(), grads, state, lr,
+                        rows={"feature_table": np.flatnonzero(touched)},
+                    )
+                except NumericalError as e:
+                    raise NumericalError(
+                        f"phase {phase.name!r}, epoch {epoch}, step {phase_step} of {total}: {e}"
+                    ) from None
+                grad_table[ids] = 0.0
                 global_step += 1
                 history.record_step(
                     phase.name, epoch, global_step, out.value,

@@ -1,10 +1,14 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import near2
@@ -492,6 +496,50 @@ def test_featureless_training_title_exits_two_naming_the_record(workspace, tmp_p
         f"({record['query']!r} / '!!! ---')\n"
     )
     assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_diverging_training_exits_three_naming_the_step(workspace, tmp_path, capsys, command):
+    argv = {
+        "train": ["--data", workspace["data"] / "train.jsonl", "--out", tmp_path / "m.bin"],
+        "ablate": ["--data", workspace["data"], "--report", tmp_path / "r.json"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the error line is all stderr gets
+        code = main([command, *(str(x) for x in argv), *TINY, "--lr", "1e300"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.fullmatch(
+        r"near2: numerical failure: phase '[^']+', epoch 1, step \d+ of \d+: "
+        r"embeddings must be finite\n", err
+    ), err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["index", "eval", "hist"])
+def test_model_overflowing_float32_exits_three_writing_nothing(workspace, tmp_path, capsys,
+                                                               command):
+    # finite float32 parameters whose embeddings (about 8 x 9e76) are finite
+    # in float64 but not as the index's float32
+    model = load_model(workspace["model"])
+    huge = tmp_path / "huge.bin"
+    save_model(replace(model, feature_table=np.full_like(model.feature_table, 3e38),
+                       projection=np.full_like(model.projection, 3e38)), huge)
+    test = workspace["data"] / "test.jsonl"
+    argv = {
+        "index": ["--titles", test, "--out", tmp_path / "out.idx"],
+        "eval": ["--test", test, "--report", tmp_path / "out.json"],
+        "hist": ["--test", test, "--out", tmp_path / "out.csv"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, "--model", str(huge), *(str(x) for x in argv)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.fullmatch(
+        r"near2: numerical failure: (\d+) of \1 index rows are not finite as float32\n", err
+    ), err
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_missing_data_file_exits_two(workspace):

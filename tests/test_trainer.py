@@ -3,9 +3,13 @@ import math
 import re
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from near2 import encoder, trainer
 from near2.data import RelevanceRecord, SynthSpec, gen_synthetic
@@ -203,25 +207,40 @@ class TestAdamW:
                 np.testing.assert_allclose(params[k], reference[k], rtol=0, atol=1e-12)
 
     def test_blocked_pass_matches_whole_array_reference(self):
-        rng = np.random.default_rng(11)
         # below, equal to, and not a multiple of the block, over several blocks
-        shapes = {"small": (ADAMW_BLOCK // 3,), "one": (ADAMW_BLOCK,), "many": (5, ADAMW_BLOCK // 2 + 7)}
-        params = {k: rng.normal(size=s) for k, s in shapes.items()}
-        ref_params = {k: v.copy() for k, v in params.items()}
-        state, ref_state = OptimizerState.zeros(params), OptimizerState.zeros(params)
-        clips = []
-        for scale in (1e-4, 1.0, 3.0):
-            grads = {k: scale * rng.normal(size=s) for k, s in shapes.items()}
-            ref_grads = {k: v.copy() for k, v in grads.items()}
-            norm, clip = adamw_step(params, grads, state, 0.01)
-            assert norm == reference_clipped_adamw(ref_params, ref_grads, ref_state, 0.01)
-            assert clip == min(1.0, MAX_GRAD_NORM / norm)
-            clips.append(clip)
-            for k in grads:
-                assert np.array_equal(grads[k], ref_grads[k])
-            assert_same_bits(params, state, ref_params, ref_state)
-        # an unclipped step, then clipped ones
-        assert clips[0] == 1.0 and clips[-1] < 1.0
+        shapes = {
+            "small": (ADAMW_BLOCK // 3,), "one": (ADAMW_BLOCK,),
+            "many": (5, ADAMW_BLOCK // 2 + 7), "table": (3000, 40),
+        }
+        for sparse in (False, True):
+            rng = np.random.default_rng(11)
+            params = {k: rng.normal(size=s) for k, s in shapes.items()}
+            ref_params = {k: v.copy() for k, v in params.items()}
+            state, ref_state = OptimizerState.zeros(params), OptimizerState.zeros(params)
+            touched = {k: np.zeros(s[0], dtype=bool) for k, s in shapes.items()}
+            clips = []
+            for scale in (1e-4, 1.0, 3.0):
+                grads = {k: scale * rng.normal(size=s) for k, s in shapes.items()}
+                rows = None
+                if sparse:
+                    # gradients on about a fifth of the rows; every row touched
+                    # so far is listed, and "one" is not named, so all its rows are
+                    rows = {}
+                    for k in ("small", "many", "table"):
+                        hit = rng.random(shapes[k][0]) < 0.2
+                        grads[k][~hit] = 0.0
+                        touched[k] |= hit
+                        rows[k] = np.flatnonzero(touched[k])
+                ref_grads = {k: v.copy() for k, v in grads.items()}
+                norm, clip = adamw_step(params, grads, state, 0.01, rows)
+                assert norm == reference_clipped_adamw(ref_params, ref_grads, ref_state, 0.01)
+                assert clip == min(1.0, MAX_GRAD_NORM / norm)
+                clips.append(clip)
+                for k in grads:
+                    assert np.array_equal(grads[k], ref_grads[k])
+                assert_same_bits(params, state, ref_params, ref_state)
+            # an unclipped step, then clipped ones
+            assert clips[0] == 1.0 and clips[-1] < 1.0
 
     def test_finite_entries_overflowing_the_norm_step_unclipped(self):
         shapes = {"w": (ADAMW_BLOCK + 3,), "b": (4,)}
@@ -237,6 +256,76 @@ class TestAdamW:
         assert grads["b"].tolist() == [1e200, -3.0, 0.0, 2.0]
         assert_same_bits(params, state, ref_params, ref_state)
         assert all(np.isfinite(p).all() for p in params.values())
+
+
+def bits(a):
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+# parameter entries: signed zeros, subnormals and ordinary values
+PARAM_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308]), st.floats(-4.0, 4.0)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_row_sparse_adamw_equals_the_dense_oracle_bit_for_bit(data):
+    """Steps on a table whose gradient reaches a few rows per step, listing the
+    rows touched so far, every row, or not naming the table, against
+    `reference_clipped_adamw` on copies; the last step may carry a non-finite
+    gradient entry in a listed row, which must abort before any mutation."""
+    n, width = data.draw(st.integers(1, 24), "rows"), data.draw(st.integers(1, 4), "width")
+    block = data.draw(st.sampled_from([1, 3, 8, ADAMW_BLOCK]), "block")
+    params = {
+        "table": data.draw(arrays(np.float64, (n, width), elements=PARAM_VALUES), "table"),
+        "dense": data.draw(arrays(np.float64, (3,), elements=PARAM_VALUES), "dense"),
+    }
+    ref_params = {k: v.copy() for k, v in params.items()}
+    state, ref_state = OptimizerState.zeros(params), OptimizerState.zeros(params)
+    touched = np.zeros(n, dtype=bool)
+    steps = data.draw(st.integers(1, 4), "steps")
+    with mock.patch.object(trainer, "ADAMW_BLOCK", block):
+        for step in range(1, steps + 1):
+            hit = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+            touched |= hit
+            scale = data.draw(st.sampled_from([1e-3, 1.0, 40.0]), "scale")
+            grads = {
+                k: scale * data.draw(arrays(np.float64, v.shape, elements=st.floats(-1.0, 1.0)))
+                for k, v in params.items()
+            }
+            # untouched rows hold a zero gradient of either sign
+            grads["table"][~hit] = data.draw(st.sampled_from([0.0, -0.0]), "zero")
+            mode = data.draw(st.sampled_from(["touched", "all", "unnamed"]), "mode")
+            rows = {
+                "touched": {"table": np.flatnonzero(touched)},
+                "all": {"table": np.arange(n)},
+                "unnamed": None,
+            }[mode]
+            listed = np.arange(n) if rows is None else rows["table"]
+            lr = data.draw(st.sampled_from([1e-3, 0.5]), "lr")
+            bad = data.draw(st.sampled_from([None, np.nan, np.inf]), "bad") if step == steps else None
+            if bad is not None and listed.size:
+                grads["table"][data.draw(st.sampled_from(listed.tolist()), "bad row"), 0] = bad
+                before = [bits(a) for a in (*params.values(), *grads.values(),
+                                            *state.first_moment.values(), *state.second_moment.values())]
+                with pytest.raises(NumericalError, match="non-finite gradient entries in 'table'"):
+                    adamw_step(params, grads, state, lr, rows)
+                assert state.step == step - 1
+                assert before == [bits(a) for a in (*params.values(), *grads.values(),
+                                                    *state.first_moment.values(),
+                                                    *state.second_moment.values())]
+                return
+            ref_grads = {k: v.copy() for k, v in grads.items()}
+            norm, clip = adamw_step(params, grads, state, lr, rows)
+            assert norm == reference_clipped_adamw(ref_params, ref_grads, ref_state, lr)
+            assert clip == (MAX_GRAD_NORM / norm if norm > MAX_GRAD_NORM else 1.0)
+            assert state.step == ref_state.step == step
+            for name in params:
+                assert bits(params[name]) == bits(ref_params[name])
+                assert bits(grads[name]) == bits(ref_grads[name])
+                assert bits(state.first_moment[name]) == bits(ref_state.first_moment[name])
+                assert bits(state.second_moment[name]) == bits(ref_state.second_moment[name])
 
 
 class TestWarmupAndClip:
@@ -439,6 +528,40 @@ class TestTrain:
         assert len(steps) == len(history.steps)
         for pooled_bags, step_bags in steps:
             assert pooled_bags == step_bags
+
+    def test_listed_rows_are_the_union_of_the_phase_bag_ids(self, monkeypatch):
+        config = tiny_config(epochs=2)
+        train_recs, _, _ = small_dataset(seed=2, queries=16)
+        calls, step_ids = [], []
+        real_backward, real_adamw = trainer.backward, trainer.adamw_step
+
+        def backward(model, bags, *args):
+            step_ids.append(np.concatenate([bag.ids for bag in bags]))
+            return real_backward(model, bags, *args)
+
+        def adamw_step(params, grads, state, lr, rows):
+            calls.append((state.step, rows["feature_table"].copy()))
+            return real_adamw(params, grads, state, lr, rows)
+
+        monkeypatch.setattr(trainer, "backward", backward)
+        monkeypatch.setattr(trainer, "adamw_step", adamw_step)
+        train(tiny_model(config), train_recs, config)
+        assert len(calls) == len(step_ids) > 4
+        phase_rows = []  # per phase, the rows of each of its steps
+        for (step, rows), ids in zip(calls, step_ids):
+            if step == 0:  # a fresh optimizer state: a new phase
+                phase_rows.append([])
+                union = np.zeros(config.bucket_count, dtype=bool)
+            union[ids] = True
+            assert np.array_equal(rows, np.flatnonzero(union))
+            phase_rows[-1].append(rows)
+        assert len(phase_rows) == 2
+        for per_step in phase_rows:
+            for before, after in zip(per_step, per_step[1:]):
+                assert np.isin(before, after).all()
+        # the mask starts over: the second phase's first step lists fewer rows
+        # than the first phase ended with
+        assert len(phase_rows[1][0]) < len(phase_rows[0][-1])
 
     def test_trained_bits_are_pinned(self):
         # two epochs of both phases, every step clipped; a change here changes
