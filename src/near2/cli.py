@@ -33,14 +33,11 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .data import SynthSpec, distinct_titles, gen_synthetic, load_records, write_records
 from .encoder import EncoderModel, encode, load_model, save_model
 from .errors import DataError, InvalidDimensionError, NumericalError, ZeroVectorError
 from .index import (
-    all_scores,
     build_index,
     load_index,
     save_index,
@@ -53,7 +50,7 @@ from .metrics import (
     MetricsReport,
     delta_report,
     histogram_csv,
-    judged_queries,
+    judged_scores,
     normalize_scores,
     score_histogram,
     sequential_evaluate,
@@ -399,8 +396,7 @@ def _cmd_hist(values: dict) -> int:
     records = _records_or_die(values["test"], "test")
     dim = values["dim"]
     dim = values["dim"] = model.dims.full if dim is None else model.dims.require(dim)
-    index, usable, _ = judged_queries(model, records, values["corpus_cap"], values["seed"])
-    scores = np.concatenate([all_scores(index, emb, dim)[1] for _, emb in usable])
+    scores = judged_scores(model, records, dim, values["corpus_cap"], values["seed"])
     rows = score_histogram(scores, values["bins"])
     _write_csv_report(values["out"], _provenance("hist", values), histogram_csv(rows))
     print(f"near2: histogram written to {values['out']}", file=sys.stderr)

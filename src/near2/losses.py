@@ -165,9 +165,16 @@ class LossOutput:
 
 def _pair_cosines(batch: LossBatch, pairs: _Pairs, m: int):
     """Unit m-prefixes and norms of `pairs.rows`, and each pair's cosine, a
-    per-pair dot whose bits depend only on its two rows."""
+    per-pair dot whose bits depend only on its two rows.
+
+    A norm that overflows float64 raises `NumericalError`: the unit prefix
+    would be all zeros, and every cosine and gradient silently zero with it.
+    """
     prefix = batch.embeddings[pairs.rows, :m]
-    norms = np.linalg.norm(prefix, axis=1)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(prefix, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise NumericalError(f"{m}-prefix norm overflows float64 in batch")
     if np.any(norms <= EPS_ZERO):
         raise ZeroVectorError(f"zero-norm {m}-prefix in batch")
     unit = prefix / norms[:, None]

@@ -18,7 +18,8 @@ import numpy as np
 from .data import JudgmentsSplit, QueryJudgment, RelevanceRecord, split_judgments
 from .encoder import EncoderModel, encode
 from .errors import DataError, ZeroVectorError
-from .index import PrefixIndex, build_index, search_exact
+from .index import PrefixIndex, _top_hits, build_index, query_scores
+from .index import search_exact  # unused here; bench/tracing.py wraps near2.metrics.search_exact
 from .nested import DimSet, NestedEmbedding
 
 DEFAULT_KS = (3, 5, 10)
@@ -178,11 +179,14 @@ def sequential_evaluate(
 ) -> MetricsReport:
     """Embed the corpus once, then score every judged query at every dimension.
 
-    For each prefix dimension m the evaluator runs an exact top-k search per
-    query and averages precision/recall/NDCG/MRR at each cutoff. Queries whose
-    text embeds degenerately are skipped and counted. Every dimension is
-    checked against the model's before anything is embedded. The cutoffs are
-    sorted and de-duplicated, so the report's grid holds each one once.
+    For each prefix dimension m the evaluator ranks the top k of every query
+    exactly as `search_exact` would, and averages precision/recall/NDCG/MRR
+    at each cutoff. The queries are scored in panels by `query_scores`, one
+    pass over the bands per panel, with the bits a one-query search gives. A
+    query whose m-prefix has zero norm retrieves nothing at that m. Queries
+    whose text embeds degenerately are skipped and counted. Every dimension
+    is checked against the model's before anything is embedded. The cutoffs
+    are sorted and de-duplicated, so the report's grid holds each one once.
     """
     dims = dims if isinstance(dims, DimSet) else DimSet(tuple(dims))
     for m in dims:
@@ -194,12 +198,10 @@ def sequential_evaluate(
     cells: dict[tuple[int, int], MetricsCell] = {}
     for m in dims:
         sums = {k: [0.0, 0.0, 0.0, 0.0] for k in ks}
-        for judgment, emb in usable:
-            try:
-                hits = search_exact(index, emb, m, k_max)
-            except ZeroVectorError:
-                # zero-norm prefix at this m only; treat as no retrieval
-                hits = []
+        scored = query_scores(index, [emb for _, emb in usable], m)
+        for (judgment, _), row_scores in zip(usable, scored):
+            # a zero-norm prefix at this m only: no retrieval
+            hits = [] if row_scores is None else _top_hits(index, *row_scores, k_max)
             ranked = [hit.doc_id for hit in hits]
             grades = judgment.grades if graded else None
             for k in ks:
@@ -224,6 +226,24 @@ def sequential_evaluate(
         cells=cells,
         skipped_queries=skipped,
     )
+
+
+def judged_scores(
+    model: EncoderModel, records: list[RelevanceRecord], m: int, corpus_cap: int, seed: int
+) -> np.ndarray:
+    """Every prefix-m cosine of every usable judged query against every
+    searchable corpus row, query by query in judged order: the scores
+    `near2 hist` bins, scored in panels by `query_scores`.
+
+    A judged query whose m-prefix has zero norm raises ZeroVectorError.
+    """
+    index, usable, _ = judged_queries(model, records, corpus_cap, seed)
+    scores = []
+    for row_scores in query_scores(index, [emb for _, emb in usable], m):
+        if row_scores is None:
+            raise ZeroVectorError(f"query has a zero-norm {m}-prefix")
+        scores.append(row_scores[1])
+    return np.concatenate(scores)
 
 
 @dataclass

@@ -480,8 +480,10 @@ def train(
     model is trained in place; a loaded model, whose feature table is
     float32, is first copied into a float64 model and left as it was.
     A step that meets non-finite values (a diverging run's embeddings, its
-    loss or its gradients) raises `NumericalError` naming the phase, epoch
-    and step.
+    loss or its gradients) or a prefix norm that overflows raises
+    `NumericalError` naming the phase, epoch and step; so does a run that
+    ends with parameters beyond float32's range, which a saved model could
+    not hold.
     """
     if model.feature_table.dtype != np.float64:
         model = replace(
@@ -536,7 +538,23 @@ def train(
                     ks=DEFAULT_KS, corpus_cap=config.corpus_cap, seed=config.seed,
                 )
                 history.record_validation(phase.name, epoch, report)
+    _check_float32(model)
     return model, history
+
+
+def _check_float32(model: EncoderModel) -> None:
+    """NumericalError unless every parameter stays finite in the float32 a
+    saved model holds; a run can diverge to values finite only in float64."""
+    for name, param in model.parameters().items():
+        # rounding to float32 is monotonic, so only the extremes can overflow first
+        low, high = float(param.min()), float(param.max())
+        with np.errstate(over="ignore"):
+            cast = np.array([low, high]).astype(np.float32)
+        if not np.all(np.isfinite(cast)):
+            raise NumericalError(
+                f"trained {name!r} reaches {max(-low, high):.3g}, beyond float32's range; "
+                "no model is saved"
+            )
 
 
 # --- ablation --------------------------------------------------------------------

@@ -516,6 +516,27 @@ def test_diverging_training_exits_three_naming_the_step(workspace, tmp_path, cap
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags, message", [
+    # parameters finite in float64 but not as the saved model's float32
+    ([*TINY, "--lr", "1e10"],
+     r"trained 'feature_table' reaches \S+, beyond float32's range; no model is saved"),
+    # at the CLI defaults, prefix norms overflow float64 before any entry does
+    (["--epochs", "1", "--lr", "1e100"],
+     r"phase '[^']+', epoch 1, step \d+ of \d+: (\d+)-prefix norm overflows float64 in batch "
+     r"while composing nested dimension m=\1"),
+])
+def test_training_beyond_float_range_exits_three_writing_nothing(workspace, tmp_path, capsys,
+                                                                  flags, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # the error line is all stderr gets
+        code = main(["train", "--data", str(workspace["data"] / "train.jsonl"),
+                     "--out", str(tmp_path / "m.bin"), *flags])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert re.fullmatch(f"near2: numerical failure: {message}\n", err), err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("command", ["index", "eval", "hist"])
 def test_model_overflowing_float32_exits_three_writing_nothing(workspace, tmp_path, capsys,
                                                                command):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from near2 import index as index_module
 from near2.data import SynthSpec, distinct_titles, gen_synthetic
 from near2.encoder import CHUNK_TEXTS, EncoderModel, encode, load_model, save_model
 from near2.errors import DataError, FormatError, InvalidDimensionError, ZeroVectorError
@@ -19,6 +20,7 @@ from near2.index import (
     index_file_size,
     load_index,
     memory_footprint,
+    query_scores,
     save_index,
     search_exact,
     search_exact_with_min,
@@ -696,3 +698,24 @@ def test_loaded_index_scores_bitwise_like_built(tmp_path, seed, d, data):
             exact = search_exact(loaded, query, m, 10)
             funneled = search_funnel(loaded, query, m_low, m, shortlist_size=count, k=10)
             assert [(h.row, h.score) for h in funneled] == [(h.row, h.score) for h in exact]
+
+
+def test_query_scores_are_all_scores_query_by_query(monkeypatch):
+    # panels of 3 over 8 queries: a full, a mixed and a short last panel
+    rng = np.random.default_rng(23)
+    dims = DimSet((16, 8, 4))
+    index = random_index(rng, 300, dims, degenerate_rows=(0, 7))
+    queries = [query_from(rng.normal(size=16), dims) for _ in range(8)]
+    queries[2] = query_from(np.r_[np.zeros(4), rng.normal(size=12)], dims)  # zero 4-prefix
+    queries[4] = NestedEmbedding(np.zeros(16), dims, degenerate=True)
+    monkeypatch.setattr(index_module, "PANEL_QUERIES", 3)
+    for m in dims:
+        scored = list(query_scores(index, queries, m))
+        assert len(scored) == len(queries)
+        for query, got in zip(queries, scored):
+            if query.degenerate or not np.any(query.values[:m]):
+                assert got is None
+                continue
+            rows, scores = all_scores(index, query, m)
+            assert np.array_equal(got[0], rows)
+            assert got[1].tobytes() == scores.tobytes()

@@ -265,6 +265,20 @@ class TestMultitask:
         assert combined.per_dim == mnrl_only.per_dim
         assert np.array_equal(combined.gradient, mnrl_only.gradient)
 
+    @pytest.mark.parametrize("task", ["hinge", "pairs"])
+    def test_overflowing_prefix_norm_raises(self, task):
+        # finite entries whose squares overflow: the norm is inf, and the unit
+        # prefix would be zero with every cosine and gradient zero behind it
+        rng = np.random.default_rng(31)
+        dims = DimSet((6, 3))
+        parts = {"hinge": random_triplets(rng, dims, scale=1e300), "pairs": random_pairs(rng, dims)}
+        if task == "pairs":
+            parts["pairs"]["lefts"] *= 1e300
+        batch = occurrence_batch(dims, **parts[task])
+        message = "^6-prefix norm overflows float64 in batch while composing nested dimension m=6$"
+        with np.errstate(over="raise"), pytest.raises(NumericalError, match=message):
+            multitask_step_loss(batch, dims, 0.75, 0.5, lambda_ocl=1.0)
+
     def test_unit_lambda_adds_composites(self):
         rng = np.random.default_rng(17)
         dims = DimSet((6, 3))

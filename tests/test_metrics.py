@@ -1,19 +1,28 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from near2.data import RelevanceRecord, split_judgments
-from near2.encoder import EncoderModel, encode
-from near2.errors import DataError
+from eval_oracle import oracle_evaluate, oracle_hist_scores
+from near2 import index as index_module
+from near2.cli import main
+from near2.data import RelevanceRecord, SynthSpec, gen_synthetic, split_judgments, write_records
+from near2.encoder import EncoderModel, encode, save_model, tokenize
+from near2.errors import DataError, ZeroVectorError
 from near2.metrics import (
+    DEFAULT_CORPUS_CAP,
     DeltaReport,
     MetricsReport,
     capped_corpus,
     delta_report,
     format_delta,
     histogram_csv,
+    judged_queries,
+    judged_scores,
     mrr_at_k,
     ndcg_at_k,
     normalize_scores,
@@ -359,3 +368,143 @@ class TestScoreHistogram:
         lines = csv.strip().split("\n")
         assert lines[0] == "bin_low,bin_high,count"
         assert len(lines) == 3
+
+
+# --- panel scoring against the one-query-at-a-time oracle ----------------------
+
+ORACLE_WORDS = ("ant", "bee", "cat", "dog", "eel", "fox", "gnu", "hen")
+ORACLE_DIMS = DimSet((6, 4, 2))
+
+
+def oracle_model(column0, column1, head, tail) -> EncoderModel:
+    """Two features per bucket; the 2-prefix reads feature 0 alone, so a text
+    whose buckets all hold 0 there has a zero 2-prefix and a nonzero rest.
+    Small integer parameters make exact score ties common."""
+    table = np.stack([column0, column1], axis=1).astype(np.float64)
+    projection = np.zeros((2, ORACLE_DIMS.full))
+    projection[0] = head
+    projection[1, 2:] = tail
+    return EncoderModel(64, 2, ORACLE_DIMS, 0, table, projection)
+
+
+@st.composite
+def judged_sets(draw):
+    """(model, records): queries of 1-2 words or none (degenerate), each with
+    titles of 1-3 words, none (degenerate rows) or an earlier title's text
+    (duplicates, so exact ties)."""
+    values = st.sampled_from([0.0, 0.0, 1.0, 2.0])
+    model = oracle_model(
+        draw(st.lists(values, min_size=64, max_size=64), label="feature 0"),
+        draw(st.lists(st.sampled_from([-1.0, 1.0, 2.0]), min_size=64, max_size=64), label="feature 1"),
+        draw(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), min_size=6, max_size=6),
+             label="head"),
+        draw(st.lists(st.sampled_from([-2.0, -1.0, 1.0, 2.0]), min_size=4, max_size=4), label="tail"),
+    )
+    words = st.lists(st.sampled_from(ORACLE_WORDS), min_size=1, max_size=3).map(" ".join)
+    records, titles = [], []
+    for qi in range(draw(st.integers(1, 12), label="queries")):
+        query = draw(st.one_of(words, st.just("!!!")), label="query")
+        for ti in range(draw(st.integers(1, 4), label="titles")):
+            choices = [words, st.just("---")] + ([st.sampled_from(titles)] if titles else [])
+            title = draw(st.one_of(*choices), label="title")
+            titles.append(title)
+            grade = draw(st.integers(1, 5), label="grade")
+            records.append(RelevanceRecord(f"q{qi}", query, f"t{qi}_{ti}", title, grade))
+    return model, records
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's result, or its error's type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except (DataError, ZeroVectorError) as e:
+        return type(e), str(e)
+
+
+def report_outcome(fn, *args, **kwargs):
+    out = outcome(fn, *args, **kwargs)
+    return out.to_json() if isinstance(out, MetricsReport) else out
+
+
+def scores_outcome(fn, *args, **kwargs):
+    out = outcome(fn, *args, **kwargs)
+    return (out.dtype, out.tobytes()) if isinstance(out, np.ndarray) else out
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    case=judged_sets(),
+    panel=st.sampled_from([1, 2, 3, 32]),
+    ks=st.sets(st.sampled_from([1, 3, 10, 50]), min_size=1),
+    m=st.sampled_from(list(ORACLE_DIMS)),
+    corpus_cap=st.sampled_from([DEFAULT_CORPUS_CAP, 6]),
+    graded=st.booleans(),
+)
+def test_panel_scoring_equals_the_one_query_oracle(monkeypatch, case, panel, ks, m, corpus_cap,
+                                                   graded):
+    # k up to 50 exceeds every generated corpus, so some rankings run out
+    model, records = case
+    monkeypatch.setattr(index_module, "PANEL_QUERIES", panel)
+    args = (model, records, ORACLE_DIMS, ks, corpus_cap, 3, graded)
+    assert report_outcome(sequential_evaluate, *args) == report_outcome(oracle_evaluate, *args)
+    hist_args = (model, records, m, corpus_cap, 3)
+    assert scores_outcome(judged_scores, *hist_args) == scores_outcome(oracle_hist_scores, *hist_args)
+
+
+def word_bucket(word: str) -> int:
+    (bucket,) = tokenize(word, 64).ids
+    return int(bucket)
+
+
+def test_panel_scoring_equals_the_oracle_on_every_edge_at_once(monkeypatch):
+    """One set holding every case the generator above may or may not reach:
+    a degenerate row, duplicate titles, a query with a zero 2-prefix, and k
+    above the number of searchable rows, over several panels."""
+    column0 = np.ones(64)
+    column0[word_bucket("eel")] = 0.0  # "eel" alone has a zero 2-prefix
+    model = oracle_model(column0, np.ones(64), [1, 2, 0, 1, 2, 1], [1, -1, 2, 1])
+    texts = ["ant bee", "eel", "cat dog", "fox", "gnu hen", "ant"]
+    records = []
+    for qi, query in enumerate(texts * 3):
+        records += [
+            RelevanceRecord(f"q{qi}", query, f"t{qi}_0", query, 5),
+            RelevanceRecord(f"q{qi}", query, f"t{qi}_1", "---", 2),
+            RelevanceRecord(f"q{qi}", query, f"t{qi}_2", texts[(qi + 1) % len(texts)], 4),
+        ]
+    index, usable, _ = judged_queries(model, records, DEFAULT_CORPUS_CAP, 0)
+    searchable = np.count_nonzero(~index.degenerate)
+    assert index.degenerate.any() and searchable < 50
+    assert len({text for text in index.titles}) < index.count
+    assert any(not np.any(emb.values[:2]) for _, emb in usable)
+    monkeypatch.setattr(index_module, "PANEL_QUERIES", 4)
+    args = (model, records, ORACLE_DIMS, (1, 5, 50))
+    assert sequential_evaluate(*args).to_json() == oracle_evaluate(*args).to_json()
+    with pytest.raises(ZeroVectorError, match="^query has a zero-norm 2-prefix$"):
+        judged_scores(model, records, 2, DEFAULT_CORPUS_CAP, 0)
+    with pytest.raises(ZeroVectorError, match="^query has a zero-norm 2-prefix$"):
+        oracle_hist_scores(model, records, 2)
+    for m in (6, 4):
+        assert judged_scores(model, records, m, DEFAULT_CORPUS_CAP, 0).tobytes() == (
+            oracle_hist_scores(model, records, m).tobytes())
+
+
+def test_eval_report_and_hist_csv_are_pinned(tmp_path):
+    # sha256 of a seeded eval report and hist CSV body (the header line names
+    # temporary paths), recorded when every query was scored on its own; 60
+    # judged queries span two panels of PANEL_QUERIES = 32
+    _, _, test = gen_synthetic(SynthSpec(seed=3, query_count=600, titles_per_query=4))
+    write_records(test, tmp_path / "test.jsonl")
+    model = EncoderModel.create(bucket_count=1024, feature_dim=16, dims=DimSet((96, 64, 32, 8)),
+                                seed=5)
+    save_model(model, tmp_path / "m.bin")
+    common = ["--model", str(tmp_path / "m.bin"), "--test", str(tmp_path / "test.jsonl")]
+    assert main(["eval", *common, "--report", str(tmp_path / "r.json")]) == 0
+    report = json.loads((tmp_path / "r.json").read_text())["report"]
+    assert report["query_count"] == 60
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == "26200595d1f56deca9d32fbc1f53a0879abf545cab1a92355c08e31bb5dec9de"
+    assert main(["hist", *common, "--dim", "32", "--bins", "400",
+                 "--out", str(tmp_path / "h.csv")]) == 0
+    body = (tmp_path / "h.csv").read_text().split("\n", 1)[1]
+    digest = hashlib.sha256(body.encode()).hexdigest()
+    assert digest == "040d0e5fa571394ade7abbe05acdff00d4202cbf2bc44d6a8e4dd157173365fa"
