@@ -73,6 +73,15 @@ class Reader:
             raise FormatError(f"{self.kind} file truncated while reading {what}")
         return array
 
+    def skip(self, n: int, what: str) -> int:
+        """Step over the next `n` bytes, which the file must hold; returns
+        the offset they start at."""
+        at = self.fh.tell()
+        if n > self.size - at:
+            raise FormatError(f"{self.kind} file truncated while reading {what}")
+        self.fh.seek(n, os.SEEK_CUR)
+        return at
+
     def unpack(self, fmt: str, what: str) -> tuple:
         fmt = "<" + fmt
         return struct.unpack(fmt, self.exact(struct.calcsize(fmt), what))

@@ -13,6 +13,16 @@ Exit codes: 0 success, 1 usage error (a bad flag or config-file value, or a
 dimension outside the model's nested set), 2 data/format error or unreadable
 file, 3 numerical failure.
 
+A corrupt file exits 2 with one `near2: data error:` line and no traceback,
+from the command that reads the corrupt bytes, before it writes anything.
+Model and index files are memory-mapped and checked in part at load; the
+rest is checked when read. A non-finite model feature-table row fails the
+commands whose texts gather it (`search`'s query; `index`'s titles; the
+judged queries and corpus of `eval` and `hist`), naming the model file and
+the row, while a query that gathers only sound rows gets the hits the
+sound model gives. A non-finite index vector likewise fails the search
+whose scan reads it.
+
 `search` prints score_norm, the score minus the lowest similarity the search
 computed: over the whole corpus for exact search, and over the shortlist
 re-ranked at HIGH for `--funnel LOW:HIGH`.
@@ -328,6 +338,9 @@ def _cmd_search(values: dict) -> int:
             "search with the model the index was built with"
         )
     query = encode(model, values["query"])
+    # unmaps the model's table: the pages its rows sit in count as resident
+    # while mapped, and would stack on the index pages the scan maps
+    del model
     if funnel:
         # ranking the whole shortlist at HIGH costs no extra scan; its first
         # k hits are exactly search_funnel(..., k), and its last score is the
@@ -396,7 +409,10 @@ def _cmd_hist(values: dict) -> int:
     records = _records_or_die(values["test"], "test")
     dim = values["dim"]
     dim = values["dim"] = model.dims.full if dim is None else model.dims.require(dim)
-    scores = judged_scores(model, records, dim, values["corpus_cap"], values["seed"])
+    scores, skipped = judged_scores(model, records, dim, values["corpus_cap"], values["seed"])
+    if skipped:
+        print(f"near2: skipped {skipped} judged queries with a zero-norm {dim}-prefix",
+              file=sys.stderr)
     rows = score_histogram(scores, values["bins"])
     _write_csv_report(values["out"], _provenance("hist", values), histogram_csv(rows))
     print(f"near2: histogram written to {values['out']}", file=sys.stderr)

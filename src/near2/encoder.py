@@ -20,13 +20,20 @@ Training runs one forward pass per step: `feature_bags` tokenizes each text
 once per run, `embed_bag` embeds it, and `backward` takes the step's bags with
 one upstream row each, reusing their pooled rows and accumulating into a
 table-sized buffer the caller keeps for the run.
+
+`load_model` memory-maps the feature table, so a loaded model reads from disk
+only the rows its texts gather, and checks each row when it is gathered, not
+at load: `encode` and `index.build_index` refuse a non-finite embedding, and
+from a loaded model that refusal is a `FormatError` naming the file and the
+corrupt row (`non_finite_embedding`). A row no text gathers is never read.
 """
 
 from __future__ import annotations
 
+import mmap
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,18 +231,25 @@ class EncoderModel:
     """Feature-hash table plus linear projection to the full nested dimension.
 
     A created model holds both in float64. A loaded model holds the feature
-    table in the file's float32, since a text reads only its own rows and
-    `_pool` widens those exactly, and the projection widened to float64;
-    `train` works on a float64 copy of a float32 table and leaves the loaded
-    model as it was.
+    table as a read-only float32 map of its file, since a text reads only its
+    own rows and `_pool` widens those exactly, and the projection widened to
+    float64; `train` works on a float64 copy of a float32 table and leaves the
+    loaded model as it was.
+
+    Construction checks the shapes and that the projection is finite, but
+    never reads the table: its rows are checked when a text gathers them
+    (see `non_finite_embedding`). `path` names the file a loaded model's
+    table is mapped from, and is None for any other model, copies of a
+    loaded one included.
     """
 
     bucket_count: int
     feature_dim: int
     dims: DimSet
     seed: int
-    feature_table: np.ndarray  # (B, H) float64, or float32 when loaded
+    feature_table: np.ndarray  # (B, H) float64, or mapped float32 when loaded
     projection: np.ndarray  # (H, D) float64
+    path: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b, h, d = self.bucket_count, self.feature_dim, self.dims.full
@@ -247,8 +261,8 @@ class EncoderModel:
             raise ValueError(f"feature_table must be ({b}, {h})")
         if self.projection.shape != (h, d):
             raise ValueError(f"projection must be ({h}, {d})")
-        if not (np.all(np.isfinite(self.feature_table)) and np.all(np.isfinite(self.projection))):
-            raise ValueError("model parameters must be finite")
+        if not np.all(np.isfinite(self.projection)):
+            raise ValueError("projection must be finite")
 
     @classmethod
     def create(
@@ -319,10 +333,33 @@ def embed_bag(model: EncoderModel, bag: FeatureBag) -> tuple[np.ndarray, np.ndar
     return pooled, pooled @ model.projection
 
 
+def non_finite_embedding(model: EncoderModel, bag: FeatureBag) -> Exception:
+    """The error for a bag whose embedding is not finite.
+
+    ValueError, or, from a loaded model, `FormatError` naming the file and a
+    non-finite table row the bag gathered. Only such a row can cause it
+    there: finite float32 entries give sums of at most H * (3.4e38)^2 in
+    magnitude, far inside float64.
+    """
+    if model.path is None:
+        return ValueError("embedding values must be finite")
+    row = bag.ids[~np.isfinite(model.feature_table[bag.ids]).all(axis=1)][0]
+    return FormatError(f"model file {model.path} has non-finite feature table row {row}")
+
+
 def encode(model: EncoderModel, text: str) -> NestedEmbedding:
-    """Embed one text; an empty feature bag yields a degenerate zero embedding."""
+    """Embed one text; an empty feature bag yields a degenerate zero embedding.
+
+    A non-finite embedding raises `non_finite_embedding`'s error, with no
+    warning first (inf - inf in the product warns, as an overflow does).
+    """
     bag = tokenize(text, model.bucket_count)
-    return NestedEmbedding(embed_bag(model, bag)[1], dims=model.dims, degenerate=len(bag) == 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = embed_bag(model, bag)[1]
+    try:
+        return NestedEmbedding(values, dims=model.dims, degenerate=len(bag) == 0)
+    except ValueError:  # the values are (D,), so only non-finite ones are refused
+        raise non_finite_embedding(model, bag) from None
 
 
 def backward(
@@ -384,17 +421,29 @@ def save_model(model: EncoderModel, path) -> None:
 
 
 def load_model(path) -> EncoderModel:
-    """Read a model back: the feature table stays float32, the projection is widened."""
+    """Read a model back without reading its feature table.
+
+    The header, the sizes and the projection (widened to float64) are read
+    and checked here. The table stays a read-only float32 map of the file,
+    so a model costs its projection's bytes to load, and each table row is
+    read, and checked, only when a text gathers it (see
+    `non_finite_embedding`). The map keeps the loaded file's bytes:
+    `save_model` over the same path renames a new file into place and
+    leaves the mapped one as it was.
+    """
     with open(path, "rb") as fh:
         reader = Reader(fh, "model")
         buckets, feature_dim, full_dim = reader.header(MODEL_MAGIC, MODEL_VERSION, "III", path)
         dims = reader.dims(full_dim)
         (seed,) = reader.unpack("Q", "seed")
-        table = reader.array("<f4", (buckets, feature_dim), "feature table")
+        table_at = reader.skip(4 * buckets * feature_dim, "feature table")
         proj = reader.array("<f4", (feature_dim, full_dim), "projection").astype(np.float64)
         reader.end("model parameters")
+        # the map outlives `fh`: the table holds it open
+        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    table = np.frombuffer(buf, "<f4", buckets * feature_dim, table_at).reshape(buckets, feature_dim)
     try:
-        return EncoderModel(
+        model = EncoderModel(
             bucket_count=buckets,
             feature_dim=feature_dim,
             dims=dims,
@@ -402,8 +451,10 @@ def load_model(path) -> EncoderModel:
             feature_table=table,
             projection=proj,
         )
-    except ValueError as e:  # out-of-range sizes or non-finite parameters
+    except ValueError as e:  # out-of-range sizes or a non-finite projection
         raise FormatError(f"bad model parameters: {e}") from None
+    model.path = str(path)
+    return model
 
 
 def model_file_size(model: EncoderModel) -> int:

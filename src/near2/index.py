@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _kernels
 from ._binio import Reader, pack_header, write_atomically
-from .encoder import CHUNK_TEXTS, EncoderModel, embed_bag, tokenize_many
+from .encoder import CHUNK_TEXTS, EncoderModel, embed_bag, non_finite_embedding, tokenize_many
 from .encoder import encode  # unused here; bench/tracing.py wraps near2.index.encode
 from .errors import DataError, FormatError, NumericalError, ZeroVectorError
 from .nested import DimSet, NestedEmbedding, EPS_ZERO, l2_normalize, truncate
@@ -171,9 +171,10 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
 
     Titles are tokenized `CHUNK_TEXTS` at a time, so memory stays flat in the
     corpus, and embedded one bag at a time by `embed_bag`, so every row equals
-    `encode` of its title, bit for bit; a non-finite row raises ValueError as
-    `encode` does. A finite row that overflows the index's float32 raises
-    `NumericalError` from the norm table's check.
+    `encode` of its title, bit for bit, and a non-finite row raises as `encode`
+    does: `FormatError` naming the model file when a title gathers a corrupt
+    row of a loaded model's table. A finite row that overflows the index's
+    float32 raises `NumericalError` from the norm table's check.
     """
     if not titles:
         raise DataError("cannot build an index from zero titles")
@@ -185,15 +186,16 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
     edges = _band_edges(model.dims)
     bands = [np.empty((len(titles), hi - lo), dtype=np.float32) for lo, hi in zip(edges, edges[1:])]
     degenerate = np.zeros(len(titles), dtype=bool)
-    # overflow warns nothing: a row that is not finite in float64 is refused
-    # here, one that overflows the float32 bands by the norm table's check
-    with np.errstate(over="ignore"):
+    # overflow and inf - inf warn nothing: a row that is not finite in float64
+    # is refused here, one that overflows the float32 bands by the norm
+    # table's check
+    with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, len(titles), CHUNK_TEXTS):
             chunk = [text for _, text in titles[first : first + CHUNK_TEXTS]]
             for row, bag in enumerate(tokenize_many(chunk, model.bucket_count), start=first):
                 values = embed_bag(model, bag)[1]
                 if not np.all(np.isfinite(values)):
-                    raise ValueError("embedding values must be finite")
+                    raise non_finite_embedding(model, bag)
                 for band, lo, hi in zip(bands, edges, edges[1:]):
                     band[row] = values[lo:hi]
                 degenerate[row] = len(bag) == 0

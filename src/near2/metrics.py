@@ -230,20 +230,21 @@ def sequential_evaluate(
 
 def judged_scores(
     model: EncoderModel, records: list[RelevanceRecord], m: int, corpus_cap: int, seed: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Every prefix-m cosine of every usable judged query against every
     searchable corpus row, query by query in judged order: the scores
     `near2 hist` bins, scored in panels by `query_scores`.
 
-    A judged query whose m-prefix has zero norm raises ZeroVectorError.
+    Returns the scores and how many usable judged queries were skipped
+    because their m-prefix has zero norm, the queries `sequential_evaluate`
+    counts as retrieving nothing at m. ZeroVectorError if that is all of them.
     """
     index, usable, _ = judged_queries(model, records, corpus_cap, seed)
-    scores = []
-    for row_scores in query_scores(index, [emb for _, emb in usable], m):
-        if row_scores is None:
-            raise ZeroVectorError(f"query has a zero-norm {m}-prefix")
-        scores.append(row_scores[1])
-    return np.concatenate(scores)
+    scored = query_scores(index, [emb for _, emb in usable], m)
+    scores = [row_scores[1] for row_scores in scored if row_scores is not None]
+    if not scores:
+        raise ZeroVectorError(f"every judged query has a zero-norm {m}-prefix")
+    return np.concatenate(scores), len(usable) - len(scores)
 
 
 @dataclass

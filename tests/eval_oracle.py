@@ -3,8 +3,10 @@ for `near2.metrics.sequential_evaluate` and `judged_scores` (`near2 hist`).
 
 Both score every judged query on its own: one `search_exact` (evaluation)
 or `all_scores` (histogram) call per query and dimension, each a full scan
-of the corpus. The library scores the same queries in panels and must agree
-with these loops exactly, bit for bit; `test_metrics.py` checks that.
+of the corpus. The histogram loop skips a query whose prefix has zero norm,
+where it once refused the whole set. The library scores the same queries
+in panels and must agree with these loops exactly, bit for bit;
+`test_metrics.py` checks that.
 """
 
 from __future__ import annotations
@@ -71,6 +73,16 @@ def oracle_evaluate(
     )
 
 
-def oracle_hist_scores(model, records, m, corpus_cap=DEFAULT_CORPUS_CAP, seed=0) -> np.ndarray:
+def oracle_hist_scores(model, records, m, corpus_cap=DEFAULT_CORPUS_CAP, seed=0):
+    """(scores, skipped): a query whose m-prefix has zero norm is skipped, as
+    evaluation counts it as retrieving nothing; ZeroVectorError if all are."""
     index, usable, _ = judged_queries(model, records, corpus_cap, seed)
-    return np.concatenate([all_scores(index, emb, m)[1] for _, emb in usable])
+    scores = []
+    for _, emb in usable:
+        try:
+            scores.append(all_scores(index, emb, m)[1])
+        except ZeroVectorError:
+            pass
+    if not scores:
+        raise ZeroVectorError(f"every judged query has a zero-norm {m}-prefix")
+    return np.concatenate(scores), len(usable) - len(scores)

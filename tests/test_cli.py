@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +15,8 @@ import pytest
 import near2
 from near2 import cli, metrics, trainer
 from near2.cli import build_parser, main
-from near2.encoder import EncoderModel, encode, load_model, save_model
+from near2.data import RelevanceRecord, distinct_titles, load_records, write_records
+from near2.encoder import EncoderModel, encode, load_model, save_model, tokenize, tokenize_many
 from near2.index import _sections, load_index, search_funnel
 from near2.nested import DimSet
 
@@ -398,6 +400,99 @@ def test_nan_in_index_section_exits_two_without_traceback(workspace, tmp_path, s
     assert "Traceback" not in proc.stderr
 
 
+def _corrupt_table_rows(workspace, tmp_path):
+    """A copy of the workspace model's file whose table row `nan` (which
+    "plants" gathers) is all NaN and row `inf` (which "garden" gathers) all
+    +-inf, patched at their byte offsets; the query "zz" gathers neither."""
+    model = load_model(workspace["model"])
+    bag = {word: set(tokenize(word, model.bucket_count).ids.tolist())
+           for word in ("plants", "garden", "zz")}
+    nan_row = min(bag["plants"] - bag["garden"] - bag["zz"])
+    inf_row = min(bag["garden"] - bag["plants"] - bag["zz"])
+    table_at = 8 + 16 + 2 + 4 * len(model.dims) + 8
+    data = bytearray(workspace["model"].read_bytes())
+    for row, values in ((nan_row, [np.nan]), (inf_row, [np.inf, -np.inf])):
+        at = table_at + 4 * model.feature_dim * row
+        data[at : at + 4 * model.feature_dim] = np.resize(
+            np.array(values, "<f4"), model.feature_dim).tobytes()
+    path = tmp_path / "corrupt-rows.bin"
+    path.write_bytes(bytes(data))
+    return path, nan_row, inf_row
+
+
+@pytest.mark.parametrize("query, bad_row", [("plants", "nan"), ("garden", "inf")])
+def test_search_gathering_a_corrupt_table_row_exits_two_naming_the_model(workspace, tmp_path,
+                                                                          query, bad_row):
+    path, nan_row, inf_row = _corrupt_table_rows(workspace, tmp_path)
+    row = {"nan": nan_row, "inf": inf_row}[bad_row]
+    proc = _cli("search", "--index", str(workspace["index"]), "--model", str(path),
+                "--query", query)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"near2: data error: model file {path} has non-finite feature table row {row}\n")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [["--dim", "8"], ["--funnel", "4:16"]], ids=["exact", "funnel"])
+def test_search_missing_the_corrupt_table_rows_prints_the_clean_models_hits(workspace, tmp_path,
+                                                                            capsys, flags):
+    path, _, _ = _corrupt_table_rows(workspace, tmp_path)
+    out = {}
+    for model in (workspace["model"], path):
+        assert main(["search", "--index", str(workspace["index"]), "--model", str(model),
+                     "--query", "zz", *flags]) == 0
+        out[model] = capsys.readouterr()
+    assert out[path].err == ""
+    assert out[path].out == out[workspace["model"]].out
+    assert out[path].out.count("\n") > 1
+
+
+@pytest.mark.parametrize("flags", [["--dim", "8"], ["--funnel", "4:16"]], ids=["exact", "funnel"])
+def test_search_releases_the_model_before_the_scan(workspace, monkeypatch, flags):
+    """So the mapped table's pages are not resident while the scan maps the index's."""
+    models, alive_at_scan = [], []
+
+    def load(path):
+        model = load_model(path)
+        models.append(weakref.ref(model))
+        return model
+
+    def scan(search):
+        def run(*args):
+            alive_at_scan.append(models[0]() is not None)
+            return search(*args)
+        return run
+
+    monkeypatch.setattr(cli, "load_model", load)
+    monkeypatch.setattr(cli, "search_exact_with_min", scan(cli.search_exact_with_min))
+    monkeypatch.setattr(cli, "search_funnel", scan(cli.search_funnel))
+    assert main(["search", "--index", str(workspace["index"]), "--model", str(workspace["model"]),
+                 "--query", "plants", *flags]) == 0
+    assert alive_at_scan == [False]
+
+
+@pytest.mark.parametrize("command", ["index", "eval", "hist"])
+def test_titles_gathering_a_corrupt_table_row_exit_two_writing_nothing(workspace, tmp_path,
+                                                                       command):
+    path, nan_row, inf_row = _corrupt_table_rows(workspace, tmp_path)
+    test = workspace["data"] / "test.jsonl"
+    titles = [title for _, title in distinct_titles(load_records(test)[0])]
+    gathered = {int(i) for bag in tokenize_many(titles, 128) for i in bag.ids}
+    assert {nan_row, inf_row} <= gathered
+    argv = {
+        "index": ["--titles", test, "--out", tmp_path / "out.idx"],
+        "eval": ["--test", test, "--report", tmp_path / "out.json"],
+        "hist": ["--test", test, "--out", tmp_path / "out.csv"],
+    }[command]
+    proc = _cli(command, "--model", str(path), *(str(x) for x in argv))
+    assert proc.returncode == 2
+    assert re.fullmatch(
+        f"near2: data error: model file {re.escape(str(path))} has non-finite feature table "
+        f"row ({nan_row}|{inf_row})\n", proc.stderr
+    ), proc.stderr
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_eval_report_embeds_config(workspace):
     report_path = workspace["root"] / "report.json"
     code = main([
@@ -593,6 +688,45 @@ def test_hist_csv(workspace):
     assert len(lines) == 12
     total = sum(int(line.rsplit(",", 1)[1]) for line in lines[2:])
     assert total > 0
+
+
+def _zero_prefix_hist_set(tmp_path, queries):
+    """A model under which "eel" alone has a zero 2-prefix, saved, and a judged
+    set of the given queries, each with two relevant titles."""
+    table = np.ones((64, 2))
+    table[tokenize("eel", 64).ids, 0] = 0.0
+    projection = np.zeros((2, 6))
+    projection[0] = [1, 2, 0, 1, 2, 1]
+    projection[1, 2:] = [1, -1, 2, 1]
+    save_model(EncoderModel(64, 2, DimSet((6, 4, 2)), 0, table, projection), tmp_path / "m.bin")
+    records = [RelevanceRecord(f"q{qi}", query, f"t{qi}_{ti}", title, 5)
+               for qi, query in enumerate(queries)
+               for ti, title in enumerate((query, "ant cat"))]
+    write_records(records, tmp_path / "test.jsonl")
+    return ["--model", str(tmp_path / "m.bin"), "--test", str(tmp_path / "test.jsonl")]
+
+
+@pytest.mark.parametrize("dim, skipped", [("6", 0), ("2", 2)])
+def test_hist_skips_queries_with_a_zero_prefix_as_eval_does(tmp_path, capsys, dim, skipped):
+    common = _zero_prefix_hist_set(tmp_path, ["ant bee", "eel", "cat", "eel"])
+    assert main(["hist", *common, "--dim", dim, "--out", str(tmp_path / "h.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    skip_lines = [line for line in err if "skipped" in line]
+    assert skip_lines == ([f"near2: skipped {skipped} judged queries with a zero-norm {dim}-prefix"]
+                          if skipped else [])
+    counts = [int(line.rsplit(",", 1)[1])
+              for line in (tmp_path / "h.csv").read_text().splitlines()[2:]]
+    assert sum(counts) > 0
+    assert main(["eval", *common, "--dims", dim, "--report", str(tmp_path / "r.json")]) == 0
+
+
+def test_hist_with_only_zero_prefix_queries_exits_two(tmp_path, capsys):
+    common = _zero_prefix_hist_set(tmp_path, ["eel", "eel"])
+    code = main(["hist", *common, "--dim", "2", "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "near2: data error: every judged query has a zero-norm 2-prefix\n")
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_ablate_produces_four_row_table(workspace):

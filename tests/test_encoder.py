@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from loss_oracle import breakpoint_gap, grad_check
 from near2 import encoder
+from near2.data import SynthSpec, gen_synthetic
 from near2.encoder import (
     MAX_BUCKETS,
     EncoderModel,
@@ -24,8 +26,10 @@ from near2.encoder import (
     xorshift_uniform,
 )
 from near2.errors import FormatError
+from near2.index import build_index
 from near2.losses import LossBatch, mnrl_hinge, mrl_compose
 from near2.nested import DimSet
+from near2.trainer import TrainConfig, train
 
 
 def tiny_model(seed=0, buckets=64, feature_dim=8, dims=(16, 8, 4)):
@@ -362,6 +366,9 @@ class TestBackward:
         assert err <= 1e-4
 
 
+PROBE_TEXTS = ["red plant pot", "garden tools", "ab", "blue desk lamp"]
+
+
 class TestPersistence:
     def test_roundtrip_after_f32_rounding(self, tmp_path):
         model = tiny_model(seed=9)
@@ -424,6 +431,56 @@ class TestPersistence:
         save_model(model, path)
         with pytest.raises(FormatError, match="finite"):
             load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_table_row_loads_and_fails_only_when_gathered(self, tmp_path, value):
+        model = tiny_model()
+        row = int(tokenize("corrupt", model.bucket_count).ids[0])
+        clean = next(t for t in ("ab", "cd", "ef", "gh")
+                     if row not in tokenize(t, model.bucket_count).ids)
+        save_model(model, tmp_path / "clean.bin")
+        model.feature_table[row, 3] = value
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert not loaded.feature_table.flags.writeable
+        want = encode(load_model(tmp_path / "clean.bin"), clean).values
+        assert encode(loaded, clean).values.tobytes() == want.tobytes()
+        message = f"^model file {re.escape(str(path))} has non-finite feature table row {row}$"
+        with pytest.raises(FormatError, match=message):
+            encode(loaded, "corrupt")
+        with pytest.raises(FormatError, match=message):
+            build_index(loaded, [("a", clean), ("b", "corrupt")])
+        # an in-memory model's table has no file to name
+        with pytest.raises(ValueError, match="^embedding values must be finite$"):
+            encode(model, "corrupt")
+
+    def test_loaded_model_keeps_its_bytes_when_its_file_is_replaced(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(tiny_model(seed=1), path)
+        loaded = load_model(path)
+        want = [encode(loaded, text).values.tobytes() for text in PROBE_TEXTS]
+        save_model(tiny_model(seed=2), path)  # renamed over the mapped file
+        assert [encode(loaded, text).values.tobytes() for text in PROBE_TEXTS] == want
+        assert loaded.feature_table.tobytes() == (
+            tiny_model(seed=1).feature_table.astype(np.float32).tobytes())
+        assert [encode(load_model(path), text).values.tobytes() for text in PROBE_TEXTS] != want
+
+    def test_training_a_loaded_model_leaves_it_and_its_file_as_they_were(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(tiny_model(seed=4), path)
+        before = path.read_bytes()
+        loaded = load_model(path)
+        want = [encode(loaded, text).values.tobytes() for text in PROBE_TEXTS]
+        records, _, _ = gen_synthetic(
+            SynthSpec(seed=1, query_count=12, titles_per_query=6, category_count=4))
+        config = TrainConfig(epochs=1, batch_size=4, learning_rate=0.02, dims=loaded.dims,
+                             bucket_count=loaded.bucket_count, feature_dim=loaded.feature_dim)
+        trained, history = train(loaded, records, config)
+        assert history.steps
+        assert not np.array_equal(trained.feature_table, loaded.feature_table)
+        assert path.read_bytes() == before
+        assert [encode(loaded, text).values.tobytes() for text in PROBE_TEXTS] == want
 
     @pytest.mark.parametrize("buckets, feature_dim, message", [
         (0, 8, r"bucket_count must be in \[1, 4294967295\], got 0"),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from near2 import index as index_module
 from near2.data import SynthSpec, distinct_titles, gen_synthetic
-from near2.encoder import CHUNK_TEXTS, EncoderModel, encode, load_model, save_model
+from near2.encoder import CHUNK_TEXTS, EncoderModel, encode, load_model, save_model, tokenize
 from near2.errors import DataError, FormatError, InvalidDimensionError, ZeroVectorError
 from near2.index import (
     PrefixIndex,
@@ -514,6 +514,17 @@ def _pristine(kind, path):
     return path.read_bytes()
 
 
+def _text_gathering_every_row(bucket_count: int) -> str:
+    words, gathered = [], set()
+    while len(gathered) < bucket_count:
+        words.append(f"w{len(words)}")
+        gathered.update(tokenize(words[-1], bucket_count).ids.tolist())
+    return " ".join(words)
+
+
+EVERY_ROW_TEXT = _text_gathering_every_row(tiny_model().bucket_count)
+
+
 @pytest.mark.parametrize("kind", ["model", "index"])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(flips=st.lists(
@@ -521,13 +532,19 @@ def _pristine(kind, path):
     min_size=1, max_size=3,
 ))
 def test_byte_flips_load_or_raise_format_error(tmp_path, kind, flips):
+    """A flipped file fails to load with FormatError, or loads; a loaded
+    model then encodes a text that gathers every table row to finite values
+    or raises FormatError, since its table rows are checked only when
+    gathered."""
     path = tmp_path / f"flipped.{kind}"
     data = bytearray(_pristine(kind, path))
     for pos, mask in flips:
         data[pos % len(data)] ^= mask
     path.write_bytes(bytes(data))
     try:
-        (load_model if kind == "model" else load_index)(path)
+        loaded = (load_model if kind == "model" else load_index)(path)
+        if kind == "model":
+            assert np.all(np.isfinite(encode(loaded, EVERY_ROW_TEXT).values))
     except FormatError:
         pass
 
