@@ -14,12 +14,14 @@ corpora through it. `tokenize` is the scalar one-text loop behind `encode`: a
 query is one text, where the loop is faster than the batch set-up, and it is
 the reference the batch path is tested against.
 
-`embed_bag` is the one bag-to-vector path; it returns the pooled and the raw
-embedding row as arrays, and `encode` alone wraps one in a `NestedEmbedding`.
-Training runs one forward pass per step: `feature_bags` tokenizes each text
-once per run, `embed_bag` embeds it, and `backward` takes the step's bags with
-one upstream row each, reusing their pooled rows and accumulating into a
-table-sized buffer the caller keeps for the run.
+`pool` gives a bag's pooled row and `embed_bag` its raw embedding, the pooled
+row times the projection; `encode` wraps one in a `NestedEmbedding`, and
+`index.build_index` stores them. Training never projects: `feature_bags`
+tokenizes each text once per run, `pool` pools it once per step, and the
+losses work on the pooled rows and the projection (see `near2.losses`), so
+`backward` takes a gradient with respect to the step's pooled rows and only
+scatters each bag's share into a table-sized buffer the caller keeps for the
+run.
 
 `load_model` memory-maps the feature table, so a loaded model reads from disk
 only the rows its texts gather, and checks each row when it is gathered, not
@@ -320,17 +322,20 @@ def _pool(model: EncoderModel, bag: FeatureBag) -> np.ndarray:
     return (rows * weights[:, None]).sum(axis=0) / weights.sum()
 
 
-def embed_bag(model: EncoderModel, bag: FeatureBag) -> tuple[np.ndarray, np.ndarray]:
-    """A bag's (pooled, values) rows: the pooled (H,) row, which `backward`
-    needs again, and the raw (D,) embedding, pooled times the projection.
-
-    The pooled row is the count-weighted mean of the bag's feature-table rows;
-    an empty bag gives zero rows. Finiteness is left to the caller.
-    """
+def pool(model: EncoderModel, bag: FeatureBag) -> np.ndarray:
+    """A bag's pooled (H,) row: the count-weighted mean of its feature-table
+    rows, or zeros for an empty bag. Finiteness is left to the caller."""
     if len(bag) == 0:
-        return np.zeros(model.feature_dim), np.zeros(model.full_dim)
-    pooled = _pool(model, bag)
-    return pooled, pooled @ model.projection
+        return np.zeros(model.feature_dim)
+    return _pool(model, bag)
+
+
+def embed_bag(model: EncoderModel, bag: FeatureBag) -> np.ndarray:
+    """A bag's raw (D,) embedding, its pooled row times the projection; an
+    empty bag gives zeros. Finiteness is left to the caller."""
+    if len(bag) == 0:
+        return np.zeros(model.full_dim)
+    return _pool(model, bag) @ model.projection
 
 
 def non_finite_embedding(model: EncoderModel, bag: FeatureBag) -> Exception:
@@ -355,7 +360,7 @@ def encode(model: EncoderModel, text: str) -> NestedEmbedding:
     """
     bag = tokenize(text, model.bucket_count)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = embed_bag(model, bag)[1]
+        values = embed_bag(model, bag)
     try:
         return NestedEmbedding(values, dims=model.dims, degenerate=len(bag) == 0)
     except ValueError:  # the values are (D,), so only non-finite ones are refused
@@ -365,39 +370,31 @@ def encode(model: EncoderModel, text: str) -> NestedEmbedding:
 def backward(
     model: EncoderModel,
     bags: list[FeatureBag],
-    upstream: np.ndarray,
-    pooled: np.ndarray,
+    grad_pooled: np.ndarray,
     grad_table: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """Parameter gradients for sum_t upstream[t] . embed_bag(bags[t]).
+) -> np.ndarray:
+    """The feature-table gradient of a loss whose gradient with respect to
+    `pool(model, bags[t])` is `grad_pooled[t]`, one row per bag.
 
-    `upstream` holds one row per bag. Exact chain rule: the projection
-    gradient is one pooled^T @ upstream product, and each bag adds its
-    count-weighted share of upstream @ projection^T to its own table rows.
-    Buckets absent from every bag keep exactly zero gradient; empty bags
-    contribute nothing.
+    Exact chain rule: a pooled row is the count-weighted mean of its bag's
+    table rows, so each bag adds its count-weighted share of its gradient row
+    to its own table rows. Buckets absent from every bag keep exactly zero
+    gradient; empty bags contribute nothing.
 
-    `pooled`, one row per bag, holds the pooled rows `embed_bag` returned for
-    the current parameters. The table gradient accumulates into `grad_table`,
-    an all-zero array of the feature table's shape that a training run keeps
-    and re-zeroes at the bags' rows after each step; it is returned as the
-    `feature_table` gradient.
+    The gradient accumulates into `grad_table`, an all-zero array of the
+    feature table's shape that a training run keeps and re-zeroes at the
+    bags' rows after each step, and `grad_table` is returned.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.ndim != 2 or upstream.shape[1] != model.full_dim:
-        raise ValueError(f"upstream gradient must have shape (bags, {model.full_dim})")
-    if upstream.shape[0] != len(bags):
-        raise ValueError("one upstream gradient row per bag required")
-    if pooled.shape != (len(bags), model.feature_dim):
-        raise ValueError(f"pooled rows must have shape ({len(bags)}, {model.feature_dim})")
+    grad_pooled = np.asarray(grad_pooled, dtype=np.float64)
+    if grad_pooled.shape != (len(bags), model.feature_dim):
+        raise ValueError(f"pooled-row gradient must have shape ({len(bags)}, {model.feature_dim})")
     if grad_table.shape != model.feature_table.shape:
         raise ValueError(f"grad_table must have shape {model.feature_table.shape}")
-    keep = [i for i, bag in enumerate(bags) if len(bag)]
-    bags, pooled, upstream = [bags[i] for i in keep], pooled[keep], upstream[keep]
-    for bag, grad_pooled in zip(bags, upstream @ model.projection.T):
-        weights = bag.counts.astype(np.float64) / bag.total
-        grad_table[bag.ids] += weights[:, None] * grad_pooled[None, :]
-    return {"feature_table": grad_table, "projection": pooled.T @ upstream}
+    for bag, row in zip(bags, grad_pooled):
+        if len(bag):
+            weights = bag.counts.astype(np.float64) / bag.total
+            grad_table[bag.ids] += weights[:, None] * row[None, :]
+    return grad_table
 
 
 # --- persistence ----------------------------------------------------------------

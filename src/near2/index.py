@@ -53,11 +53,6 @@ class SearchHit:
     rank: int
 
 
-def _band_edges(dims: DimSet) -> list[int]:
-    """Column edges of the bands: 0, then every dim in ascending order."""
-    return [0, *sorted(dims)]
-
-
 class TextColumn(Sequence):
     """Row-indexable strings held as one UTF-8 blob and count + 1 offsets.
 
@@ -112,7 +107,7 @@ class PrefixIndex:
         matrix = np.asarray(matrix, dtype=np.float32)
         if matrix.ndim != 2 or matrix.shape[1] != dims.full:
             raise ValueError(f"matrix must be (count, {dims.full})")
-        edges = _band_edges(dims)
+        edges = dims.edges
         bands = [np.array(matrix[:, lo:hi], order="C") for lo, hi in zip(edges, edges[1:])]
         self._assign(ids, titles, bands, dims, degenerate)
 
@@ -183,7 +178,7 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
         if doc_id in seen:
             raise DataError(f"duplicate document id: {doc_id!r}")
         seen.add(doc_id)
-    edges = _band_edges(model.dims)
+    edges = model.dims.edges
     bands = [np.empty((len(titles), hi - lo), dtype=np.float32) for lo, hi in zip(edges, edges[1:])]
     degenerate = np.zeros(len(titles), dtype=bool)
     # overflow and inf - inf warn nothing: a row that is not finite in float64
@@ -193,8 +188,8 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
         for first in range(0, len(titles), CHUNK_TEXTS):
             chunk = [text for _, text in titles[first : first + CHUNK_TEXTS]]
             for row, bag in enumerate(tokenize_many(chunk, model.bucket_count), start=first):
-                values = embed_bag(model, bag)[1]
-                if not np.all(np.isfinite(values)):
+                values = embed_bag(model, bag)
+                if not np.isfinite(values).all():
                     raise non_finite_embedding(model, bag)
                 for band, lo, hi in zip(bands, edges, edges[1:]):
                     band[row] = values[lo:hi]
@@ -410,7 +405,7 @@ def _sections(
     The sections in file order: the norm table, one band per dim, the doc
     table's offsets, the ids blob and the titles blob, which ends the file.
     """
-    edges = _band_edges(dims)
+    edges = dims.edges
     lengths = [8 * count * len(dims)] + [4 * count * (hi - lo) for lo, hi in zip(edges, edges[1:])]
     lengths += [16 * (count + 1), id_bytes, title_bytes]
     sections, pos = [], 8 + 16 + 2 + 4 * len(dims) + (count + 7) // 8
@@ -506,7 +501,7 @@ def load_index(path) -> PrefixIndex:
         np.all(np.isfinite(norms)) and np.all(norms >= 0) and np.all(norms[:, :-1] >= norms[:, 1:])
     ):
         raise FormatError("invalid prefix norm table")
-    edges = _band_edges(dims)
+    edges = dims.edges
     bands = [
         np.frombuffer(buf, "<f4", count * (hi - lo), offset).reshape(count, hi - lo)
         for (offset, _), lo, hi in zip(band_sections, edges, edges[1:])

@@ -56,10 +56,10 @@ class DimSet:
             raise InvalidDimensionError(m, self.dims)
         return m
 
-    def truncated(self, m: int) -> "DimSet":
-        """The sub-set of dimensions usable by a prefix of length m."""
-        m = self.require(m)
-        return DimSet(tuple(d for d in self.dims if d <= m))
+    @property
+    def edges(self) -> tuple[int, ...]:
+        """Column edges of the bands the dims cut: 0, then every dim ascending."""
+        return (0, *reversed(self.dims))
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class NestedEmbedding:
             raise ValueError(
                 f"embedding length {values.shape[0]} != max dimension {self.dims.full}"
             )
-        if not self.degenerate and not np.all(np.isfinite(values)):
+        if not self.degenerate and not np.isfinite(values).all():
             raise ValueError("embedding values must be finite")
         object.__setattr__(self, "values", values)
 

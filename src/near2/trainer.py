@@ -14,13 +14,13 @@ and contrastive weight 1, "multitask" both and weight `lambda_ocl`.
 Within a phase of T steps the learning rate warms up linearly over the first
 w = ceil(T/10) steps and then decays linearly (`warmup_linear`), and each
 update scales both gradients together to a global L2 norm of at most 1.0.
-Each step is one forward pass: every distinct text is tokenized once per run
-and pooled and embedded once per step into one raw row of the step's
-`LossBatch`, whose losses read it through cosines of row pairs (so a text
-without features, a zero row, is refused before the first step). The loss
-returns one gradient row per distinct text, `backward`'s upstream next to
-those texts' feature bags and pooled rows. The feature-table gradient
-accumulates into one buffer per `train` call, re-zeroed after each update.
+Each step pools every distinct text once, tokenized once per run, into one
+row of the step's `LossBatch`, and never projects it: the losses read the
+pooled rows and the projection, and return the gradients with respect to
+both (see `near2.losses`). A text without features, a zero row, has no
+cosine, so it is refused before the first step. `backward` scatters the
+pooled-row gradient into the feature-table gradient, which accumulates into
+one buffer per `train` call, re-zeroed after each update.
 
 `adamw_step` takes only the learning rate; the betas, epsilon, weight decay
 and clip norm are module constants. It also takes, per parameter, the rows
@@ -55,9 +55,9 @@ from .encoder import (
     MAX_BUCKETS,
     EncoderModel,
     backward,
-    embed_bag,
     encode,  # unused here; bench/tracing.py wraps near2.trainer.encode
     feature_bags,
+    pool,
 )
 from .errors import DataError, NumericalError
 from .losses import (
@@ -245,8 +245,8 @@ class OptimizerState:
     def zeros(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
         return cls(
             step=0,
-            first_moment={k: np.zeros_like(v) for k, v in params.items()},
-            second_moment={k: np.zeros_like(v) for k, v in params.items()},
+            first_moment={k: np.zeros(v.shape, v.dtype) for k, v in params.items()},
+            second_moment={k: np.zeros(v.shape, v.dtype) for k, v in params.items()},
         )
 
 
@@ -442,29 +442,23 @@ def _check_features(records: list[RelevanceRecord], bags, reads_pairs: bool) -> 
 
 
 def _step_loss(model, bags, batch: StepBatch, phase: Phase, dims: DimSet, config: TrainConfig):
-    """Loss output, and the step's distinct feature bags and their pooled rows,
-    one per row of the loss gradient. Each text is pooled and embedded once and
-    its gradient row sums all its occurrences (exact, since backward is linear
-    in upstream)."""
+    """Loss output, and the step's distinct feature bags, one per pooled row of
+    the loss gradient. Each text is pooled once and its gradient row sums all
+    its occurrences (exact, since backward is linear in that row)."""
     if phase.task == "ocl" and not batch.labels:  # nothing to train on
-        return None, [], None
+        return None, []
     roles = {name: getattr(batch, name) for name in TASK_ROLES[phase.task]}
-    pooled = []
-
-    def embed(text):
-        row, values = embed_bag(model, bags[text])
-        pooled.append(row)
-        return values
-
-    # from_texts embeds each distinct text once, in row order; an embedding
+    # from_texts pools each distinct text once, in row order; a pooled row
     # that overflows warns nothing, as LossBatch refuses non-finite rows
     with np.errstate(over="ignore", invalid="ignore"):
-        loss_batch, texts = LossBatch.from_texts(embed, model.dims, **roles)
+        loss_batch, texts = LossBatch.from_texts(
+            lambda text: pool(model, bags[text]), model.projection, model.dims, **roles
+        )
     weight = _pair_weight(phase, config)
     out = multitask_step_loss(loss_batch, dims, config.margin, config.margin_c, weight)
     if not np.isfinite(out.value):
         raise NumericalError(f"non-finite loss value {out.value!r}")
-    return out, [bags[text] for text in texts], np.array(pooled)
+    return out, [bags[text] for text in texts]
 
 
 def train(
@@ -479,8 +473,9 @@ def train(
     are provided. With epochs=0 the model is returned untouched. A float64
     model is trained in place; a loaded model, whose feature table is
     float32, is first copied into a float64 model and left as it was.
-    A step that meets non-finite values (a diverging run's embeddings, its
-    loss or its gradients) or a prefix norm that overflows raises
+    A step that meets non-finite values (a diverging run's pooled rows or
+    projection Grams, its loss or its gradients) or a prefix norm that
+    overflows raises
     `NumericalError` naming the phase, epoch and step; so does a run that
     ends with parameters beyond float32's range, which a saved model could
     not hold.
@@ -495,9 +490,11 @@ def train(
     bags = feature_bags((s for r in records for s in (r.query, r.title)), model.bucket_count)
     phases = schedule_phases(config.schedule)
     _check_features(records, bags, any(_pair_weight(p, config) > 0 for p in phases))
-    grad_table = np.zeros_like(model.feature_table)  # all zeros between steps
+    # np.zeros maps untouched zero pages: rows no step reads are never written
+    grad_table = np.zeros(model.feature_table.shape)  # all zeros between steps
     global_step = 0
     for phase_index, phase in enumerate(phases):
+        state = None  # the last phase's moments go before this phase's are made
         state = OptimizerState.zeros(model.parameters())
         touched = np.zeros(model.bucket_count, dtype=bool)  # table rows this phase's steps read
         dims = config.dims if phase.nested else DimSet((config.dims.full,))
@@ -511,10 +508,13 @@ def train(
             for batch in batches:
                 phase_step += 1
                 try:
-                    out, step_bags, pooled = _step_loss(model, bags, batch, phase, dims, config)
+                    out, step_bags = _step_loss(model, bags, batch, phase, dims, config)
                     if out is None:
                         continue
-                    grads = backward(model, step_bags, out.gradient, pooled, grad_table)
+                    grads = {
+                        "feature_table": backward(model, step_bags, out.pooled_gradient, grad_table),
+                        "projection": out.projection_gradient,
+                    }
                     ids = np.concatenate([bag.ids for bag in step_bags])
                     touched[ids] = True
                     lr = config.learning_rate * warmup_linear(phase_step, total)

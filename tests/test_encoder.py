@@ -20,6 +20,7 @@ from near2.encoder import (
     fnv1a64_many,
     load_model,
     model_file_size,
+    pool,
     save_model,
     tokenize,
     tokenize_many,
@@ -222,8 +223,9 @@ class TestEncode:
         model = tiny_model()
         for text in ("some plant pots", ""):
             bag = tokenize(text, model.bucket_count)
-            pooled, values = embed_bag(model, bag)
+            pooled, values = pool(model, bag), embed_bag(model, bag)
             assert pooled.shape == (model.feature_dim,) and values.shape == (model.full_dim,)
+            assert values.tobytes() == (pooled @ model.projection).tobytes()
             embedding = encode(model, text)
             assert values.tobytes() == embedding.values.tobytes()
             assert embedding.degenerate == (len(bag) == 0)
@@ -236,97 +238,80 @@ class TestEncode:
         assert np.array_equal(encode(model, "linear check").values, 2.0 * base)
 
 
-def pooled_rows(model, bags):
-    """The pooled rows embed_bag gives the bags, one per bag."""
-    return np.array([embed_bag(model, bag)[0] for bag in bags]).reshape(len(bags), model.feature_dim)
-
-
-def fresh_backward(model, bags, upstream):
-    """backward over the bags' pooled rows into a fresh zero table."""
-    return backward(model, bags, upstream, pooled_rows(model, bags), np.zeros_like(model.feature_table))
+def fresh_backward(model, bags, grad_pooled):
+    """backward of a pooled-row gradient into a fresh zero table."""
+    return backward(model, bags, grad_pooled, np.zeros_like(model.feature_table))
 
 
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         model = tiny_model()
-        grads = fresh_backward(model, [tokenize("some text", model.bucket_count)], np.zeros((1, model.full_dim)))
-        assert np.all(grads["feature_table"] == 0.0)
-        assert np.all(grads["projection"] == 0.0)
+        grad = fresh_backward(model, [tokenize("some text", model.bucket_count)], np.zeros((1, model.feature_dim)))
+        assert np.all(grad == 0.0)
 
     def test_scalar_chain_rule(self):
         model = EncoderModel.create(bucket_count=1, feature_dim=1, dims=DimSet((1,)), seed=3)
-        up = np.array([2.5])
-        grads = fresh_backward(model, [tokenize("a", model.bucket_count)], up[None, :])
-        pooled = model.feature_table[0, 0]  # single bucket, count-weighted mean = row
-        assert grads["projection"][0, 0] == pytest.approx(pooled * 2.5, rel=1e-12)
-        assert grads["feature_table"][0, 0] == pytest.approx(model.projection[0, 0] * 2.5, rel=1e-12)
+        # one bucket, hit twice: the pooled row is the table row, weight 2/2
+        grad = fresh_backward(model, [tokenize("aaaa", model.bucket_count)], np.array([[2.5]]))
+        assert grad[0, 0] == 2.5
 
     def test_untouched_rows_zero(self):
         model = tiny_model()
         text = "alpha beta"
         touched = set(tokenize(text, model.bucket_count).ids.tolist())
-        grads = fresh_backward(model, [tokenize(text, model.bucket_count)], np.ones((1, model.full_dim)))
+        grad = fresh_backward(model, [tokenize(text, model.bucket_count)], np.ones((1, model.feature_dim)))
         for row in range(model.bucket_count):
             if row not in touched:
-                assert np.all(grads["feature_table"][row] == 0.0)
+                assert np.all(grad[row] == 0.0)
+            else:
+                assert np.all(grad[row] > 0.0)
 
     def test_shape_mismatch(self):
         model = tiny_model()
         a, b = (tokenize(t, model.bucket_count) for t in ("a", "b"))
-        one, two = pooled_rows(model, [a]), pooled_rows(model, [a, b])
         table = np.zeros_like(model.feature_table)
         with pytest.raises(ValueError):
-            backward(model, [a], np.zeros((1, 3)), one, table)
+            backward(model, [a], np.zeros((1, model.full_dim)), table)
         with pytest.raises(ValueError):
-            backward(model, [a, b], np.zeros((1, model.full_dim)), two, table)
+            backward(model, [a, b], np.zeros((1, model.feature_dim)), table)
         with pytest.raises(ValueError):
-            backward(model, [a, b], np.zeros((2, model.full_dim)), one, table)
-        with pytest.raises(ValueError):
-            backward(model, [a], np.zeros((1, model.full_dim)), one, np.zeros((2, 2)))
+            backward(model, [a], np.zeros((1, model.feature_dim)), np.zeros((2, 2)))
 
-    def test_pooled_rows_and_reused_buffer_match_fresh_call(self):
+    def test_reused_buffer_matches_fresh_call(self):
         model = tiny_model(seed=2)
         rng = np.random.default_rng(3)
         buffer = np.zeros_like(model.feature_table)
         steps = (["red flower pot", "", "blue hose"], ["garden hose", "red pot", "blue hose"])
         for texts in steps:
             bags = [tokenize(t, model.bucket_count) for t in texts]
-            pooled = pooled_rows(model, bags)
-            upstream = rng.normal(size=(len(bags), model.full_dim))
-            fresh = backward(model, bags, upstream, pooled, np.zeros_like(model.feature_table))
-            reused = backward(model, bags, upstream, pooled, buffer)
-            assert reused["feature_table"] is buffer
-            for name, grad in fresh.items():
-                assert np.array_equal(reused[name], grad)
-            # what train does after each update, and the next step's parameters
+            grad_pooled = rng.normal(size=(len(bags), model.feature_dim))
+            fresh = fresh_backward(model, bags, grad_pooled)
+            reused = backward(model, bags, grad_pooled, buffer)
+            assert reused is buffer
+            assert np.array_equal(reused, fresh)
+            # what train does after each update
             buffer[np.concatenate([bag.ids for bag in bags])] = 0.0
             assert not buffer.any()
-            model.feature_table += 0.01 * rng.normal(size=model.feature_table.shape)
 
     def test_matches_per_occurrence_reference(self):
         model = tiny_model(seed=5)
         texts = ["red flower pot", "blue hose", "red flower pot", "", "pot"]
-        upstream = np.random.default_rng(0).normal(size=(len(texts), model.full_dim))
+        grad_pooled = np.random.default_rng(0).normal(size=(len(texts), model.feature_dim))
 
-        # reference: every occurrence on its own, re-tokenized and re-pooled
+        # reference: every occurrence on its own, re-tokenized
         ref_table = np.zeros_like(model.feature_table)
-        ref_proj = np.zeros_like(model.projection)
-        for text, up in zip(texts, upstream):
+        for text, up in zip(texts, grad_pooled):
             bag = tokenize(text, model.bucket_count)
-            if len(bag) == 0:
-                continue
-            w = bag.counts / bag.total
-            ref_proj += np.outer(w @ model.feature_table[bag.ids], up)
-            np.add.at(ref_table, bag.ids, w[:, None] * (model.projection @ up)[None, :])
+            w = bag.counts / max(bag.total, 1)
+            np.add.at(ref_table, bag.ids, w[:, None] * up[None, :])
 
-        per_occurrence = fresh_backward(model, [tokenize(t, model.bucket_count) for t in texts], upstream)
+        per_occurrence = fresh_backward(model, [tokenize(t, model.bucket_count) for t in texts], grad_pooled)
         distinct = list(dict.fromkeys(texts))
-        summed = np.zeros((len(distinct), model.full_dim))
-        np.add.at(summed, [distinct.index(t) for t in texts], upstream)
+        summed = np.zeros((len(distinct), model.feature_dim))
+        np.add.at(summed, [distinct.index(t) for t in texts], grad_pooled)
         per_text = fresh_backward(model, [tokenize(t, model.bucket_count) for t in distinct], summed)
-        for grads in (per_occurrence, per_text):
-            np.testing.assert_allclose(grads["feature_table"], ref_table, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(grads["projection"], ref_proj, rtol=1e-12, atol=0)
+        for grad in (per_occurrence, per_text):
+            np.testing.assert_allclose(grad, ref_table, rtol=1e-12, atol=0)
 
     def test_grad_check_through_encoder(self):
         model = tiny_model(seed=1, buckets=32, feature_dim=4, dims=(8, 4))
@@ -341,7 +326,7 @@ class TestBackward:
 
         def batch_of(texts):
             return LossBatch.from_texts(
-                lambda t: encode(model, t).values, dims,
+                lambda t: pool(model, tokenize(t, model.bucket_count)), model.projection, dims,
                 queries=[texts[0]], positives=[[texts[1]]], negatives=[[texts[2], texts[3]]],
             )
 
@@ -350,8 +335,8 @@ class TestBackward:
             batch, distinct = batch_of(texts)
             out = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, dims)
             bags = [tokenize(t, model.bucket_count) for t in distinct]
-            grads = fresh_backward(model, bags, out.gradient)
-            flat = np.concatenate([grads["feature_table"].ravel(), grads["projection"].ravel()])
+            grad_table = fresh_backward(model, bags, out.pooled_gradient)
+            flat = np.concatenate([grad_table.ravel(), out.projection_gradient.ravel()])
             return out.value, flat
 
         def gap(theta):

@@ -676,15 +676,16 @@ class TestPrefixIndexEquivalence:
         full = random_index(rng, 30, dims)
         query_values = rng.normal(size=32)
         for m in dims:
+            prefix_dims = DimSet(tuple(d for d in dims if d <= m))
             truncated = PrefixIndex(
                 ids=full.ids,
                 titles=full.titles,
                 matrix=full.matrix[:, :m].copy(),
-                dims=full.dims.truncated(m),
+                dims=prefix_dims,
                 degenerate=full.degenerate,
             )
             q_full = query_from(query_values, dims)
-            q_trunc = query_from(query_values[:m], full.dims.truncated(m))
+            q_trunc = query_from(query_values[:m], prefix_dims)
             hits_full = search_exact(full, q_full, m, 10)
             hits_trunc = search_exact(truncated, q_trunc, m, 10)
             assert [(h.row, h.rank) for h in hits_full] == [(h.row, h.rank) for h in hits_trunc]

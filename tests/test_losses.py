@@ -36,12 +36,17 @@ def occurrence_rows(pos_counts, neg_counts, n_pairs=0):
                 negatives=blocks[q + 1 : 2 * q + 1], lefts=blocks[-2], rights=blocks[-1])
 
 
+def x_batch(embeddings, dims, *roles, **named):
+    """LossBatch whose pooled rows are the embeddings: an identity projection."""
+    return LossBatch(embeddings, np.eye(dims.full), dims, *roles, **named)
+
+
 def occurrence_batch(dims, queries=(), positives=(), negatives=(), lefts=(), rights=(), labels=()):
-    """LossBatch with one embedding row per occurrence (see occurrence_rows)."""
+    """x-space LossBatch with one embedding row per occurrence (see occurrence_rows)."""
     blocks = [queries, *positives, *negatives, lefts, rights]
     embeddings = np.concatenate([np.reshape(b, (-1, dims.full)) for b in blocks])
     rows = occurrence_rows([len(p) for p in positives], [len(n) for n in negatives], len(labels))
-    return LossBatch(embeddings, dims, labels=labels, **rows)
+    return x_batch(embeddings, dims, labels=labels, **rows)
 
 
 def triplet_from_cosines(pos_cos, neg_cos):
@@ -95,11 +100,11 @@ class TestLossBatch:
             return np.array([float(len(seen)), 1.0])
 
         batch, texts = LossBatch.from_texts(
-            embed, D2, queries=["q", "r"], positives=[["a"], ["b", "a"]],
+            embed, np.eye(2), D2, queries=["q", "r"], positives=[["a"], ["b", "a"]],
             negatives=[["r"], ["c"]], lefts=["q", "s"], rights=["a", "c"], labels=[1, 0],
         )
         assert texts == seen == ["q", "r", "a", "b", "c", "s"]
-        assert batch.embeddings.shape == (6, 2)
+        assert batch.pooled.shape == (6, 2)
         assert batch.queries.tolist() == [0, 1]
         assert [g.tolist() for g in batch.positives] == [[2], [3, 2]]
         assert [g.tolist() for g in batch.negatives] == [[1], [4]]
@@ -108,17 +113,21 @@ class TestLossBatch:
 
     def test_row_index_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            LossBatch(np.eye(2), D2, lefts=[0], rights=[2], labels=[1])
+            x_batch(np.eye(2), D2, lefts=[0], rights=[2], labels=[1])
 
-    def test_width_must_match_full_dimension(self):
-        with pytest.raises(ValueError, match="embeddings"):
-            LossBatch(np.zeros((2, 3)), D2)
+    def test_projection_must_be_pooled_width_by_full_dimension(self):
+        with pytest.raises(ValueError, match=r"projection must be an \(3, 2\) array"):
+            LossBatch(np.zeros((2, 3)), np.eye(2), D2)
+        with pytest.raises(ValueError, match=r"projection must be an \(2, 2\) array"):
+            LossBatch(np.zeros((2, 2)), np.zeros((2, 3)), D2)
+        with pytest.raises(ValueError, match="pooled rows"):
+            LossBatch(np.zeros(2), np.eye(2), D2)
 
     def test_pair_lengths_and_labels_validated(self):
         with pytest.raises(ValueError, match="equal length"):
-            LossBatch(np.eye(2), D2, lefts=[0, 1], rights=[1], labels=[1])
+            x_batch(np.eye(2), D2, lefts=[0, 1], rights=[1], labels=[1])
         with pytest.raises(ValueError, match="0 or 1"):
-            LossBatch(np.eye(2), D2, lefts=[0], rights=[1], labels=[2])
+            x_batch(np.eye(2), D2, lefts=[0], rights=[1], labels=[2])
 
 
 class TestMnrlHinge:
@@ -131,7 +140,7 @@ class TestMnrlHinge:
         batch = triplet_from_cosines([1.0], [-1.0])
         out = mnrl_hinge(batch, margin=0.75, m=2)
         assert out.value == 0.0
-        assert np.all(out.gradient == 0.0)
+        assert np.all(out.pooled_gradient == 0.0)
 
     def test_all_equal_similarities_give_pn_margin(self):
         batch = triplet_from_cosines([0.5, 0.5], [0.5, 0.5])
@@ -145,21 +154,25 @@ class TestMnrlHinge:
 
     def test_empty_positives_rejected_at_construction(self):
         with pytest.raises(ValueError, match="empty positives"):
-            LossBatch(np.eye(2), D2, queries=[0], positives=[[]], negatives=[[1]])
+            x_batch(np.eye(2), D2, queries=[0], positives=[[]], negatives=[[1]])
 
     def test_gradient_locality_beyond_m(self):
         rng = np.random.default_rng(5)
         dims = DimSet((6, 3))
         batch = random_batch(rng, dims)
         out = mnrl_hinge(batch, margin=0.75, m=3)
-        assert out.gradient.shape == batch.embeddings.shape
-        assert np.all(out.gradient[:, 3:] == 0.0)
+        assert out.pooled_gradient.shape == batch.pooled.shape
+        assert out.projection_gradient.shape == batch.projection.shape
+        # the pooled rows are the embeddings here, so both gradients are local
+        assert np.all(out.pooled_gradient[:, 3:] == 0.0)
+        assert np.all(out.projection_gradient[:, 3:] == 0.0)
+        assert out.projection_gradient[:, :3].any()
 
     def test_hinge_inactive_triplet_contributes_nothing(self):
         batch = triplet_from_cosines([0.99], [-0.99])
         out = mnrl_hinge(batch, margin=0.75, m=2)
         assert out.value == 0.0
-        assert np.all(out.gradient == 0.0)
+        assert np.all(out.pooled_gradient == 0.0)
 
 
 class TestOcl:
@@ -180,7 +193,7 @@ class TestOcl:
 
     def test_zero_pairs_rejected(self):
         with pytest.raises(ValueError, match="at least one pair"):
-            ocl(LossBatch(np.zeros((0, 2)), D2), margin_c=0.5, m=2)
+            ocl(x_batch(np.zeros((0, 2)), D2), margin_c=0.5, m=2)
 
     def test_margin_validated(self):
         batch = pairs_from_distances([0.5], [1])
@@ -202,7 +215,8 @@ class TestMrlCompose:
             return LossOutput(
                 value=values[m],
                 per_dim={m: values[m]},
-                gradient=np.full((1, 4), float(m)),
+                coefficients={m: np.full((1, 4), float(m))},
+                batch=batch,
             )
 
         return task
@@ -211,6 +225,7 @@ class TestMrlCompose:
         out = mrl_compose(self.fake_task({4: 0.3, 2: 0.5}), None, DimSet((4, 2)))
         assert out.value == pytest.approx(0.8, rel=1e-12)
         assert out.per_dim == {4: 0.3, 2: 0.5}
+        assert {m: h.tolist() for m, h in out.coefficients.items()} == {4: [[4.0] * 4], 2: [[2.0] * 4]}
 
     def test_single_dimension_degenerate_case(self):
         rng = np.random.default_rng(2)
@@ -218,7 +233,8 @@ class TestMrlCompose:
         direct = mnrl_hinge(batch, 0.75, 4)
         composed = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, DimSet((4,)))
         assert composed.value == direct.value
-        assert np.array_equal(composed.gradient, direct.gradient)
+        assert np.array_equal(composed.pooled_gradient, direct.pooled_gradient)
+        assert np.array_equal(composed.projection_gradient, direct.projection_gradient)
 
     def test_error_annotated_with_failing_m(self):
         def boom(batch, m):
@@ -246,7 +262,8 @@ class TestMultitask:
         combined = multitask_step_loss(batch, dims, 0.75, 0.5, lambda_ocl=0.0)
         mnrl_only = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, dims)
         assert combined.value == mnrl_only.value
-        assert np.array_equal(combined.gradient, mnrl_only.gradient)
+        assert np.array_equal(combined.pooled_gradient, mnrl_only.pooled_gradient)
+        assert np.array_equal(combined.projection_gradient, mnrl_only.projection_gradient)
 
     def test_lambda_zero_never_reads_the_pairs(self):
         # the batch's only zero-norm row is a pair right: at weight 0 the step
@@ -263,7 +280,8 @@ class TestMultitask:
         mnrl_only = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, dims)
         assert combined.value == mnrl_only.value
         assert combined.per_dim == mnrl_only.per_dim
-        assert np.array_equal(combined.gradient, mnrl_only.gradient)
+        assert np.array_equal(combined.pooled_gradient, mnrl_only.pooled_gradient)
+        assert np.array_equal(combined.projection_gradient, mnrl_only.projection_gradient)
 
     @pytest.mark.parametrize("task", ["hinge", "pairs"])
     def test_overflowing_prefix_norm_raises(self, task):
@@ -287,7 +305,15 @@ class TestMultitask:
         a = mrl_compose(lambda b, m: mnrl_hinge(b, 0.75, m), batch, dims)
         b = mrl_compose(lambda b, m: ocl(b, 0.5, m), batch, dims)
         assert combined.value == pytest.approx(a.value + b.value, rel=1e-12)
-        assert np.array_equal(combined.gradient, a.gradient + b.gradient)
+        # the step adds the two composites' h^m exactly, then forms each
+        # gradient once from the sums: one rounding from the sum of the two
+        # composites' gradients
+        assert list(combined.coefficients) == list(dims)
+        for m in dims:
+            assert np.array_equal(combined.coefficients[m], a.coefficients[m] + b.coefficients[m])
+        for name in ("pooled_gradient", "projection_gradient"):
+            summed = getattr(a, name) + getattr(b, name)
+            assert np.abs(getattr(combined, name) - summed).max() <= 1e-12 * np.abs(summed).max()
 
     def test_empty_pairs_warns_and_drops_term(self):
         rng = np.random.default_rng(19)
@@ -311,7 +337,7 @@ class TestBreakpointGap:
         assert breakpoint_gap(batch, D2, 0.75, 0.5) == pytest.approx(0.2, rel=1e-9)
 
     def test_no_terms_is_infinite(self):
-        assert breakpoint_gap(LossBatch(np.zeros((0, 2)), D2), D2, 0.75, 0.5) == np.inf
+        assert breakpoint_gap(x_batch(np.zeros((0, 2)), D2), D2, 0.75, 0.5) == np.inf
 
     def test_covers_both_losses_at_every_dimension(self):
         rng = np.random.default_rng(23)
@@ -359,11 +385,11 @@ def _mnrl_theta_loss(dims, margin, shape_spec):
     rows = occurrence_rows(pos_counts, neg_counts)
 
     def batch_of(theta):
-        return LossBatch(theta.reshape(-1, dims.full), dims, **rows)
+        return x_batch(theta.reshape(-1, dims.full), dims, **rows)
 
     def loss(theta):
         out = mrl_compose(lambda b, m: mnrl_hinge(b, margin, m), batch_of(theta), dims)
-        return out.value, out.gradient.ravel()
+        return out.value, out.pooled_gradient.ravel()
 
     def gap(theta):
         return breakpoint_gap(batch_of(theta), dims, margin, 0.5)
@@ -389,17 +415,17 @@ def test_ocl_grad_check_random_seeds(seed):
     pairs = random_pair_batch(rng, dims, n=5)
 
     def batch_of(theta):
-        return LossBatch(theta.reshape(-1, dims.full), dims, lefts=pairs.lefts,
+        return x_batch(theta.reshape(-1, dims.full), dims, lefts=pairs.lefts,
                          rights=pairs.rights, labels=pairs.labels)
 
     def loss(theta):
         out = mrl_compose(lambda b, m: ocl(b, 0.5, m), batch_of(theta), dims)
-        return out.value, out.gradient.ravel()
+        return out.value, out.pooled_gradient.ravel()
 
     def gap(theta):
         return breakpoint_gap(batch_of(theta), dims, 0.75, 0.5)
 
-    err = grad_check(loss, pairs.embeddings.ravel(), step=1e-5, gap=gap)
+    err = grad_check(loss, pairs.pooled.ravel(), step=1e-5, gap=gap)
     assert err <= 1e-4
 
 
@@ -411,17 +437,17 @@ def test_multitask_grad_check_random_seeds(seed):
     batch = occurrence_batch(dims, **triplets, **random_pairs(rng, dims, n=4))
 
     def batch_of(theta):
-        return LossBatch(theta.reshape(-1, dims.full), dims, batch.queries, batch.positives,
+        return x_batch(theta.reshape(-1, dims.full), dims, batch.queries, batch.positives,
                          batch.negatives, batch.lefts, batch.rights, batch.labels)
 
     def loss(theta):
         out = multitask_step_loss(batch_of(theta), dims, 0.75, 0.5, 1.0)
-        return out.value, out.gradient.ravel()
+        return out.value, out.pooled_gradient.ravel()
 
     def gap(theta):
         return breakpoint_gap(batch_of(theta), dims, 0.75, 0.5)
 
-    err = grad_check(loss, batch.embeddings.ravel(), step=1e-5, gap=gap)
+    err = grad_check(loss, batch.pooled.ravel(), step=1e-5, gap=gap)
     assert err <= 1e-4
 
 
@@ -448,10 +474,10 @@ def test_repeated_texts_share_one_row(seed, lambda_ocl):
     labels = [1, 0] + list(rng.integers(0, 2, size=3))
 
     shared, texts = LossBatch.from_texts(
-        vectors.__getitem__, dims, queries, positives, negatives, lefts, rights, labels
+        vectors.__getitem__, np.eye(dims.full), dims, queries, positives, negatives, lefts, rights, labels
     )
     occurrences, keys = LossBatch.from_texts(
-        lambda key: vectors[key[-1]], dims,
+        lambda key: vectors[key[-1]], np.eye(dims.full), dims,
         _per_occurrence(queries, "q"),
         [_per_occurrence(g, ("p", i)) for i, g in enumerate(positives)],
         [_per_occurrence(g, ("n", i)) for i, g in enumerate(negatives)],
@@ -464,12 +490,14 @@ def test_repeated_texts_share_one_row(seed, lambda_ocl):
     assert a.value == b.value
     assert a.per_dim == b.per_dim
 
-    summed = np.zeros_like(a.gradient)
-    np.add.at(summed, [texts.index(key[-1]) for key in keys], b.gradient)
-    assert np.abs(a.gradient - summed).max() <= 1e-12 * np.abs(summed).max()
+    summed = np.zeros_like(a.pooled_gradient)
+    np.add.at(summed, [texts.index(key[-1]) for key in keys], b.pooled_gradient)
+    assert np.abs(a.pooled_gradient - summed).max() <= 1e-12 * np.abs(summed).max()
+    scale = np.abs(b.projection_gradient).max()
+    assert np.abs(a.projection_gradient - b.projection_gradient).max() <= 1e-12 * scale
 
 
-def oracle_batch(rng, dims, n_queries, n_pairs, labels, separated):
+def oracle_batch(rng, dims, n_queries, n_pairs, labels, separated, projection=None):
     """A batch whose rows repeat within a group and across roles: a title is a
     positive twice, or one query's positive and another's negative, or a pair
     right, and a pair left may be a query. No pair joins a row to itself and
@@ -479,13 +507,19 @@ def oracle_batch(rng, dims, n_queries, n_pairs, labels, separated):
     positives are near-copies of it, so at margin 0 no hinge is active; the
     labelled pairs never read a near-copy, whose nearly parallel cosine
     gradient would be as ill-conditioned as that noise.
+
+    The pooled rows are the embeddings (an identity projection) unless a
+    `projection` is given; a near-copy of a pooled row is a near-copy of
+    every prefix of its embedding.
     """
+    projection = np.eye(dims.full) if projection is None else projection
+    width = projection.shape[0]
     n_titles = 8
     query_rows = n_titles + np.arange(n_queries)
     twin_rows = query_rows + n_queries
-    rows = rng.normal(size=(n_titles + n_queries, dims.full))
-    twins = 1.5 * rows[query_rows] + 1e-3 * rng.normal(size=(n_queries, dims.full))
-    embeddings = np.concatenate([rows, twins])
+    rows = rng.normal(size=(n_titles + n_queries, width))
+    twins = 1.5 * rows[query_rows] + 1e-3 * rng.normal(size=(n_queries, width))
+    pooled = np.concatenate([rows, twins])
     titles = np.arange(n_titles)
     positives = [
         np.full(rng.integers(1, 3), twin) if separated else rng.choice(titles, rng.integers(1, 4))
@@ -496,7 +530,7 @@ def oracle_batch(rng, dims, n_queries, n_pairs, labels, separated):
     rights = (lefts + rng.integers(1, len(rows), n_pairs)) % len(rows)
     pair_labels = {"mixed": rng.integers(0, 2, n_pairs), "1": np.ones(n_pairs), "0": np.zeros(n_pairs)}
     return LossBatch(
-        embeddings, dims, query_rows, positives, negatives, lefts, rights, pair_labels[labels]
+        pooled, projection, dims, query_rows, positives, negatives, lefts, rights, pair_labels[labels]
     )
 
 
@@ -528,5 +562,135 @@ def test_step_loss_agrees_with_the_per_dimension_oracle(
     for a, b in [(new.value, old.value), *((new.per_dim[m], old.per_dim[m]) for m in dims)]:
         assert abs(a - b) <= 1e-12 * abs(b) + 1e-15
     assert list(new.per_dim) == list(old.per_dim)
-    assert np.abs(new.gradient - old.gradient).max() <= 1e-12 * np.abs(old.gradient).max()
+    assert np.abs(new.pooled_gradient - old.gradient).max() <= 1e-12 * np.abs(old.gradient).max()
     assert new.warnings == old.warnings
+
+
+def assert_close_to_oracle(new, old, rtol=1e-10):
+    """Values, per-dimension values and both gradients within `rtol` relative
+    of the oracle's (a value also within 1e-15 of it, for a dimension whose
+    whole loss rounds to about that)."""
+    for a, b in [(new.value, old.value), *((new.per_dim[m], old.per_dim[m]) for m in old.per_dim)]:
+        assert abs(a - b) <= rtol * abs(b) + 1e-15
+    assert list(new.per_dim) == list(old.per_dim)
+    for name in ("pooled_gradient", "projection_gradient"):
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_queries=st.integers(0, 4),
+    n_pairs=st.integers(0, 6),
+    labels=st.sampled_from(["mixed", "1", "0"]),
+    separated=st.booleans(),
+    margin=st.sampled_from([0.0, 0.75]),
+    lambda_ocl=st.sampled_from([0.0, 1.0]),
+)
+def test_pooled_space_losses_agree_with_the_x_space_oracle(
+    seed, n_queries, n_pairs, labels, separated, margin, lambda_ocl
+):
+    # H = 5 pooled columns under a 6-wide embedding, so G_3 is rank-deficient
+    rng = np.random.default_rng(seed)
+    dims = DimSet((6, 3))
+    projection = rng.normal(size=(5, dims.full)) / np.sqrt(5)
+    batch = oracle_batch(rng, dims, n_queries, n_pairs, labels, separated, projection)
+    if not n_queries and not n_pairs:
+        for loss in (multitask_step_loss, oracle.pooled_step_loss):
+            with pytest.raises(ValueError, match="needs queries or pairs"):
+                loss(batch, dims, margin, 0.5, lambda_ocl)
+        return
+    xs = oracle.x_space(batch)
+    for m in dims:
+        if n_queries:
+            want = oracle.chain(batch, oracle.pair_hinge(xs, margin, m))
+            assert_close_to_oracle(mnrl_hinge(batch, margin, m), want)
+        if n_pairs:
+            want = oracle.chain(batch, oracle.pair_ocl(xs, 0.5, m))
+            assert_close_to_oracle(ocl(batch, 0.5, m), want)
+    new = multitask_step_loss(batch, dims, margin, 0.5, lambda_ocl)
+    old = oracle.pooled_step_loss(batch, dims, margin, 0.5, lambda_ocl)
+    assert_close_to_oracle(new, old)
+    assert new.warnings == old.warnings
+
+
+@pytest.mark.parametrize("wrt", ["pooled", "projection"])
+@pytest.mark.parametrize("seed", range(4))
+def test_multitask_grad_check_in_the_pooled_space(seed, wrt):
+    # 3 pooled columns under 4 embedding columns, dims (4, 2)
+    rng = np.random.default_rng(200 + seed)
+    dims = DimSet((4, 2))
+    pos_counts, neg_counts = rng.integers(1, 3, 2), rng.integers(1, 3, 2)
+    rows = occurrence_rows(pos_counts, neg_counts, 4)
+    n = 2 + pos_counts.sum() + neg_counts.sum() + 2 * 4
+    params = {"pooled": rng.normal(size=(n, 3)), "projection": rng.normal(size=(3, dims.full))}
+    labels = np.array([1, 0, *rng.integers(0, 2, 2)])
+
+    def batch_of(theta):
+        parts = {**params, wrt: theta.reshape(params[wrt].shape)}
+        return LossBatch(parts["pooled"], parts["projection"], dims, labels=labels, **rows)
+
+    def loss(theta):
+        out = multitask_step_loss(batch_of(theta), dims, 0.75, 0.5, 1.0)
+        return out.value, getattr(out, f"{wrt}_gradient").ravel()
+
+    def gap(theta):
+        return breakpoint_gap(batch_of(theta), dims, 0.75, 0.5)
+
+    err = grad_check(loss, params[wrt].ravel(), step=1e-5, gap=gap)
+    assert err <= 1e-4
+
+
+class TestPooledSpaceEdges:
+    @staticmethod
+    def pairs(pooled, projection, dims):
+        n = len(pooled) // 2
+        return LossBatch(pooled, projection, dims, lefts=np.arange(n), rights=n + np.arange(n),
+                         labels=np.arange(n) % 2)
+
+    def test_huge_pooled_row_raises_numerical_error(self):
+        rng = np.random.default_rng(41)
+        dims = DimSet((4, 2))
+        pooled = rng.normal(size=(4, 3))
+        pooled[1] *= 1e300
+        batch = self.pairs(pooled, rng.normal(size=(3, 4)), dims)
+        message = "^4-prefix norm overflows float64 in batch while composing nested dimension m=4$"
+        with np.errstate(all="raise"), pytest.raises(NumericalError, match=message):
+            multitask_step_loss(batch, dims, 0.75, 0.5, 1.0)
+
+    def test_non_finite_pooled_row_rejected(self):
+        pooled = np.ones((2, 3))
+        pooled[0, 1] = np.inf
+        with pytest.raises(NumericalError, match="pooled rows must be finite"):
+            self.pairs(pooled, np.ones((3, 4)), DimSet((4, 2)))
+
+    @pytest.mark.parametrize("scale", [1e200, np.inf])
+    def test_projection_whose_gram_overflows_raises_numerical_error(self, scale):
+        rng = np.random.default_rng(43)
+        projection = rng.normal(size=(3, 4))
+        projection[2, 3] = scale
+        with np.errstate(all="raise"), pytest.raises(NumericalError, match="projection Gram overflows"):
+            self.pairs(rng.normal(size=(4, 3)), projection, DimSet((4, 2)))
+
+    def test_quadratic_form_at_or_below_zero_raises_zero_vector_error(self):
+        # row 2's 2-prefix is exactly zero: P[2, :2] = 0 and the row is a
+        # multiple of e_2, so its quadratic form under G_2 is exactly 0
+        rng = np.random.default_rng(47)
+        dims = DimSet((4, 2))
+        projection = rng.normal(size=(3, dims.full))
+        projection[2, :2] = 0.0
+        pooled = rng.normal(size=(4, 3))
+        pooled[2] = [0.0, 0.0, 1.5]
+        batch = self.pairs(pooled, projection, dims)
+        message = "^zero-norm 2-prefix in batch while composing nested dimension m=2$"
+        with np.errstate(all="raise"), pytest.raises(ZeroVectorError, match=message):
+            multitask_step_loss(batch, dims, 0.75, 0.5, 1.0)
+        out = multitask_step_loss(batch, DimSet((4,)), 0.75, 0.5, 1.0)
+        assert np.isfinite(out.pooled_gradient).all() and np.isfinite(out.projection_gradient).all()
+        # a form that rounds below zero, as one near the null space of
+        # P[:, :m] can, is refused before any square root is taken
+        batch.grams[2] = -batch.grams[2]
+        with np.errstate(all="raise"), pytest.raises(ZeroVectorError, match=message):
+            multitask_step_loss(batch, dims, 0.75, 0.5, 1.0)

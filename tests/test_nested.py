@@ -34,8 +34,9 @@ class TestDimSet:
         assert 4 in d and 3 not in d
         assert list(d) == [8, 4, 2]
 
-    def test_truncated_subset(self):
-        assert list(DimSet((8, 4, 2)).truncated(4)) == [4, 2]
+    def test_edges_cut_ascending_bands(self):
+        assert DimSet((8, 4, 2)).edges == (0, 2, 4, 8)
+        assert DimSet((3,)).edges == (0, 3)
 
 
 class TestTruncate:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import loss_oracle as oracle
 from near2 import encoder, trainer
 from near2.data import RelevanceRecord, SynthSpec, gen_synthetic
 from near2.encoder import EncoderModel
@@ -406,24 +407,24 @@ class TestSchedules:
 # sha256 of the float64 parameters after tiny_config(epochs=2, schedule=...)
 # training on small_dataset()
 TRAINED_DIGESTS = {
-    "mnrl": "41d141e163737cabd9e0ffb00656388e7d5be202bc2266952eb3bc352825f83f",
-    "ocl": "91cc519ce35a1fde190102cffca13b79addebd7c214108378e7998b3b8b9837f",
-    "mnrl+ocl": "7e4b06da0fcde579da1f234b8ac009f26899b3d2912b1a2e5df64d0b65aa60ba",
-    "mrl-first": "7c735d17660b23ca8f0633e14e2bdc6f74afcd0cca66cedf715f53f458af7e34",
+    "mnrl": "3ffb960d52ae5497a7084814a5b25de1c1660f5fd12474ee5f9ae3ebcb6459e2",
+    "ocl": "2ec567aa6e7157c13ce42c61c977548f9ba0f3ca59062fca574587e7aff45ea8",
+    "mnrl+ocl": "96ba60212b658f9b3f8aad422c5fa646aaea88b39a1ae264004d46c261b1d3f0",
+    "mrl-first": "82e7ae918cacc0468b13d01a905fa77a07c81d69e385c67c4ee529251d538184",
 }
 
 
 # sha256 of TrainHistory.to_jsonl() after tiny_config(epochs=2, schedule=...,
 # lambda_ocl=...) training on pairs_from_one_query(), validated every epoch
 HISTORY_DIGESTS = {
-    ("mnrl", 1.0): "ec5a2ebd2b209c511f0ce761733ce35916eae902b76d4108d8a5a7abb194eb45",
-    ("mnrl", 0.0): "ec5a2ebd2b209c511f0ce761733ce35916eae902b76d4108d8a5a7abb194eb45",
-    ("ocl", 1.0): "e6a6134f090c8dc9e095df4a640450ee89953581aa64607c1d7bc333feaadfaf",
-    ("ocl", 0.0): "e6a6134f090c8dc9e095df4a640450ee89953581aa64607c1d7bc333feaadfaf",
-    ("mnrl+ocl", 1.0): "9613579eca0caa3988ad431fa450acb3169e3b6b816faf0244c8cd4cf5ba00d8",
-    ("mnrl+ocl", 0.0): "73fe90d40c8974c59393dc92866cdfb025c20b097e04e3f89213fa33e7dc9493",
-    ("mrl-first", 1.0): "a34a5b24491321c52adfc3bfaa80071f6fab27d23ce242b6ab3cac6d52c0e62d",
-    ("mrl-first", 0.0): "42c127201789e5cc10d733ad67244605f7aebea6df6a07535b6336b63295c168",
+    ("mnrl", 1.0): "d1be64e7e8454c6116428f89240c518acf12e30d44be19661424dede6d5c9f88",
+    ("mnrl", 0.0): "d1be64e7e8454c6116428f89240c518acf12e30d44be19661424dede6d5c9f88",
+    ("ocl", 1.0): "f9c3008bfa8a2b93ab34480acc1a11d32ccf347ac90c825eee7938516745a38c",
+    ("ocl", 0.0): "f9c3008bfa8a2b93ab34480acc1a11d32ccf347ac90c825eee7938516745a38c",
+    ("mnrl+ocl", 1.0): "49d0a11c73532b8c9c83d32d1df64c0b3be5761dc2a00afabcad6248f71af55e",
+    ("mnrl+ocl", 0.0): "234712e4c07c3a6325e513ea7dabee714df475350d8447cc03120d76d319e558",
+    ("mrl-first", 1.0): "d5e52efcd56ab1198e4a8c0f70af70c4ca9c98ee2732d30f79f056deb210333e",
+    ("mrl-first", 0.0): "ad1c2778b68297d84de5c29ceb24506aec77f27807bf32d309f13544e8186b48",
 }
 
 
@@ -574,7 +575,7 @@ class TestTrain:
         digest = hashlib.sha256()
         for p in (model.feature_table, model.projection):
             digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
-        assert digest.hexdigest() == "7e4b06da0fcde579da1f234b8ac009f26899b3d2912b1a2e5df64d0b65aa60ba"
+        assert digest.hexdigest() == "96ba60212b658f9b3f8aad422c5fa646aaea88b39a1ae264004d46c261b1d3f0"
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_trained_bits_are_pinned_for_every_schedule(self, schedule):
@@ -602,6 +603,22 @@ class TestTrain:
         assert history.validation
         digest = hashlib.sha256(history.to_jsonl().encode("utf-8")).hexdigest()
         assert digest == HISTORY_DIGESTS[(schedule, lambda_ocl)]
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_training_agrees_with_the_x_space_oracle_step(self, schedule, monkeypatch):
+        # the oracle takes each step's loss on the embeddings x = pooled @
+        # projection and its gradients back through x, as training once did
+        config = tiny_config(epochs=2, schedule=schedule)
+        train_recs, _, _ = small_dataset()
+        model, history = train(tiny_model(config), train_recs, config)
+        monkeypatch.setattr(trainer, "multitask_step_loss", oracle.pooled_step_loss)
+        expected, expected_history = train(tiny_model(config), train_recs, config)
+        assert len(history.steps) == len(expected_history.steps) > 4
+        for got, want in zip(history.steps, expected_history.steps):
+            assert abs(got["loss"] - want["loss"]) <= 1e-9 * abs(want["loss"])
+        for name, value in model.parameters().items():
+            want = expected.parameters()[name]
+            assert np.abs(value - want).max() <= 1e-9 * np.abs(want).max()
 
     def test_training_a_loaded_model_matches_its_float64_copy(self, tmp_path):
         # a loaded model holds a float32 table; train copies it to float64 and
