@@ -1,12 +1,13 @@
-"""Corpus-scan kernels: prefix dot products and prefix squared norms.
+"""Corpus-scan kernels: exact prefix dot products and prefix squared norms,
+and a float32 bound pass that only chooses rows.
 
-Contract: float32 corpus rows, float64 accumulation, and a (row, query)
-result depends only on that row's data, that query, the prefix length m and
-the band cuts -- never on which other rows take part in a call, in what
-order they are passed, or which other queries share the call. Search,
-funnel re-ranking, evaluation and histograms all score through here, so a
-row scored in a shortlist or in a panel of queries gets exactly the bits it
-gets alone in a full scan.
+Contract of the exact kernels: float32 corpus rows, float64 accumulation,
+and a (row, query) result depends only on that row's data, that query, the
+prefix length m and the band cuts -- never on which other rows take part in
+a call, in what order they are passed, or which other queries share the
+call. Search, funnel re-ranking, evaluation and histograms all score
+through here, so a row scored in a shortlist or in a panel of queries gets
+exactly the bits it gets alone in a full scan.
 
 A corpus is a plain (count, D) array or `Bands`, the same rows stored as
 contiguous column bands. A prefix-m result is the sum, in band order, of one
@@ -25,12 +26,15 @@ contiguous sum over a row's entries, and a float32 entry widens exactly, so
 a (row, query) score has the same bits in a panel of any size as alone;
 the panel saves the widening of each entry for every query but the first.
 
-BLAS (`@`, `dot`, `matmul`) is not used. It groups rows and splits the
-reduction by the shape of the call: with OpenBLAS 0.3.31 on one thread, a
-(row, query) product of a 256-column float64 block changed its bits with the
-number of rows in the call (1, 3, 4, 7, 256 and 4096 rows each differed from
-1000) and between a one-query gemv and a gemm, and no BLAS product had the
-bits of the einsum sums. A row's bits would then depend on its neighbours.
+BLAS (`@`, `dot`, `matmul`) never produces a score. It groups rows and
+splits the reduction by the shape of the call: with OpenBLAS 0.3.31 on one
+thread, a (row, query) product of a 256-column float64 block changed its
+bits with the number of rows in the call (1, 3, 4, 7, 256 and 4096 rows each
+differed from 1000) and between a one-query gemv and a gemm, and no BLAS
+product had the bits of the einsum sums. A row's bits would then depend on
+its neighbours. BLAS appears only in `float32_prefix_dots`, a bound pass
+whose results carry a certified error bound (`float32_cosine_slack`) and
+serve only to choose which rows the exact kernel scores.
 """
 
 import numpy as np
@@ -118,3 +122,65 @@ def prefix_sq_norms(matrix, m):
         return np.einsum("ij,ij->i", prefix, prefix, dtype=np.float64)
 
     return _band_sum(_prefix_parts(matrix, m), sq_norms)
+
+
+def float32_prefix_dots(matrix, query, m):
+    """Approximate `prefix_dot_products` over every row, for choosing rows only.
+
+    Same arguments and result shape as `prefix_dot_products` without a row
+    selection. The query is rounded to float32 and each band under m is
+    multiplied in float32 by BLAS (one gemv for a vector, one gemm for a
+    panel); the per-band results are added in float64. The bits depend on
+    the shape of the call, so a result is never a score: it is within
+    `float32_cosine_slack` of the exact one, and no more is promised.
+    """
+    panel = np.asarray(query, dtype=np.float32).reshape(-1, m)
+    out = np.zeros((matrix.shape[0], panel.shape[0]))
+    # a non-finite or overflowing row gives a non-finite dot, which callers
+    # look for; it warns nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for band, start, width in _prefix_parts(matrix, m):
+            queries = panel[:, start : start + width]
+            if panel.shape[0] == 1:
+                out[:, 0] += band[:, :width] @ queries[0]
+            else:
+                out += band[:, :width] @ queries.T
+    return out if np.ndim(query) == 2 else out[:, 0]
+
+
+def float32_cosine_slack(matrix, m, min_norm):
+    """An eps with |c~ - c| <= eps for every row whose prefix-m norm N exceeds
+    `min_norm`, c~ = float32_prefix_dots(...) / N and c the exact cosine
+    clip(prefix_dot_products(...) / N, -1, 1), for any unit float64 query
+    (norm within 2^-40 of 1) and m <= 2^20.
+
+    Let x be the row's first m entries (float32, so exact), u the query, w
+    the widest band part read, u32 = 2^-24 and gamma_w = w u32 / (1 - w u32).
+    Let t = x.u / N in exact arithmetic.
+
+    * Rounding the query to float32, q, moves each entry by at most
+      u32 |u_j| + 2^-150.
+    * A float32 inner product of w terms, in any summation order, with or
+      without fused multiply-adds, is within gamma_w sum |x_j q_j| of the
+      exact one (Higham, Accuracy and Stability of Numerical Algorithms,
+      Thm 3.1), plus at most 2^-150 (1 + gamma_w) per product that
+      underflows (additions that underflow are exact).
+    * Cauchy-Schwarz gives sum |x_j u_j| <= |x| |u|, and the stored N is
+      the float64 norm of x, so |x| / N <= 1 + 2^-33 (m 2^-53 <= 2^-33).
+
+    So |c~ - t| <= gamma_w + 2 u32 + 2^-30 + m 2^-149 / N, the 2^-30
+    covering the float64 addition of the bands and the division, the
+    query's underflow and the slack in |u| and |x| / N. On the exact side,
+    the float64 dot and the division put the unclipped cosine within 2^-31
+    of t, and as |t| <= 1 + 2^-32 the clip to [-1, 1] adds at most 2^-32,
+    so |c - t| <= 2^-30. Hence
+
+        |c~ - c| <= gamma_w + 2^-22 + m 2^-149 / N.
+
+    The absolute term is taken as m 2^-125 / N instead, which also covers
+    processors that flush subnormal values to zero (an error of up to
+    2^-126 per product); for N above 1e-12 and m = 768 it is below 1e-22.
+    """
+    width = max(width for _, _, width in _prefix_parts(matrix, m))
+    unit = width * 2.0**-24
+    return unit / (1.0 - unit) + 2.0**-22 + m * 2.0**-125 / min_norm

@@ -20,8 +20,11 @@ rest is checked when read. A non-finite model feature-table row fails the
 commands whose texts gather it (`search`'s query; `index`'s titles; the
 judged queries and corpus of `eval` and `hist`), naming the model file and
 the row, while a query that gathers only sound rows gets the hits the
-sound model gives. A non-finite index vector likewise fails the search
-whose scan reads it.
+sound model gives. A search reads the index bands under its dim once, in a
+float32 bound pass that only picks which rows to score, then scores those
+rows exactly (`--funnel LOW:HIGH`: the bands under LOW, then the
+shortlist's rows under HIGH); every printed score is exact. A non-finite
+index vector fails the search whose pass reads it, as a full scan would.
 
 `search` prints score_norm, the score minus the lowest similarity the search
 computed: over the whole corpus for exact search, and over the shortlist

@@ -201,6 +201,7 @@ def _tokenize_chunk(texts: list[str], bucket_count: int) -> list[FeatureBag]:
 # Lane-parallel rather than scalar-sequential so initialization vectorizes.
 
 _XS_LANES = 256
+_XS_STEPS = 1024  # blocks per run of raw states that `xorshift_uniform` holds
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -211,21 +212,30 @@ def _splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def xorshift_uniform(seed: int, count: int) -> np.ndarray:
-    """`count` doubles in [0, 1) from the documented xorshift64 ensemble."""
+    """`count` doubles in [0, 1) from the documented xorshift64 ensemble.
+
+    The lane states are drawn `_XS_STEPS` blocks at a time and converted
+    straight into the result, so besides it only one run of raw states
+    (2 MiB) is held, however large `count` is.
+    """
     states = _splitmix64(np.uint64(seed & _U64) + np.arange(_XS_LANES, dtype=np.uint64))
     states[states == 0] = np.uint64(0x9E3779B97F4A7C15)
-    blocks = -(-count // _XS_LANES)
-    out = np.empty(blocks * _XS_LANES, dtype=np.uint64)
-    for b in range(blocks):
-        states ^= states << np.uint64(13)
-        states ^= states >> np.uint64(7)
-        states ^= states << np.uint64(17)
-        out[b * _XS_LANES : (b + 1) * _XS_LANES] = states
-    # (out >> 11) * 2^-53 with the shift and the scale in place
-    out >>= np.uint64(11)
-    draws = out[:count].astype(np.float64)
-    draws *= 2.0**-53
-    return draws
+    out = np.empty(count)
+    raw = np.empty((_XS_STEPS, _XS_LANES), dtype=np.uint64)
+    per_run = _XS_STEPS * _XS_LANES
+    for first in range(0, count, per_run):
+        size = min(per_run, count - first)
+        steps = -(-size // _XS_LANES)
+        for b in range(steps):
+            states ^= states << np.uint64(13)
+            states ^= states >> np.uint64(7)
+            states ^= states << np.uint64(17)
+            raw[b] = states
+        # (state >> 11) * 2^-53, the shift in place; both steps are exact
+        draws = raw[:steps].reshape(-1)[:size]
+        draws >>= np.uint64(11)
+        np.multiply(draws, 2.0**-53, out=out[first : first + size])
+    return out
 
 
 @dataclass
@@ -404,6 +414,9 @@ def backward(
 # as float32: feature_table row-major, projection row-major.
 
 
+_SAVE_ROWS = 4096  # feature-table rows `save_model` converts per write
+
+
 def save_model(model: EncoderModel, path) -> None:
     """Write the model beside `path`, then rename it over `path`."""
     header_fields = (model.bucket_count, model.feature_dim, model.full_dim)
@@ -411,8 +424,12 @@ def save_model(model: EncoderModel, path) -> None:
     def write(fh):
         fh.write(pack_header(MODEL_MAGIC, MODEL_VERSION, "III", header_fields, model.dims))
         fh.write(struct.pack("<Q", model.seed & _U64))
-        fh.write(model.feature_table.astype("<f4").tobytes(order="C"))
-        fh.write(model.projection.astype("<f4").tobytes(order="C"))
+        # the table in blocks of rows: a whole float32 copy of it would be
+        # as large as a loaded model's mapped table
+        table = model.feature_table
+        for first in range(0, table.shape[0], _SAVE_ROWS):
+            fh.write(table[first : first + _SAVE_ROWS].astype("<f4", order="C"))
+        fh.write(model.projection.astype("<f4", order="C"))
 
     write_atomically(path, write)
 

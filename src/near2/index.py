@@ -5,8 +5,15 @@ contiguous column bands cut at the nested dims (for dims 768..64:
 [0:64), [64:128), [128:256), [256:512), [512:768)), next to a table of every
 row's prefix norm at every dim. Searching at a prefix m reads only the bands
 under m and that table's column for m, so a smaller prefix costs
-proportionally less memory traffic, which is the whole efficiency story;
-there is no approximate search.
+proportionally less memory traffic, which is the whole efficiency story.
+
+Results are exact. A top-k search first runs a float32 BLAS bound pass over
+the bands under m, whose approximate cosines are certified to lie within a
+small eps of the exact ones; only the rows that could reach the top k (or,
+for the corpus minimum, the bottom) given that eps are then scored by the
+exact float64 scorer, row by row, and only those scores are returned. So
+hits, ranks and score bits are a full scan's. Callers that need every score
+(`all_scores`, `query_scores` without k, histograms) run the full exact scan.
 
 A loaded index memory-maps its bands, so a search reads from disk only the
 bands (and, for a funnel's re-rank, the shortlist rows) it scores. Loading
@@ -143,6 +150,7 @@ class PrefixIndex:
         self.degenerate = degenerate
         # count x |M| float64; column j holds every row's prefix norm at dims[j]
         self._norms = norms
+        self._searchable_at: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def count(self) -> int:
@@ -158,6 +166,14 @@ class PrefixIndex:
     def prefix_norms(self, m: int) -> np.ndarray:
         m = self.dims.require(m)
         return self._norms[:, self.dims.dims.index(m)]
+
+    def _searchable(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(mask, ascending rows) of the rows a prefix-m search may return:
+        not degenerate, with an m-prefix norm above EPS_ZERO."""
+        if m not in self._searchable_at:
+            mask = ~self.degenerate & (self.prefix_norms(m) > EPS_ZERO)
+            self._searchable_at[m] = mask, np.flatnonzero(mask)
+        return self._searchable_at[m]
 
 
 def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixIndex:
@@ -233,33 +249,79 @@ def _unit_prefix(query: NestedEmbedding, m: int) -> np.ndarray:
 def _scores(
     index: PrefixIndex, units: np.ndarray, m: int, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, prefix-m cosines) of the given searchable rows, or of every
-    searchable row when `rows` is None, against a (q, m) panel of unit
-    query prefixes; cosine [i, j] is row rows[i]'s with query j.
+    """(rows, prefix-m cosines) of the searchable rows among `rows`, or among
+    every row when `rows` is None, against a (q, m) panel of unit query
+    prefixes; cosine [i, j] is row rows[i]'s with query j.
 
-    The one scoring path, for a panel of one query (search, funnel) or of
-    many (evaluation, histograms), with the same bits either way. A full
-    scan reads every row and then drops the unsearchable ones (degenerate,
-    or with a zero m-prefix). The loader does not check vectors, so this is
-    where corrupt vector bytes are caught: exactly those the scan read.
+    The one scoring path, exact and row by row, for a panel of one query
+    (search, funnel) or of many (evaluation, histograms), with the same bits
+    either way. Every row asked for is read, and the unsearchable ones
+    (degenerate, or with a zero m-prefix) are dropped afterwards. The
+    loader does not check vectors, so this is where corrupt vector bytes
+    are caught: exactly those the scan read.
     """
-    dots = _kernels.prefix_dot_products(index.bands, units, m, rows)
+    with np.errstate(invalid="ignore"):  # inf - inf across bands: caught below
+        dots = _kernels.prefix_dot_products(index.bands, units, m, rows)
     if not np.all(np.isfinite(dots)):
         raise FormatError(f"non-finite vector entries within the first {m} columns of the index")
-    norms = index.prefix_norms(m)
+    mask, searchable = index._searchable(m)
     if rows is None:
-        rows = np.flatnonzero(~index.degenerate & (norms > EPS_ZERO))
-        dots = np.take(dots, rows, axis=0)  # about twice as fast as dots[rows]
-    # the kernel's result is fresh, so the cosines can overwrite it
-    np.divide(dots, np.take(norms, rows)[:, None], out=dots)
+        rows = keep = searchable
+    else:
+        keep = np.flatnonzero(mask[rows])
+        rows = rows[keep]
+    dots = np.take(dots, keep, axis=0)  # about twice as fast as dots[keep]
+    np.divide(dots, np.take(index.prefix_norms(m), rows)[:, None], out=dots)
     return rows, np.clip(dots, -1.0, 1.0, out=dots)
+
+
+def _candidates(index: PrefixIndex, units: np.ndarray, m: int, k: int) -> list[np.ndarray]:
+    """For each query of a (q, m) panel of unit prefixes, the ascending rows
+    that `_scores` must score for the query's exact top k and minimum: every
+    searchable row whose exact cosine reaches the k-th best, ties included;
+    a row of the lowest exact cosine; and every row,
+    searchable or not, that may hold a non-finite entry, so that scoring
+    the candidates raises `FormatError` exactly when a full scan would.
+
+    One float32 bound pass (`_kernels.float32_prefix_dots`) gives every
+    row an approximate cosine c~ within eps of its exact one c
+    (`_kernels.float32_cosine_slack`, for the norms above EPS_ZERO that
+    searchable rows have). The candidates are the searchable rows with
+    c~ >= (k-th largest c~) - 2 eps or c~ <= (smallest c~) + 2 eps; a row of the exact top k has c~ >= c - eps
+    >= (k-th largest c) - eps >= (k-th largest c~) - 2 eps, and likewise
+    for the minimum. A row whose bound-pass dot is not finite (a non-finite
+    entry, or a float32 overflow) is always a candidate and takes no part
+    in the k-th largest or the smallest c~; when k reaches the number of
+    searchable rows, every searchable row is a candidate. The exact scores
+    of a candidate do not depend on the other candidates, so the top k, its
+    bits and the minimum are those of a full scan.
+    """
+    approx = _kernels.float32_prefix_dots(index.bands, units, m)
+    picked = ~np.isfinite(approx)
+    mask, searchable = index._searchable(m)
+    if k >= searchable.size:
+        picked |= mask[:, None]
+    else:
+        # unsearchable rows may divide by a zero norm; they are masked out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = approx / index.prefix_norms(m)[:, None]
+        valid = np.isfinite(cos) & mask[:, None]
+        everywhere = valid.all()
+        top = cos if everywhere else np.where(valid, cos, -np.inf)
+        kth = np.partition(top, cos.shape[0] - k, axis=0)[cos.shape[0] - k]
+        eps = _kernels.float32_cosine_slack(index.bands, m, EPS_ZERO)
+        low = (cos if everywhere else np.where(valid, cos, np.inf)).min(axis=0)
+        picked |= ((top >= kth - 2.0 * eps) | (cos <= low + 2.0 * eps)) & valid
+    return [np.flatnonzero(column) for column in picked.T]
 
 
 def search_exact(index: PrefixIndex, query: NestedEmbedding, m: int, k: int) -> list[SearchHit]:
     """Exact top-k by prefix cosine over all searchable rows.
 
     Deterministic: ties break toward the lower row index; asking for more
-    hits than there are searchable rows returns them all.
+    hits than there are searchable rows returns them all. A float32 bound
+    pass picks the candidates (`_candidates`) and the exact scorer scores
+    only those, so the hits and their score bits are a full scan's.
     """
     hits, _ = search_exact_with_min(index, query, m, k)
     return hits
@@ -271,23 +333,28 @@ def search_exact_with_min(
     """search_exact plus the minimum similarity over the scanned corpus.
 
     The corpus minimum anchors min-normalized score reporting without paying
-    for a second scan. It is NaN when no row is searchable.
+    for a second scan: the candidates include the rows that may hold the
+    lowest cosine, so the minimum is a full scan's exact one. It is NaN when
+    no row is searchable.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rows, scores = all_scores(index, query, m)
+    m = index.dims.require(m)
+    query.dims.require(m)
+    units = _unit_prefix(query, m)[None]
+    rows, scores = _scores(index, units, m, _candidates(index, units, m, k)[0])
     if rows.size == 0:
         return [], float("nan")
+    scores = scores[:, 0]
     return _top_hits(index, rows, scores, k), float(scores.min())
 
 
 def all_scores(index: PrefixIndex, query: NestedEmbedding, m: int) -> tuple[np.ndarray, np.ndarray]:
     """(row indices, cosine scores) of every searchable row at prefix m.
 
-    The one-query full scan behind search_exact, search_exact_with_min and
-    min-normalization; `query_scores` gives the same arrays for many
-    queries at a time. Every row is scanned; unsearchable rows are dropped
-    from the result afterwards.
+    The one-query full exact scan, for callers that need every score;
+    `query_scores` gives the same arrays for many queries at a time. Every
+    row is scanned; unsearchable rows are dropped from the result afterwards.
     """
     m = index.dims.require(m)
     query.dims.require(m)
@@ -295,14 +362,17 @@ def all_scores(index: PrefixIndex, query: NestedEmbedding, m: int) -> tuple[np.n
     return rows, scores[:, 0]
 
 
-def query_scores(index: PrefixIndex, queries: Sequence[NestedEmbedding], m: int):
+def query_scores(index: PrefixIndex, queries: Sequence[NestedEmbedding], m: int, k: int | None = None):
     """Yield all_scores(index, query, m) for each query in order, or None for
     a query that all_scores refuses: a degenerate one, or one whose m-prefix
     has zero norm.
 
     Scores `PANEL_QUERIES` queries per pass over the bands, bit for bit as
     all_scores scores each alone, so evaluation and histograms read the
-    corpus once per panel instead of once per query.
+    corpus once per panel instead of once per query. With `k`, a panel's
+    pass is one float32 bound pass instead, and each query's pair holds only
+    its candidates (`_candidates`), scored exactly: `_top_hits` of the pair
+    gives the hits of search_exact(index, query, m, k), bit for bit.
     """
     m = index.dims.require(m)
     for first in range(0, len(queries), PANEL_QUERIES):
@@ -313,10 +383,17 @@ def query_scores(index: PrefixIndex, queries: Sequence[NestedEmbedding], m: int)
             with contextlib.suppress(ZeroVectorError):
                 units[j] = _unit_prefix(query, m)
         if units:
-            rows, scores = _scores(index, np.stack(list(units.values())), m)
+            stacked = np.stack(list(units.values()))
+            if k is None:
+                rows, scores = _scores(index, stacked, m)
+                scored = [(rows, scores[:, column]) for column in range(len(units))]
+            else:
+                picks = _candidates(index, stacked, m, k)
+                scored = [(rows, scores[:, 0]) for rows, scores in (
+                    _scores(index, unit[None], m, picked) for unit, picked in zip(stacked, picks))]
         columns = {j: column for column, j in enumerate(units)}
         for j in range(len(panel)):
-            yield (rows, scores[:, columns[j]]) if j in columns else None
+            yield scored[columns[j]] if j in columns else None
 
 
 def search_funnel(
@@ -329,8 +406,10 @@ def search_funnel(
 ) -> list[SearchHit]:
     """Two-stage coarse-to-fine search: shortlist at m_low, re-rank at m_high.
 
-    Stage 1 takes the top `shortlist_size` rows by cosine at m_low; stage 2
-    re-scores only those rows at m_high and returns the top k with m_high
+    Stage 1 takes the top `shortlist_size` rows by cosine at m_low through
+    `search_exact`, whose float32 bound pass reads every band under m_low
+    and whose exact scorer scores only its candidates; stage 2 re-scores
+    only the shortlist at m_high, exactly, and returns the top k with m_high
     scores. With a shortlist covering the whole corpus this is exactly
     search_exact at m_high. Rows whose m_low prefix is degenerate are
     unreachable, an inherent property of funnel search.

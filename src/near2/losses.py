@@ -74,6 +74,24 @@ def _prefix_grams(projection: np.ndarray, dims: DimSet) -> dict[int, np.ndarray]
     return grams
 
 
+def _form_slack(grams: dict[int, np.ndarray], bands: int) -> dict[int, float]:
+    """c_m for every G_m: the quadratic form of a pooled row p under the
+    computed G_m is within c_m |p|^2 of the exact |p P[:, :m]|^2.
+
+    With H pooled columns and u = 2^-53: evaluating p G_m p^T (a row times
+    G_m, then a dot) errs by at most about 2 H u |p| |G_m| |p|^T <= 2 H u
+    |p|^2 ||G_m||_F; G_m itself, m columns summed band by band and then
+    `bands` band Grams summed, errs entrywise by at most (m + bands) u
+    |P_m| |P_m|^T, which moves the form by at most (m + bands) u |p|^2
+    trace(G_m). A form at or below c_m |p|^2 is rounding noise.
+    """
+    slack = {}
+    for m, gram in grams.items():
+        h = gram.shape[0]
+        slack[m] = 2.0**-53 * (2 * h * np.linalg.norm(gram) + (m + bands) * np.trace(gram))
+    return slack
+
+
 class _Pairs:
     """Row pairs as indices into `rows`, the distinct batch rows they read,
     and those rows' pooled values: pair t joins rows `low[t]` <= `high[t]`,
@@ -117,7 +135,8 @@ class LossBatch:
     query i's rows, at least one of each. `lefts`, `rights` and `labels` are
     parallel; label 1 marks a matching pair. Either part may be empty.
     Construction builds the prefix Grams (`grams[m]` is G_m for every m in
-    `dims`) and lays out the m-independent pairs the losses read:
+    `dims`) and their rounding slack (`form_slack`, see `_form_slack`), and
+    lays out the m-independent pairs the losses read:
     `hinge_pairs`, `hinge_terms` (`_hinge_layout`) and `label_pairs`.
     Non-finite pooled rows, or a projection whose Grams are not finite, raise
     `NumericalError`. The projection is read, not copied: the gradients of a
@@ -145,6 +164,7 @@ class LossBatch:
         if not np.isfinite(self.pooled).all():
             raise NumericalError("pooled rows must be finite")
         self.grams = _prefix_grams(self.projection, self.dims)
+        self.form_slack = _form_slack(self.grams, len(self.dims))
         n = self.pooled.shape[0]
         self.queries = _row_indices(self.queries, n, "queries")
         if len(self.positives) != len(self.queries) or len(self.negatives) != len(self.queries):
@@ -255,16 +275,19 @@ def _pair_cosines(batch: LossBatch, pairs: _Pairs, m: int):
 
     A squared norm that is not finite raises `NumericalError`: the norms
     overflow float64, and the cosines and gradients would be silently zero.
-    One that rounds to zero or below raises `ZeroVectorError`, so no cosine
-    divides by zero or takes the root of a negative.
+    One at or below EPS_ZERO^2, or at or below its own rounding bound
+    `form_slack[m] |p|^2` (so made of rounding noise, as for a row near the
+    null space of P[:, :m]), raises `ZeroVectorError`, so no cosine divides
+    by zero or takes the root of a negative.
     """
     p = pairs.pooled
     with np.errstate(over="ignore", invalid="ignore"):
         pg = p @ batch.grams[m]
         sq = np.einsum("ij,ij->i", pg, p)
+        noise = batch.form_slack[m] * np.einsum("ij,ij->i", p, p)
     if not np.isfinite(sq).all():
         raise NumericalError(f"{m}-prefix norm overflows float64 in batch")
-    if (sq <= EPS_ZERO * EPS_ZERO).any():
+    if (sq <= np.maximum(noise, EPS_ZERO * EPS_ZERO)).any():
         raise ZeroVectorError(f"zero-norm {m}-prefix in batch")
     norms = np.sqrt(sq)
     dots = np.einsum("ij,ij->i", pg[pairs.low], p[pairs.high])

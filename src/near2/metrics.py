@@ -181,8 +181,10 @@ def sequential_evaluate(
 
     For each prefix dimension m the evaluator ranks the top k of every query
     exactly as `search_exact` would, and averages precision/recall/NDCG/MRR
-    at each cutoff. The queries are scored in panels by `query_scores`, one
-    pass over the bands per panel, with the bits a one-query search gives. A
+    at each cutoff. The queries go through `query_scores` in panels: one
+    float32 bound pass over the bands per panel picks each query's
+    candidates, and the exact scorer scores only those, with the bits a
+    one-query search gives, so the report is a full scan's. A
     query whose m-prefix has zero norm retrieves nothing at that m. Queries
     whose text embeds degenerately are skipped and counted. Every dimension
     is checked against the model's before anything is embedded. The cutoffs
@@ -198,7 +200,7 @@ def sequential_evaluate(
     cells: dict[tuple[int, int], MetricsCell] = {}
     for m in dims:
         sums = {k: [0.0, 0.0, 0.0, 0.0] for k in ks}
-        scored = query_scores(index, [emb for _, emb in usable], m)
+        scored = query_scores(index, [emb for _, emb in usable], m, k_max)
         for (judgment, _), row_scores in zip(usable, scored):
             # a zero-norm prefix at this m only: no retrieval
             hits = [] if row_scores is None else _top_hits(index, *row_scores, k_max)

@@ -1,9 +1,10 @@
 """The evaluation loops as they stood before panel scoring, kept as an oracle
 for `near2.metrics.sequential_evaluate` and `judged_scores` (`near2 hist`).
 
-Both score every judged query on its own: one `search_exact` (evaluation)
-or `all_scores` (histogram) call per query and dimension, each a full scan
-of the corpus. The histogram loop skips a query whose prefix has zero norm,
+Both score every judged query on its own with one `all_scores` call per
+query and dimension, a full exact scan of the corpus; evaluation ranks the
+scan's top k as `search_exact` does, but without its float32 candidate
+pass. The histogram loop skips a query whose prefix has zero norm,
 where it once refused the whole set. The library scores the same queries
 in panels and must agree with these loops exactly, bit for bit;
 `test_metrics.py` checks that.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from near2.errors import ZeroVectorError
-from near2.index import all_scores, search_exact
+from near2.index import _top_hits, all_scores
 from near2.metrics import (
     DEFAULT_CORPUS_CAP,
     DEFAULT_KS,
@@ -43,7 +44,7 @@ def oracle_evaluate(
         sums = {k: [0.0, 0.0, 0.0, 0.0] for k in ks}
         for judgment, emb in usable:
             try:
-                hits = search_exact(index, emb, m, k_max)
+                hits = _top_hits(index, *all_scores(index, emb, m), k_max)
             except ZeroVectorError:
                 # zero-norm prefix at this m only; treat as no retrieval
                 hits = []

@@ -183,6 +183,29 @@ class TestXorshift:
         assert abs(u.mean() - 0.5) < 0.01
         assert abs(np.mean(u < 0.25) - 0.25) < 0.01
 
+    @pytest.mark.parametrize("offset", [-257, -1, 0, 1, 255, 256, 257])
+    def test_runs_of_states_match_one_whole_array_draw(self, offset):
+        # counts around one and two runs of raw states
+        run = encoder._XS_STEPS * encoder._XS_LANES
+        for count in (run + offset, 2 * run + offset):
+            assert xorshift_uniform(11, count).tobytes() == whole_array_uniform(11, count).tobytes()
+
+
+def whole_array_uniform(seed, count):
+    """The generator as it drew every state into one uint64 array and then
+    converted a float64 copy: the reference the blocked draw must match."""
+    states = encoder._splitmix64(np.uint64(seed) + np.arange(encoder._XS_LANES, dtype=np.uint64))
+    states[states == 0] = np.uint64(0x9E3779B97F4A7C15)
+    blocks = -(-count // encoder._XS_LANES)
+    out = np.empty(blocks * encoder._XS_LANES, dtype=np.uint64)
+    for b in range(blocks):
+        states ^= states << np.uint64(13)
+        states ^= states >> np.uint64(7)
+        states ^= states << np.uint64(17)
+        out[b * encoder._XS_LANES : (b + 1) * encoder._XS_LANES] = states
+    draws = (out >> np.uint64(11))[:count].astype(np.float64)
+    return draws * 2.0**-53
+
 
 class TestEncode:
     def test_empty_text_degenerate_zero(self):
@@ -366,6 +389,25 @@ class TestPersistence:
         assert loaded.seed == model.seed
         assert np.array_equal(loaded.feature_table, model.feature_table.astype(np.float32))
         assert np.array_equal(loaded.projection, model.projection.astype(np.float32))
+
+    def test_saved_file_keeps_its_format_bytes(self, tmp_path):
+        # more table rows than one write block; the digest was taken from the
+        # whole-table writer the blocked one replaced, and the file must also
+        # equal the format written out by hand
+        model = EncoderModel.create(bucket_count=9000, feature_dim=4, dims=DimSet((8, 4)), seed=3)
+        assert model.bucket_count > encoder._SAVE_ROWS
+        save_model(model, tmp_path / "a.bin")
+        expected = b"".join([
+            b"NEAR2MDL", struct.pack("<IIIIH", 1, 9000, 4, 8, 2), struct.pack("<IIQ", 8, 4, 3),
+            model.feature_table.astype("<f4").tobytes(), model.projection.astype("<f4").tobytes(),
+        ])
+        written = (tmp_path / "a.bin").read_bytes()
+        assert written == expected
+        digest = "d68da08e8e4d0a70228eb4adb00d498cae27885454a1d24e1cfa17a8d35e9b34"
+        assert hashlib.sha256(written).hexdigest() == digest
+        # a loaded model's mapped float32 table is written back unchanged
+        save_model(load_model(tmp_path / "a.bin"), tmp_path / "b.bin")
+        assert (tmp_path / "b.bin").read_bytes() == written
 
     def test_failed_save_leaves_the_old_file(self, tmp_path):
         path = tmp_path / "model.bin"

@@ -737,3 +737,193 @@ def test_query_scores_are_all_scores_query_by_query(monkeypatch):
             rows, scores = all_scores(index, query, m)
             assert np.array_equal(got[0], rows)
             assert got[1].tobytes() == scores.tobytes()
+
+
+# --- the candidate pass against the full exact scan ------------------------------
+
+
+@st.composite
+def candidate_cases(draw):
+    """(index, queries, k) whose rows stress the float32 candidate pass:
+    duplicate rows, rows one float32 ulp apart, degenerate rows, rows with a
+    zero prefix, rows at wildly different scales, rows whose float32 dots
+    overflow, and NaN/inf entries in searchable and degenerate rows; queries
+    equal to a row or its negative, most often one with a duplicate or a
+    neighbour one ulp away (so exact and near ties at the top and at the
+    minimum), with zero entries or a zero prefix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    d = draw(st.sampled_from([768, 40, 12]), label="d")
+    cuts = draw(st.sets(st.integers(1, d - 1), max_size=4), label="cuts")
+    dims = DimSet((d, *sorted(cuts, reverse=True)))
+    count = draw(st.integers(1, 300), label="count")
+    matrix = rng.normal(size=(count, d)) * 10.0 ** rng.integers(-5, 5, size=(count, 1))
+    matrix = matrix.astype(np.float32)
+    pick = lambda label: rng.integers(0, count, size=draw(st.integers(0, 6), label=label))  # noqa: E731
+    tied = []
+    for r in pick("duplicates"):
+        matrix[r] = matrix[rng.integers(0, count)]
+        tied.append(r)
+    for r in pick("ulp apart"):
+        matrix[r] = matrix[rng.integers(0, count)]
+        c = rng.integers(0, d)
+        matrix[r, c] = np.nextafter(matrix[r, c], np.float32(np.inf))
+        tied.append(r)
+    for r in pick("zero prefix"):
+        matrix[r, : rng.integers(1, d)] = 0.0
+    for r in pick("overflowing"):
+        matrix[r, rng.integers(0, d, size=3)] = 3.3e38
+    degenerate = np.zeros(count, dtype=bool)
+    degenerate[pick("degenerate")] = True
+    matrix[degenerate] = 0.0
+    clean = PrefixIndex([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims, degenerate)
+    for r in pick("corrupt")[:2]:
+        matrix[r, rng.integers(0, d)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="entry")
+    edges = dims.edges
+    bands = [np.array(matrix[:, lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    index = PrefixIndex._from_bands(clean.ids, clean.titles, bands, dims, degenerate, clean._norms)
+
+    queries = []
+    for _ in range(draw(st.integers(1, 40), label="panel")):
+        values = rng.normal(size=d)
+        shape = draw(st.sampled_from(["random", "row", "negated row", "zeros", "zero prefix"]),
+                     label="query")
+        if shape.endswith("row"):
+            row = rng.choice(tied) if tied and rng.random() < 0.8 else rng.integers(0, count)
+            values = matrix[row].astype(np.float64) * (-1.0 if shape == "negated row" else 1.0)
+        elif shape == "zeros":
+            values[rng.integers(0, d, size=d // 2)] = 0.0
+        elif shape == "zero prefix":
+            values[: rng.integers(1, d)] = 0.0
+        if np.isfinite(values).all() and values.any():
+            queries.append(query_from(values, dims))
+    queries = queries or [query_from(rng.normal(size=d), dims)]
+    k = draw(st.sampled_from([1, 2, 10, count, count + 5]), label="k")
+    return index, queries, k
+
+
+def scan_outcome(fn):
+    """A search's hits (rows, ids, ranks and score bits), or its error."""
+    try:
+        result = fn()
+    except (FormatError, ZeroVectorError) as e:
+        return type(e), str(e)
+    if isinstance(result, tuple):  # hits and a minimum
+        return scan_outcome(lambda: result[0]), float(result[1]).hex()
+    return [(h.row, h.doc_id, h.rank, float(h.score).hex()) for h in result]
+
+
+def full_scan_search(index, query, m, k):
+    """search_exact_with_min by a full exact scan of every row."""
+    rows, scores = all_scores(index, query, m)
+    return _top_hits(index, rows, scores, k), float(scores.min()) if rows.size else float("nan")
+
+
+def full_scan_funnel(index, query, m_low, m_high, shortlist, k):
+    stage1, _ = full_scan_search(index, query, m_low, shortlist)
+    if not stage1:
+        return []
+    survivors = np.sort(np.array([hit.row for hit in stage1], dtype=np.int64))
+    unit = index_module._unit_prefix(query, m_high)[None]
+    rows, scores = index_module._scores(index, unit, m_high, survivors)
+    return _top_hits(index, rows, scores[:, 0], k)
+
+
+def full_scan_panel(index, queries, m, k):
+    out = []
+    for query in queries:
+        try:
+            index_module._unit_prefix(query, m)
+        except ZeroVectorError:
+            out.append(None)
+            continue
+        out.append(full_scan_search(index, query, m, k)[0])
+    return out
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(case=candidate_cases(), data=st.data())
+def test_candidate_searches_equal_the_full_exact_scan(monkeypatch, case, data):
+    """search_exact, search_exact_with_min (hits and minimum), search_funnel
+    and the panel form evaluation ranks with give a full exact scan's
+    results bit for bit, and raise FormatError exactly when it does."""
+    index, queries, k = case
+    panel = data.draw(st.integers(1, 40), label="panel size")
+    monkeypatch.setattr(index_module, "PANEL_QUERIES", panel)
+    for m in index.dims:
+        for query in queries[:4]:
+            want = scan_outcome(lambda: full_scan_search(index, query, m, k))
+            assert scan_outcome(lambda: search_exact_with_min(index, query, m, k)) == want
+            hits = want[0] if isinstance(want[0], list) else want
+            assert scan_outcome(lambda: search_exact(index, query, m, k)) == hits
+            for m_high in (d for d in index.dims if d >= m):
+                shortlist = max(k, 3)
+                assert scan_outcome(lambda: search_funnel(index, query, m, m_high, shortlist, k)) == (
+                    scan_outcome(lambda: full_scan_funnel(index, query, m, m_high, shortlist, k)))
+
+        def panel_hits():
+            return [None if pair is None else _top_hits(index, *pair, k)
+                    for pair in query_scores(index, queries, m, k)]
+
+        assert panel_outcome(panel_hits) == panel_outcome(lambda: full_scan_panel(index, queries, m, k))
+
+
+def panel_outcome(fn):
+    try:
+        hits = fn()
+    except (FormatError, ZeroVectorError) as e:
+        return type(e), str(e)
+    return [None if h is None else scan_outcome(lambda: h) for h in hits]
+
+
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_near_duplicate_cluster_that_float32_misorders_keeps_exact_hits(side):
+    """400 rows a few float32 ulps from one another, whose exact cosines
+    spread over about 1e-8, at the top of the ranking (side 1) or at its
+    bottom (side -1) among 200 other rows: the float32 pass orders the
+    cluster differently, and the search still returns the full scan's hits
+    and minimum."""
+    rng = np.random.default_rng(0)
+    dims = DimSet((64, 16))
+    query = query_from(rng.normal(size=64), dims)
+    unit = index_module._unit_prefix(query, 64)
+    base = (side * unit + 0.3 * rng.normal(size=64) / 8).astype(np.float32)
+    cluster = np.repeat(base[None], 400, axis=0)
+    for row in cluster:
+        c = rng.integers(0, 64, size=3)
+        row[c] = np.nextafter(row[c], rng.choice([-np.inf, np.inf], size=3).astype(np.float32))
+    matrix = np.concatenate([rng.normal(size=(200, 64)).astype(np.float32), cluster])
+    count = matrix.shape[0]
+    index = PrefixIndex([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims,
+                        np.zeros(count, bool))
+    approx = index_module._kernels.float32_prefix_dots(index.bands, unit, 64)[200:]
+    exact = all_scores(index, query, 64)[1][200:]
+    extreme = np.argmax if side > 0 else np.argmin
+    assert extreme(approx * side) != extreme(exact * side)
+    for k in (1, 3, 10):
+        want = scan_outcome(lambda: full_scan_search(index, query, 64, k))
+        assert scan_outcome(lambda: search_exact_with_min(index, query, 64, k)) == want
+        assert scan_outcome(lambda: search_exact(index, query, 64, k)) == want[0]
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("degenerate_row", [False, True])
+def test_corrupt_entry_where_the_query_is_zero_still_raises(entry, degenerate_row):
+    # inf * 0 is NaN in the float32 pass as in the exact scan, so the row is
+    # a candidate and its exact dot raises, searchable or not
+    dims = DimSet((8, 4))
+    clean = random_index(np.random.default_rng(31), 50, dims, degenerate_rows=(7,))
+    bands = [np.array(band) for band in clean.bands.arrays]
+    bands[0][7 if degenerate_row else 20, 1] = entry
+    index = PrefixIndex._from_bands(clean.ids, clean.titles, bands, dims, clean.degenerate,
+                                    clean._norms)
+    values = np.random.default_rng(32).normal(size=8)
+    values[1] = 0.0
+    query = query_from(values, dims)
+    for m in dims:
+        with pytest.raises(FormatError, match=f"first {m} columns"):
+            search_exact_with_min(index, query, m, 3)
+        with pytest.raises(FormatError):
+            list(query_scores(index, [query, query], m, 3))
+    with pytest.raises(FormatError, match="first 4 columns"):
+        search_funnel(index, query, 4, 8, 5, 3)

@@ -1,16 +1,23 @@
 """Scan kernels: per-row oracles, the row-independence contract -- a row's
 result never depends on which other rows are scanned or in what order --
-and the panel contract: a (row, query) score depends only on the row, the
-query and m, never on the other queries scored with it."""
+the panel contract: a (row, query) score depends only on the row, the
+query and m, never on the other queries scored with it -- and the float32
+bound pass, which must stay within its certified slack of the exact score."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from near2 import _kernels
-from near2._kernels import Bands, prefix_dot_products, prefix_sq_norms
+from near2._kernels import (
+    Bands,
+    float32_cosine_slack,
+    float32_prefix_dots,
+    prefix_dot_products,
+    prefix_sq_norms,
+)
 from near2.index import PrefixIndex, load_index, save_index
-from near2.nested import DimSet
+from near2.nested import EPS_ZERO, DimSet
 
 
 def random_case(seed, count=200, d=32):
@@ -176,3 +183,94 @@ def test_panel_scores_depend_only_on_row_query_and_m(tmp_path, seed, d, data):
 def assert_same_bits(actual, expected):
     assert actual.shape == expected.shape
     assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+# --- the float32 bound pass ------------------------------------------------------
+
+
+def adversarial_rows(rng, kind, count, d, unit):
+    """float32 rows of one kind, built against the unit query `unit`."""
+    if kind == "cancelling":
+        # huge entries whose dot with the query nearly cancels, plus a small
+        # component along it
+        v = rng.normal(size=(count, d)) * 1e30
+        v -= np.outer(v @ unit, unit)
+        return (v + rng.normal(size=(count, 1)) * unit).astype(np.float32)
+    if kind == "near-max":
+        # a few entries near the float32 maximum, whose float32 sum may
+        # overflow even though the float64 one does not
+        rows = rng.normal(size=(count, d)).astype(np.float32)
+        cols = rng.integers(0, d, size=(count, 3))
+        rows[np.arange(count)[:, None], cols] = rng.choice([-1, 1], size=(count, 3)) * 3.3e38
+        return rows
+    if kind == "subnormal":
+        # one entry keeps the norm just above EPS_ZERO; the rest are subnormal
+        # float32 values, whose products with the query underflow
+        rows = (rng.normal(size=(count, d)) * 1e-39).astype(np.float32)
+        rows[np.arange(count), rng.integers(0, d, size=count)] = np.float32(2e-12)
+        return rows
+    return (rng.normal(size=(count, d)) * 10.0 ** rng.integers(-20, 20, size=(count, 1))).astype(
+        np.float32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([768, 300, 33, 16]),
+    kind=st.sampled_from(["cancelling", "near-max", "subnormal", "scaled"]),
+    data=st.data(),
+)
+def test_float32_bound_pass_is_within_its_slack(seed, d, kind, data):
+    """|c~ - c| <= eps for every row with a norm above EPS_ZERO and a finite
+    bound-pass dot, for one query and for a panel, with per-row norms and
+    with the EPS_ZERO floor the index uses; a row with a non-finite entry
+    under m gets a non-finite dot for every query, even one that is 0 there."""
+    rng = np.random.default_rng(seed)
+    cuts = data.draw(st.sets(st.integers(1, d - 1), max_size=5), label="cuts")
+    dims = DimSet((d, *sorted(cuts, reverse=True)))
+    m = data.draw(st.sampled_from(list(dims)), label="m")
+    size = data.draw(st.integers(1, 40), label="panel")
+    units = rng.normal(size=(size, m)) * 10.0 ** rng.integers(-12, 1, size=(size, m))
+    units[:, rng.integers(0, m, size=m // 4)] = 0.0
+    units[0] = rng.normal(size=m)
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    count = data.draw(st.integers(1, 300), label="count")
+    full = np.zeros(d)
+    full[:m] = units[0]
+    matrix = adversarial_rows(rng, kind, count, d, full)
+    edges = dims.edges
+    bands = Bands([np.array(matrix[:, lo:hi]) for lo, hi in zip(edges, edges[1:])])
+    norms = np.sqrt(prefix_sq_norms(bands, m))
+    usable = norms > EPS_ZERO
+    panel = float32_prefix_dots(bands, units, m)
+    assert panel.shape == (count, size) and panel.dtype == np.float64
+    for j, unit in enumerate(units):
+        exact = np.clip(prefix_dot_products(bands, unit, m) / np.where(usable, norms, 1.0), -1, 1)
+        for approx in (panel[:, j], float32_prefix_dots(bands, unit, m)):
+            assert approx.shape == (count,)
+            ok = usable & np.isfinite(approx)
+            error = np.abs(approx[ok] / norms[ok] - exact[ok])
+            assert (error <= float32_cosine_slack(bands, m, norms[ok])).all()
+            assert (error <= float32_cosine_slack(bands, m, EPS_ZERO)).all()
+            if kind != "near-max":
+                assert ok[usable].all()
+
+    bad = int(rng.integers(0, count))
+    column = int(rng.integers(0, m))
+    units[:, column] = 0.0
+    matrix[bad, column] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="entry")
+    bands = Bands([np.array(matrix[:, lo:hi]) for lo, hi in zip(edges, edges[1:])])
+    assert not np.isfinite(float32_prefix_dots(bands, units, m)[bad]).any()
+    assert not np.isfinite(float32_prefix_dots(bands, units[0], m)[bad])
+
+
+def test_float32_slack_reads_the_widest_band_part():
+    # the 768 bands are 64, 64, 128, 256 and 256 wide; m = 64 reads one band
+    # of 64, a plain matrix one of m
+    dims = DimSet((768, 512, 256, 128, 64))
+    bands = Bands([np.zeros((2, hi - lo), np.float32) for lo, hi in zip(dims.edges, dims.edges[1:])])
+    gamma = lambda w: w * 2.0**-24 / (1 - w * 2.0**-24)  # noqa: E731
+    for m, width in ((64, 64), (128, 64), (256, 128), (768, 256)):
+        assert float32_cosine_slack(bands, m, 1.0) == gamma(width) + 2.0**-22 + m * 2.0**-125
+    assert float32_cosine_slack(np.zeros((2, 40), np.float32), 33, 1.0) == (
+        gamma(33) + 2.0**-22 + 33 * 2.0**-125)

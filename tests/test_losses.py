@@ -694,3 +694,24 @@ class TestPooledSpaceEdges:
         batch.grams[2] = -batch.grams[2]
         with np.errstate(all="raise"), pytest.raises(ZeroVectorError, match=message):
             multitask_step_loss(batch, dims, 0.75, 0.5, 1.0)
+
+    def test_form_of_a_row_in_the_null_space_of_the_prefix_raises_zero_vector_error(self):
+        # the pooled row is orthogonal to both columns of P[:, :2], so its
+        # exact 2-prefix norm is about 1e-16 and its square about 1e-32; the
+        # computed form is rounding noise, far above EPS_ZERO^2 but below its
+        # own rounding bound
+        rng = np.random.default_rng(4)
+        dims = DimSet((4, 2))
+        projection = rng.normal(size=(3, dims.full))
+        null = np.cross(projection[:, 0], projection[:, 1])
+        null /= np.linalg.norm(null)
+        pooled = rng.normal(size=(4, 3))
+        pooled[3] = null
+        batch = self.pairs(pooled, projection, dims)
+        form = (null @ batch.grams[2]) @ null
+        assert form > 1e-20 and np.linalg.norm(null @ projection[:, :2]) < 1e-15
+        message = "^zero-norm 2-prefix in batch while composing nested dimension m=2$"
+        with np.errstate(all="raise"), pytest.raises(ZeroVectorError, match=message):
+            multitask_step_loss(batch, dims, 0.75, 0.5, 1.0)
+        out = multitask_step_loss(batch, DimSet((4,)), 0.75, 0.5, 1.0)
+        assert np.isfinite(out.pooled_gradient).all()
