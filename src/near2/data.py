@@ -62,14 +62,12 @@ class ParseIssue:
 
 
 def _validate_fields(qid, query, title_id, title, grade, central):
-    if not qid:
-        raise ValueError("empty qid")
-    if not query:
-        raise ValueError("empty query")
-    if not title_id:
-        raise ValueError("empty title_id")
-    if not title:
-        raise ValueError("empty title")
+    for name, value in (("qid", qid), ("query", query), ("title_id", title_id), ("title", title)):
+        if not value:
+            raise ValueError(f"empty {name}")
+        # the TSV files and `near2 search` output hold one record per line
+        if "\t" in value or "\n" in value or "\r" in value:
+            raise ValueError(f"tab or line break in {name}")
     if not isinstance(grade, int) or isinstance(grade, bool) or not GRADE_MIN <= grade <= GRADE_MAX:
         raise ValueError(f"grade out of range: {grade!r}")
     if central is not None and central not in (0, 1):

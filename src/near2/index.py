@@ -7,13 +7,15 @@ row's prefix norm at every dim. Searching at a prefix m reads only the bands
 under m and that table's column for m, so a smaller prefix costs
 proportionally less memory traffic, which is the whole efficiency story.
 
-Results are exact. A top-k search first runs a float32 BLAS bound pass over
-the bands under m, whose approximate cosines are certified to lie within a
-small eps of the exact ones; only the rows that could reach the top k (or,
-for the corpus minimum, the bottom) given that eps are then scored by the
-exact float64 scorer, row by row, and only those scores are returned. So
-hits, ranks and score bits are a full scan's. Callers that need every score
-(`all_scores`, `query_scores` without k, histograms) run the full exact scan.
+Results are exact. Every ranking goes through `top_k`: for a (q, m) panel
+of unit query prefixes it runs one float32 BLAS bound pass over the bands
+under m, whose approximate cosines are certified to lie within a small eps
+of the exact ones; only the rows that could reach a query's top k (or, for
+the corpus minimum, the bottom) given that eps are then scored by the exact
+float64 scorer `_scores`, row by row, and only those scores are returned.
+So hits, ranks, score bits and minimum are a full scan's. Search, the
+funnel and evaluation rank through `top_k`; histograms, which need every
+score, run `_scores` over every row for each panel `query_panels` yields.
 
 A loaded index memory-maps its bands, so a search reads from disk only the
 bands (and, for a funnel's re-rank, the shortlist rows) it scores. Loading
@@ -40,10 +42,11 @@ from .encoder import encode  # unused here; bench/tracing.py wraps near2.index.e
 from .errors import DataError, FormatError, NumericalError, ZeroVectorError
 from .nested import DimSet, NestedEmbedding, EPS_ZERO, l2_normalize, truncate
 
-# Queries `query_scores` scores per pass. A panel's scores take 8 bytes per
-# row and query, so panels stay small: evaluating 240 queries over 2.4k rows
-# peaked at 60.5 MiB with panels of 32 (57.9 MiB one query at a time, 73.7
-# MiB with one panel of 240), and panels of 16-64 ran about as fast.
+# Queries per panel from `query_panels`, for `top_k`'s bound pass and the
+# histograms' full scan. Either pass holds float64 arrays of one entry per
+# row and query, so panels stay small: a full scan of 240 queries over 2.4k
+# rows peaked at 60.5 MiB with panels of 32 (57.9 MiB one query at a time,
+# 73.7 MiB with one panel of 240), and panels of 16-64 ran about as fast.
 PANEL_QUERIES = 32
 
 INDEX_MAGIC = b"NEAR2IDX"
@@ -83,7 +86,9 @@ class TextColumn(Sequence):
     def __len__(self) -> int:
         return self.offsets.shape[0] - 1
 
-    def __getitem__(self, row) -> str:
+    def __getitem__(self, row) -> str | list[str]:
+        if isinstance(row, slice):
+            return self.take(np.arange(len(self))[row])
         row = range(len(self))[row]
         return str(self.blob[int(self.offsets[row]) : int(self.offsets[row + 1])], "utf-8")
 
@@ -104,34 +109,27 @@ class PrefixIndex:
 
     def __init__(
         self,
-        ids: list[str],
-        titles: list[str],
-        matrix: np.ndarray,
+        ids: Sequence[str],
+        titles: Sequence[str],
+        bands: Sequence[np.ndarray],
         dims: DimSet,
         degenerate: np.ndarray,
+        norms: np.ndarray | None = None,
     ):
-        """Copy the rows of a (count, D) matrix into column bands."""
-        matrix = np.asarray(matrix, dtype=np.float32)
-        if matrix.ndim != 2 or matrix.shape[1] != dims.full:
-            raise ValueError(f"matrix must be (count, {dims.full})")
-        edges = dims.edges
-        bands = [np.array(matrix[:, lo:hi], order="C") for lo, hi in zip(edges, edges[1:])]
-        self._assign(ids, titles, bands, dims, degenerate)
-
-    @classmethod
-    def _from_bands(cls, ids, titles, bands, dims, degenerate, norms=None) -> "PrefixIndex":
-        index = cls.__new__(cls)
-        index._assign(ids, titles, bands, dims, degenerate, norms)
-        return index
-
-    def _assign(self, ids, titles, bands, dims, degenerate, norms=None) -> None:
-        """Without `norms`, the norm table is computed from the bands, and a
-        row with a non-finite entry raises `NumericalError`."""
+        """An index over the (count, D) float32 rows cut into column bands at
+        `dims.edges`, held as given. Without `norms`, the norm table is
+        computed from the bands, and a row with a non-finite entry raises
+        `NumericalError`."""
+        edges, count = dims.edges, bands[0].shape[0]
+        if len(bands) != len(edges) - 1 or any(
+            band.dtype != np.float32 or band.shape != (count, hi - lo)
+            for band, lo, hi in zip(bands, edges, edges[1:])
+        ):
+            raise ValueError(f"bands must be float32 arrays of {count} rows cut at columns {edges}")
         degenerate = np.asarray(degenerate, dtype=bool)
-        count = bands[0].shape[0]
         ids, titles = TextColumn.of(ids), TextColumn.of(titles)
         if len(ids) != count or len(titles) != count or degenerate.shape != (count,):
-            raise ValueError("ids, titles, degenerate flags and matrix rows must align")
+            raise ValueError("ids, titles, degenerate flags and band rows must align")
         self.bands = _kernels.Bands(bands)
         if norms is None:
             norms = np.stack(
@@ -210,30 +208,13 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
                 for band, lo, hi in zip(bands, edges, edges[1:]):
                     band[row] = values[lo:hi]
                 degenerate[row] = len(bag) == 0
-    return PrefixIndex._from_bands(
+    return PrefixIndex(
         ids=[doc_id for doc_id, _ in titles],
         titles=[text for _, text in titles],
         bands=bands,
         dims=model.dims,
         degenerate=degenerate,
     )
-
-
-def _top_hits(index: PrefixIndex, rows: np.ndarray, scores: np.ndarray, k: int) -> list[SearchHit]:
-    if k < scores.size:
-        # only rows scoring at least the k-th best can rank; sorting just
-        # those keeps the full sort's order, lower-row tie-break included
-        kth = np.partition(scores, scores.size - k)[scores.size - k]
-        keep = np.flatnonzero(scores >= kth)
-        rows, scores = rows[keep], scores[keep]
-    order = np.lexsort((rows, -scores))[:k]
-    rows, scores = rows[order], scores[order]
-    return [
-        SearchHit(row=row, doc_id=doc_id, score=score, rank=r)
-        for r, (row, doc_id, score) in enumerate(
-            zip(rows.tolist(), index.ids.take(rows), scores.tolist()), start=1
-        )
-    ]
 
 
 def _unit_prefix(query: NestedEmbedding, m: int) -> np.ndarray:
@@ -315,13 +296,55 @@ def _candidates(index: PrefixIndex, units: np.ndarray, m: int, k: int) -> list[n
     return [np.flatnonzero(column) for column in picked.T]
 
 
+def top_k(
+    index: PrefixIndex, units: np.ndarray, m: int, k: int, rows: np.ndarray | None = None
+) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """For each query of a (q, m) panel of unit prefixes, (rows, scores,
+    minimum): the query's exact top k by prefix-m cosine in rank order, ties
+    broken toward the lower row, and its lowest exact cosine, NaN when no
+    row is searchable.
+
+    The one search path. One float32 bound pass over the whole panel picks
+    each query's candidates (`_candidates`), and `_scores` scores only
+    those, so rows, score bits and minimum are a full scan's, and
+    `FormatError` is raised exactly when a full scan raises it. Given
+    `rows`, only those are scored, with no bound pass, and each query's top
+    k and minimum are among them.
+    """
+    picks = _candidates(index, units, m, k) if rows is None else [rows] * len(units)
+    ranked = []
+    for unit, picked in zip(units, picks):
+        found, scores = _scores(index, unit[None], m, picked)
+        scores = scores[:, 0]
+        low = float(scores.min()) if scores.size else float("nan")
+        if k < scores.size:
+            # only rows scoring at least the k-th best can rank; sorting just
+            # those keeps the full sort's order, lower-row tie-break included
+            kth = np.partition(scores, scores.size - k)[scores.size - k]
+            keep = np.flatnonzero(scores >= kth)
+            found, scores = found[keep], scores[keep]
+        order = np.lexsort((found, -scores))[:k]
+        ranked.append((found[order], scores[order], low))
+    return ranked
+
+
+def _hits(index: PrefixIndex, rows: np.ndarray, scores: np.ndarray) -> list[SearchHit]:
+    """The hits of rows and scores in rank order, ids decoded."""
+    return [
+        SearchHit(row=row, doc_id=doc_id, score=score, rank=r)
+        for r, (row, doc_id, score) in enumerate(
+            zip(rows.tolist(), index.ids.take(rows), scores.tolist()), start=1
+        )
+    ]
+
+
 def search_exact(index: PrefixIndex, query: NestedEmbedding, m: int, k: int) -> list[SearchHit]:
     """Exact top-k by prefix cosine over all searchable rows.
 
     Deterministic: ties break toward the lower row index; asking for more
-    hits than there are searchable rows returns them all. A float32 bound
-    pass picks the candidates (`_candidates`) and the exact scorer scores
-    only those, so the hits and their score bits are a full scan's.
+    hits than there are searchable rows returns them all. The hits are
+    `top_k`'s for a panel of this one query, so they and their score bits
+    are a full scan's.
     """
     hits, _ = search_exact_with_min(index, query, m, k)
     return hits
@@ -341,59 +364,26 @@ def search_exact_with_min(
         raise ValueError(f"k must be >= 1, got {k}")
     m = index.dims.require(m)
     query.dims.require(m)
-    units = _unit_prefix(query, m)[None]
-    rows, scores = _scores(index, units, m, _candidates(index, units, m, k)[0])
-    if rows.size == 0:
-        return [], float("nan")
-    scores = scores[:, 0]
-    return _top_hits(index, rows, scores, k), float(scores.min())
+    ((rows, scores, low),) = top_k(index, _unit_prefix(query, m)[None], m, k)
+    return _hits(index, rows, scores), low
 
 
-def all_scores(index: PrefixIndex, query: NestedEmbedding, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row indices, cosine scores) of every searchable row at prefix m.
-
-    The one-query full exact scan, for callers that need every score;
-    `query_scores` gives the same arrays for many queries at a time. Every
-    row is scanned; unsearchable rows are dropped from the result afterwards.
-    """
-    m = index.dims.require(m)
-    query.dims.require(m)
-    rows, scores = _scores(index, _unit_prefix(query, m)[None], m)
-    return rows, scores[:, 0]
-
-
-def query_scores(index: PrefixIndex, queries: Sequence[NestedEmbedding], m: int, k: int | None = None):
-    """Yield all_scores(index, query, m) for each query in order, or None for
-    a query that all_scores refuses: a degenerate one, or one whose m-prefix
-    has zero norm.
-
-    Scores `PANEL_QUERIES` queries per pass over the bands, bit for bit as
-    all_scores scores each alone, so evaluation and histograms read the
-    corpus once per panel instead of once per query. With `k`, a panel's
-    pass is one float32 bound pass instead, and each query's pair holds only
-    its candidates (`_candidates`), scored exactly: `_top_hits` of the pair
-    gives the hits of search_exact(index, query, m, k), bit for bit.
+def query_panels(index: PrefixIndex, queries: Sequence[NestedEmbedding], m: int):
+    """Yield (positions, units) for each `PANEL_QUERIES` queries in order:
+    the positions in `queries` of those with a usable m-prefix and the
+    (q, m) panel of their unit prefixes. A degenerate query, or one whose
+    m-prefix has zero norm, is left out; a panel with none is not yielded.
     """
     m = index.dims.require(m)
     for first in range(0, len(queries), PANEL_QUERIES):
-        panel = queries[first : first + PANEL_QUERIES]
-        units = {}
-        for j, query in enumerate(panel):
-            query.dims.require(m)
+        positions, units = [], []
+        for j in range(first, min(first + PANEL_QUERIES, len(queries))):
+            queries[j].dims.require(m)
             with contextlib.suppress(ZeroVectorError):
-                units[j] = _unit_prefix(query, m)
+                units.append(_unit_prefix(queries[j], m))
+                positions.append(j)
         if units:
-            stacked = np.stack(list(units.values()))
-            if k is None:
-                rows, scores = _scores(index, stacked, m)
-                scored = [(rows, scores[:, column]) for column in range(len(units))]
-            else:
-                picks = _candidates(index, stacked, m, k)
-                scored = [(rows, scores[:, 0]) for rows, scores in (
-                    _scores(index, unit[None], m, picked) for unit, picked in zip(stacked, picks))]
-        columns = {j: column for column, j in enumerate(units)}
-        for j in range(len(panel)):
-            yield scored[columns[j]] if j in columns else None
+            yield positions, np.stack(units)
 
 
 def search_funnel(
@@ -406,13 +396,14 @@ def search_funnel(
 ) -> list[SearchHit]:
     """Two-stage coarse-to-fine search: shortlist at m_low, re-rank at m_high.
 
-    Stage 1 takes the top `shortlist_size` rows by cosine at m_low through
-    `search_exact`, whose float32 bound pass reads every band under m_low
-    and whose exact scorer scores only its candidates; stage 2 re-scores
-    only the shortlist at m_high, exactly, and returns the top k with m_high
-    scores. With a shortlist covering the whole corpus this is exactly
-    search_exact at m_high. Rows whose m_low prefix is degenerate are
-    unreachable, an inherent property of funnel search.
+    Stage 1 takes the rows of the top `shortlist_size` by cosine at m_low
+    from `top_k`, whose float32 bound pass reads every band under m_low and
+    whose exact scorer scores only its candidates; stage 2 re-scores only
+    the shortlist at m_high, exactly, through `top_k` given those rows, and
+    returns the top k with m_high scores. With a shortlist covering the
+    whole corpus this is exactly search_exact at m_high. Rows whose m_low
+    prefix is degenerate are unreachable, an inherent property of funnel
+    search.
     """
     m_low = index.dims.require(m_low)
     m_high = index.dims.require(m_high)
@@ -425,14 +416,11 @@ def search_funnel(
     if shortlist_size < k:
         raise ValueError(f"shortlist size {shortlist_size} must be >= k ({k})")
 
-    stage1 = search_exact(index, query, m_low, shortlist_size)
-    if not stage1:
-        return []
-    survivors = np.sort(np.array([hit.row for hit in stage1], dtype=np.int64))
-
+    ((shortlist, _, _),) = top_k(index, _unit_prefix(query, m_low)[None], m_low, shortlist_size)
     # prefix norms never shrink as m grows, so every survivor is usable at m_high
-    rows, scores = _scores(index, _unit_prefix(query, m_high)[None], m_high, survivors)
-    return _top_hits(index, rows, scores[:, 0], k)
+    unit = _unit_prefix(query, m_high)[None]
+    ((rows, scores, _),) = top_k(index, unit, m_high, k, np.sort(shortlist))
+    return _hits(index, rows, scores)
 
 
 @dataclass(frozen=True)
@@ -587,7 +575,7 @@ def load_index(path) -> PrefixIndex:
     ]
     ids = _text_column(buf, id_offsets, sections[-2], "id")
     titles = _text_column(buf, title_offsets, sections[-1], "title")
-    return PrefixIndex._from_bands(ids, titles, bands, dims, degenerate, norms)
+    return PrefixIndex(ids, titles, bands, dims, degenerate, norms)
 
 
 def _text_column(buf, offsets: np.ndarray, section: tuple[int, int], what: str) -> TextColumn:

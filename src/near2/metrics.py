@@ -18,7 +18,7 @@ import numpy as np
 from .data import JudgmentsSplit, QueryJudgment, RelevanceRecord, split_judgments
 from .encoder import EncoderModel, encode
 from .errors import DataError, ZeroVectorError
-from .index import PrefixIndex, _top_hits, build_index, query_scores
+from .index import PrefixIndex, _scores, build_index, query_panels, top_k
 from .index import search_exact  # unused here; bench/tracing.py wraps near2.metrics.search_exact
 from .nested import DimSet, NestedEmbedding
 
@@ -181,14 +181,15 @@ def sequential_evaluate(
 
     For each prefix dimension m the evaluator ranks the top k of every query
     exactly as `search_exact` would, and averages precision/recall/NDCG/MRR
-    at each cutoff. The queries go through `query_scores` in panels: one
-    float32 bound pass over the bands per panel picks each query's
-    candidates, and the exact scorer scores only those, with the bits a
-    one-query search gives, so the report is a full scan's. A
-    query whose m-prefix has zero norm retrieves nothing at that m. Queries
-    whose text embeds degenerately are skipped and counted. Every dimension
-    is checked against the model's before anything is embedded. The cutoffs
-    are sorted and de-duplicated, so the report's grid holds each one once.
+    at each cutoff. The queries go through `top_k` in the panels
+    `query_panels` yields: one float32 bound pass over the bands per panel
+    picks each query's candidates, and the exact scorer scores only those,
+    with the bits a one-query search gives, so the report is a full scan's.
+    A query whose m-prefix has zero norm retrieves nothing at that m.
+    Queries whose text embeds degenerately are skipped and counted. Every
+    dimension is checked against the model's before anything is embedded.
+    The cutoffs are sorted and de-duplicated, so the report's grid holds
+    each one once.
     """
     dims = dims if isinstance(dims, DimSet) else DimSet(tuple(dims))
     for m in dims:
@@ -197,14 +198,16 @@ def sequential_evaluate(
     index, usable, skipped = judged_queries(model, records, corpus_cap, seed)
 
     k_max = max(ks)
+    queries = [emb for _, emb in usable]
     cells: dict[tuple[int, int], MetricsCell] = {}
     for m in dims:
         sums = {k: [0.0, 0.0, 0.0, 0.0] for k in ks}
-        scored = query_scores(index, [emb for _, emb in usable], m, k_max)
-        for (judgment, _), row_scores in zip(usable, scored):
-            # a zero-norm prefix at this m only: no retrieval
-            hits = [] if row_scores is None else _top_hits(index, *row_scores, k_max)
-            ranked = [hit.doc_id for hit in hits]
+        # a query no panel holds has a zero-norm prefix at this m only: no retrieval
+        ranked_ids = [[] for _ in usable]
+        for positions, units in query_panels(index, queries, m):
+            for j, (rows, _, _) in zip(positions, top_k(index, units, m, k_max)):
+                ranked_ids[j] = index.ids.take(rows)
+        for (judgment, _), ranked in zip(usable, ranked_ids):
             grades = judgment.grades if graded else None
             for k in ks:
                 p, r = precision_recall_at_k(ranked, judgment.relevant, k)
@@ -235,18 +238,21 @@ def judged_scores(
 ) -> tuple[np.ndarray, int]:
     """Every prefix-m cosine of every usable judged query against every
     searchable corpus row, query by query in judged order: the scores
-    `near2 hist` bins, scored in panels by `query_scores`.
+    `near2 hist` bins, from one full exact scan (`_scores`) of every row
+    per panel that `query_panels` yields.
 
     Returns the scores and how many usable judged queries were skipped
     because their m-prefix has zero norm, the queries `sequential_evaluate`
     counts as retrieving nothing at m. ZeroVectorError if that is all of them.
     """
     index, usable, _ = judged_queries(model, records, corpus_cap, seed)
-    scored = query_scores(index, [emb for _, emb in usable], m)
-    scores = [row_scores[1] for row_scores in scored if row_scores is not None]
+    scores, scored = [], 0
+    for positions, units in query_panels(index, [emb for _, emb in usable], m):
+        scores.append(_scores(index, units, m)[1].T.ravel())  # query by query
+        scored += len(positions)
     if not scores:
         raise ZeroVectorError(f"every judged query has a zero-norm {m}-prefix")
-    return np.concatenate(scores), len(usable) - len(scores)
+    return np.concatenate(scores), len(usable) - scored
 
 
 @dataclass

@@ -1,13 +1,16 @@
-"""The evaluation loops as they stood before panel scoring, kept as an oracle
-for `near2.metrics.sequential_evaluate` and `judged_scores` (`near2 hist`).
+"""Full-scan oracles for the library's search paths, and the evaluation
+loops as they stood before panel scoring, for `near2.metrics.sequential_evaluate`
+and `judged_scores` (`near2 hist`).
 
-Both score every judged query on its own with one `all_scores` call per
-query and dimension, a full exact scan of the corpus; evaluation ranks the
-scan's top k as `search_exact` does, but without its float32 candidate
-pass. The histogram loop skips a query whose prefix has zero norm,
-where it once refused the whole set. The library scores the same queries
-in panels and must agree with these loops exactly, bit for bit;
-`test_metrics.py` checks that.
+`all_scores` is the one-query full exact scan of every row, and `top_hits`
+ranks its scores with one full lexsort into hits; together they give what
+`near2.index.top_k` and the searches built on it must return, without its
+float32 candidate pass. The loops score every judged query on its own with
+one `all_scores` call per query and dimension. The histogram loop skips a
+query whose prefix has zero norm, where it once refused the whole set. The
+library scores the same queries in panels and must agree with these loops
+exactly, bit for bit; `test_metrics.py` checks that. `index_of` builds an
+index from a (count, D) matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from near2.errors import ZeroVectorError
-from near2.index import _top_hits, all_scores
+from near2.index import PrefixIndex, SearchHit, _scores, _unit_prefix
 from near2.metrics import (
     DEFAULT_CORPUS_CAP,
     DEFAULT_KS,
@@ -27,6 +30,32 @@ from near2.metrics import (
     precision_recall_at_k,
 )
 from near2.nested import DimSet
+
+
+def index_of(ids, titles, matrix, dims, degenerate) -> PrefixIndex:
+    """An index over a copy of the rows of a (count, D) matrix, cut into bands."""
+    matrix = np.asarray(matrix, dtype=np.float32)
+    edges = dims.edges
+    bands = [np.array(matrix[:, lo:hi], order="C") for lo, hi in zip(edges, edges[1:])]
+    return PrefixIndex(ids, titles, bands, dims, degenerate)
+
+
+def all_scores(index, query, m):
+    """(rows, prefix-m cosines) of every searchable row: a full exact scan of
+    every row for one query; ZeroVectorError if the query has no unit m-prefix."""
+    m = index.dims.require(m)
+    query.dims.require(m)
+    rows, scores = _scores(index, _unit_prefix(query, m)[None], m)
+    return rows, scores[:, 0]
+
+
+def top_hits(index, rows, scores, k):
+    """The top k of (rows, scores) as hits, by one full (-score, row) sort."""
+    order = np.lexsort((rows, -scores))[:k]
+    return [
+        SearchHit(row=int(rows[o]), doc_id=index.ids[int(rows[o])], score=float(scores[o]), rank=r)
+        for r, o in enumerate(order, start=1)
+    ]
 
 
 def oracle_evaluate(
@@ -44,7 +73,7 @@ def oracle_evaluate(
         sums = {k: [0.0, 0.0, 0.0, 0.0] for k in ks}
         for judgment, emb in usable:
             try:
-                hits = _top_hits(index, *all_scores(index, emb, m), k_max)
+                hits = top_hits(index, *all_scores(index, emb, m), k_max)
             except ZeroVectorError:
                 # zero-norm prefix at this m only; treat as no retrieval
                 hits = []

@@ -117,6 +117,33 @@ def test_search_funnel_rows_are_api_hits_normalized_to_shortlist_min(workspace, 
     assert [float(r[4]) for r in rows] == [h.score - shortlist_min for h in hits]
 
 
+def test_tab_or_line_break_in_a_title_is_reported_and_search_keeps_five_fields(
+    workspace, tmp_path, capsys
+):
+    record = {"qid": "q", "query": "red plant", "grade": 4}
+    lines = [
+        {**record, "title_id": "t1", "title": "red plant pot"},
+        {**record, "title_id": "t2", "title": "red\tplant pot\nsecond line"},
+        {**record, "title_id": "t\t3", "title": "red plant saucer"},
+        {**record, "title_id": "t4", "title": "red plant stand"},
+    ]
+    titles = tmp_path / "titles.jsonl"
+    titles.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    index = tmp_path / "corpus.idx"
+    assert main(["index", "--model", str(workspace["model"]), "--titles", str(titles),
+                 "--out", str(index)]) == 0
+    err = capsys.readouterr().err
+    assert "titles line 2: tab or line break in title" in err
+    assert "titles line 3: tab or line break in title_id" in err
+    assert list(load_index(index).ids) == ["t1", "t4"]
+    for flags in (["--dim", "8"], ["--funnel", "4:16"]):
+        assert main(["search", "--index", str(index), "--model", str(workspace["model"]),
+                     "--query", "red plant", "--k", "5", *flags]) == 0
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 3
+        assert all(len(line.split("\t")) == 5 for line in out.splitlines())
+
+
 def _cli(*argv):
     """Run the CLI in a fresh interpreter, as a user would."""
     env = {**os.environ, "PYTHONPATH": str(Path(near2.__file__).parents[1])}

@@ -45,11 +45,24 @@ class TestParse:
             '{"qid": "q", "query": "x", "title_id": "t", "title": "y", "grade": "five"}',
             '{"qid": "q", "query": "x", "title_id": "t", "title": "y", "grade": 4}',
             "",
+            # a tab or line break would split a TSV record or a search output line
+            '{"qid": "q", "query": "x", "title_id": "t", "title": "red\\tpot\\nline 2", "grade": 4}',
+            '{"qid": "q", "query": "x", "title_id": "t\\t2", "title": "y", "grade": 4}',
+            '{"qid": "q\\r", "query": "x", "title_id": "t", "title": "y", "grade": 4}',
+            '{"qid": "q", "query": "x\\ny", "title_id": "t", "title": "y", "grade": 4}',
         ]
         records, issues = parse_records(lines)
         assert len(records) == 1
-        assert len(issues) == 4
-        assert [i.line_no for i in issues] == [1, 2, 3, 4]
+        assert len(issues) == 8
+        assert [i.line_no for i in issues] == [1, 2, 3, 4, 7, 8, 9, 10]
+        assert [i.message for i in issues[4:]] == [
+            f"tab or line break in {field}" for field in ("title", "title_id", "qid", "query")
+        ]
+        tsv_records, tsv_issues = parse_records(
+            ["q\tx\tt\ty\t4", "q\tx\tt\r2\ty\t4"], format="tsv"
+        )
+        assert len(tsv_records) == 1
+        assert [i.message for i in tsv_issues] == ["tab or line break in title_id"]
 
     def test_all_lines_bad_is_error(self):
         with pytest.raises(DataError, match="no valid records"):

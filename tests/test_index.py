@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from eval_oracle import all_scores, index_of, top_hits
 from near2 import index as index_module
 from near2.data import SynthSpec, distinct_titles, gen_synthetic
 from near2.encoder import CHUNK_TEXTS, EncoderModel, encode, load_model, save_model, tokenize
@@ -14,17 +15,16 @@ from near2.errors import DataError, FormatError, InvalidDimensionError, ZeroVect
 from near2.index import (
     PrefixIndex,
     _sections,
-    _top_hits,
-    all_scores,
     build_index,
     index_file_size,
     load_index,
     memory_footprint,
-    query_scores,
+    query_panels,
     save_index,
     search_exact,
     search_exact_with_min,
     search_funnel,
+    top_k,
 )
 from near2.nested import DimSet, NestedEmbedding, cosine_prefix
 
@@ -40,7 +40,7 @@ def random_index(rng, count, dims, degenerate_rows=()):
     for r in degenerate_rows:
         matrix[r] = 0.0
         degenerate[r] = True
-    return PrefixIndex(
+    return index_of(
         ids=[f"doc{i}" for i in range(count)],
         titles=[f"title {i}" for i in range(count)],
         matrix=matrix,
@@ -106,7 +106,7 @@ def build_index_oracle(model, titles):
         for band, lo, hi in zip(bands, edges, edges[1:]):
             band[row] = emb.values[lo:hi]
         degenerate[row] = emb.degenerate
-    return PrefixIndex._from_bands(
+    return PrefixIndex(
         ids=[doc_id for doc_id, _ in titles],
         titles=[text for _, text in titles],
         bands=bands,
@@ -164,11 +164,24 @@ def test_overflowing_projection_raises_like_encode():
     assert str(got.value) == str(expected.value) == "embedding values must be finite"
 
 
+@pytest.mark.parametrize("fault, bands", [
+    ("width", [np.zeros((5, 4), np.float32), np.zeros((5, 3), np.float32)]),
+    ("rows", [np.zeros((5, 4), np.float32), np.zeros((4, 4), np.float32)]),
+    ("dtype", [np.zeros((5, 4), np.float64), np.zeros((5, 4), np.float64)]),
+    ("missing band", [np.zeros((5, 8), np.float32)]),
+])
+def test_bands_not_cut_at_the_dims_raise_value_error(fault, bands):
+    ids, dims = [f"d{i}" for i in range(5)], DimSet((8, 4))
+    PrefixIndex(ids, ids, [np.zeros((5, 4), np.float32)] * 2, dims, np.zeros(5, bool))
+    with pytest.raises(ValueError, match="bands must be float32 arrays of 5 rows cut at"):
+        PrefixIndex(ids, ids, bands, dims, np.zeros(5, bool))
+
+
 class TestSearchExact:
     def test_self_retrieval(self):
         dims = DimSet((4, 2))
         matrix = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.float32)
-        index = PrefixIndex(["q", "o"], ["q", "o"], matrix, dims, np.zeros(2, bool))
+        index = index_of(["q", "o"], ["q", "o"], matrix, dims, np.zeros(2, bool))
         hits = search_exact(index, query_from([1, 0, 0, 0], dims), 4, 1)
         assert hits[0].row == 0
         assert hits[0].score == pytest.approx(1.0)
@@ -211,7 +224,7 @@ class TestSearchExact:
         dims = DimSet((4,))
         row = np.array([0.5, -1.25, 2.0, 0.25], dtype=np.float32)
         matrix = np.stack([2.0 * row, row, 4.0 * row])  # exact cosine ties
-        index = PrefixIndex(["a", "b", "c"], ["a", "b", "c"], matrix, dims, np.zeros(3, bool))
+        index = index_of(["a", "b", "c"], ["a", "b", "c"], matrix, dims, np.zeros(3, bool))
         hits = search_exact(index, query_from(row, dims), 4, 3)
         assert [h.row for h in hits] == [0, 1, 2]
         assert hits[0].score == hits[1].score == hits[2].score
@@ -323,7 +336,7 @@ class TestMemoryFootprint:
     def test_twelve_to_one_ratio(self):
         dims = DimSet((768, 512, 256, 128, 64))
         matrix = np.zeros((10, 768), dtype=np.float32)
-        index = PrefixIndex(
+        index = index_of(
             [f"d{i}" for i in range(10)], ["t"] * 10, matrix, dims, np.zeros(10, bool)
         )
         full = memory_footprint(index, 768).vector_bytes
@@ -334,14 +347,14 @@ class TestMemoryFootprint:
     def test_vector_byte_arithmetic(self):
         dims = DimSet((128, 64))
         matrix = np.zeros((1000, 128), dtype=np.float32)
-        index = PrefixIndex(
+        index = index_of(
             [f"d{i}" for i in range(1000)], ["t"] * 1000, matrix, dims, np.zeros(1000, bool)
         )
         assert memory_footprint(index, 128).vector_bytes == 512_000
 
     def test_invalid_dimension(self):
         dims = DimSet((8,))
-        index = PrefixIndex(["a"], ["t"], np.zeros((1, 8), np.float32), dims, np.zeros(1, bool))
+        index = index_of(["a"], ["t"], np.zeros((1, 8), np.float32), dims, np.zeros(1, bool))
         with pytest.raises(InvalidDimensionError):
             memory_footprint(index, 7)
 
@@ -362,7 +375,7 @@ class TestPersistence:
 
     def test_unicode_doc_table(self, tmp_path):
         dims = DimSet((4,))
-        index = PrefixIndex(
+        index = index_of(
             ["id-ü"], ["Pflanze für Zuhause — groß"], np.ones((1, 4), np.float32), dims,
             np.zeros(1, bool),
         )
@@ -558,18 +571,20 @@ _DOC_TEXT = st.text(
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(st.tuples(_DOC_TEXT, _DOC_TEXT), min_size=1, max_size=12))
-def test_doc_table_round_trips_any_unicode(tmp_path, rows):
+@given(rows=st.lists(st.tuples(_DOC_TEXT, _DOC_TEXT), min_size=1, max_size=12), data=st.data())
+def test_doc_table_round_trips_any_unicode(tmp_path, rows, data):
     ids, titles = [i for i, _ in rows], [t for _, t in rows]
-    index = PrefixIndex(ids, titles, np.ones((len(rows), 4), np.float32), DimSet((4, 2)),
-                        np.zeros(len(rows), bool))
+    index = index_of(ids, titles, np.ones((len(rows), 4), np.float32), DimSet((4, 2)),
+                     np.zeros(len(rows), bool))
     save_index(index, tmp_path / "corpus.idx")
     loaded = load_index(tmp_path / "corpus.idx")
     backwards = np.arange(len(rows))[::-1]
+    cut = data.draw(st.slices(len(rows)), label="slice")  # negative steps included
     for built in (index, loaded):
         assert [built.ids[r] for r in range(len(rows))] == ids
         assert [built.titles[r] for r in range(len(rows))] == titles
         assert built.ids.take(backwards) == ids[::-1]
+        assert built.ids[cut] == ids[cut] and built.titles[cut] == titles[cut]
     assert (tmp_path / "corpus.idx").stat().st_size == index_file_size(loaded)
     assert memory_footprint(loaded, 4).doc_table_bytes == (
         16 * (len(rows) + 1) + sum(len(s.encode("utf-8")) for s in ids + titles)
@@ -580,7 +595,7 @@ def _doc_table_index():
     # multi-byte characters on both sides of nearly every row boundary
     ids = ["é日", "日é", "😀", "éé", "", "日本", "é", "ü"]
     titles = ["über é", "", "日本語", "a😀", "é", "😀😀", "ü", "end é"]
-    return PrefixIndex(ids, titles, np.ones((8, 4), np.float32), DimSet((4,)), np.zeros(8, bool))
+    return index_of(ids, titles, np.ones((8, 4), np.float32), DimSet((4,)), np.zeros(8, bool))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -654,19 +669,28 @@ def test_section_byte_flips_search_finite_or_raise_format_error(tmp_path, sectio
 
 @settings(max_examples=300, deadline=None)
 @given(
-    scores=st.lists(st.integers(-3, 3), min_size=1, max_size=80),
+    levels=st.lists(st.integers(-3, 3), min_size=1, max_size=80),
     k=st.integers(1, 90),
     seed=st.integers(0, 2**16),
 )
-def test_top_hits_match_full_lexsort(scores, k, seed):
-    index = random_index(np.random.default_rng(0), 100, DimSet((4,)))
-    rows = np.random.default_rng(seed).permutation(100)[: len(scores)]
-    scores = np.array(scores, dtype=np.float64) / 4  # heavy ties
+def test_top_k_ranks_like_a_full_lexsort(levels, k, seed):
+    # rows that are copies of seven vectors tie exactly, in heavy runs; `top_k`
+    # given them in any order ranks them as one full (-score, row) sort does
+    rng = np.random.default_rng(0)
+    matrix = rng.normal(size=(100, 4)).astype(np.float32)
+    rows = np.random.default_rng(seed).permutation(100)[: len(levels)]
+    matrix[rows] = matrix[np.array(levels) + 3]
+    index = index_of([f"d{i}" for i in range(100)], ["t"] * 100, matrix, DimSet((4,)),
+                     np.zeros(100, bool))
+    query = query_from(rng.normal(size=4), index.dims)
+    every_row, every_score = all_scores(index, query, 4)
+    scores = every_score[np.searchsorted(every_row, rows)]
     order = np.lexsort((rows, -scores))[:k]
-    hits = _top_hits(index, rows, scores, k)
-    assert [(h.row, h.score, h.rank) for h in hits] == [
-        (int(rows[o]), float(scores[o]), r) for r, o in enumerate(order, start=1)
-    ]
+    unit = index_module._unit_prefix(query, 4)[None]
+    ((got_rows, got_scores, low),) = top_k(index, unit, 4, k, rows)
+    assert got_rows.tolist() == rows[order].tolist()
+    assert got_scores.tobytes() == scores[order].tobytes()
+    assert low == scores.min()
 
 
 class TestPrefixIndexEquivalence:
@@ -677,7 +701,7 @@ class TestPrefixIndexEquivalence:
         query_values = rng.normal(size=32)
         for m in dims:
             prefix_dims = DimSet(tuple(d for d in dims if d <= m))
-            truncated = PrefixIndex(
+            truncated = index_of(
                 ids=full.ids,
                 titles=full.titles,
                 matrix=full.matrix[:, :m].copy(),
@@ -718,27 +742,6 @@ def test_loaded_index_scores_bitwise_like_built(tmp_path, seed, d, data):
             assert [(h.row, h.score) for h in funneled] == [(h.row, h.score) for h in exact]
 
 
-def test_query_scores_are_all_scores_query_by_query(monkeypatch):
-    # panels of 3 over 8 queries: a full, a mixed and a short last panel
-    rng = np.random.default_rng(23)
-    dims = DimSet((16, 8, 4))
-    index = random_index(rng, 300, dims, degenerate_rows=(0, 7))
-    queries = [query_from(rng.normal(size=16), dims) for _ in range(8)]
-    queries[2] = query_from(np.r_[np.zeros(4), rng.normal(size=12)], dims)  # zero 4-prefix
-    queries[4] = NestedEmbedding(np.zeros(16), dims, degenerate=True)
-    monkeypatch.setattr(index_module, "PANEL_QUERIES", 3)
-    for m in dims:
-        scored = list(query_scores(index, queries, m))
-        assert len(scored) == len(queries)
-        for query, got in zip(queries, scored):
-            if query.degenerate or not np.any(query.values[:m]):
-                assert got is None
-                continue
-            rows, scores = all_scores(index, query, m)
-            assert np.array_equal(got[0], rows)
-            assert got[1].tobytes() == scores.tobytes()
-
-
 # --- the candidate pass against the full exact scan ------------------------------
 
 
@@ -775,12 +778,12 @@ def candidate_cases(draw):
     degenerate = np.zeros(count, dtype=bool)
     degenerate[pick("degenerate")] = True
     matrix[degenerate] = 0.0
-    clean = PrefixIndex([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims, degenerate)
+    clean = index_of([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims, degenerate)
     for r in pick("corrupt")[:2]:
         matrix[r, rng.integers(0, d)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="entry")
     edges = dims.edges
     bands = [np.array(matrix[:, lo:hi]) for lo, hi in zip(edges, edges[1:])]
-    index = PrefixIndex._from_bands(clean.ids, clean.titles, bands, dims, degenerate, clean._norms)
+    index = PrefixIndex(clean.ids, clean.titles, bands, dims, degenerate, clean._norms)
 
     queries = []
     for _ in range(draw(st.integers(1, 40), label="panel")):
@@ -815,7 +818,7 @@ def scan_outcome(fn):
 def full_scan_search(index, query, m, k):
     """search_exact_with_min by a full exact scan of every row."""
     rows, scores = all_scores(index, query, m)
-    return _top_hits(index, rows, scores, k), float(scores.min()) if rows.size else float("nan")
+    return top_hits(index, rows, scores, k), float(scores.min()) if rows.size else float("nan")
 
 
 def full_scan_funnel(index, query, m_low, m_high, shortlist, k):
@@ -825,7 +828,17 @@ def full_scan_funnel(index, query, m_low, m_high, shortlist, k):
     survivors = np.sort(np.array([hit.row for hit in stage1], dtype=np.int64))
     unit = index_module._unit_prefix(query, m_high)[None]
     rows, scores = index_module._scores(index, unit, m_high, survivors)
-    return _top_hits(index, rows, scores[:, 0], k)
+    return top_hits(index, rows, scores[:, 0], k)
+
+
+def panel_top_k(index, queries, m, k):
+    """Each query's (rows, score bits, minimum) from `top_k` over the panels
+    evaluation ranks, or None for a query without a usable m-prefix."""
+    out = [None] * len(queries)
+    for positions, units in query_panels(index, queries, m):
+        for j, (rows, scores, low) in zip(positions, top_k(index, units, m, k)):
+            out[j] = rows.tolist(), [s.hex() for s in scores.tolist()], low.hex()
+    return out
 
 
 def full_scan_panel(index, queries, m, k):
@@ -836,8 +849,16 @@ def full_scan_panel(index, queries, m, k):
         except ZeroVectorError:
             out.append(None)
             continue
-        out.append(full_scan_search(index, query, m, k)[0])
+        hits, low = full_scan_search(index, query, m, k)
+        out.append(([h.row for h in hits], [h.score.hex() for h in hits], low.hex()))
     return out
+
+
+def panel_outcome(fn):
+    try:
+        return fn()
+    except (FormatError, ZeroVectorError) as e:
+        return type(e), str(e)
 
 
 @settings(max_examples=80, deadline=None,
@@ -845,8 +866,9 @@ def full_scan_panel(index, queries, m, k):
 @given(case=candidate_cases(), data=st.data())
 def test_candidate_searches_equal_the_full_exact_scan(monkeypatch, case, data):
     """search_exact, search_exact_with_min (hits and minimum), search_funnel
-    and the panel form evaluation ranks with give a full exact scan's
-    results bit for bit, and raise FormatError exactly when it does."""
+    and `top_k` over the panels evaluation ranks with (each query's rows,
+    score bits and minimum) give a full exact scan's results bit for bit,
+    and raise FormatError exactly when it does."""
     index, queries, k = case
     panel = data.draw(st.integers(1, 40), label="panel size")
     monkeypatch.setattr(index_module, "PANEL_QUERIES", panel)
@@ -860,20 +882,49 @@ def test_candidate_searches_equal_the_full_exact_scan(monkeypatch, case, data):
                 shortlist = max(k, 3)
                 assert scan_outcome(lambda: search_funnel(index, query, m, m_high, shortlist, k)) == (
                     scan_outcome(lambda: full_scan_funnel(index, query, m, m_high, shortlist, k)))
-
-        def panel_hits():
-            return [None if pair is None else _top_hits(index, *pair, k)
-                    for pair in query_scores(index, queries, m, k)]
-
-        assert panel_outcome(panel_hits) == panel_outcome(lambda: full_scan_panel(index, queries, m, k))
+        assert panel_outcome(lambda: panel_top_k(index, queries, m, k)) == (
+            panel_outcome(lambda: full_scan_panel(index, queries, m, k)))
 
 
-def panel_outcome(fn):
-    try:
-        hits = fn()
-    except (FormatError, ZeroVectorError) as e:
-        return type(e), str(e)
-    return [None if h is None else scan_outcome(lambda: h) for h in hits]
+def panel_scan(index, queries, m):
+    """Each query's (rows, score bits) from the histograms' scan, `_scores`
+    of every row per panel, or None for a query without a usable m-prefix."""
+    out = [None] * len(queries)
+    for positions, units in query_panels(index, queries, m):
+        rows, scores = index_module._scores(index, units, m)
+        for column, j in enumerate(positions):
+            out[j] = rows.tolist(), scores[:, column].tobytes()
+    return out
+
+
+def one_query_scans(index, queries, m):
+    out = []
+    for query in queries:
+        try:
+            rows, scores = all_scores(index, query, m)
+        except ZeroVectorError:
+            out.append(None)
+            continue
+        out.append((rows.tolist(), scores.tobytes()))
+    return out
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(case=candidate_cases(), data=st.data())
+def test_panel_scan_is_all_scores_query_by_query(monkeypatch, case, data):
+    """The histograms' panel scan gives each query with a usable prefix the
+    rows and score bits of its own full scan, leaves out degenerate queries
+    and zero prefixes, and raises FormatError exactly when the scans do."""
+    index, queries, _ = case
+    at = data.draw(st.integers(0, len(queries)), label="degenerate query at")
+    degenerate = NestedEmbedding(np.zeros(index.dims.full), index.dims, degenerate=True)
+    queries = [*queries[:at], degenerate, *queries[at:]]
+    panel = data.draw(st.integers(1, 40), label="panel size")
+    monkeypatch.setattr(index_module, "PANEL_QUERIES", panel)
+    for m in index.dims:
+        assert panel_outcome(lambda: panel_scan(index, queries, m)) == (
+            panel_outcome(lambda: one_query_scans(index, queries, m)))
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0])
@@ -894,8 +945,8 @@ def test_near_duplicate_cluster_that_float32_misorders_keeps_exact_hits(side):
         row[c] = np.nextafter(row[c], rng.choice([-np.inf, np.inf], size=3).astype(np.float32))
     matrix = np.concatenate([rng.normal(size=(200, 64)).astype(np.float32), cluster])
     count = matrix.shape[0]
-    index = PrefixIndex([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims,
-                        np.zeros(count, bool))
+    index = index_of([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims,
+                     np.zeros(count, bool))
     approx = index_module._kernels.float32_prefix_dots(index.bands, unit, 64)[200:]
     exact = all_scores(index, query, 64)[1][200:]
     extreme = np.argmax if side > 0 else np.argmin
@@ -915,8 +966,7 @@ def test_corrupt_entry_where_the_query_is_zero_still_raises(entry, degenerate_ro
     clean = random_index(np.random.default_rng(31), 50, dims, degenerate_rows=(7,))
     bands = [np.array(band) for band in clean.bands.arrays]
     bands[0][7 if degenerate_row else 20, 1] = entry
-    index = PrefixIndex._from_bands(clean.ids, clean.titles, bands, dims, clean.degenerate,
-                                    clean._norms)
+    index = PrefixIndex(clean.ids, clean.titles, bands, dims, clean.degenerate, clean._norms)
     values = np.random.default_rng(32).normal(size=8)
     values[1] = 0.0
     query = query_from(values, dims)
@@ -924,6 +974,6 @@ def test_corrupt_entry_where_the_query_is_zero_still_raises(entry, degenerate_ro
         with pytest.raises(FormatError, match=f"first {m} columns"):
             search_exact_with_min(index, query, m, 3)
         with pytest.raises(FormatError):
-            list(query_scores(index, [query, query], m, 3))
+            panel_top_k(index, [query, query], m, 3)
     with pytest.raises(FormatError, match="first 4 columns"):
         search_funnel(index, query, 4, 8, 5, 3)
