@@ -16,15 +16,14 @@ bands under its m. Within a band each (row, query) pair is reduced by
 `einsum` over the row's own entries, in an order fixed by the band width
 alone.
 
-Queries come one at a time or as a panel, a (q, m) block that one pass over
-the rows scores together; evaluation and histograms score their judged
-queries in panels. One query is reduced by `einsum("ij,j->i")` with
-`dtype=float64`, which widens the float32 entries as it reads them. A panel
-casts each block of `_BLOCK` rows to float64 once, and `einsum("ij,qj->iq")`
-reduces every query of the panel against that copy. Both run the same
-contiguous sum over a row's entries, and a float32 entry widens exactly, so
-a (row, query) score has the same bits in a panel of any size as alone;
-the panel saves the widening of each entry for every query but the first.
+Every query is scored as a panel, a (q, m) block that one pass over the
+rows scores together; a single query is a panel of one. Evaluation and
+histograms score their judged queries in panels of many. Each block of
+`_BLOCK` rows is cast to float64 once, and `einsum("ij,qj->iq")` reduces
+every query of the panel against that copy, a contiguous sum over a row's
+entries whose order does not depend on q. A float32 entry widens exactly, so
+a (row, query) score has the same bits in a panel of any size, and the panel
+saves the widening of each entry for every query but the first.
 
 BLAS (`@`, `dot`, `matmul`) never produces a score. It groups rows and
 splits the reduction by the shape of the call: with OpenBLAS 0.3.31 on one
@@ -89,29 +88,20 @@ def prefix_dot_products(matrix, query, m, row_indices=None):
     query = np.ascontiguousarray(query, dtype=np.float64)
     panel = query.reshape(-1, m)
     parts = _prefix_parts(matrix, m)
-    cast = panel.shape[0] > 1
 
     def dots(rows):
         def band_dots(band, start, width):
-            block, queries = band[rows, :width], panel[:, start : start + width]
-            if cast:
-                return np.einsum("ij,qj->iq", block.astype(np.float64), queries)
-            return np.einsum("ij,j->i", block, queries[0], dtype=np.float64)[:, None]
+            block = band[rows, :width].astype(np.float64)
+            return np.einsum("ij,qj->iq", block, panel[:, start : start + width])
 
         return _band_sum(parts, band_dots)
 
-    if row_indices is None and not cast:
-        # one query over every row reads band views and copies nothing
-        out = dots(slice(None))
-    else:
-        if row_indices is not None:
-            row_indices = np.asarray(row_indices, dtype=np.intp)
-        count = matrix.shape[0] if row_indices is None else row_indices.shape[0]
-        out = np.empty((count, panel.shape[0]))
-        for start in range(0, count, _BLOCK):
-            stop = min(start + _BLOCK, count)
-            rows = slice(start, stop) if row_indices is None else row_indices[start:stop]
-            out[start:stop] = dots(rows)
+    count = matrix.shape[0] if row_indices is None else len(row_indices)
+    out = np.empty((count, panel.shape[0]))
+    for start in range(0, count, _BLOCK):
+        stop = min(start + _BLOCK, count)
+        rows = slice(start, stop) if row_indices is None else row_indices[start:stop]
+        out[start:stop] = dots(rows)
     return out if query.ndim == 2 else out[:, 0]
 
 
@@ -129,10 +119,10 @@ def float32_prefix_dots(matrix, query, m):
 
     Same arguments and result shape as `prefix_dot_products` without a row
     selection. The query is rounded to float32 and each band under m is
-    multiplied in float32 by BLAS (one gemv for a vector, one gemm for a
-    panel); the per-band results are added in float64. The bits depend on
-    the shape of the call, so a result is never a score: it is within
-    `float32_cosine_slack` of the exact one, and no more is promised.
+    multiplied in float32 by BLAS, one gemm with the panel (a panel of one
+    for a vector); the per-band results are added in float64. The bits
+    depend on the shape of the call, so a result is never a score: it is
+    within `float32_cosine_slack` of the exact one, and no more is promised.
     """
     panel = np.asarray(query, dtype=np.float32).reshape(-1, m)
     out = np.zeros((matrix.shape[0], panel.shape[0]))
@@ -140,11 +130,7 @@ def float32_prefix_dots(matrix, query, m):
     # look for; it warns nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for band, start, width in _prefix_parts(matrix, m):
-            queries = panel[:, start : start + width]
-            if panel.shape[0] == 1:
-                out[:, 0] += band[:, :width] @ queries[0]
-            else:
-                out += band[:, :width] @ queries.T
+            out += band[:, :width] @ panel[:, start : start + width].T
     return out if np.ndim(query) == 2 else out[:, 0]
 
 

@@ -30,9 +30,9 @@ index vector fails the search whose pass reads it, as a full scan would.
 computed: over the whole corpus for exact search, and over the shortlist
 re-ranked at HIGH for `--funnel LOW:HIGH`.
 
-Index files are written in format version 3 (column bands, a norm table and
-a doc table of offsets into UTF-8 blobs, see `near2.index`). A version-1 or
-version-2 index from an older release is refused with exit 2; re-run
+Index files are written in format version 4 (column bands, a norm table and
+a doc table of offsets into UTF-8 blobs, see `near2.index`). A version-1, -2
+or -3 index from an older release is refused with exit 2; re-run
 `near2 index` on the same titles to rebuild it. `search` refuses, with exit
 2, a model whose nested dims differ from the index's.
 """
@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .data import SynthSpec, distinct_titles, gen_synthetic, load_records, write_records
-from .encoder import EncoderModel, encode, load_model, save_model
+from .encoder import encode, load_model, save_model
 from .errors import DataError, InvalidDimensionError, NumericalError, ZeroVectorError
 from .index import (
     build_index,
@@ -69,7 +69,7 @@ from .metrics import (
     sequential_evaluate,
 )
 from .nested import DimSet
-from .trainer import SCHEDULES, TrainConfig, run_ablation, train
+from .trainer import SCHEDULES, TrainConfig, initial_model, run_ablation, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -290,13 +290,7 @@ def _cmd_train(values: dict) -> int:
     records = _records_or_die(values["data"], "train")
     valid_records = _records_or_die(values["valid"], "valid") if values["valid"] else None
 
-    model = EncoderModel.create(
-        bucket_count=config.bucket_count,
-        feature_dim=config.feature_dim,
-        dims=config.dims,
-        seed=config.seed,
-    )
-    model, history = train(model, records, config, valid_records)
+    model, history = train(initial_model(config), records, config, valid_records)
     out_path = values["out"]
     save_model(model, out_path)
     print(f"near2: model written to {out_path}", file=sys.stderr)
@@ -361,8 +355,19 @@ def _cmd_search(values: dict) -> int:
     return EXIT_OK
 
 
+def _read_baseline(path) -> MetricsReport:
+    """The metrics report of a `near2 eval` report file; DataError naming the
+    file if it cannot be read or is not one."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return MetricsReport.from_dict(json.load(fh)["report"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        raise DataError(f"cannot read baseline report {path}: {e}") from None
+
+
 def _cmd_eval(values: dict) -> int:
     report_path, baseline_path = values["report"], values["baseline"]
+    baseline = _read_baseline(baseline_path) if baseline_path else None
     model = load_model(values["model"])
     if values["dims"] is None:
         values["dims"] = model.dims
@@ -371,18 +376,16 @@ def _cmd_eval(values: dict) -> int:
         model, records, values["dims"], ks=values["ks"], corpus_cap=values["corpus_cap"],
         seed=values["seed"], graded=values["graded"],
     )
-    if baseline_path:
+    if baseline is not None:
+        try:
+            delta = delta_report(report, baseline)
+        except DataError as e:
+            raise DataError(f"baseline report {baseline_path}: {e}") from None
         values["delta_out"] = values["delta_out"] or str(report_path) + ".delta.csv"
     _write_json_report(report_path, {**_provenance("eval", values), "report": report.to_dict()})
     print(f"near2: metrics report written to {report_path}", file=sys.stderr)
 
-    if baseline_path:
-        try:
-            with open(baseline_path, "r", encoding="utf-8") as fh:
-                baseline = MetricsReport.from_dict(json.load(fh)["report"])
-        except (OSError, KeyError, json.JSONDecodeError) as e:
-            raise DataError(f"cannot read baseline report {baseline_path}: {e}") from None
-        delta = delta_report(report, baseline)
+    if baseline is not None:
         _write_csv_report(values["delta_out"], _provenance("eval", values), delta.to_csv())
         print(f"near2: delta table written to {values['delta_out']}", file=sys.stderr)
     return EXIT_OK

@@ -6,6 +6,9 @@ contiguous column bands cut at the nested dims (for dims 768..64:
 row's prefix norm at every dim. Searching at a prefix m reads only the bands
 under m and that table's column for m, so a smaller prefix costs
 proportionally less memory traffic, which is the whole efficiency story.
+That column alone decides which rows a prefix-m search may return: those
+whose m-prefix norm exceeds EPS_ZERO. An empty-text (degenerate) row is
+stored as zeros, so its norm is 0 at every m and it is never returned.
 
 Results are exact. Every ranking goes through `top_k`: for a (q, m) panel
 of unit query prefixes it runs one float32 BLAS bound pass over the bands
@@ -50,7 +53,7 @@ from .nested import DimSet, NestedEmbedding, EPS_ZERO, l2_normalize, truncate
 PANEL_QUERIES = 32
 
 INDEX_MAGIC = b"NEAR2IDX"
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,6 @@ class PrefixIndex:
         titles: Sequence[str],
         bands: Sequence[np.ndarray],
         dims: DimSet,
-        degenerate: np.ndarray,
         norms: np.ndarray | None = None,
     ):
         """An index over the (count, D) float32 rows cut into column bands at
@@ -126,10 +128,9 @@ class PrefixIndex:
             for band, lo, hi in zip(bands, edges, edges[1:])
         ):
             raise ValueError(f"bands must be float32 arrays of {count} rows cut at columns {edges}")
-        degenerate = np.asarray(degenerate, dtype=bool)
         ids, titles = TextColumn.of(ids), TextColumn.of(titles)
-        if len(ids) != count or len(titles) != count or degenerate.shape != (count,):
-            raise ValueError("ids, titles, degenerate flags and band rows must align")
+        if len(ids) != count or len(titles) != count:
+            raise ValueError("ids, titles and band rows must align")
         self.bands = _kernels.Bands(bands)
         if norms is None:
             norms = np.stack(
@@ -140,12 +141,11 @@ class PrefixIndex:
             if not finite.all():
                 bad = count - np.count_nonzero(finite.all(axis=1))
                 raise NumericalError(f"{bad} of {count} index rows are not finite as float32")
-        for array in (*bands, norms, degenerate):
+        for array in (*bands, norms):
             array.setflags(write=False)
         self.ids = ids
         self.titles = titles
         self.dims = dims
-        self.degenerate = degenerate
         # count x |M| float64; column j holds every row's prefix norm at dims[j]
         self._norms = norms
         self._searchable_at: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -161,22 +161,29 @@ class PrefixIndex:
         matrix.setflags(write=False)
         return matrix
 
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Whether each row is all zeros, as an empty text embeds; computed
+        from the norm table on each call. Searches never read it: such a row
+        has norm 0 at every m, which alone keeps it out of every search."""
+        return self._norms[:, 0] == 0.0
+
     def prefix_norms(self, m: int) -> np.ndarray:
         m = self.dims.require(m)
         return self._norms[:, self.dims.dims.index(m)]
 
     def _searchable(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """(mask, ascending rows) of the rows a prefix-m search may return:
-        not degenerate, with an m-prefix norm above EPS_ZERO."""
+        those with an m-prefix norm above EPS_ZERO."""
         if m not in self._searchable_at:
-            mask = ~self.degenerate & (self.prefix_norms(m) > EPS_ZERO)
+            mask = self.prefix_norms(m) > EPS_ZERO
             self._searchable_at[m] = mask, np.flatnonzero(mask)
         return self._searchable_at[m]
 
 
 def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixIndex:
-    """Embed titles in input order. Degenerate (empty-text) rows are stored but
-    flagged and never returned by a search.
+    """Embed titles in input order. Degenerate (empty-text) rows are stored as
+    zero rows, never searchable: their prefix norm is 0 at every m.
 
     Titles are tokenized `CHUNK_TEXTS` at a time, so memory stays flat in the
     corpus, and embedded one bag at a time by `embed_bag`, so every row equals
@@ -194,7 +201,6 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
         seen.add(doc_id)
     edges = model.dims.edges
     bands = [np.empty((len(titles), hi - lo), dtype=np.float32) for lo, hi in zip(edges, edges[1:])]
-    degenerate = np.zeros(len(titles), dtype=bool)
     # overflow and inf - inf warn nothing: a row that is not finite in float64
     # is refused here, one that overflows the float32 bands by the norm
     # table's check
@@ -207,13 +213,11 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
                     raise non_finite_embedding(model, bag)
                 for band, lo, hi in zip(bands, edges, edges[1:]):
                     band[row] = values[lo:hi]
-                degenerate[row] = len(bag) == 0
     return PrefixIndex(
         ids=[doc_id for doc_id, _ in titles],
         titles=[text for _, text in titles],
         bands=bands,
         dims=model.dims,
-        degenerate=degenerate,
     )
 
 
@@ -237,9 +241,9 @@ def _scores(
     The one scoring path, exact and row by row, for a panel of one query
     (search, funnel) or of many (evaluation, histograms), with the same bits
     either way. Every row asked for is read, and the unsearchable ones
-    (degenerate, or with a zero m-prefix) are dropped afterwards. The
-    loader does not check vectors, so this is where corrupt vector bytes
-    are caught: exactly those the scan read.
+    (with a zero m-prefix, degenerate rows among them) are dropped
+    afterwards. The loader does not check vectors, so this is where corrupt
+    vector bytes are caught: exactly those the scan read.
     """
     with np.errstate(invalid="ignore"):  # inf - inf across bands: caught below
         dots = _kernels.prefix_dot_products(index.bands, units, m, rows)
@@ -260,39 +264,38 @@ def _candidates(index: PrefixIndex, units: np.ndarray, m: int, k: int) -> list[n
     """For each query of a (q, m) panel of unit prefixes, the ascending rows
     that `_scores` must score for the query's exact top k and minimum: every
     searchable row whose exact cosine reaches the k-th best, ties included;
-    a row of the lowest exact cosine; and every row,
-    searchable or not, that may hold a non-finite entry, so that scoring
-    the candidates raises `FormatError` exactly when a full scan would.
+    a row of the lowest exact cosine; and every row, searchable or not, that
+    may hold a non-finite entry, so that scoring the candidates raises
+    `FormatError` exactly when a full scan would.
 
     One float32 bound pass (`_kernels.float32_prefix_dots`) gives every
     row an approximate cosine c~ within eps of its exact one c
     (`_kernels.float32_cosine_slack`, for the norms above EPS_ZERO that
     searchable rows have). The candidates are the searchable rows with
-    c~ >= (k-th largest c~) - 2 eps or c~ <= (smallest c~) + 2 eps; a row of the exact top k has c~ >= c - eps
-    >= (k-th largest c) - eps >= (k-th largest c~) - 2 eps, and likewise
-    for the minimum. A row whose bound-pass dot is not finite (a non-finite
-    entry, or a float32 overflow) is always a candidate and takes no part
-    in the k-th largest or the smallest c~; when k reaches the number of
-    searchable rows, every searchable row is a candidate. The exact scores
-    of a candidate do not depend on the other candidates, so the top k, its
-    bits and the minimum are those of a full scan.
+    c~ >= (k-th largest c~) - 2 eps or c~ <= (smallest c~) + 2 eps; a row of
+    the exact top k has c~ >= c - eps >= (k-th largest c) - eps >= (k-th
+    largest c~) - 2 eps, and likewise for the minimum. A row whose
+    bound-pass dot is not finite (a non-finite entry, or a float32 overflow)
+    is always a candidate and takes no part in the k-th largest or the
+    smallest c~; when k reaches the number of searchable rows, the k-th
+    largest c~ is the smallest or -inf, so every searchable row is a
+    candidate. The exact scores of a candidate do not depend on the other
+    candidates, so the top k, its bits and the minimum are those of a full
+    scan.
     """
     approx = _kernels.float32_prefix_dots(index.bands, units, m)
-    picked = ~np.isfinite(approx)
-    mask, searchable = index._searchable(m)
-    if k >= searchable.size:
-        picked |= mask[:, None]
-    else:
-        # unsearchable rows may divide by a zero norm; they are masked out
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cos = approx / index.prefix_norms(m)[:, None]
-        valid = np.isfinite(cos) & mask[:, None]
-        everywhere = valid.all()
-        top = cos if everywhere else np.where(valid, cos, -np.inf)
-        kth = np.partition(top, cos.shape[0] - k, axis=0)[cos.shape[0] - k]
-        eps = _kernels.float32_cosine_slack(index.bands, m, EPS_ZERO)
-        low = (cos if everywhere else np.where(valid, cos, np.inf)).min(axis=0)
-        picked |= ((top >= kth - 2.0 * eps) | (cos <= low + 2.0 * eps)) & valid
+    # unsearchable rows may divide by a zero norm; they are masked out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = approx / index.prefix_norms(m)[:, None]
+    valid = np.isfinite(cos) & index._searchable(m)[0][:, None]
+    everywhere = valid.all()
+    top = cos if everywhere else np.where(valid, cos, -np.inf)
+    at = max(cos.shape[0] - k, 0)
+    kth = np.partition(top, at, axis=0)[at]
+    eps = _kernels.float32_cosine_slack(index.bands, m, EPS_ZERO)
+    low = (cos if everywhere else np.where(valid, cos, np.inf)).min(axis=0)
+    near = (top >= kth - 2.0 * eps) | (cos <= low + 2.0 * eps)
+    picked = (near & valid) | ~np.isfinite(approx)
     return [np.flatnonzero(column) for column in picked.T]
 
 
@@ -317,12 +320,7 @@ def top_k(
         found, scores = _scores(index, unit[None], m, picked)
         scores = scores[:, 0]
         low = float(scores.min()) if scores.size else float("nan")
-        if k < scores.size:
-            # only rows scoring at least the k-th best can rank; sorting just
-            # those keeps the full sort's order, lower-row tie-break included
-            kth = np.partition(scores, scores.size - k)[scores.size - k]
-            keep = np.flatnonzero(scores >= kth)
-            found, scores = found[keep], scores[keep]
+        # about k + 1 candidates (or a funnel's shortlist): sorting all is cheap
         order = np.lexsort((found, -scores))[:k]
         ranked.append((found[order], scores[order], low))
     return ranked
@@ -445,11 +443,10 @@ def memory_footprint(index: PrefixIndex, m: int) -> MemoryFootprint:
 
 # --- persistence ----------------------------------------------------------------
 #
-# Layout (little-endian), version 3: magic "NEAR2IDX", version u32 = 3, D u32,
-# count u64, dims_count u16 then dims u32 each (descending), degenerate-row
-# bitmap of ceil(count/8) bytes (row r -> byte r>>3, bit r&7, LSB first,
-# padding bits 0); then the norm table, count x dims_count float64 row-major
-# (row r, column j = the norm of row r's first dims[j] entries); then one
+# Layout (little-endian), version 4: magic "NEAR2IDX", version u32 = 4, D u32,
+# count u64, dims_count u16 then dims u32 each (descending); then the norm
+# table, count x dims_count float64 row-major (row r, column j = the norm of
+# row r's first dims[j] entries), whose zeros mark the degenerate rows; then one
 # count x width float32 row-major band per dim in ascending order, band i
 # holding columns [M_(i-1), M_i) with M_0 = 0 and M_i the i-th smallest dim;
 # then the doc table: 2 x (count + 1) u64 offsets, the ids' then the titles',
@@ -458,8 +455,9 @@ def memory_footprint(index: PrefixIndex, m: int) -> MemoryFootprint:
 # [id_offsets[r], id_offsets[r + 1]), and likewise its title. Zero bytes pad
 # every section but the last to a multiple of 64 bytes from the start of the
 # file, so each can be memory-mapped as an aligned array. Versions 1 (one
-# row-major count x D block, no norm table) and 2 (a length-prefixed id and
-# title per row) are not read.
+# row-major count x D block, no norm table), 2 (a length-prefixed id and
+# title per row) and 3 (a degenerate-row bitmap after the dims, which
+# repeated the zero norms) are not read.
 
 _ALIGN = 64
 
@@ -467,7 +465,7 @@ _ALIGN = 64
 def _sections(
     count: int, dims: DimSet, id_bytes: int = 0, title_bytes: int = 0
 ) -> tuple[list[tuple[int, int]], int]:
-    """(offset, length) of each section after the bitmap, and the file size.
+    """(offset, length) of each section after the header, and the file size.
 
     The sections in file order: the norm table, one band per dim, the doc
     table's offsets, the ids blob and the titles blob, which ends the file.
@@ -475,7 +473,7 @@ def _sections(
     edges = dims.edges
     lengths = [8 * count * len(dims)] + [4 * count * (hi - lo) for lo, hi in zip(edges, edges[1:])]
     lengths += [16 * (count + 1), id_bytes, title_bytes]
-    sections, pos = [], 8 + 16 + 2 + 4 * len(dims) + (count + 7) // 8
+    sections, pos = [], 8 + 16 + 2 + 4 * len(dims)
     for length in lengths:
         pos += -pos % _ALIGN
         sections.append((pos, length))
@@ -494,7 +492,6 @@ def save_index(index: PrefixIndex, path) -> None:
 def _write_index(index: PrefixIndex, fh) -> None:
     header_fields = (index.dims.full, index.count)
     fh.write(pack_header(INDEX_MAGIC, INDEX_VERSION, "IQ", header_fields, index.dims))
-    fh.write(np.packbits(index.degenerate, bitorder="little").tobytes())
     ids, titles = index.ids, index.titles
     sections, _ = _sections(index.count, index.dims, len(ids.blob), len(titles.blob))
     arrays = [index._norms.astype("<f8", copy=False)]
@@ -520,14 +517,7 @@ def load_index(path) -> PrefixIndex:
             stale="re-run `near2 index` to rebuild it in the current format",
         )
         dims = reader.dims(full_dim)
-
-        bitmap = np.frombuffer(reader.exact((count + 7) // 8, "degenerate bitmap"), dtype=np.uint8)
-        flags = np.unpackbits(bitmap, bitorder="little")
-        if flags[count:].any():
-            raise FormatError("nonzero padding bits in degenerate bitmap")
-        degenerate = flags[:count].astype(bool)
-
-        bitmap_end = fh.tell()
+        header_end = fh.tell()
         offsets_at, offsets_length = _sections(count, dims)[0][-3]
         if reader.size < offsets_at + offsets_length:
             raise FormatError(
@@ -554,7 +544,7 @@ def load_index(path) -> PrefixIndex:
             else "trailing bytes after doc table"
         )
 
-    gaps = zip([bitmap_end] + [offset + length for offset, length in sections],
+    gaps = zip([header_end] + [offset + length for offset, length in sections],
                [offset for offset, _ in sections])
     for start, stop in gaps:
         if buf[start:stop].strip(b"\0"):
@@ -575,7 +565,7 @@ def load_index(path) -> PrefixIndex:
     ]
     ids = _text_column(buf, id_offsets, sections[-2], "id")
     titles = _text_column(buf, title_offsets, sections[-1], "title")
-    return PrefixIndex(ids, titles, bands, dims, degenerate, norms)
+    return PrefixIndex(ids, titles, bands, dims, norms)
 
 
 def _text_column(buf, offsets: np.ndarray, section: tuple[int, int], what: str) -> TextColumn:
@@ -601,6 +591,6 @@ def _text_column(buf, offsets: np.ndarray, section: tuple[int, int], what: str) 
 
 
 def index_file_size(index: PrefixIndex) -> int:
-    """Exact serialized byte count implied by the format: header and bitmap,
-    then every section, each but the last padded to 64 bytes."""
+    """Exact serialized byte count implied by the format: the header, then
+    every section, each but the last padded to 64 bytes."""
     return _sections(index.count, index.dims, len(index.ids.blob), len(index.titles.blob))[1]

@@ -113,8 +113,10 @@ class MetricsReport:
     def from_dict(cls, obj: dict) -> "MetricsReport":
         dims = tuple(int(m) for m in obj["dims"])
         ks = tuple(int(k) for k in obj["ks"])
+        grid = obj["metrics"]
         cells = {
-            (m, k): MetricsCell(**obj["metrics"][str(m)][str(k)]) for m in dims for k in ks
+            (m, k): MetricsCell(**{name: float(v) for name, v in grid[str(m)][str(k)].items()})
+            for m in dims for k in ks
         }
         return cls(
             dims=dims,

@@ -65,7 +65,8 @@ from .losses import (
     mrl_compose,  # unused here; bench/tracing.py wraps near2.trainer.mrl_compose
     multitask_step_loss,
 )
-from .metrics import DEFAULT_CORPUS_CAP, DEFAULT_KS, MetricsReport, delta_report, sequential_evaluate
+from .metrics import (DEFAULT_CORPUS_CAP, DEFAULT_KS, MetricsReport, delta_report, format_delta,
+                      sequential_evaluate)
 from .nested import DimSet
 
 SCHEDULES = ("mnrl", "ocl", "mnrl+ocl", "mrl-first")
@@ -125,6 +126,12 @@ class TrainConfig:
             raise ValueError(f"feature_dim must be >= 1, got {self.feature_dim}")
         if self.corpus_cap < 1:
             raise ValueError(f"corpus_cap must be >= 1, got {self.corpus_cap}")
+
+
+def initial_model(config: TrainConfig) -> EncoderModel:
+    """The untrained model a run with `config` starts from."""
+    return EncoderModel.create(bucket_count=config.bucket_count, feature_dim=config.feature_dim,
+                               dims=config.dims, seed=config.seed)
 
 
 @dataclass
@@ -586,8 +593,6 @@ class AblationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     def to_csv(self) -> str:
-        from .metrics import format_delta
-
         header = ["schedule"]
         for m in self.dims:
             header.extend([f"ndcg@5_dim{m}", f"mrr@10_dim{m}"])
@@ -616,23 +621,15 @@ def run_ablation(
         if s not in SCHEDULES:
             raise ValueError(f"unknown schedule {s!r}")
 
-    def fresh_model() -> EncoderModel:
-        return EncoderModel.create(
-            bucket_count=config.bucket_count,
-            feature_dim=config.feature_dim,
-            dims=config.dims,
-            seed=config.seed,
-        )
-
     ks = tuple(sorted(set(DEFAULT_KS) | {5, 10}))
     baseline_report = sequential_evaluate(
-        fresh_model(), eval_records, config.dims, ks=ks,
+        initial_model(config), eval_records, config.dims, ks=ks,
         corpus_cap=config.corpus_cap, seed=config.seed,
     )
     reports: dict[str, MetricsReport] = {}
     deltas: dict[str, dict] = {}
     for schedule in schedules:
-        model, _ = train(fresh_model(), train_records, replace(config, schedule=schedule))
+        model, _ = train(initial_model(config), train_records, replace(config, schedule=schedule))
         report = sequential_evaluate(
             model, eval_records, config.dims, ks=ks,
             corpus_cap=config.corpus_cap, seed=config.seed,

@@ -32,12 +32,12 @@ from near2.metrics import (
 from near2.nested import DimSet
 
 
-def index_of(ids, titles, matrix, dims, degenerate) -> PrefixIndex:
+def index_of(ids, titles, matrix, dims) -> PrefixIndex:
     """An index over a copy of the rows of a (count, D) matrix, cut into bands."""
     matrix = np.asarray(matrix, dtype=np.float32)
     edges = dims.edges
     bands = [np.array(matrix[:, lo:hi], order="C") for lo, hi in zip(edges, edges[1:])]
-    return PrefixIndex(ids, titles, bands, dims, degenerate)
+    return PrefixIndex(ids, titles, bands, dims)
 
 
 def all_scores(index, query, m):

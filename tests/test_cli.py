@@ -411,6 +411,21 @@ def test_version_1_index_exits_two_naming_near2_index(workspace, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_version_3_index_exits_two_naming_near2_index(workspace, tmp_path):
+    data = bytearray(workspace["index"].read_bytes())
+    data[8:12] = (3).to_bytes(4, "little")  # the version field
+    path = tmp_path / "v3.idx"
+    path.write_bytes(bytes(data))
+    proc = _cli("search", "--index", str(path), "--model", str(workspace["model"]),
+                "--query", "plants")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "near2: data error: unsupported index version 3; "
+        "re-run `near2 index` to rebuild it in the current format\n"
+    )
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("section", [0, 1, 2, 3], ids=["norms", "band0", "band1", "band2"])
 def test_nan_in_index_section_exits_two_without_traceback(workspace, tmp_path, section):
     index = load_index(workspace["index"])
@@ -600,6 +615,45 @@ def test_eval_duplicate_ks_count_once(workspace, tmp_path):
     # and it serves as the baseline of a run without the duplicate
     assert main(args + ["--ks", "3,5", "--report", str(tmp_path / "cand.json"),
                         "--baseline", str(dup)]) == 0
+
+
+def _break_report(report, fault):
+    if fault == "report-list":
+        return []
+    if fault == "cell-without-ndcg":
+        del report["metrics"]["16"]["3"]["ndcg"]
+    elif fault == "dims-not-integers":
+        report["dims"] = ["x"]
+    elif fault == "cell-value-not-a-number":
+        report["metrics"]["16"]["3"]["ndcg"] = "high"
+    elif fault == "other-grid":
+        report["ks"], report["metrics"]["16"] = [5], {"5": report["metrics"]["16"]["3"]}
+    return report
+
+
+@pytest.mark.parametrize("fault", [
+    "report-list", "cell-without-ndcg", "dims-not-integers", "cell-value-not-a-number",
+    "other-grid",
+])
+def test_malformed_baseline_exits_two_before_writing(workspace, tmp_path, capsys, fault):
+    args = [
+        "eval", "--model", str(workspace["model"]), "--test",
+        str(workspace["data"] / "test.jsonl"), "--dims", "16", "--ks", "3",
+    ]
+    good = tmp_path / "good.json"
+    assert main(args + ["--report", str(good)]) == 0
+    document = json.loads(good.read_text())
+    document["report"] = _break_report(document["report"], fault)
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(document))
+    capsys.readouterr()
+    code = main(args + ["--report", str(tmp_path / "out.json"), "--baseline", str(base)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("near2: data error: ")
+    assert str(base) in captured.err and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["base.json", "good.json"]
 
 
 def test_featureless_training_title_exits_two_naming_the_record(workspace, tmp_path, capsys):

@@ -36,16 +36,12 @@ def tiny_model(seed=0):
 def random_index(rng, count, dims, degenerate_rows=()):
     d = dims.full
     matrix = rng.normal(size=(count, d)).astype(np.float32)
-    degenerate = np.zeros(count, dtype=bool)
-    for r in degenerate_rows:
-        matrix[r] = 0.0
-        degenerate[r] = True
+    matrix[list(degenerate_rows)] = 0.0
     return index_of(
         ids=[f"doc{i}" for i in range(count)],
         titles=[f"title {i}" for i in range(count)],
         matrix=matrix,
         dims=dims,
-        degenerate=degenerate,
     )
 
 
@@ -97,22 +93,23 @@ class TestBuild:
 
 
 def build_index_oracle(model, titles):
-    """The per-title `encode` loop that `build_index` ran before it worked in chunks."""
+    """The per-title `encode` loop that `build_index` ran before it worked in
+    chunks, and each title's `encode` degenerate flag."""
     edges = [0, *sorted(model.dims)]
     bands = [np.empty((len(titles), hi - lo), dtype=np.float32) for lo, hi in zip(edges, edges[1:])]
-    degenerate = np.zeros(len(titles), dtype=bool)
+    degenerate = []
     for row, (_, text) in enumerate(titles):
         emb = encode(model, text)
         for band, lo, hi in zip(bands, edges, edges[1:]):
             band[row] = emb.values[lo:hi]
-        degenerate[row] = emb.degenerate
-    return PrefixIndex(
+        degenerate.append(emb.degenerate)
+    index = PrefixIndex(
         ids=[doc_id for doc_id, _ in titles],
         titles=[text for _, text in titles],
         bands=bands,
         dims=model.dims,
-        degenerate=degenerate,
     )
+    return index, degenerate
 
 
 def oracle_titles():
@@ -140,13 +137,42 @@ def test_build_matches_per_title_encode_bitwise(oracle_models, kind):
     model = oracle_models[kind]
     assert model.feature_table.dtype == (np.float64 if kind == "created" else np.float32)
     titles = oracle_titles()
-    index, expected = build_index(model, titles), build_index_oracle(model, titles)
+    index, (expected, degenerate) = build_index(model, titles), build_index_oracle(model, titles)
     for band, want in zip(index.bands.arrays, expected.bands.arrays):
         assert band.dtype == want.dtype and band.tobytes() == want.tobytes()
     assert index._norms.tobytes() == expected._norms.tobytes()
-    assert index.degenerate.tolist() == expected.degenerate.tolist()
+    assert index.degenerate.tolist() == degenerate
     assert index.degenerate[[5, CHUNK_TEXTS]].all() and index.degenerate.sum() == 2
     assert list(index.ids) == list(expected.ids) and list(index.titles) == list(expected.titles)
+
+
+_TITLE_TEXT = st.one_of(
+    st.sampled_from(["", " ", "???", "!!! ---", "...", "plant", "red pot", "Ünïcödé 漢字"]),
+    st.text(alphabet=st.sampled_from("ab -.!é"), max_size=6),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(texts=st.lists(_TITLE_TEXT, min_size=1, max_size=20))
+def test_degenerate_rows_are_the_featureless_titles_and_never_found(tmp_path, texts):
+    """`degenerate` marks exactly the titles whose `tokenize` bag is empty,
+    on a built and on a loaded index, and no search returns those rows."""
+    model = tiny_model(seed=1)
+    index = build_index(model, [(f"d{i}", text) for i, text in enumerate(texts)])
+    save_index(index, tmp_path / "corpus.idx")
+    featureless = [len(tokenize(text, model.bucket_count)) == 0 for text in texts]
+    query = encode(model, "red plant pot")
+    for built in (index, load_index(tmp_path / "corpus.idx")):
+        assert built.degenerate.tolist() == featureless
+        for m in built.dims:
+            hits = search_exact(built, query, m, built.count)
+            assert sorted(h.row for h in hits) == [r for r, gone in enumerate(featureless)
+                                                   if not gone]
+            funneled = search_funnel(built, query, 4, m, built.count, built.count)
+            assert not any(featureless[h.row] for h in funneled)
+            for _, units in query_panels(built, [query, query], m):
+                for rows, _, _ in top_k(built, units, m, built.count):
+                    assert not any(featureless[r] for r in rows.tolist())
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul")
@@ -172,16 +198,16 @@ def test_overflowing_projection_raises_like_encode():
 ])
 def test_bands_not_cut_at_the_dims_raise_value_error(fault, bands):
     ids, dims = [f"d{i}" for i in range(5)], DimSet((8, 4))
-    PrefixIndex(ids, ids, [np.zeros((5, 4), np.float32)] * 2, dims, np.zeros(5, bool))
+    PrefixIndex(ids, ids, [np.zeros((5, 4), np.float32)] * 2, dims)
     with pytest.raises(ValueError, match="bands must be float32 arrays of 5 rows cut at"):
-        PrefixIndex(ids, ids, bands, dims, np.zeros(5, bool))
+        PrefixIndex(ids, ids, bands, dims)
 
 
 class TestSearchExact:
     def test_self_retrieval(self):
         dims = DimSet((4, 2))
         matrix = np.array([[1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.float32)
-        index = index_of(["q", "o"], ["q", "o"], matrix, dims, np.zeros(2, bool))
+        index = index_of(["q", "o"], ["q", "o"], matrix, dims)
         hits = search_exact(index, query_from([1, 0, 0, 0], dims), 4, 1)
         assert hits[0].row == 0
         assert hits[0].score == pytest.approx(1.0)
@@ -224,7 +250,7 @@ class TestSearchExact:
         dims = DimSet((4,))
         row = np.array([0.5, -1.25, 2.0, 0.25], dtype=np.float32)
         matrix = np.stack([2.0 * row, row, 4.0 * row])  # exact cosine ties
-        index = index_of(["a", "b", "c"], ["a", "b", "c"], matrix, dims, np.zeros(3, bool))
+        index = index_of(["a", "b", "c"], ["a", "b", "c"], matrix, dims)
         hits = search_exact(index, query_from(row, dims), 4, 3)
         assert [h.row for h in hits] == [0, 1, 2]
         assert hits[0].score == hits[1].score == hits[2].score
@@ -337,7 +363,7 @@ class TestMemoryFootprint:
         dims = DimSet((768, 512, 256, 128, 64))
         matrix = np.zeros((10, 768), dtype=np.float32)
         index = index_of(
-            [f"d{i}" for i in range(10)], ["t"] * 10, matrix, dims, np.zeros(10, bool)
+            [f"d{i}" for i in range(10)], ["t"] * 10, matrix, dims
         )
         full = memory_footprint(index, 768).vector_bytes
         small = memory_footprint(index, 64).vector_bytes
@@ -348,13 +374,13 @@ class TestMemoryFootprint:
         dims = DimSet((128, 64))
         matrix = np.zeros((1000, 128), dtype=np.float32)
         index = index_of(
-            [f"d{i}" for i in range(1000)], ["t"] * 1000, matrix, dims, np.zeros(1000, bool)
+            [f"d{i}" for i in range(1000)], ["t"] * 1000, matrix, dims
         )
         assert memory_footprint(index, 128).vector_bytes == 512_000
 
     def test_invalid_dimension(self):
         dims = DimSet((8,))
-        index = index_of(["a"], ["t"], np.zeros((1, 8), np.float32), dims, np.zeros(1, bool))
+        index = index_of(["a"], ["t"], np.zeros((1, 8), np.float32), dims)
         with pytest.raises(InvalidDimensionError):
             memory_footprint(index, 7)
 
@@ -370,14 +396,13 @@ class TestPersistence:
         assert list(loaded.ids) == list(index.ids)
         assert list(loaded.titles) == list(index.titles)
         assert np.array_equal(loaded.matrix, index.matrix)
-        assert np.array_equal(loaded.degenerate, index.degenerate)
+        assert loaded.degenerate.tolist() == index.degenerate.tolist() == [r == 3 for r in range(9)]
         assert list(loaded.dims) == list(index.dims)
 
     def test_unicode_doc_table(self, tmp_path):
         dims = DimSet((4,))
         index = index_of(
             ["id-ü"], ["Pflanze für Zuhause — groß"], np.ones((1, 4), np.float32), dims,
-            np.zeros(1, bool),
         )
         path = tmp_path / "u.idx"
         save_index(index, path)
@@ -396,7 +421,7 @@ class TestPersistence:
         # the norm table holds count * |M| float64, the doc table two
         # (count + 1) u64 offset runs and the two UTF-8 blobs, and every
         # section but the titles blob is zero-padded to a multiple of 64 bytes
-        header = 8 + 16 + 2 + 4 * len(dims) + (index.count + 7) // 8
+        header = 8 + 16 + 2 + 4 * len(dims)
         norms = index.count * len(dims) * 8
         band = index.count * 4 * 4
         offsets = 2 * (index.count + 1) * 8
@@ -416,7 +441,7 @@ class TestPersistence:
         path = tmp_path / "corpus.idx"
         save_index(index, path)
         data = path.read_bytes()
-        # header and bitmap (36 bytes) padded to 64, the 9 x 1 norm table padded
+        # the header (30 bytes) padded to 64, the 9 x 1 norm table padded
         # to 192, then half of the one 9 x 8 band
         path.write_bytes(data[: 192 + 9 * 8 * 2])  # mid-band
         with pytest.raises(FormatError, match="truncated"):
@@ -487,6 +512,52 @@ class TestPersistence:
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match=r"version 2; re-run `near2 index`"):
             load_index(path)
+
+    def test_version_3_file_names_the_rebuild(self, tmp_path):
+        # version 3 held a degenerate-row bitmap right after the dims; with no
+        # degenerate row, its one zero byte lies in the header's padding, so
+        # this index's version-3 file differs from version 4 only in the version
+        path = tmp_path / "corpus.idx"
+        save_index(random_index(np.random.default_rng(24), 5, DimSet((8,))), path)
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", 3)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=r"version 3; re-run `near2 index`"):
+            load_index(path)
+
+    def test_saved_file_keeps_its_format_bytes(self, tmp_path):
+        # dyadic entries, so every norm is exact; the file must equal the
+        # format written out by hand, and its digest is pinned
+        matrix = (np.arange(48, dtype=np.float32).reshape(6, 8) - 20.0) / 8.0
+        matrix[2] = 0.0  # a degenerate row: zero norms, and no other mark
+        ids, titles = [f"d{i}" for i in range(6)], ["", "é", "日本", "x", "pot", "red"]
+        index = index_of(ids, titles, matrix, DimSet((8, 4)))
+        save_index(index, tmp_path / "corpus.idx")
+        written = (tmp_path / "corpus.idx").read_bytes()
+
+        def pad(chunk):
+            return chunk + bytes(-len(chunk) % 64)
+
+        norms = np.sqrt(np.stack(
+            [(matrix.astype(np.float64)[:, :m] ** 2).sum(axis=1) for m in (8, 4)], axis=1))
+        blobs = ["".join(ids).encode(), "".join(titles).encode()]
+        offsets = [np.cumsum([0] + [len(t.encode()) for t in column]) for column in (ids, titles)]
+        expected = b"".join([
+            pad(b"NEAR2IDX" + struct.pack("<IIQH2I", 4, 8, 6, 2, 8, 4)),
+            pad(norms.astype("<f8").tobytes()),
+            pad(matrix[:, :4].astype("<f4").tobytes()),
+            pad(matrix[:, 4:].astype("<f4").tobytes()),
+            pad(np.concatenate(offsets).astype("<u8").tobytes()),
+            pad(blobs[0]),
+            blobs[1],
+        ])
+        assert written == expected
+        digest = "98a5d69757745027109d53122fdce208ba6687fbe90e584d2d1fa5e7ecb5368e"
+        assert hashlib.sha256(written).hexdigest() == digest
+        loaded = load_index(tmp_path / "corpus.idx")
+        assert loaded.degenerate.tolist() == [False, False, True, False, False, False]
+        save_index(loaded, tmp_path / "again.idx")
+        assert (tmp_path / "again.idx").read_bytes() == written
 
     def test_non_utf8_id_is_format_error(self, tmp_path):
         path = tmp_path / "corpus.idx"
@@ -574,8 +645,7 @@ _DOC_TEXT = st.text(
 @given(rows=st.lists(st.tuples(_DOC_TEXT, _DOC_TEXT), min_size=1, max_size=12), data=st.data())
 def test_doc_table_round_trips_any_unicode(tmp_path, rows, data):
     ids, titles = [i for i, _ in rows], [t for _, t in rows]
-    index = index_of(ids, titles, np.ones((len(rows), 4), np.float32), DimSet((4, 2)),
-                     np.zeros(len(rows), bool))
+    index = index_of(ids, titles, np.ones((len(rows), 4), np.float32), DimSet((4, 2)))
     save_index(index, tmp_path / "corpus.idx")
     loaded = load_index(tmp_path / "corpus.idx")
     backwards = np.arange(len(rows))[::-1]
@@ -595,7 +665,7 @@ def _doc_table_index():
     # multi-byte characters on both sides of nearly every row boundary
     ids = ["é日", "日é", "😀", "éé", "", "日本", "é", "ü"]
     titles = ["über é", "", "日本語", "a😀", "é", "😀😀", "ü", "end é"]
-    return index_of(ids, titles, np.ones((8, 4), np.float32), DimSet((4,)), np.zeros(8, bool))
+    return index_of(ids, titles, np.ones((8, 4), np.float32), DimSet((4,)))
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -680,8 +750,7 @@ def test_top_k_ranks_like_a_full_lexsort(levels, k, seed):
     matrix = rng.normal(size=(100, 4)).astype(np.float32)
     rows = np.random.default_rng(seed).permutation(100)[: len(levels)]
     matrix[rows] = matrix[np.array(levels) + 3]
-    index = index_of([f"d{i}" for i in range(100)], ["t"] * 100, matrix, DimSet((4,)),
-                     np.zeros(100, bool))
+    index = index_of([f"d{i}" for i in range(100)], ["t"] * 100, matrix, DimSet((4,)))
     query = query_from(rng.normal(size=4), index.dims)
     every_row, every_score = all_scores(index, query, 4)
     scores = every_score[np.searchsorted(every_row, rows)]
@@ -706,7 +775,6 @@ class TestPrefixIndexEquivalence:
                 titles=full.titles,
                 matrix=full.matrix[:, :m].copy(),
                 dims=prefix_dims,
-                degenerate=full.degenerate,
             )
             q_full = query_from(query_values, dims)
             q_trunc = query_from(query_values[:m], prefix_dims)
@@ -775,15 +843,13 @@ def candidate_cases(draw):
         matrix[r, : rng.integers(1, d)] = 0.0
     for r in pick("overflowing"):
         matrix[r, rng.integers(0, d, size=3)] = 3.3e38
-    degenerate = np.zeros(count, dtype=bool)
-    degenerate[pick("degenerate")] = True
-    matrix[degenerate] = 0.0
-    clean = index_of([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims, degenerate)
+    matrix[pick("degenerate")] = 0.0
+    clean = index_of([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims)
     for r in pick("corrupt")[:2]:
         matrix[r, rng.integers(0, d)] = draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="entry")
     edges = dims.edges
     bands = [np.array(matrix[:, lo:hi]) for lo, hi in zip(edges, edges[1:])]
-    index = PrefixIndex(clean.ids, clean.titles, bands, dims, degenerate, clean._norms)
+    index = PrefixIndex(clean.ids, clean.titles, bands, dims, clean._norms)
 
     queries = []
     for _ in range(draw(st.integers(1, 40), label="panel")):
@@ -945,8 +1011,7 @@ def test_near_duplicate_cluster_that_float32_misorders_keeps_exact_hits(side):
         row[c] = np.nextafter(row[c], rng.choice([-np.inf, np.inf], size=3).astype(np.float32))
     matrix = np.concatenate([rng.normal(size=(200, 64)).astype(np.float32), cluster])
     count = matrix.shape[0]
-    index = index_of([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims,
-                     np.zeros(count, bool))
+    index = index_of([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims)
     approx = index_module._kernels.float32_prefix_dots(index.bands, unit, 64)[200:]
     exact = all_scores(index, query, 64)[1][200:]
     extreme = np.argmax if side > 0 else np.argmin
@@ -966,7 +1031,7 @@ def test_corrupt_entry_where_the_query_is_zero_still_raises(entry, degenerate_ro
     clean = random_index(np.random.default_rng(31), 50, dims, degenerate_rows=(7,))
     bands = [np.array(band) for band in clean.bands.arrays]
     bands[0][7 if degenerate_row else 20, 1] = entry
-    index = PrefixIndex(clean.ids, clean.titles, bands, dims, clean.degenerate, clean._norms)
+    index = PrefixIndex(clean.ids, clean.titles, bands, dims, clean._norms)
     values = np.random.default_rng(32).normal(size=8)
     values[1] = 0.0
     query = query_from(values, dims)

@@ -95,8 +95,7 @@ def test_band_rows_are_scored_independently(tmp_path, seed, d, data):
     size = data.draw(st.integers(1, count), label="rows")
     rows = rng.permutation(count)[:size]
     matrix = rng.normal(size=(count, d)).astype(np.float32)
-    index = index_of([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims,
-                     np.zeros(count, bool))
+    index = index_of([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims)
     save_index(index, tmp_path / "bands.idx")
     loaded = load_index(tmp_path / "bands.idx")
     query = rng.normal(size=m + 1)[1:]  # not 16-byte aligned
@@ -158,8 +157,7 @@ def test_panel_scores_depend_only_on_row_query_and_m(tmp_path, seed, d, data):
     count = data.draw(st.integers(1, 2 * _kernels._BLOCK + 10), label="count")
     rows = rng.permutation(count)[: data.draw(st.integers(1, count), label="rows")]
     matrix = rng.normal(size=(count, d)).astype(np.float32)
-    index = index_of([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims,
-                     np.zeros(count, bool))
+    index = index_of([f"d{i}" for i in range(count)], ["t"] * count, matrix, dims)
     save_index(index, tmp_path / "bands.idx")
     loaded = load_index(tmp_path / "bands.idx")
     size = data.draw(st.integers(1, 40), label="panel")
