@@ -1,16 +1,20 @@
-"""The header shared by the binary model and index files.
+"""The header shared by the binary model and index files, and how both are read.
 
 Both start (little-endian) with an 8-byte magic, a u32 format version, a few
 format-specific fixed fields, then dims_count u16 and the dims as u32 each in
-strictly descending order. `Reader` turns every short read or layout defect
-into a `FormatError` that names the kind of file. `write_atomically` is how
-both files are written.
+strictly descending order. Both files are read the same way: `map_file` maps
+the whole file read-only, and one `Reader` cursor parses that buffer from
+the start, turning every short read or layout defect into a `FormatError`
+that names the kind of file. Arrays it returns are read-only views of the
+map, so nothing is copied unless a caller converts it. `write_atomically`
+is how both files are written.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import mmap
 import os
 import struct
 
@@ -48,50 +52,50 @@ def write_atomically(path, write) -> None:
         raise
 
 
-class Reader:
-    def __init__(self, fh, kind: str):
-        self.fh = fh
-        self.kind = kind
-        self.size = os.fstat(fh.fileno()).st_size
+def map_file(path):
+    """The whole file at `path`, mapped read-only; `b""` for an empty file,
+    which cannot be mapped. The map outlives the file handle: views of it
+    hold it open."""
+    with open(path, "rb") as fh:
+        try:
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # an empty file
+            return b""
 
-    def exact(self, n: int, what: str) -> bytes:
-        # checked against the file size first, so a corrupt length field
-        # cannot ask for a huge read buffer
-        data = self.fh.read(n) if n <= self.size - self.fh.tell() else b""
-        if len(data) != n:
+
+class Reader:
+    """A bounds-checked cursor over `buf`, the bytes of a `kind` file."""
+
+    def __init__(self, buf, kind: str):
+        self.buf = buf
+        self.kind = kind
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> int:
+        """Step over the next `n` bytes, which `buf` must hold; returns the
+        offset they start at."""
+        at = self.pos
+        if n > len(self.buf) - at:
             raise FormatError(f"{self.kind} file truncated while reading {what}")
-        return data
+        self.pos += n
+        return at
 
     def array(self, dtype: str, shape: tuple, what: str) -> np.ndarray:
-        """The next bytes read straight into a new array of `shape`."""
-        n = np.dtype(dtype).itemsize * math.prod(shape)
-        # checked against the file size before allocating, as in `exact`
-        if n > self.size - self.fh.tell():
-            raise FormatError(f"{self.kind} file truncated while reading {what}")
-        array = np.empty(shape, dtype)
-        if self.fh.readinto(array.reshape(-1).view("u1")) != n:
-            raise FormatError(f"{self.kind} file truncated while reading {what}")
-        return array
-
-    def skip(self, n: int, what: str) -> int:
-        """Step over the next `n` bytes, which the file must hold; returns
-        the offset they start at."""
-        at = self.fh.tell()
-        if n > self.size - at:
-            raise FormatError(f"{self.kind} file truncated while reading {what}")
-        self.fh.seek(n, os.SEEK_CUR)
-        return at
+        """The next bytes as a read-only array of `shape`."""
+        count = math.prod(shape)
+        at = self.take(np.dtype(dtype).itemsize * count, what)
+        return np.frombuffer(self.buf, dtype, count, at).reshape(shape)
 
     def unpack(self, fmt: str, what: str) -> tuple:
         fmt = "<" + fmt
-        return struct.unpack(fmt, self.exact(struct.calcsize(fmt), what))
+        return struct.unpack_from(fmt, self.buf, self.take(struct.calcsize(fmt), what))
 
     def header(self, magic: bytes, version: int, fields: str, path, stale: str = "") -> tuple:
         """Check magic and version; returns the `fields` values that follow.
 
         `stale`, when given, is appended to the error for an older version.
         """
-        if self.exact(len(magic), "magic") != magic:
+        if self.unpack(f"{len(magic)}s", "magic")[0] != magic:
             article = "an" if self.kind[0] in "aeiou" else "a"
             raise FormatError(f"not {article} {self.kind} file: {path}")
         found, *values = self.unpack("I" + fields, "header")
@@ -112,5 +116,5 @@ class Reader:
         return dims
 
     def end(self, what: str) -> None:
-        if self.fh.read(1):
+        if self.pos != len(self.buf):
             raise FormatError(f"trailing bytes after {what}")

@@ -25,6 +25,11 @@ float32 bound pass that only picks which rows to score, then scores those
 rows exactly (`--funnel LOW:HIGH`: the bands under LOW, then the
 shortlist's rows under HIGH); every printed score is exact. A non-finite
 index vector fails the search whose pass reads it, as a full scan would.
+The index's stored norm table is trusted, not checked against its bands:
+an index file with altered norms loads and searches without an error, and
+the rows it affects silently drop out of the results or rank wrongly.
+Checking it would read every band under the search's dim, which a search
+at a small dim exists to avoid.
 
 `search` prints score_norm, the score minus the lowest similarity the search
 computed: over the whole corpus for exact search, and over the shortlist

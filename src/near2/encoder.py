@@ -32,14 +32,13 @@ corrupt row (`non_finite_embedding`). A row no text gathers is never read.
 
 from __future__ import annotations
 
-import mmap
 import re
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._binio import Reader, pack_header, write_atomically
+from ._binio import Reader, map_file, pack_header, write_atomically
 from .errors import FormatError
 from .nested import DimSet, NestedEmbedding
 
@@ -437,25 +436,23 @@ def save_model(model: EncoderModel, path) -> None:
 def load_model(path) -> EncoderModel:
     """Read a model back without reading its feature table.
 
-    The header, the sizes and the projection (widened to float64) are read
-    and checked here. The table stays a read-only float32 map of the file,
-    so a model costs its projection's bytes to load, and each table row is
-    read, and checked, only when a text gathers it (see
-    `non_finite_embedding`). The map keeps the loaded file's bytes:
-    `save_model` over the same path renames a new file into place and
+    The file is mapped and parsed in one pass: the header, the dims and the
+    seed are read and checked, the table and the projection are taken as
+    views of the map, and the file must end there. The projection is widened
+    to float64 (and checked finite by `EncoderModel`), so a model costs its
+    projection's bytes to load. The table stays a read-only float32 view of
+    the map, and each of its rows is read, and checked, only when a text
+    gathers it (see `non_finite_embedding`). The map keeps the loaded file's
+    bytes: `save_model` over the same path renames a new file into place and
     leaves the mapped one as it was.
     """
-    with open(path, "rb") as fh:
-        reader = Reader(fh, "model")
-        buckets, feature_dim, full_dim = reader.header(MODEL_MAGIC, MODEL_VERSION, "III", path)
-        dims = reader.dims(full_dim)
-        (seed,) = reader.unpack("Q", "seed")
-        table_at = reader.skip(4 * buckets * feature_dim, "feature table")
-        proj = reader.array("<f4", (feature_dim, full_dim), "projection").astype(np.float64)
-        reader.end("model parameters")
-        # the map outlives `fh`: the table holds it open
-        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    table = np.frombuffer(buf, "<f4", buckets * feature_dim, table_at).reshape(buckets, feature_dim)
+    reader = Reader(map_file(path), "model")
+    buckets, feature_dim, full_dim = reader.header(MODEL_MAGIC, MODEL_VERSION, "III", path)
+    dims = reader.dims(full_dim)
+    (seed,) = reader.unpack("Q", "seed")
+    table = reader.array("<f4", (buckets, feature_dim), "feature table")
+    proj = reader.array("<f4", (feature_dim, full_dim), "projection").astype(np.float64)
+    reader.end("model parameters")
     try:
         model = EncoderModel(
             bucket_count=buckets,

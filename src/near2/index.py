@@ -22,24 +22,28 @@ score, run `_scores` over every row for each panel `query_panels` yields.
 
 A loaded index memory-maps its bands, so a search reads from disk only the
 bands (and, for a funnel's re-rank, the shortlist rows) it scores. Loading
-validates the norm table but not the vectors: a non-finite vector entry is
-caught when a scan reads it, as a non-finite dot product, and raises
-`FormatError`. The doc table is mapped too: ids and titles are each one
-UTF-8 blob cut by offsets (`TextColumn`), checked whole at load and decoded
-a row at a time, only for the hits a search returns.
+validates the norm table's shape (finite, non-negative, non-increasing as m
+falls) but not the vectors: a non-finite vector entry is caught when a scan
+reads it, as a non-finite dot product, and raises `FormatError`. Nor is the
+norm table checked against the bands, so it is trusted: a file with altered
+norms loads, and the rows they affect silently drop out of searches (a norm
+of 0) or rank wrongly. Checking it would read every band under each m,
+which a search at a small m exists to avoid. The doc table is mapped too:
+ids and titles are each one UTF-8 blob cut by offsets (`TextColumn`),
+checked whole at load and decoded a row at a time, only for the hits a
+search returns.
 """
 
 from __future__ import annotations
 
 import contextlib
-import mmap
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from ._binio import Reader, pack_header, write_atomically
+from ._binio import Reader, map_file, pack_header, write_atomically
 from .encoder import CHUNK_TEXTS, EncoderModel, embed_bag, non_finite_embedding, tokenize_many
 from .encoder import encode  # unused here; bench/tracing.py wraps near2.index.encode
 from .errors import DataError, FormatError, NumericalError, ZeroVectorError
@@ -506,25 +510,28 @@ def _write_index(index: PrefixIndex, fh) -> None:
 def load_index(path) -> PrefixIndex:
     """Read an index back; any structural defect raises before an index exists.
 
-    The bands and the doc table stay memory-mapped; non-finite vector entries
-    are found by the scan that reads them (see `_scores`). Every id and
-    title is checked to be valid UTF-8 here, but decoded only when read.
+    The file is mapped, and one `Reader` parses its header and dims; the
+    sections after them are checked against the layout `_sections` gives
+    and taken as views of the map. The bands and the doc table stay mapped;
+    non-finite vector entries are found by the scan that reads them (see
+    `_scores`). Every id and title is checked to be valid UTF-8 here, but
+    decoded only when read. The norm table is checked to be finite,
+    non-negative and non-increasing as m falls, but not against the bands,
+    which would read them all: altered norms load, and the rows they affect
+    silently drop out of searches or rank wrongly.
     """
-    with open(path, "rb") as fh:
-        reader = Reader(fh, "index")
-        full_dim, count = reader.header(
-            INDEX_MAGIC, INDEX_VERSION, "IQ", path,
-            stale="re-run `near2 index` to rebuild it in the current format",
+    buf = map_file(path)
+    reader = Reader(buf, "index")
+    full_dim, count = reader.header(
+        INDEX_MAGIC, INDEX_VERSION, "IQ", path,
+        stale="re-run `near2 index` to rebuild it in the current format",
+    )
+    dims = reader.dims(full_dim)
+    offsets_at, offsets_length = _sections(count, dims)[0][-3]
+    if len(buf) < offsets_at + offsets_length:
+        raise FormatError(
+            "index file truncated while reading norm table, vector bands and doc table offsets"
         )
-        dims = reader.dims(full_dim)
-        header_end = fh.tell()
-        offsets_at, offsets_length = _sections(count, dims)[0][-3]
-        if reader.size < offsets_at + offsets_length:
-            raise FormatError(
-                "index file truncated while reading norm table, vector bands and doc table offsets"
-            )
-        # the map outlives `fh`: the arrays below hold it open
-        buf = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
 
     offsets = np.frombuffer(buf, "<u8", 2 * (count + 1), offsets_at).reshape(2, count + 1)
     if not (np.all(offsets[:, 0] == 0) and np.all(offsets[:, 1:] >= offsets[:, :-1])):
@@ -544,7 +551,7 @@ def load_index(path) -> PrefixIndex:
             else "trailing bytes after doc table"
         )
 
-    gaps = zip([header_end] + [offset + length for offset, length in sections],
+    gaps = zip([reader.pos] + [offset + length for offset, length in sections],
                [offset for offset, _ in sections])
     for start, stop in gaps:
         if buf[start:stop].strip(b"\0"):

@@ -7,9 +7,12 @@ schedule fine-tunes with both losses at the full dimension first, then
 continues with the nested composite. Optimizer state is reset at each phase
 boundary, and every bit of the run is determined by (data, config, seed).
 
-Every step makes one `multitask_step_loss` call on the `StepBatch` roles its
-phase's task reads (`TASK_ROLES`): "mnrl" passes no pairs, "ocl" no queries
-and contrastive weight 1, "multitask" both and weight `lambda_ocl`.
+`SCHEDULE_PHASES` alone says what each phase trains: the hinge over each
+query's positives and negatives (`Phase.ranking`), the online contrastive
+loss over labelled pairs (`Phase.pairs`), or both. Every step makes one
+`multitask_step_loss` call on the `StepBatch` roles its phase trains, with
+contrastive weight 1 for a pairs-only phase and `lambda_ocl` for one that
+trains both; only records some phase's loss reads must have features.
 
 Within a phase of T steps the learning rate warms up linearly over the first
 w = ceil(T/10) steps and then decays linearly (`warmup_linear`), and each
@@ -68,8 +71,6 @@ from .losses import (
 from .metrics import (DEFAULT_CORPUS_CAP, DEFAULT_KS, MetricsReport, delta_report, format_delta,
                       sequential_evaluate)
 from .nested import DimSet
-
-SCHEDULES = ("mnrl", "ocl", "mnrl+ocl", "mrl-first")
 
 # Per-query negative cap; bounds the P*N hinge term count per step.
 MAX_NEGATIVES_PER_QUERY = 8
@@ -152,40 +153,31 @@ class StepBatch:
             self.labels.append(label)
 
 
-# The StepBatch roles each task's loss reads.
-TASK_ROLES = {
-    "mnrl": ("queries", "positives", "negatives"),
-    "ocl": ("lefts", "rights", "labels"),
-    "multitask": ("queries", "positives", "negatives", "lefts", "rights", "labels"),
-}
-
-
 @dataclass(frozen=True)
 class Phase:
-    """One stage of a schedule: which loss, and whether it is nested."""
+    """One stage of a schedule: which losses it trains, and whether nested.
 
-    name: str
-    task: str  # a TASK_ROLES key
+    `ranking` trains the hinge over each query's positives and negatives,
+    `pairs` the online contrastive loss over labelled pairs.
+    """
+
+    name: str  # recorded in every history row
+    ranking: bool
+    pairs: bool
     nested: bool
 
 
-def schedule_phases(schedule: str) -> tuple[Phase, ...]:
-    """The ordered phases of each named schedule.
-
-    The first three fine-tune with an IR loss at the full dimension, then
-    continue with the nested composite of the same loss; "mrl-first" trains
-    the nested ranking composite first and then both plain losses, the order
-    the ablation study found to underperform.
-    """
-    if schedule == "mnrl":
-        return (Phase("mnrl", "mnrl", False), Phase("near2", "mnrl", True))
-    if schedule == "ocl":
-        return (Phase("ocl", "ocl", False), Phase("near2", "ocl", True))
-    if schedule == "mnrl+ocl":
-        return (Phase("mnrl+ocl", "multitask", False), Phase("near2", "multitask", True))
-    if schedule == "mrl-first":
-        return (Phase("mrl", "mnrl", True), Phase("mnrl+ocl", "multitask", False))
-    raise ValueError(f"unknown schedule {schedule!r}")
+# The ordered phases of each named schedule. The first three fine-tune with
+# an IR loss at the full dimension, then continue with the nested composite
+# of the same loss; "mrl-first" trains the nested ranking composite first and
+# then both plain losses, the order the ablation study found to underperform.
+SCHEDULE_PHASES = {
+    "mnrl": (Phase("mnrl", True, False, False), Phase("near2", True, False, True)),
+    "ocl": (Phase("ocl", False, True, False), Phase("near2", False, True, True)),
+    "mnrl+ocl": (Phase("mnrl+ocl", True, True, False), Phase("near2", True, True, True)),
+    "mrl-first": (Phase("mrl", True, False, True), Phase("mnrl+ocl", True, True, False)),
+}
+SCHEDULES = tuple(SCHEDULE_PHASES)
 
 
 # --- batching -------------------------------------------------------------------
@@ -425,15 +417,18 @@ def _epoch_seed(seed: int, phase_index: int, epoch: int) -> int:
 
 
 def _pair_weight(phase: Phase, config: TrainConfig) -> float:
-    # "mnrl" has no pairs, and its weight 0 raises no empty-pair warning
-    return {"mnrl": 0.0, "ocl": 1.0}.get(phase.task, config.lambda_ocl)
+    # a phase without pairs has weight 0, which raises no empty-pair warning
+    return (config.lambda_ocl if phase.ranking else 1.0) if phase.pairs else 0.0
 
 
-def _check_features(records: list[RelevanceRecord], bags, reads_pairs: bool) -> None:
+def _check_features(
+    records: list[RelevanceRecord], bags, reads_ranking: bool, reads_pairs: bool
+) -> None:
     """Raise `DataError` naming and counting the records a loss reads whose
-    query or title has an empty feature bag (a zero row has no cosine): those
-    graded off 3 of a query with both sides, and the labelled ones if `reads_pairs`."""
-    ranked = {r.qid for r in records if r.grade > RELEVANT_ABOVE}
+    query or title has an empty feature bag (a zero row has no cosine): if
+    `reads_ranking`, those graded off 3 of a query with both sides, and if
+    `reads_pairs`, the labelled ones."""
+    ranked = {r.qid for r in records if r.grade > RELEVANT_ABOVE} if reads_ranking else set()
     ranked &= {r.qid for r in records if r.grade < RELEVANT_ABOVE}
     bad = [
         r for r in records
@@ -452,9 +447,13 @@ def _step_loss(model, bags, batch: StepBatch, phase: Phase, dims: DimSet, config
     """Loss output, and the step's distinct feature bags, one per pooled row of
     the loss gradient. Each text is pooled once and its gradient row sums all
     its occurrences (exact, since backward is linear in that row)."""
-    if phase.task == "ocl" and not batch.labels:  # nothing to train on
+    if not phase.ranking and not batch.labels:  # nothing to train on
         return None, []
-    roles = {name: getattr(batch, name) for name in TASK_ROLES[phase.task]}
+    roles = {}
+    if phase.ranking:
+        roles.update(queries=batch.queries, positives=batch.positives, negatives=batch.negatives)
+    if phase.pairs:
+        roles.update(lefts=batch.lefts, rights=batch.rights, labels=batch.labels)
     # from_texts pools each distinct text once, in row order; a pooled row
     # that overflows warns nothing, as LossBatch refuses non-finite rows
     with np.errstate(over="ignore", invalid="ignore"):
@@ -495,8 +494,9 @@ def train(
         )
     history = TrainHistory()
     bags = feature_bags((s for r in records for s in (r.query, r.title)), model.bucket_count)
-    phases = schedule_phases(config.schedule)
-    _check_features(records, bags, any(_pair_weight(p, config) > 0 for p in phases))
+    phases = SCHEDULE_PHASES[config.schedule]
+    _check_features(records, bags, any(p.ranking for p in phases),
+                    any(_pair_weight(p, config) > 0 for p in phases))
     # np.zeros maps untouched zero pages: rows no step reads are never written
     grad_table = np.zeros(model.feature_table.shape)  # all zeros between steps
     global_step = 0

@@ -399,6 +399,35 @@ def test_model_with_other_dims_than_the_index_exits_two(workspace, tmp_path, dim
     assert proc.stdout == ""
 
 
+# The workspace model: a 38-byte header, the seed, a 128 x 8 table, an 8 x 16
+# projection; the workspace index: a 24-byte header, then its three dims.
+@pytest.mark.parametrize("flag, edit, message", [
+    ("--model", lambda data: b"", "model file truncated while reading magic"),
+    ("--model", lambda data: data[: 38 + 4], "model file truncated while reading seed"),
+    ("--model", lambda data: data[: 46 + 4 * 128 * 8 // 2],
+     "model file truncated while reading feature table"),
+    ("--model", lambda data: data[:-3], "model file truncated while reading projection"),
+    ("--model", lambda data: data + b"x", "trailing bytes after model parameters"),
+    ("--index", lambda data: b"", "index file truncated while reading magic"),
+    ("--index", lambda data: data[:15], "index file truncated while reading header"),
+    ("--index", lambda data: data[:30], "index file truncated while reading dims"),
+    ("--index", lambda data: data + b"\x00", "trailing bytes after doc table"),
+], ids=["model-empty", "model-cut-in-seed", "model-cut-in-table", "model-cut-in-projection",
+        "model-trailing-byte", "index-empty", "index-cut-in-header", "index-cut-in-dims",
+        "index-trailing-byte"])
+def test_cut_or_extended_file_exits_two_naming_the_field(workspace, tmp_path, capsys,
+                                                         flag, edit, message):
+    files = {"--model": workspace["model"], "--index": workspace["index"]}
+    path = tmp_path / "bad"
+    path.write_bytes(edit(files[flag].read_bytes()))
+    files[flag] = path
+    code = main(["search", "--query", "plants", *(str(x) for item in files.items() for x in item)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"near2: data error: {message}\n"
+    assert captured.out == ""
+
+
 def test_version_1_index_exits_two_naming_near2_index(workspace, tmp_path):
     data = bytearray(workspace["index"].read_bytes())
     data[8:12] = (1).to_bytes(4, "little")  # the version field

@@ -432,15 +432,6 @@ class TestPersistence:
         with pytest.raises(FormatError, match="not a model file"):
             load_model(path)
 
-    def test_truncation(self, tmp_path):
-        model = tiny_model()
-        path = tmp_path / "model.bin"
-        save_model(model, path)
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(FormatError, match="truncated"):
-            load_model(path)
-
     @pytest.mark.parametrize("dims", [(16, 4, 8), (16, 8, 0), (16, 16, 4)])
     def test_bad_dims_list_is_format_error(self, tmp_path, dims):
         path = tmp_path / "model.bin"
@@ -527,13 +518,21 @@ class TestPersistence:
         with pytest.raises(ValueError, match=message):
             EncoderModel(b, h, model.dims, 0, np.zeros((b, h)), np.zeros((h, d)))
 
-    def test_trailing_garbage(self, tmp_path):
-        model = tiny_model()
+    # tiny_model's file: a 38-byte header, the seed, a 64 x 8 table, an 8 x 16 projection
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: b"", "model file truncated while reading magic"),
+        (lambda data: data[: 38 + 4], "model file truncated while reading seed"),
+        (lambda data: data[: 46 + 4 * 64 * 8 // 2], "model file truncated while reading feature table"),
+        (lambda data: data[:-3], "model file truncated while reading projection"),
+        (lambda data: data + b"x", "trailing bytes after model parameters"),
+    ], ids=["empty", "cut-in-seed", "cut-in-table", "cut-in-projection", "trailing-byte"])
+    def test_cut_or_extended_file_is_format_error(self, tmp_path, edit, message):
         path = tmp_path / "model.bin"
-        save_model(model, path)
-        path.write_bytes(path.read_bytes() + b"x")
-        with pytest.raises(FormatError, match="trailing"):
+        save_model(tiny_model(), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_model(path)
+
 
 
 @pytest.fixture(scope="module")

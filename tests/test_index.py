@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 from dataclasses import replace
 
@@ -435,18 +436,6 @@ class TestPersistence:
         vectors = pad(pad(pad(pad(header) + norms) + band) + band)
         assert path.stat().st_size == pad(pad(vectors + offsets) + ids) + titles
 
-    def test_truncated_matrix_is_format_error(self, tmp_path):
-        rng = np.random.default_rng(14)
-        index = random_index(rng, 9, DimSet((8,)))
-        path = tmp_path / "corpus.idx"
-        save_index(index, path)
-        data = path.read_bytes()
-        # the header (30 bytes) padded to 64, the 9 x 1 norm table padded
-        # to 192, then half of the one 9 x 8 band
-        path.write_bytes(data[: 192 + 9 * 8 * 2])  # mid-band
-        with pytest.raises(FormatError, match="truncated"):
-            load_index(path)
-
     @pytest.mark.parametrize("dims", [(8, 4, 6), (8, 4, 0), (8, 8, 4)])
     def test_bad_dims_list_is_format_error(self, tmp_path, dims):
         rng = np.random.default_rng(17)
@@ -581,11 +570,22 @@ class TestPersistence:
         with pytest.raises(FormatError, match=message):
             load_index(path)
 
-    def test_trailing_bytes_after_doc_table(self, tmp_path):
+    # a one-dim index of 5 rows: magic, version, D and count (24 bytes), the
+    # dims count and the one dim (30 bytes, padded to 64), the 5 x 1 norm
+    # table (padded to 128), then the one 5 x 8 band
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: b"", "index file truncated while reading magic"),
+        (lambda data: data[:15], "index file truncated while reading header"),
+        (lambda data: data[:28], "index file truncated while reading dims"),
+        (lambda data: data[: 128 + 5 * 8 * 2], "index file truncated while reading "
+                                                "norm table, vector bands and doc table offsets"),
+        (lambda data: data + b"\x00", "trailing bytes after doc table"),
+    ], ids=["empty", "cut-in-header", "cut-in-dims", "cut-in-band", "trailing-byte"])
+    def test_cut_or_extended_file_is_format_error(self, tmp_path, edit, message):
         path = tmp_path / "corpus.idx"
         save_index(random_index(np.random.default_rng(20), 5, DimSet((8,))), path)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(FormatError, match="trailing bytes"):
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_index(path)
 
 

@@ -23,14 +23,15 @@ from near2.trainer import (
     ADAM_EPS,
     ADAMW_BLOCK,
     MAX_GRAD_NORM,
+    SCHEDULE_PHASES,
     SCHEDULES,
     WEIGHT_DECAY,
     OptimizerState,
+    Phase,
     TrainConfig,
     adamw_step,
     build_batches,
     run_ablation,
-    schedule_phases,
     train,
     warmup_linear,
 )
@@ -387,12 +388,22 @@ class TestSchedules:
         assert set(SCHEDULES) == {"mnrl", "ocl", "mnrl+ocl", "mrl-first"}
 
     def test_phase_structure(self):
-        phases = schedule_phases("mrl-first")
+        phases = SCHEDULE_PHASES["mrl-first"]
         assert [p.name for p in phases] == ["mrl", "mnrl+ocl"]
         assert phases[0].nested and not phases[1].nested
-        phases = schedule_phases("mnrl+ocl")
+        phases = SCHEDULE_PHASES["mnrl+ocl"]
         assert [p.name for p in phases] == ["mnrl+ocl", "near2"]
         assert not phases[0].nested and phases[1].nested
+
+    def test_schedule_table(self):
+        # Phase(name, ranking, pairs, nested)
+        assert SCHEDULES == ("mnrl", "ocl", "mnrl+ocl", "mrl-first")
+        assert SCHEDULE_PHASES == {
+            "mnrl": (Phase("mnrl", True, False, False), Phase("near2", True, False, True)),
+            "ocl": (Phase("ocl", False, True, False), Phase("near2", False, True, True)),
+            "mnrl+ocl": (Phase("mnrl+ocl", True, True, False), Phase("near2", True, True, True)),
+            "mrl-first": (Phase("mrl", True, False, True), Phase("mnrl+ocl", True, True, False)),
+        }
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError):
@@ -651,12 +662,12 @@ class TestTrain:
         assert kinds == {"step", "validation"}
 
 
-def with_featureless_title(records, pick):
+def with_featureless_title(records, pick, **changes):
     """`records` with the title of the first record `pick` accepts made
-    featureless, and that record."""
+    featureless, and `changes` made to it, and that record."""
     i = next(i for i, r in enumerate(records) if pick(r))
     records = list(records)
-    records[i] = replace(records[i], title="!!! ---")
+    records[i] = replace(records[i], title="!!! ---", **changes)
     return records, records[i]
 
 
@@ -675,16 +686,24 @@ class TestFeaturelessTexts:
         with pytest.raises(DataError, match=r"^2 training record\(s\) .*" + re.escape(tail) + "$"):
             train(tiny_model(config), train_recs, config)
 
-    @pytest.mark.parametrize("schedule, lambda_ocl", [("mnrl", 1.0), ("mnrl+ocl", 0.0)])
-    def test_featureless_text_no_loss_reads_is_accepted(self, schedule, lambda_ocl):
-        # a grade-3 record feeds only the contrastive loss, which neither run reads
+    @pytest.mark.parametrize("schedule, lambda_ocl, pick, changes, refused_by", [
+        ("mnrl", 1.0, lambda r: r.grade == 3, {}, "ocl"),
+        ("mnrl+ocl", 0.0, lambda r: r.grade == 3, {}, "ocl"),
+        ("ocl", 1.0, lambda r: r.grade > 3, {"central": None}, "mnrl"),
+    ], ids=["mnrl-grade-3", "mnrl+ocl-unweighted-grade-3", "ocl-unlabelled-positive"])
+    def test_featureless_text_no_loss_reads_is_accepted(
+        self, schedule, lambda_ocl, pick, changes, refused_by
+    ):
+        # a grade-3 record feeds only the contrastive loss, which neither
+        # ranking run reads; an unlabelled positive feeds only the hinge,
+        # which no "ocl" phase trains
         config = tiny_config(schedule=schedule, lambda_ocl=lambda_ocl)
         train_recs, _, _ = small_dataset()
-        train_recs, _ = with_featureless_title(train_recs, lambda r: r.grade == 3)
+        train_recs, _ = with_featureless_title(train_recs, pick, **changes)
         _, history = train(tiny_model(config), train_recs, config)
         assert history.steps
         with pytest.raises(DataError, match=r"^1 training record\(s\)"):
-            train(tiny_model(config), train_recs, replace(config, schedule="ocl"))
+            train(tiny_model(config), train_recs, replace(config, schedule=refused_by))
 
 
 class TestAblation:
