@@ -17,13 +17,20 @@ bands under its m. Within a band each (row, query) pair is reduced by
 alone.
 
 Every query is scored as a panel, a (q, m) block that one pass over the
-rows scores together; a single query is a panel of one. Evaluation and
-histograms score their judged queries in panels of many. Each block of
-`_BLOCK` rows is cast to float64 once, and `einsum("ij,qj->iq")` reduces
-every query of the panel against that copy, a contiguous sum over a row's
-entries whose order does not depend on q. A float32 entry widens exactly, so
-a (row, query) score has the same bits in a panel of any size, and the panel
-saves the widening of each entry for every query but the first.
+rows scores together; a single query is a panel of one. Histograms score
+their judged queries in panels of many. Each block of `_BLOCK` rows is cast
+to float64 once, and `einsum("ij,qj->iq")` reduces every query of the panel
+against that copy, a contiguous sum over a row's entries whose order does
+not depend on q. A float32 entry widens exactly, so a (row, query) score has
+the same bits in a panel of any size, and the panel saves the widening of
+each entry for every query but the first.
+
+Evaluation scores only chosen (row, query) pairs of a panel, each query's
+own candidates, in one call: the pair mode of `prefix_dot_products`. Each
+block of `_BLOCK` pairs gathers its rows, cast to float64, and its queries,
+and `einsum("ij,ij->i")` reduces each pair over the row's own entries, band
+by band in band order, the same contiguous sum as above; so a pair has the
+bits of its (row, query) entry in a whole panel's scan.
 
 BLAS (`@`, `dot`, `matmul`) never produces a score. It groups rows and
 splits the reduction by the shape of the call: with OpenBLAS 0.3.31 on one
@@ -33,13 +40,17 @@ differed from 1000) and between a one-query gemv and a gemm, and no BLAS
 product had the bits of the einsum sums. A row's bits would then depend on
 its neighbours. BLAS appears only in `float32_prefix_dots`, a bound pass
 whose results carry a certified error bound (`float32_cosine_slack`) and
-serve only to choose which rows the exact kernel scores.
+serve only to choose which rows the exact kernel scores. It multiplies the
+whole panel by each band at once into a query-major (q, count) array, so
+that a caller picks each query's candidates along one contiguous row; the
+bound holds in any orientation of the call.
 """
 
 import numpy as np
 
-# Rows per block when rows are gathered by a selection or cast for a panel.
-# Blocking bounds those copies (a 256-column band's float64 block is 512 KiB);
+# Rows (or pairs) per block when rows are gathered by a selection or cast for
+# a panel, and pairs' queries gathered. Blocking bounds those copies (a
+# 256-column band's float64 block is 512 KiB);
 # it cannot change a result because every (row, query) pair is reduced on
 # its own.
 _BLOCK = 256
@@ -77,32 +88,41 @@ def _band_sum(parts, reduce_band):
     return out
 
 
-def prefix_dot_products(matrix, query, m, row_indices=None):
+def prefix_dot_products(matrix, query, m, row_indices=None, query_indices=None):
     """float64 dot of each (selected) row's first m entries with each query.
 
     `matrix` is a (count, D) float32 array or `Bands`; `query` is a float64
     vector of length m, giving one dot per row, or a (q, m) panel, giving a
     (rows, q) array whose column j holds query j's dots. `row_indices` is an
-    optional int64 selection evaluated in the given order.
+    optional int64 selection evaluated in the given order. Given
+    `query_indices` as well, of the same length, the two are pairs into the
+    rows and the panel, and the result is one dot per pair: row
+    row_indices[i] with query query_indices[i], the same bits as entry
+    [row_indices[i], query_indices[i]] of the whole (count, q) array.
     """
     query = np.ascontiguousarray(query, dtype=np.float64)
     panel = query.reshape(-1, m)
-    parts = _prefix_parts(matrix, m)
-
-    def dots(rows):
-        def band_dots(band, start, width):
-            block = band[rows, :width].astype(np.float64)
-            return np.einsum("ij,qj->iq", block, panel[:, start : start + width])
-
-        return _band_sum(parts, band_dots)
-
     count = matrix.shape[0] if row_indices is None else len(row_indices)
-    out = np.empty((count, panel.shape[0]))
-    for start in range(0, count, _BLOCK):
-        stop = min(start + _BLOCK, count)
-        rows = slice(start, stop) if row_indices is None else row_indices[start:stop]
-        out[start:stop] = dots(rows)
-    return out if query.ndim == 2 else out[:, 0]
+    out = np.empty(count if query_indices is not None else (count, panel.shape[0]))
+    # band by band, each adding its block results into `out` in band order
+    for band, start, width in _prefix_parts(matrix, m):
+        columns = panel[:, start : start + width]
+        if query_indices is not None:
+            # contiguous, so that a block's queries gather as whole rows
+            columns = np.ascontiguousarray(columns)
+        for lo in range(0, count, _BLOCK):
+            hi = min(lo + _BLOCK, count)
+            rows = slice(lo, hi) if row_indices is None else row_indices[lo:hi]
+            block = band[rows, :width].astype(np.float64)
+            if query_indices is None:
+                dots = np.einsum("ij,qj->iq", block, columns)
+            else:
+                dots = np.einsum("ij,ij->i", block, np.take(columns, query_indices[lo:hi], axis=0))
+            if start == 0:
+                out[lo:hi] = dots
+            else:
+                out[lo:hi] += dots
+    return out if query.ndim == 2 or query_indices is not None else out[:, 0]
 
 
 def prefix_sq_norms(matrix, m):
@@ -119,19 +139,22 @@ def float32_prefix_dots(matrix, query, m):
 
     Same arguments and result shape as `prefix_dot_products` without a row
     selection. The query is rounded to float32 and each band under m is
-    multiplied in float32 by BLAS, one gemm with the panel (a panel of one
-    for a vector); the per-band results are added in float64. The bits
-    depend on the shape of the call, so a result is never a score: it is
-    within `float32_cosine_slack` of the exact one, and no more is promised.
+    multiplied in float32 by BLAS, one gemm of the panel (a panel of one for
+    a vector) with the band; the per-band results are added in float64 into
+    a query-major (q, count) array, and a panel's (count, q) result is its
+    transpose, a view. So `.T` of the result gives each query's row of
+    approximate dots contiguously. The bits depend on the shape of the call,
+    so a result is never a score: it is within `float32_cosine_slack` of the
+    exact one, and no more is promised.
     """
     panel = np.asarray(query, dtype=np.float32).reshape(-1, m)
-    out = np.zeros((matrix.shape[0], panel.shape[0]))
+    out = np.zeros((panel.shape[0], matrix.shape[0]))
     # a non-finite or overflowing row gives a non-finite dot, which callers
     # look for; it warns nothing
     with np.errstate(over="ignore", invalid="ignore"):
         for band, start, width in _prefix_parts(matrix, m):
-            out += band[:, :width] @ panel[:, start : start + width].T
-    return out if np.ndim(query) == 2 else out[:, 0]
+            out += panel[:, start : start + width] @ band[:, :width].T
+    return out.T if np.ndim(query) == 2 else out[0]
 
 
 def float32_cosine_slack(matrix, m, min_norm):
@@ -166,6 +189,11 @@ def float32_cosine_slack(matrix, m, min_norm):
     The absolute term is taken as m 2^-125 / N instead, which also covers
     processors that flush subnormal values to zero (an error of up to
     2^-126 per product); for N above 1e-12 and m = 768 it is below 1e-22.
+
+    Nothing here depends on how the products are summed or grouped: not
+    the summation order, not how BLAS blocks the rows, the queries or the
+    reduction, and not whether the call is oriented band x panel or
+    panel x band. Only the widest band part read, w, enters the bound.
     """
     width = max(width for _, _, width in _prefix_parts(matrix, m))
     unit = width * 2.0**-24

@@ -184,9 +184,11 @@ def sequential_evaluate(
     For each prefix dimension m the evaluator ranks the top k of every query
     exactly as `search_exact` would, and averages precision/recall/NDCG/MRR
     at each cutoff. The queries go through `top_k` in the panels
-    `query_panels` yields: one float32 bound pass over the bands per panel
-    picks each query's candidates, and the exact scorer scores only those,
-    with the bits a one-query search gives, so the report is a full scan's.
+    `query_panels` yields, each ranked in two vectorised steps: one float32
+    bound pass over the bands picks every query's candidate rows, and one
+    call of the exact scorer scores just those (query, row) pairs, with the
+    bits a one-query search gives; one sort then ranks the whole panel. So
+    the report is a full scan's.
     A query whose m-prefix has zero norm retrieves nothing at that m.
     Queries whose text embeds degenerately are skipped and counted. Every
     dimension is checked against the model's before anything is embedded.

@@ -661,6 +661,37 @@ def test_doc_table_round_trips_any_unicode(tmp_path, rows, data):
     )
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(
+    strings=st.lists(_DOC_TEXT, min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_text_column_take_reads_each_row_as_indexing_does(strings, data):
+    """`take` of any rows, negative ones included, as an array or a list,
+    gives `column[row]` for each; a row out of range raises IndexError as
+    `column[row]` does."""
+    column = index_module.TextColumn.of(strings)
+    n = len(strings)
+    rows = data.draw(st.lists(st.integers(-n, n - 1), max_size=10), label="rows")
+    want = [column[r] for r in rows]
+    assert want == [strings[r] for r in rows]
+    assert column.take(np.array(rows, dtype=np.int64)) == want
+    assert column.take(rows) == want
+    bad = data.draw(st.sampled_from([n, n + 3, -n - 1, -n - 5]), label="out of range")
+    with pytest.raises(IndexError):
+        column[bad]
+    for form in (np.array([0, bad], dtype=np.int64), [bad, 0]):
+        with pytest.raises(IndexError):
+            column.take(form)
+
+
+def test_text_column_take_counts_negative_rows_from_the_end():
+    column = index_module.TextColumn.of(["a", "bb", "ccc"])
+    assert column.take(np.array([-1])) == ["ccc"] == [column[-1]]
+    assert column.take([-3, 2, -2]) == ["a", "ccc", "bb"]
+    assert column.take([]) == []
+
 def _doc_table_index():
     # multi-byte characters on both sides of nearly every row boundary
     ids = ["é日", "日é", "😀", "éé", "", "日本", "é", "ü"]
@@ -760,6 +791,26 @@ def test_top_k_ranks_like_a_full_lexsort(levels, k, seed):
     assert got_rows.tolist() == rows[order].tolist()
     assert got_scores.tobytes() == scores[order].tobytes()
     assert low == scores.min()
+
+
+def test_top_k_ranks_a_panel_query_by_query_through_ties():
+    # rows that are copies of four vectors tie exactly; a panel, given rows
+    # (unsorted, one repeated) or not, ranks each query as a panel of that
+    # query alone does, ties toward the lower row
+    rng = np.random.default_rng(5)
+    matrix = rng.normal(size=(4, 8)).astype(np.float32)[rng.integers(0, 4, size=60)]
+    matrix[9] = 0.0
+    index = index_of([f"d{i}" for i in range(60)], ["t"] * 60, matrix, DimSet((8, 4)))
+    units = rng.normal(size=(5, 8))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    for rows in (None, np.array([40, 9, 3, 57, 3, 12, 0, 33, 21])):
+        for k in (1, 3, 10, 70):
+            panel = top_k(index, units, 8, k, rows)
+            for unit, (got_rows, got_scores, low) in zip(units, panel):
+                ((want_rows, want_scores, want_low),) = top_k(index, unit[None], 8, k, rows)
+                assert got_rows.tolist() == want_rows.tolist()
+                assert got_scores.tobytes() == want_scores.tobytes()
+                assert low.hex() == want_low.hex()
 
 
 class TestPrefixIndexEquivalence:

@@ -137,6 +137,10 @@ def test_panel_shapes():
     assert prefix_dot_products(matrix, panel, 16, [4, 2]).shape == (2, 5)
     assert prefix_dot_products(matrix, panel[:1], 16).shape == (200, 1)
     assert prefix_dot_products(matrix, panel[0], 16).shape == (200,)
+    assert prefix_dot_products(matrix, panel, 16, [4, 2, 4], [0, 3, 1]).shape == (3,)
+    assert prefix_dot_products(matrix, panel, 16, np.array([7]), np.array([4])).shape == (1,)
+    none = np.zeros(0, np.int64)
+    assert prefix_dot_products(matrix, panel, 16, none, none).shape == (0,)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -178,6 +182,37 @@ def test_panel_scores_depend_only_on_row_query_and_m(tmp_path, seed, d, data):
             assert_same_bits(prefix_dot_products(corpus, panel[j : j + 1], m)[:, 0], alone)
             assert_same_bits(prefix_dot_products(corpus, moved, m, rows)[:, at], reference[rows, j])
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.one_of(st.sampled_from([1, 7, 9, 63, 65, 129, 255, 256]), st.integers(1, 256)),
+    data=st.data(),
+)
+def test_pairs_score_like_their_entries_of_the_whole_panel(seed, d, data):
+    """Pair mode: each (row, query) pair gets the bits of entry [row, query]
+    of the whole panel's scan, for a plain matrix and for bands, with m at
+    or inside a band, pairs unsorted and repeated, none at all, or more
+    than one block of them."""
+    rng = np.random.default_rng(seed)
+    cuts = data.draw(st.sets(st.integers(1, d - 1), max_size=5), label="cuts") if d > 1 else set()
+    edges = [0, *sorted(cuts), d]
+    m = data.draw(st.integers(1, d), label="m")
+    count = data.draw(st.integers(1, 300), label="count")
+    size = data.draw(st.integers(1, 40), label="panel")
+    n = data.draw(st.one_of(
+        st.sampled_from([0, 1, _kernels._BLOCK, _kernels._BLOCK + 1]),
+        st.integers(0, 3 * _kernels._BLOCK)), label="pairs")
+    rows = rng.integers(0, count, size=n)
+    queries = rng.integers(0, size, size=n)
+    matrix = rng.normal(size=(count, d)).astype(np.float32)
+    bands = Bands([np.array(matrix[:, lo:hi]) for lo, hi in zip(edges, edges[1:])])
+    # the panel is read through an offset view, so it is not 16-byte aligned
+    panel = rng.normal(size=size * m + 1)[1:].reshape(size, m)
+
+    for corpus in (matrix, bands):
+        whole = prefix_dot_products(corpus, panel, m)
+        assert_same_bits(prefix_dot_products(corpus, panel, m, rows, queries), whole[rows, queries])
 
 def assert_same_bits(actual, expected):
     assert actual.shape == expected.shape
