@@ -15,13 +15,13 @@ query is one text, where the loop is faster than the batch set-up, and it is
 the reference the batch path is tested against.
 
 `pool` gives a bag's pooled row and `embed_bag` its raw embedding, the pooled
-row times the projection; `encode` wraps one in a `NestedEmbedding`, and
-`index.build_index` stores them. Training never projects: `feature_bags`
-tokenizes each text once per run, `pool` pools it once per step, and the
-losses work on the pooled rows and the projection (see `near2.losses`), so
-`backward` takes a gradient with respect to the step's pooled rows and only
-scatters each bag's share into a table-sized buffer the caller keeps for the
-run.
+row times the projection; `encode_bag` wraps one in a `NestedEmbedding`,
+`encode` does so for one text, and `index.build_index` stores them. Training
+never projects: `feature_bags` tokenizes each text once per run, `pool` pools
+it once per step, and the losses work on the pooled rows and the projection
+(see `near2.losses`), so `backward` takes a gradient with respect to the
+step's pooled rows and only scatters each bag's share into a slab of the
+table rows the run's texts reach, a buffer the caller keeps for the run.
 
 `load_model` memory-maps the feature table, so a loaded model reads from disk
 only the rows its texts gather, and checks each row when it is gathered, not
@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -108,6 +109,12 @@ class FeatureBag:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Each feature's float64 share of the bag, counts / total, computed
+        once per bag: `backward` reads it every step the bag trains."""
+        return self.counts.astype(np.float64) / self.total
 
 
 _EMPTY_BAG = FeatureBag(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -361,13 +368,13 @@ def non_finite_embedding(model: EncoderModel, bag: FeatureBag) -> Exception:
     return FormatError(f"model file {model.path} has non-finite feature table row {row}")
 
 
-def encode(model: EncoderModel, text: str) -> NestedEmbedding:
-    """Embed one text; an empty feature bag yields a degenerate zero embedding.
+def encode_bag(model: EncoderModel, bag: FeatureBag) -> NestedEmbedding:
+    """`encode` of the text whose bag `bag` is, for texts tokenized together.
 
-    A non-finite embedding raises `non_finite_embedding`'s error, with no
-    warning first (inf - inf in the product warns, as an overflow does).
+    An empty bag yields a degenerate zero embedding. A non-finite embedding
+    raises `non_finite_embedding`'s error, with no warning first (inf - inf
+    in the product warns, as an overflow does).
     """
-    bag = tokenize(text, model.bucket_count)
     with np.errstate(over="ignore", invalid="ignore"):
         values = embed_bag(model, bag)
     try:
@@ -376,34 +383,49 @@ def encode(model: EncoderModel, text: str) -> NestedEmbedding:
         raise non_finite_embedding(model, bag) from None
 
 
+def encode(model: EncoderModel, text: str) -> NestedEmbedding:
+    """Embed one text; an empty feature bag yields a degenerate zero embedding.
+
+    A non-finite embedding raises as `encode_bag` does.
+    """
+    return encode_bag(model, tokenize(text, model.bucket_count))
+
+
 def backward(
     model: EncoderModel,
     bags: list[FeatureBag],
     grad_pooled: np.ndarray,
-    grad_table: np.ndarray,
+    grad_slab: np.ndarray,
+    slots: list[np.ndarray],
 ) -> np.ndarray:
     """The feature-table gradient of a loss whose gradient with respect to
-    `pool(model, bags[t])` is `grad_pooled[t]`, one row per bag.
+    `pool(model, bags[t])` is `grad_pooled[t]`, one row per bag, accumulated
+    into the rows of a slab of the table.
 
     Exact chain rule: a pooled row is the count-weighted mean of its bag's
     table rows, so each bag adds its count-weighted share of its gradient row
-    to its own table rows. Buckets absent from every bag keep exactly zero
-    gradient; empty bags contribute nothing.
+    to its own table rows. Table row bags[t].ids[i] is row slots[t][i] of
+    `grad_slab`, an (n, H) array; a table-shaped slab with slots[t] =
+    bags[t].ids is the whole-table gradient. Slab rows no bag reaches keep
+    their values; empty bags contribute nothing.
 
-    The gradient accumulates into `grad_table`, an all-zero array of the
-    feature table's shape that a training run keeps and re-zeroes at the
-    bags' rows after each step, and `grad_table` is returned.
+    A training run keeps one all-zero slab of the rows its texts reach,
+    accumulates each step into it and re-zeroes it after the update, and
+    `grad_slab` is returned.
     """
     grad_pooled = np.asarray(grad_pooled, dtype=np.float64)
     if grad_pooled.shape != (len(bags), model.feature_dim):
         raise ValueError(f"pooled-row gradient must have shape ({len(bags)}, {model.feature_dim})")
-    if grad_table.shape != model.feature_table.shape:
-        raise ValueError(f"grad_table must have shape {model.feature_table.shape}")
-    for bag, row in zip(bags, grad_pooled):
+    if grad_slab.ndim != 2 or grad_slab.shape[1] != model.feature_dim:
+        raise ValueError(f"grad_slab must have shape (n, {model.feature_dim})")
+    if len(slots) != len(bags):
+        raise ValueError(f"need one slot array per bag, got {len(slots)} for {len(bags)} bags")
+    # one buffer for every bag's share, instead of a fresh array per bag
+    share = np.empty((max(map(len, bags), default=0), model.feature_dim))
+    for bag, slot, row in zip(bags, slots, grad_pooled):
         if len(bag):
-            weights = bag.counts.astype(np.float64) / bag.total
-            grad_table[bag.ids] += weights[:, None] * row[None, :]
-    return grad_table
+            grad_slab[slot] += np.multiply(bag.weights[:, None], row, out=share[: len(bag)])
+    return grad_slab
 
 
 # --- persistence ----------------------------------------------------------------

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import JudgmentsSplit, QueryJudgment, RelevanceRecord, split_judgments
-from .encoder import EncoderModel, encode
+from .encoder import EncoderModel, encode_bag, feature_bags
+from .encoder import encode  # unused here; bench/tracing.py wraps near2.metrics.encode
 from .errors import DataError, ZeroVectorError
 from .index import PrefixIndex, _scores, build_index, query_panels, top_k
 from .index import search_exact  # unused here; bench/tracing.py wraps near2.metrics.search_exact
@@ -155,15 +156,18 @@ def judged_queries(
     """The set-up every evaluation over a test set shares.
 
     Splits the records into judged queries and a corpus, indexes the capped
-    corpus and embeds each distinct judged query once. Returns the index, the
-    (judgment, embedding) pairs in judged order, and how many judged queries
-    were skipped because their text embeds degenerately.
+    corpus and embeds each distinct judged query once; one `feature_bags`
+    call tokenizes them all, and each embedding is `encode`'s of its text.
+    Returns the index, the (judgment, embedding) pairs in judged order, and
+    how many judged queries were skipped because their text embeds
+    degenerately.
     """
     split = split_judgments(records)
     if not split.judged:
         raise DataError("no judged queries: every query lacks a grade > 3 title")
     index = build_index(model, capped_corpus(split, corpus_cap, seed))
-    embeddings = {q: encode(model, q) for q in dict.fromkeys(j.query for j in split.judged)}
+    bags = feature_bags((j.query for j in split.judged), model.bucket_count)
+    embeddings = {q: encode_bag(model, bag) for q, bag in bags.items()}
     usable = [(j, embeddings[j.query]) for j in split.judged if not embeddings[j.query].degenerate]
     if not usable:
         raise DataError("every judged query embeds degenerately")

@@ -5,7 +5,7 @@ with its own loss (hinge ranking, online contrastive, or both) either at the
 full dimension only or composed across every nested dimension. The flagship
 schedule fine-tunes with both losses at the full dimension first, then
 continues with the nested composite. Optimizer state is reset at each phase
-boundary, and every bit of the run is determined by (data, config, seed).
+boundary.
 
 `SCHEDULE_PHASES` alone says what each phase trains: the hinge over each
 query's positives and negatives (`Phase.ranking`), the online contrastive
@@ -21,24 +21,31 @@ Each step pools every distinct text once, tokenized once per run, into one
 row of the step's `LossBatch`, and never projects it: the losses read the
 pooled rows and the projection, and return the gradients with respect to
 both (see `near2.losses`). A text without features, a zero row, has no
-cosine, so it is refused before the first step. `backward` scatters the
-pooled-row gradient into the feature-table gradient, which accumulates into
-one buffer per `train` call, re-zeroed after each update.
+cosine, so it is refused before the first step.
+
+Training reads only the feature-table rows of its texts' bags. `train` takes
+their sorted union once per run, the slab rows, and maps each bag's ids to
+their rows in it once. `backward` scatters the pooled-row gradient into one
+gradient slab of those rows, re-zeroed after each update, and each phase's
+table moments are slabs of the same rows. `adamw_step` gathers and scatters
+only the slab's parameter rows and reads the slab gradient and moments in
+place; every other table row has no gradient and no moments, and only
+decays (decoupled weight decay, Loshchilov & Hutter, arXiv 1711.05101). A
+slab row no step of the phase has reached yet has zero gradient and zero
+moments, and its full update is that same decay: every other term is
+0 / (sqrt(0) + eps) = 0, and p - 0.0 == p. So no buffer the size of the
+table is made, and every parameter and moment bit is the whole-table
+update's for a given clip factor.
 
 `adamw_step` takes only the learning rate; the betas, epsilon, weight decay
-and clip norm are module constants. It also takes, per parameter, the rows
-that get the full update: `train` lists the feature-table rows the current
-phase has touched, a mask that resets with the optimizer state at each phase
-boundary and only grows within a phase. A row no step of the phase has
-touched has zero gradient and zero moments, and the whole-array update would
-only decay it (decoupled weight decay, Loshchilov & Hutter, arXiv 1711.05101:
-every other term is 0 / (sqrt(0) + eps) = 0, and p - 0.0 == p). So each
-parameter gets one blocked decay pass over all its entries and one update
-pass over the listed rows, gathered and scattered back in blocks of about
-`ADAMW_BLOCK` entries. The clip scaling, both moment updates and the
-bias-corrected step are the same elementwise operations in the same order as
-the plain whole-array update, so every bit matches it, while a step reads the
-untouched ~90 % of the table only to decay it.
+and clip norm are module constants. The clip norm, `global_norm`, sums each
+gradient row's squares with numpy's pairwise sum and adds the row sums
+exactly with `math.fsum`. It uses no BLAS, whose dot product splits its sum
+across threads, and it depends neither on zero rows nor on the order of the
+rows, so a slab gives the whole-table gradient's norm. Every bit of a run is
+determined by (data, config, seed), whatever the BLAS thread count: a run
+under one OpenBLAS thread and under two records the same step rows and
+saves the same model bytes.
 """
 
 from __future__ import annotations
@@ -84,10 +91,11 @@ ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01
 
 # Entries per block of adamw_step's passes: a block of the parameter, its
-# gradient, both moments and the two scratch buffers (6 x 64 KiB of float64)
-# stay well within a 2 MiB L2 cache. Blocks of 32K entries ran no faster, and
-# their four gather buffers raised the peak RSS of `near2 train` by ~1 MiB.
-ADAMW_BLOCK = 8 * 1024
+# gradient, both moments and the three scratch buffers (7 x 128 KiB of
+# float64) stay within a 2 MiB L2 cache. On a 2^15 x 128 table with a
+# 3,487-row slab, a step took 14.1 ms against 15.5 ms with 8K-entry blocks,
+# and 32K or 64K entries ran no faster.
+ADAMW_BLOCK = 16 * 1024
 
 
 @dataclass(frozen=True)
@@ -236,17 +244,64 @@ def build_batches(
 
 @dataclass
 class OptimizerState:
+    """AdamW's step count and per-parameter moments.
+
+    A parameter named in `rows` (as `adamw_step` takes it) keeps its moments
+    shaped like its gradient slab, one row per listed row; any other keeps
+    them shaped like the parameter.
+    """
+
     step: int
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
 
     @classmethod
-    def zeros(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
+    def zeros(
+        cls, params: dict[str, np.ndarray], rows: dict[str, np.ndarray] | None = None
+    ) -> "OptimizerState":
+        rows = rows or {}
+        shapes = {
+            k: (len(rows[k]), *v.shape[1:]) if k in rows else v.shape for k, v in params.items()
+        }
         return cls(
             step=0,
-            first_moment={k: np.zeros(v.shape, v.dtype) for k, v in params.items()},
-            second_moment={k: np.zeros(v.shape, v.dtype) for k, v in params.items()},
+            first_moment={k: np.zeros(shapes[k], v.dtype) for k, v in params.items()},
+            second_moment={k: np.zeros(shapes[k], v.dtype) for k, v in params.items()},
         )
+
+
+def _row_view(a: np.ndarray) -> np.ndarray:
+    """`a` as a 2-D view, one row per first-axis slice, even with no rows."""
+    return a.reshape(len(a), math.prod(a.shape[1:]), copy=False)
+
+
+def global_norm(grads: dict[str, np.ndarray]) -> float:
+    """The L2 norm of every gradient entry together, free of BLAS and of order.
+
+    Each gradient row (first-axis slice) is squared and summed with
+    `np.add.reduce`, numpy's pairwise sum, and `math.fsum` adds the row sums
+    of every gradient exactly before the one rounding. So the norm does not
+    depend on BLAS threads, on zero rows, or on the order of the rows: a
+    gradient slab and the table-shaped gradient it stands for give the same
+    bits. Finite entries whose squares overflow give an infinite norm, as
+    does an intermediate overflow of the exact sum.
+    """
+    row_sums: list[float] = []
+    with np.errstate(over="ignore"):
+        for g in grads.values():
+            rows = _row_view(g)
+            # squared a block of rows at a time into one buffer: a fresh
+            # slab-sized array per step cost more than the squaring
+            per_block = max(1, ADAMW_BLOCK // max(rows.shape[1], 1))
+            squares = np.empty((min(per_block, len(rows)), rows.shape[1]))
+            for start in range(0, len(rows), per_block):
+                block = rows[start : start + per_block]
+                np.multiply(block, block, out=squares[: len(block)])
+                row_sums.extend(np.add.reduce(squares[: len(block)], axis=1).tolist())
+    try:
+        return math.sqrt(math.fsum(row_sums))
+    except OverflowError:
+        return math.inf
 
 
 def adamw_step(
@@ -260,30 +315,43 @@ def adamw_step(
 
     The betas, epsilon and weight decay are `ADAM_BETA1`, `ADAM_BETA2`,
     `ADAM_EPS` and `WEIGHT_DECAY`. Returns the global L2 norm of the gradients
-    before clipping and the clip factor applied: `MAX_GRAD_NORM / norm` when
-    the norm is finite and above `MAX_GRAD_NORM`, else 1.0. Clipping scales
-    `grads` in place.
+    before clipping (`global_norm`) and the clip factor applied:
+    `MAX_GRAD_NORM / norm` when the norm is finite and above `MAX_GRAD_NORM`,
+    else 1.0. Clipping scales `grads` in place.
 
     `rows` maps a parameter's name to the sorted, distinct indices of the rows
-    (first-axis slices) that get the full update; a parameter it does not name
-    gets it on every row. An unlisted row must have zero gradient and zero
-    moments, and then only decays: the whole-array update would add
+    (first-axis slices) that get the full update. Such a parameter's gradient
+    and moments are slabs: row i of each belongs to parameter row rows[i]. A
+    parameter `rows` does not name has them shaped like itself, and every row
+    gets the full update. An unlisted row has, in effect, zero gradient and
+    zero moments, and then only decays: the whole-array update would add
     0 / (sqrt(0) + eps) = 0 to it and leave its moments at zero, and
-    p - 0.0 == p, so its bits are the same.
+    p - 0.0 == p, so its bits are the same. A listed row with zero gradient
+    and zero moments, one no step has reached yet, gets those same bits from
+    the full update.
 
     A finite norm proves every gradient entry finite, so entries are counted
     only when it is not: non-finite entries abort the step before anything is
     touched, while finite entries whose squares overflow the norm step
     unclipped. Then each parameter gets two passes over blocks of about
     `ADAMW_BLOCK` entries: decoupled weight decay of every entry from its
-    pre-step value, then, on the listed rows only, the clip scaling, both
-    moment updates and the bias-corrected step. Listed rows are gathered a
-    block at a time and scattered back, clipped gradient included. These are
-    the same elementwise operations in the same order as a whole-array update,
-    so the bits do not depend on the block size or on the row set.
-    Parameters, gradients and moments must be contiguous.
+    pre-step value, then, row by row of the gradient, the clip scaling, both
+    moment updates and the bias-corrected step. A listed parameter's rows are
+    gathered a block at a time and scattered back; its gradient and moments
+    are read in place. These are the same elementwise operations in the same
+    order as a whole-array update, so the bits do not depend on the block
+    size or on the row set. Parameters, gradients and moments must be
+    contiguous.
     """
-    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    rows = rows or {}
+    for name, param in params.items():
+        listed = rows.get(name)
+        shape = param.shape if listed is None else (len(listed), *param.shape[1:])
+        if grads[name].shape != shape:
+            raise ValueError(
+                f"gradient of {name!r} must have shape {shape}, got {grads[name].shape}"
+            )
+    norm = global_norm(grads)
     if not math.isfinite(norm):
         for name, g in grads.items():
             bad = np.count_nonzero(~np.isfinite(g))
@@ -295,31 +363,28 @@ def adamw_step(
     lr, b1, b2, eps = learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     decay = lr * WEIGHT_DECAY
     m_correction, v_correction = 1.0 - b1**t, 1.0 - b2**t
-    rows = rows or {}
     for name, param in params.items():
-        arrays = [
-            a.reshape(len(a), -1, copy=False)
+        p_rows, g_rows, m_rows, v_rows = (
+            _row_view(a)
             for a in (param, grads[name], state.first_moment[name], state.second_moment[name])
-        ]
-        width = arrays[0].shape[1]
+        )
+        width = p_rows.shape[1]
         per_block = max(1, ADAMW_BLOCK // width)
         listed = rows.get(name)
-        # two scratch blocks, plus four to gather listed rows into
-        scratch = np.empty((2 if listed is None else 6, per_block, width))
+        # two scratch blocks, plus one to gather listed parameter rows into
+        scratch = np.empty((2 if listed is None else 3, per_block, width))
         # decoupled weight decay of every row, from its pre-step value
-        for start in range(0, len(param), per_block):
-            p = arrays[0][start : start + per_block]
+        for start in range(0, len(p_rows), per_block):
+            p = p_rows[start : start + per_block]
             p -= np.multiply(p, decay, out=scratch[0, : len(p)])
-        for start in range(0, len(param) if listed is None else len(listed), per_block):
-            if listed is None:  # views of contiguous rows
-                block = [a[start : start + per_block] for a in arrays]
+        for start in range(0, len(g_rows), per_block):
+            stop = start + per_block
+            g, m, v = g_rows[start:stop], m_rows[start:stop], v_rows[start:stop]
+            if listed is None:  # a view of contiguous rows
+                p = p_rows[start:stop]
             else:  # gathered, and scattered back below
-                chunk = listed[start : start + per_block]
-                block = [
-                    np.take(a, chunk, axis=0, out=buf[: len(chunk)])
-                    for a, buf in zip(arrays, scratch[2:])
-                ]
-            p, g, m, v = block
+                chunk = listed[start:stop]
+                p = np.take(p_rows, chunk, axis=0, out=scratch[2, : len(chunk)])
             tmp, den = scratch[:2, : len(p)]
             if clip != 1.0:
                 g *= clip
@@ -338,8 +403,7 @@ def adamw_step(
             tmp /= den
             p -= tmp
             if listed is not None:
-                for a, b in zip(arrays, block):
-                    a[chunk] = b
+                p_rows[chunk] = p
     return norm, clip
 
 
@@ -444,9 +508,9 @@ def _check_features(
 
 
 def _step_loss(model, bags, batch: StepBatch, phase: Phase, dims: DimSet, config: TrainConfig):
-    """Loss output, and the step's distinct feature bags, one per pooled row of
-    the loss gradient. Each text is pooled once and its gradient row sums all
-    its occurrences (exact, since backward is linear in that row)."""
+    """Loss output, and the step's distinct texts, one per pooled row of the
+    loss gradient. Each text is pooled once and its gradient row sums all its
+    occurrences (exact, since backward is linear in that row)."""
     if not phase.ranking and not batch.labels:  # nothing to train on
         return None, []
     roles = {}
@@ -464,7 +528,7 @@ def _step_loss(model, bags, batch: StepBatch, phase: Phase, dims: DimSet, config
     out = multitask_step_loss(loss_batch, dims, config.margin, config.margin_c, weight)
     if not np.isfinite(out.value):
         raise NumericalError(f"non-finite loss value {out.value!r}")
-    return out, [bags[text] for text in texts]
+    return out, texts
 
 
 def train(
@@ -485,6 +549,11 @@ def train(
     `NumericalError` naming the phase, epoch and step; so does a run that
     ends with parameters beyond float32's range, which a saved model could
     not hold.
+
+    Training reads only the table rows of its texts' bags: `rows`, their
+    sorted union, is fixed for the run, and every step's table gradient and
+    each phase's table moments are slabs of len(rows) rows (see
+    `adamw_step`). No buffer the size of the feature table is allocated.
     """
     if model.feature_table.dtype != np.float64:
         model = replace(
@@ -497,13 +566,15 @@ def train(
     phases = SCHEDULE_PHASES[config.schedule]
     _check_features(records, bags, any(p.ranking for p in phases),
                     any(_pair_weight(p, config) > 0 for p in phases))
-    # np.zeros maps untouched zero pages: rows no step reads are never written
-    grad_table = np.zeros(model.feature_table.shape)  # all zeros between steps
+    # the slab: each bag's table rows remapped once to their rows in it
+    rows = np.unique(np.concatenate([np.zeros(0, np.int64), *(bag.ids for bag in bags.values())]))
+    slots = {text: np.searchsorted(rows, bag.ids) for text, bag in bags.items()}
+    grad_slab = np.zeros((len(rows), model.feature_dim))  # all zeros between steps
+    listed = {"feature_table": rows}
     global_step = 0
     for phase_index, phase in enumerate(phases):
         state = None  # the last phase's moments go before this phase's are made
-        state = OptimizerState.zeros(model.parameters())
-        touched = np.zeros(model.bucket_count, dtype=bool)  # table rows this phase's steps read
+        state = OptimizerState.zeros(model.parameters(), listed)
         dims = config.dims if phase.nested else DimSet((config.dims.full,))
         epochs = [
             build_batches(records, config.batch_size, _epoch_seed(config.seed, phase_index, epoch))
@@ -515,25 +586,24 @@ def train(
             for batch in batches:
                 phase_step += 1
                 try:
-                    out, step_bags = _step_loss(model, bags, batch, phase, dims, config)
+                    out, texts = _step_loss(model, bags, batch, phase, dims, config)
                     if out is None:
                         continue
+                    step_bags = [bags[text] for text in texts]
+                    step_slots = [slots[text] for text in texts]
                     grads = {
-                        "feature_table": backward(model, step_bags, out.pooled_gradient, grad_table),
+                        "feature_table": backward(
+                            model, step_bags, out.pooled_gradient, grad_slab, step_slots
+                        ),
                         "projection": out.projection_gradient,
                     }
-                    ids = np.concatenate([bag.ids for bag in step_bags])
-                    touched[ids] = True
                     lr = config.learning_rate * warmup_linear(phase_step, total)
-                    grad_norm, clip = adamw_step(
-                        model.parameters(), grads, state, lr,
-                        rows={"feature_table": np.flatnonzero(touched)},
-                    )
+                    grad_norm, clip = adamw_step(model.parameters(), grads, state, lr, listed)
                 except NumericalError as e:
                     raise NumericalError(
                         f"phase {phase.name!r}, epoch {epoch}, step {phase_step} of {total}: {e}"
                     ) from None
-                grad_table[ids] = 0.0
+                grad_slab.fill(0.0)
                 global_step += 1
                 history.record_step(
                     phase.name, epoch, global_step, out.value,

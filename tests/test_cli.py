@@ -144,12 +144,33 @@ def test_tab_or_line_break_in_a_title_is_reported_and_search_keeps_five_fields(
         assert all(len(line.split("\t")) == 5 for line in out.splitlines())
 
 
-def _cli(*argv):
-    """Run the CLI in a fresh interpreter, as a user would."""
-    env = {**os.environ, "PYTHONPATH": str(Path(near2.__file__).parents[1])}
+def _cli(*argv, env=None):
+    """Run the CLI in a fresh interpreter, as a user would, with `env` added
+    to the environment."""
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(Path(near2.__file__).parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "near2.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_train_is_bit_reproducible_across_blas_thread_counts(workspace, tmp_path):
+    # a 4096 x 32 table: its gradient has 131,072 entries, far above the
+    # 10,000 from which OpenBLAS splits a dot product across threads
+    runs = []
+    for threads in ("1", "2"):
+        model, history = tmp_path / f"model-{threads}.bin", tmp_path / f"history-{threads}.jsonl"
+        proc = _cli("train", "--data", str(workspace["data"] / "train.jsonl"), "--seed", "7",
+                    "--out", str(model), "--history", str(history), *TINY,
+                    "--buckets", "4096", "--feature-dim", "32",
+                    env={"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        # the header records the output paths, so compare the step rows
+        steps = [(row["loss"], row["grad_norm"], row["clip"])
+                 for row in map(json.loads, history.read_text().splitlines())
+                 if row["kind"] == "step"]
+        runs.append((steps, model.read_bytes()))
+    assert len(runs[0][0]) > 2 and any(clip < 1.0 for _, _, clip in runs[0][0])
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("argv", [

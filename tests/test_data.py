@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from near2 import data
+
 from near2.data import (
     RelevanceRecord,
     SynthSpec,
@@ -14,6 +16,7 @@ from near2.data import (
     synth_category_of,
     write_records,
 )
+from near2.encoder import fnv1a64
 from near2.errors import DataError
 
 
@@ -101,6 +104,13 @@ class TestSynthetic:
         dump = json.dumps([[r.to_json() for r in part] for part in triple])
         digest = hashlib.sha256(dump.encode("utf-8")).hexdigest()
         assert digest == "da2ee014ef48c29c38f1b45992c8e768c5fe08be2f1b95e64470bb856f69fb51"
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 4096])
+    def test_title_hashes_do_not_depend_on_the_chunking(self, monkeypatch, chunk):
+        titles = ["", "a", "Épée rack", "plant pot 12", "ü", "blue  hose", "", "x" * 300] * 3
+        monkeypatch.setattr(data, "TITLE_HASH_CHUNK", chunk)
+        assert data._title_hashes(titles) == [fnv1a64(t.encode("utf-8")) for t in titles]
+        assert data._title_hashes([]) == []
 
     def test_alphanum_zero_means_no_digits(self):
         train, valid, test = gen_synthetic(SynthSpec(seed=1, query_count=40, alphanum_fraction=0.0))

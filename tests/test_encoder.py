@@ -262,8 +262,10 @@ class TestEncode:
 
 
 def fresh_backward(model, bags, grad_pooled):
-    """backward of a pooled-row gradient into a fresh zero table."""
-    return backward(model, bags, grad_pooled, np.zeros_like(model.feature_table))
+    """backward of a pooled-row gradient into a fresh zero table, the slab of
+    every row, where each bag's slots are its ids."""
+    return backward(model, bags, grad_pooled, np.zeros_like(model.feature_table),
+                    [bag.ids for bag in bags])
 
 
 class TestBackward:
@@ -294,27 +296,34 @@ class TestBackward:
         a, b = (tokenize(t, model.bucket_count) for t in ("a", "b"))
         table = np.zeros_like(model.feature_table)
         with pytest.raises(ValueError):
-            backward(model, [a], np.zeros((1, model.full_dim)), table)
+            backward(model, [a], np.zeros((1, model.full_dim)), table, [a.ids])
         with pytest.raises(ValueError):
-            backward(model, [a, b], np.zeros((1, model.feature_dim)), table)
+            backward(model, [a, b], np.zeros((1, model.feature_dim)), table, [a.ids, b.ids])
         with pytest.raises(ValueError):
-            backward(model, [a], np.zeros((1, model.feature_dim)), np.zeros((2, 2)))
+            backward(model, [a], np.zeros((1, model.feature_dim)), np.zeros((2, 2)), [a.ids])
+        with pytest.raises(ValueError, match="one slot array per bag"):
+            backward(model, [a, b], np.zeros((2, model.feature_dim)), table, [a.ids])
 
-    def test_reused_buffer_matches_fresh_call(self):
+    def test_slab_rows_equal_the_table_rows(self):
+        # a reused slab of the union of the steps' rows, re-zeroed after each
+        # step as train does, holds the whole-table gradient's rows bit for bit
         model = tiny_model(seed=2)
         rng = np.random.default_rng(3)
-        buffer = np.zeros_like(model.feature_table)
         steps = (["red flower pot", "", "blue hose"], ["garden hose", "red pot", "blue hose"])
+        bags = {t: tokenize(t, model.bucket_count) for texts in steps for t in texts}
+        rows = np.unique(np.concatenate([bag.ids for bag in bags.values()]))
+        assert 0 < len(rows) < model.bucket_count
+        slab = np.zeros((len(rows), model.feature_dim))
         for texts in steps:
-            bags = [tokenize(t, model.bucket_count) for t in texts]
-            grad_pooled = rng.normal(size=(len(bags), model.feature_dim))
-            fresh = fresh_backward(model, bags, grad_pooled)
-            reused = backward(model, bags, grad_pooled, buffer)
-            assert reused is buffer
-            assert np.array_equal(reused, fresh)
-            # what train does after each update
-            buffer[np.concatenate([bag.ids for bag in bags])] = 0.0
-            assert not buffer.any()
+            step_bags = [bags[t] for t in texts]
+            grad_pooled = rng.normal(size=(len(step_bags), model.feature_dim))
+            fresh = fresh_backward(model, step_bags, grad_pooled)
+            slots = [np.searchsorted(rows, bag.ids) for bag in step_bags]
+            reused = backward(model, step_bags, grad_pooled, slab, slots)
+            assert reused is slab
+            assert np.array_equal(reused, fresh[rows])
+            assert not np.delete(fresh, rows, axis=0).any()
+            slab.fill(0.0)
 
     def test_matches_per_occurrence_reference(self):
         model = tiny_model(seed=5)

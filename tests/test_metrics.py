@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eval_oracle import oracle_evaluate, oracle_hist_scores
+from near2 import encoder
 from near2 import index as index_module
 from near2.cli import main
 from near2.data import RelevanceRecord, SynthSpec, gen_synthetic, split_judgments, write_records
@@ -489,6 +490,21 @@ def test_panel_scoring_equals_the_oracle_on_every_edge_at_once(monkeypatch):
         want, want_skipped = oracle_hist_scores(model, records, m)
         assert (got_skipped, want_skipped) == (skipped, skipped)
         assert scores.tobytes() == want.tobytes()
+
+
+def test_judged_queries_embed_from_one_batch_tokenization(monkeypatch):
+    # every judged query goes through one feature_bags call, none through the
+    # one-text tokenizer, and embeds as encode embeds its text, bit for bit
+    _, _, test = gen_synthetic(SynthSpec(seed=3, query_count=300, titles_per_query=4))
+    model = EncoderModel.create(bucket_count=1024, feature_dim=16, dims=DimSet((32, 8)), seed=5)
+    single, tokenize_one = [], encoder.tokenize
+    monkeypatch.setattr(encoder, "tokenize",
+                        lambda *args: single.append(args) or tokenize_one(*args))
+    _, usable, _ = judged_queries(model, test, DEFAULT_CORPUS_CAP, 0)
+    assert single == [] and len(usable) > 10
+    monkeypatch.undo()
+    for judgment, embedding in usable:
+        assert embedding.values.tobytes() == encode(model, judgment.query).values.tobytes()
 
 
 def test_eval_report_and_hist_csv_are_pinned(tmp_path):

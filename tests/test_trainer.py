@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from unittest import mock
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import loss_oracle as oracle
+from adamw_oracle import dense_adamw_step
 from near2 import encoder, trainer
 from near2.data import RelevanceRecord, SynthSpec, gen_synthetic
 from near2.encoder import EncoderModel
@@ -31,6 +33,7 @@ from near2.trainer import (
     TrainConfig,
     adamw_step,
     build_batches,
+    global_norm,
     run_ablation,
     train,
     warmup_linear,
@@ -114,9 +117,22 @@ class TestBuildBatches:
                 assert not (set(group) & grade3_titles)
 
 
+def exact_row_norm(grads):
+    """The clip norm: each row's squares summed pairwise by `np.add.reduce`,
+    every row sum added exactly by `math.fsum`, an overflow read as inf."""
+    row_sums = []
+    for g in grads.values():
+        squares = np.square(g).reshape(len(g), math.prod(g.shape[1:]))
+        row_sums.extend(np.add.reduce(squares, axis=1).tolist())
+    try:
+        return math.sqrt(math.fsum(row_sums))
+    except OverflowError:
+        return math.inf
+
+
 def reference_clipped_adamw(params, grads, state, lr):
     """Global-norm clipping then AdamW, one whole-array operation at a time."""
-    norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    norm = exact_row_norm(grads)
     if math.isfinite(norm) and norm > MAX_GRAD_NORM:
         for g in grads.values():
             g *= MAX_GRAD_NORM / norm
@@ -145,12 +161,27 @@ def reference_clipped_adamw(params, grads, state, lr):
     return norm
 
 
-def assert_same_bits(params, state, ref_params, ref_state):
+def slab_of(dense, rows, name):
+    """The slab of `dense` that a parameter `rows` names holds: its listed rows."""
+    return dense if name not in rows else dense[rows[name]]
+
+
+def assert_same_bits(params, state, ref_params, ref_state, rows=None, grads=None, ref_grads=None):
+    """Every parameter bit equal; every gradient and moment bit equal on the
+    rows a slab holds, and the dense reference's moments zero off them."""
+    rows = rows or {}
     assert state.step == ref_state.step
     for name in params:
-        assert np.array_equal(params[name], ref_params[name])
-        assert np.array_equal(state.first_moment[name], ref_state.first_moment[name])
-        assert np.array_equal(state.second_moment[name], ref_state.second_moment[name])
+        assert bits(params[name]) == bits(ref_params[name])
+        pairs = [(state.first_moment, ref_state.first_moment),
+                 (state.second_moment, ref_state.second_moment)]
+        if grads is not None:
+            pairs.append((grads, ref_grads))
+        for got, want in pairs:
+            assert bits(got[name]) == bits(slab_of(want[name], rows, name))
+        if name in rows:
+            for moment in (ref_state.first_moment, ref_state.second_moment):
+                assert not np.delete(moment[name], rows[name], axis=0).any()
 
 
 class TestAdamW:
@@ -218,31 +249,38 @@ class TestAdamW:
             rng = np.random.default_rng(11)
             params = {k: rng.normal(size=s) for k, s in shapes.items()}
             ref_params = {k: v.copy() for k, v in params.items()}
-            state, ref_state = OptimizerState.zeros(params), OptimizerState.zeros(params)
-            touched = {k: np.zeros(s[0], dtype=bool) for k, s in shapes.items()}
+            # slabs of about half the rows of each parameter but "one", which
+            # is not named, so it holds all its rows
+            rows = {}
+            if sparse:
+                rows = {k: np.flatnonzero(rng.random(shapes[k][0]) < 0.5)
+                        for k in ("small", "many", "table")}
+            state, ref_state = OptimizerState.zeros(params, rows), OptimizerState.zeros(params)
             clips = []
             for scale in (1e-4, 1.0, 3.0):
-                grads = {k: scale * rng.normal(size=s) for k, s in shapes.items()}
-                rows = None
-                if sparse:
-                    # gradients on about a fifth of the rows; every row touched
-                    # so far is listed, and "one" is not named, so all its rows are
-                    rows = {}
-                    for k in ("small", "many", "table"):
-                        hit = rng.random(shapes[k][0]) < 0.2
-                        grads[k][~hit] = 0.0
-                        touched[k] |= hit
-                        rows[k] = np.flatnonzero(touched[k])
-                ref_grads = {k: v.copy() for k, v in grads.items()}
-                norm, clip = adamw_step(params, grads, state, 0.01, rows)
+                ref_grads = {k: scale * rng.normal(size=s) for k, s in shapes.items()}
+                for k, listed in rows.items():
+                    # gradients on about a fifth of the rows, all in the slab
+                    hit = np.zeros(shapes[k][0], dtype=bool)
+                    hit[listed] = rng.random(len(listed)) < 0.4
+                    ref_grads[k][~hit] = 0.0
+                grads = {k: slab_of(g, rows, k).copy() for k, g in ref_grads.items()}
+                norm, clip = adamw_step(params, grads, state, 0.01, rows or None)
                 assert norm == reference_clipped_adamw(ref_params, ref_grads, ref_state, 0.01)
                 assert clip == min(1.0, MAX_GRAD_NORM / norm)
                 clips.append(clip)
-                for k in grads:
-                    assert np.array_equal(grads[k], ref_grads[k])
-                assert_same_bits(params, state, ref_params, ref_state)
+                assert_same_bits(params, state, ref_params, ref_state, rows, grads, ref_grads)
             # an unclipped step, then clipped ones
             assert clips[0] == 1.0 and clips[-1] < 1.0
+
+    def test_slab_of_the_wrong_shape_is_refused_before_mutation(self):
+        params = {"table": np.ones((6, 2)), "b": np.ones(3)}
+        state = OptimizerState.zeros(params, {"table": np.array([1, 4])})
+        grads = {"table": np.ones((6, 2)), "b": np.ones(3)}
+        with pytest.raises(ValueError, match=r"gradient of 'table' must have shape \(2, 2\)"):
+            adamw_step(params, grads, state, 0.1, {"table": np.array([1, 4])})
+        assert state.step == 0 and (params["table"] == 1.0).all()
+        assert state.first_moment["table"].shape == (2, 2) and state.first_moment["b"].shape == (3,)
 
     def test_finite_entries_overflowing_the_norm_step_unclipped(self):
         shapes = {"w": (ADAMW_BLOCK + 3,), "b": (4,)}
@@ -273,10 +311,11 @@ PARAM_VALUES = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_row_sparse_adamw_equals_the_dense_oracle_bit_for_bit(data):
-    """Steps on a table whose gradient reaches a few rows per step, listing the
-    rows touched so far, every row, or not naming the table, against
-    `reference_clipped_adamw` on copies; the last step may carry a non-finite
-    gradient entry in a listed row, which must abort before any mutation."""
+    """Steps on a table whose gradient reaches a few rows per step, as a slab
+    of a fixed superset of those rows, of every row, or not naming the table,
+    against `reference_clipped_adamw` on dense copies; the last step may
+    carry a non-finite gradient entry in a slab row, which must abort before
+    any mutation."""
     n, width = data.draw(st.integers(1, 24), "rows"), data.draw(st.integers(1, 4), "width")
     block = data.draw(st.sampled_from([1, 3, 8, ADAMW_BLOCK]), "block")
     params = {
@@ -284,31 +323,31 @@ def test_row_sparse_adamw_equals_the_dense_oracle_bit_for_bit(data):
         "dense": data.draw(arrays(np.float64, (3,), elements=PARAM_VALUES), "dense"),
     }
     ref_params = {k: v.copy() for k, v in params.items()}
-    state, ref_state = OptimizerState.zeros(params), OptimizerState.zeros(params)
-    touched = np.zeros(n, dtype=bool)
+    mode = data.draw(st.sampled_from(["slab", "all", "unnamed"]), "mode")
+    in_slab = np.ones(n, dtype=bool)
+    if mode == "slab":
+        in_slab = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), "slab"))
+    rows = {"slab": {"table": np.flatnonzero(in_slab)}, "all": {"table": np.arange(n)},
+            "unnamed": {}}[mode]
+    listed = np.flatnonzero(in_slab)
+    state, ref_state = OptimizerState.zeros(params, rows), OptimizerState.zeros(params)
     steps = data.draw(st.integers(1, 4), "steps")
     with mock.patch.object(trainer, "ADAMW_BLOCK", block):
         for step in range(1, steps + 1):
-            hit = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-            touched |= hit
+            hit = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))) & in_slab
             scale = data.draw(st.sampled_from([1e-3, 1.0, 40.0]), "scale")
-            grads = {
+            ref_grads = {
                 k: scale * data.draw(arrays(np.float64, v.shape, elements=st.floats(-1.0, 1.0)))
                 for k, v in params.items()
             }
-            # untouched rows hold a zero gradient of either sign
-            grads["table"][~hit] = data.draw(st.sampled_from([0.0, -0.0]), "zero")
-            mode = data.draw(st.sampled_from(["touched", "all", "unnamed"]), "mode")
-            rows = {
-                "touched": {"table": np.flatnonzero(touched)},
-                "all": {"table": np.arange(n)},
-                "unnamed": None,
-            }[mode]
-            listed = np.arange(n) if rows is None else rows["table"]
+            # rows the step misses hold a zero gradient of either sign
+            ref_grads["table"][~hit] = data.draw(st.sampled_from([0.0, -0.0]), "zero")
             lr = data.draw(st.sampled_from([1e-3, 0.5]), "lr")
             bad = data.draw(st.sampled_from([None, np.nan, np.inf]), "bad") if step == steps else None
             if bad is not None and listed.size:
-                grads["table"][data.draw(st.sampled_from(listed.tolist()), "bad row"), 0] = bad
+                ref_grads["table"][data.draw(st.sampled_from(listed.tolist()), "bad row"), 0] = bad
+            grads = {k: slab_of(g, rows, k).copy() for k, g in ref_grads.items()}
+            if bad is not None and listed.size:
                 before = [bits(a) for a in (*params.values(), *grads.values(),
                                             *state.first_moment.values(), *state.second_moment.values())]
                 with pytest.raises(NumericalError, match="non-finite gradient entries in 'table'"):
@@ -318,16 +357,85 @@ def test_row_sparse_adamw_equals_the_dense_oracle_bit_for_bit(data):
                                                     *state.first_moment.values(),
                                                     *state.second_moment.values())]
                 return
-            ref_grads = {k: v.copy() for k, v in grads.items()}
             norm, clip = adamw_step(params, grads, state, lr, rows)
             assert norm == reference_clipped_adamw(ref_params, ref_grads, ref_state, lr)
             assert clip == (MAX_GRAD_NORM / norm if norm > MAX_GRAD_NORM else 1.0)
             assert state.step == ref_state.step == step
-            for name in params:
-                assert bits(params[name]) == bits(ref_params[name])
-                assert bits(grads[name]) == bits(ref_grads[name])
-                assert bits(state.first_moment[name]) == bits(ref_state.first_moment[name])
-                assert bits(state.second_moment[name]) == bits(ref_state.second_moment[name])
+            assert_same_bits(params, state, ref_params, ref_state, rows, grads, ref_grads)
+
+
+# The slab step against the dense one it replaced: they differ only in the
+# clip norm's summation order (exact row sums against one BLAS dot product
+# per gradient), so norms agree within NORM_RTOL and, through the clip factor,
+# parameters within PARAM_TOL * (|p| + lr) over a few steps.
+NORM_RTOL = 1e-14
+PARAM_TOL = 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_slab_adamw_agrees_with_the_dense_vdot_oracle(data):
+    """Steps as training takes them: the slab is the union of every step's
+    rows, while the oracle lists the rows touched so far in its dense state."""
+    n, width = data.draw(st.integers(1, 40), "rows"), data.draw(st.integers(1, 6), "width")
+    params = {
+        "table": data.draw(arrays(np.float64, (n, width), elements=st.floats(-4.0, 4.0)), "table"),
+        "projection": data.draw(arrays(np.float64, (width, 5), elements=st.floats(-4.0, 4.0))),
+    }
+    ref_params = {k: v.copy() for k, v in params.items()}
+    steps = data.draw(st.integers(1, 5), "steps")
+    hits = [np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), "hit"))
+            for _ in range(steps)]
+    rows = {"table": np.flatnonzero(np.logical_or.reduce(hits))}
+    state, ref_state = OptimizerState.zeros(params, rows), OptimizerState.zeros(params)
+    touched = np.zeros(n, dtype=bool)
+    for hit in hits:
+        touched |= hit
+        scale = data.draw(st.sampled_from([1e-3, 0.3, 1.0, 40.0]), "scale")
+        ref_grads = {
+            k: scale * data.draw(arrays(np.float64, v.shape, elements=st.floats(-1.0, 1.0)))
+            for k, v in params.items()
+        }
+        ref_grads["table"][~hit] = 0.0
+        grads = {k: slab_of(g, rows, k).copy() for k, g in ref_grads.items()}
+        lr = data.draw(st.sampled_from([1e-3, 0.1]), "lr")
+        norm, clip = adamw_step(params, grads, state, lr, rows)
+        ref_norm, ref_clip = dense_adamw_step(ref_params, ref_grads, ref_state, lr,
+                                              {"table": np.flatnonzero(touched)})
+        assert abs(norm - ref_norm) <= NORM_RTOL * ref_norm
+        assert abs(clip - ref_clip) <= NORM_RTOL * ref_clip
+        for name, value in params.items():
+            want = ref_params[name]
+            assert (np.abs(value - want) <= PARAM_TOL * (np.abs(want) + lr)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_global_norm_ignores_zero_rows_and_row_order(data):
+    # a slab, the table-shaped gradient it stands for, and the slab's rows
+    # in another order all give the same bits
+    n, width = data.draw(st.integers(1, 30), "rows"), data.draw(st.integers(1, 200), "width")
+    slab = data.draw(arrays(np.float64, (n, width), elements=st.floats(-1e3, 1e3)), "slab")
+    other = {"projection": data.draw(arrays(np.float64, (3, 4), elements=st.floats(-2.0, 2.0)))}
+    table = np.zeros((n + data.draw(st.integers(0, 30), "extra"), width))
+    table[np.sort(np.random.default_rng(n).permutation(len(table))[:n])] = slab
+    order = data.draw(st.permutations(range(n)), "order")
+    norm = global_norm({"table": slab, **other})
+    assert norm == global_norm({"table": table, **other})
+    assert norm == global_norm({"table": slab[list(order)], **other})
+    assert norm == exact_row_norm({"table": slab, **other})
+    # against the exact sum of the rounded squares: a pairwise row sum of
+    # positive terms is off by at most about 20 roundings at these widths
+    entries = np.concatenate([slab.ravel(), other["projection"].ravel()])
+    want = math.sqrt(math.fsum(float(x) ** 2 for x in entries))
+    assert abs(norm - want) <= 1e-14 * want
+
+
+def test_global_norm_reads_an_overflowing_sum_as_infinite():
+    # each row's squares are finite, their exact sum is not
+    grads = {"table": np.full((4, 1), 1e154), "b": np.array([1e-3])}
+    assert global_norm(grads) == math.inf
+    assert math.isnan(global_norm({"table": np.array([[np.inf, np.nan]])}))
 
 
 class TestWarmupAndClip:
@@ -418,24 +526,24 @@ class TestSchedules:
 # sha256 of the float64 parameters after tiny_config(epochs=2, schedule=...)
 # training on small_dataset()
 TRAINED_DIGESTS = {
-    "mnrl": "3ffb960d52ae5497a7084814a5b25de1c1660f5fd12474ee5f9ae3ebcb6459e2",
-    "ocl": "2ec567aa6e7157c13ce42c61c977548f9ba0f3ca59062fca574587e7aff45ea8",
-    "mnrl+ocl": "96ba60212b658f9b3f8aad422c5fa646aaea88b39a1ae264004d46c261b1d3f0",
-    "mrl-first": "82e7ae918cacc0468b13d01a905fa77a07c81d69e385c67c4ee529251d538184",
+    "mnrl": "aae52f2719665d2e1388c101b6521290d6d6cbccbcd9cc852385ea2b06252fc3",
+    "ocl": "af0c4c4f7bc54723a8871c4cf8ae008761d6c4f9a8b5d9ed5d762f4353d7d22e",
+    "mnrl+ocl": "0563502cc49724eb6b3f98d2c8eeac8d69710a0f2d36a46542c572addb59fea5",
+    "mrl-first": "7ba648f26fd46d210322778934bf2b51df514845941bebf56a93d32ab571f439",
 }
 
 
 # sha256 of TrainHistory.to_jsonl() after tiny_config(epochs=2, schedule=...,
 # lambda_ocl=...) training on pairs_from_one_query(), validated every epoch
 HISTORY_DIGESTS = {
-    ("mnrl", 1.0): "d1be64e7e8454c6116428f89240c518acf12e30d44be19661424dede6d5c9f88",
-    ("mnrl", 0.0): "d1be64e7e8454c6116428f89240c518acf12e30d44be19661424dede6d5c9f88",
+    ("mnrl", 1.0): "0a0bc32624a2a6011895e81623d98292330dc33abce1a8302d50e5a140f5cd0a",
+    ("mnrl", 0.0): "0a0bc32624a2a6011895e81623d98292330dc33abce1a8302d50e5a140f5cd0a",
     ("ocl", 1.0): "f9c3008bfa8a2b93ab34480acc1a11d32ccf347ac90c825eee7938516745a38c",
     ("ocl", 0.0): "f9c3008bfa8a2b93ab34480acc1a11d32ccf347ac90c825eee7938516745a38c",
-    ("mnrl+ocl", 1.0): "49d0a11c73532b8c9c83d32d1df64c0b3be5761dc2a00afabcad6248f71af55e",
-    ("mnrl+ocl", 0.0): "234712e4c07c3a6325e513ea7dabee714df475350d8447cc03120d76d319e558",
-    ("mrl-first", 1.0): "d5e52efcd56ab1198e4a8c0f70af70c4ca9c98ee2732d30f79f056deb210333e",
-    ("mrl-first", 0.0): "ad1c2778b68297d84de5c29ceb24506aec77f27807bf32d309f13544e8186b48",
+    ("mnrl+ocl", 1.0): "cafa60d32cda30aa546024ad51387384f8c5da5ec0619b84581c6f86592fb6d5",
+    ("mnrl+ocl", 0.0): "32606fcb402966281a76db75280856e9f23f24df1c903a9eafa8ccf6a373067e",
+    ("mrl-first", 1.0): "cd187f5d462355e244bf3f1808ad2ff94f45022744049dd33431c1d6bec7aa18",
+    ("mrl-first", 0.0): "7594a29418666693b3fc0aa631401bfadcf733bb2230294c1f501631c1bbe24f",
 }
 
 
@@ -541,39 +649,55 @@ class TestTrain:
         for pooled_bags, step_bags in steps:
             assert pooled_bags == step_bags
 
-    def test_listed_rows_are_the_union_of_the_phase_bag_ids(self, monkeypatch):
+    def test_listed_rows_are_the_union_of_the_run_bag_ids(self, monkeypatch):
         config = tiny_config(epochs=2)
         train_recs, _, _ = small_dataset(seed=2, queries=16)
-        calls, step_ids = [], []
+        calls, step_bags = [], []
         real_backward, real_adamw = trainer.backward, trainer.adamw_step
 
-        def backward(model, bags, *args):
-            step_ids.append(np.concatenate([bag.ids for bag in bags]))
-            return real_backward(model, bags, *args)
+        def backward(model, bags, grad_pooled, grad_slab, slots):
+            step_bags.append((bags, slots))
+            return real_backward(model, bags, grad_pooled, grad_slab, slots)
 
         def adamw_step(params, grads, state, lr, rows):
-            calls.append((state.step, rows["feature_table"].copy()))
+            calls.append((state.step, rows["feature_table"], grads["feature_table"].shape,
+                          state.first_moment["feature_table"].shape,
+                          state.second_moment["feature_table"].shape))
             return real_adamw(params, grads, state, lr, rows)
 
         monkeypatch.setattr(trainer, "backward", backward)
         monkeypatch.setattr(trainer, "adamw_step", adamw_step)
         train(tiny_model(config), train_recs, config)
-        assert len(calls) == len(step_ids) > 4
-        phase_rows = []  # per phase, the rows of each of its steps
-        for (step, rows), ids in zip(calls, step_ids):
-            if step == 0:  # a fresh optimizer state: a new phase
-                phase_rows.append([])
-                union = np.zeros(config.bucket_count, dtype=bool)
-            union[ids] = True
-            assert np.array_equal(rows, np.flatnonzero(union))
-            phase_rows[-1].append(rows)
-        assert len(phase_rows) == 2
-        for per_step in phase_rows:
-            for before, after in zip(per_step, per_step[1:]):
-                assert np.isin(before, after).all()
-        # the mask starts over: the second phase's first step lists fewer rows
-        # than the first phase ended with
-        assert len(phase_rows[1][0]) < len(phase_rows[0][-1])
+        assert len(calls) == len(step_bags) > 4
+        texts = {s for r in train_recs for s in (r.query, r.title)}
+        union = np.unique(np.concatenate(
+            [encoder.tokenize(t, config.bucket_count).ids for t in texts]))
+        assert 0 < len(union) < config.bucket_count
+        rows = calls[0][1]
+        assert np.array_equal(rows, union)
+        for (_, listed, *shapes), (bags, slots) in zip(calls, step_bags):
+            # one row list for the whole run, a superset of every step's bag
+            # ids, and slabs of its length
+            assert listed is rows
+            assert shapes == [(len(rows), config.feature_dim)] * 3
+            for bag, slot in zip(bags, slots):
+                assert np.array_equal(rows[slot], bag.ids)
+        # each phase starts from a fresh optimizer state
+        assert [step for step, *_ in calls].count(0) == 2
+
+    def test_no_buffer_is_the_size_of_the_feature_table(self):
+        # a 2^15 x 16 table of 4 MiB, against at least three times that in a
+        # table-shaped gradient and moments
+        config = tiny_config(bucket_count=2**15, feature_dim=16)
+        train_recs, _, _ = small_dataset()
+        model = tiny_model(config)
+        tracemalloc.start()
+        try:
+            train(model, train_recs, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.feature_table.nbytes
 
     def test_trained_bits_are_pinned(self):
         # two epochs of both phases, every step clipped; a change here changes
@@ -586,7 +710,7 @@ class TestTrain:
         digest = hashlib.sha256()
         for p in (model.feature_table, model.projection):
             digest.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
-        assert digest.hexdigest() == "96ba60212b658f9b3f8aad422c5fa646aaea88b39a1ae264004d46c261b1d3f0"
+        assert digest.hexdigest() == "0563502cc49724eb6b3f98d2c8eeac8d69710a0f2d36a46542c572addb59fea5"
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_trained_bits_are_pinned_for_every_schedule(self, schedule):
