@@ -25,8 +25,10 @@ not depend on q. A float32 entry widens exactly, so a (row, query) score has
 the same bits in a panel of any size, and the panel saves the widening of
 each entry for every query but the first.
 
-Evaluation scores only chosen (row, query) pairs of a panel, each query's
-own candidates, in one call: the pair mode of `prefix_dot_products`. Each
+A panel of more than one query (evaluation) scores only chosen (row, query)
+pairs, each query's own candidates, in one call: the pair mode of
+`prefix_dot_products`. A panel of one (every search) scores its candidate
+rows in row mode instead; `index.top_k` alone makes that choice. Each
 block of `_BLOCK` pairs gathers its rows, cast to float64, and its queries,
 and `einsum("ij,ij->i")` reduces each pair over the row's own entries, band
 by band in band order, the same contiguous sum as above; so a pair has the
@@ -80,14 +82,6 @@ def _prefix_parts(matrix, m):
     return parts
 
 
-def _band_sum(parts, reduce_band):
-    out = None
-    for part in parts:
-        result = reduce_band(*part)
-        out = result if out is None else np.add(out, result, out=out)
-    return out
-
-
 def prefix_dot_products(matrix, query, m, row_indices=None, query_indices=None):
     """float64 dot of each (selected) row's first m entries with each query.
 
@@ -126,12 +120,13 @@ def prefix_dot_products(matrix, query, m, row_indices=None, query_indices=None):
 
 
 def prefix_sq_norms(matrix, m):
-    """float64 squared L2 norm of each row's first m entries, summed band by band."""
-    def sq_norms(band, start, width):
+    """float64 squared L2 norm of each row's first m entries, summed band by
+    band in band order (0.0 plus the first band's sums is exact)."""
+    out = np.zeros(matrix.shape[0])
+    for band, _, width in _prefix_parts(matrix, m):
         prefix = band[:, :width]
-        return np.einsum("ij,ij->i", prefix, prefix, dtype=np.float64)
-
-    return _band_sum(_prefix_parts(matrix, m), sq_norms)
+        out += np.einsum("ij,ij->i", prefix, prefix, dtype=np.float64)
+    return out
 
 
 def float32_prefix_dots(matrix, query, m):

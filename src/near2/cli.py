@@ -10,8 +10,9 @@ file can serve several subcommands.
 
 Diagnostics go to stderr, machine-readable output to files or stdout.
 Exit codes: 0 success, 1 usage error (a bad flag or config-file value, or a
-dimension outside the model's nested set), 2 data/format error or unreadable
-file, 3 numerical failure.
+dimension outside the model's nested set), 2 data/format error, unreadable
+file or text that is not UTF-8, or a size that does not fit in memory, 3
+numerical failure.
 
 A corrupt file exits 2 with one `near2: data error:` line and no traceback,
 from the command that reads the corrupt bytes, before it writes anything.
@@ -75,6 +76,14 @@ from .metrics import (
 )
 from .nested import DimSet
 from .trainer import SCHEDULES, TrainConfig, initial_model, run_ablation, train
+
+# `near2 --help`; the module docstring holds the rest of the contract
+_DESCRIPTION = """\
+Train a nested (Matryoshka) text encoder, index titles, and search, evaluate
+or ablate at any nested dimension. `near2 COMMAND --help` lists a command's
+flags. A flag overrides its key in the `--config FILE` JSON object, which
+overrides the built-in default. Exit codes: 0 success, 1 usage error, 2 data,
+format or file error (or out of memory), 3 numerical failure."""
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -240,7 +249,10 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+        # a JSON \ud800 escape decodes to text that no file name or report can hold
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    # ValueError: bad JSON, or text that does not decode or encode as UTF-8
+    except (OSError, ValueError, RecursionError) as e:
         raise DataError(f"cannot read config file {path}: {e}") from None
     if not isinstance(obj, dict):
         raise DataError(f"config file {path} must hold a JSON object")
@@ -366,7 +378,7 @@ def _read_baseline(path) -> MetricsReport:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return MetricsReport.from_dict(json.load(fh)["report"])
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as e:
         raise DataError(f"cannot read baseline report {path}: {e}") from None
 
 
@@ -498,7 +510,7 @@ def build_parser(only: str | None = None) -> _Parser:
     Both print the same usage line, since the commands are listed only in
     the full parser's help.
     """
-    parser = _Parser(prog="near2", description=__doc__)
+    parser = _Parser(prog="near2", description=_DESCRIPTION)
     parser.add_argument("--version", action="version", version=f"near2 {__version__}")
     sub = parser.add_subparsers(dest="cmd", metavar="COMMAND")
     for command, (_, help_text, options) in COMMANDS.items():
@@ -538,6 +550,9 @@ def run(argv) -> int:
     except NumericalError as e:
         print(f"near2: numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as e:  # sizes within range can still exceed the machine
+        print(f"near2: out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_DATA
 
 
 def main(argv=None) -> int:

@@ -68,6 +68,12 @@ def _validate_fields(qid, query, title_id, title, grade, central):
         # the TSV files and `near2 search` output hold one record per line
         if "\t" in value or "\n" in value or "\r" in value:
             raise ValueError(f"tab or line break in {name}")
+        # undecodable file bytes (read as surrogate escapes) or a JSON
+        # \ud800 escape: the index and every report store fields as UTF-8
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{name} is not valid UTF-8") from None
     if not isinstance(grade, int) or isinstance(grade, bool) or not GRADE_MIN <= grade <= GRADE_MAX:
         raise ValueError(f"grade out of range: {grade!r}")
     if central is not None and central not in (0, 1):
@@ -110,6 +116,7 @@ def parse_records(
     lines: Iterable[str], format: str = "jsonl"
 ) -> tuple[list[RelevanceRecord], list[ParseIssue]]:
     """Parse a record stream; malformed lines become issues, never crashes.
+    A field that does not encode as UTF-8 makes its line malformed.
 
     Raises DataError only when no line at all parses.
     """
@@ -128,6 +135,8 @@ def parse_records(
             records.append(parse(line))
         except ValueError as e:
             issues.append(ParseIssue(line_no, str(e)))
+        except RecursionError:  # JSON nested too deeply to decode
+            issues.append(ParseIssue(line_no, "JSON nested too deeply"))
     if saw_content and not records:
         detail = f"; first issue: line {issues[0].line_no}: {issues[0].message}" if issues else ""
         raise DataError(f"no valid records in stream{detail}")
@@ -135,10 +144,14 @@ def parse_records(
 
 
 def load_records(path, format: str | None = None) -> tuple[list[RelevanceRecord], list[ParseIssue]]:
-    """parse_records over a file; format inferred from the extension unless given."""
+    """parse_records over a file; format inferred from the extension unless given.
+
+    Bytes that are not UTF-8 are read as surrogate escapes, so a line that
+    holds them becomes an issue naming its field, not a decoding crash.
+    """
     if format is None:
         format = "tsv" if str(path).endswith(".tsv") else "jsonl"
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_records(fh, format)
 
 

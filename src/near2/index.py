@@ -17,7 +17,9 @@ of the exact ones; only the (query, row) pairs whose row could reach that
 query's top k (or, for the corpus minimum, the bottom) given that eps are
 then scored, all in one call of the exact float64 scorer `_scores`, pair by
 pair, and one sort ranks every query of the panel. A panel of one query
-scores its candidate rows as rows, with no pairs. So hits, ranks, score
+(every search, exact or funnel) is the one exception, decided in `top_k`
+alone: it scores its candidates as rows, with no pairs, which keeps a search
+from paying the pair kernel's per-band query gather. So hits, ranks, score
 bits and minimum are a full scan's. Search, the funnel and evaluation rank
 through `top_k`; histograms, which need every score, run `_scores` over
 every row for each panel `query_panels` yields.
@@ -280,15 +282,16 @@ def _scores(
 
 def _candidates(
     index: PrefixIndex, units: np.ndarray, m: int, k: int
-) -> tuple[np.ndarray | None, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """(queries, rows): the (query, row) pairs of a (q, m) panel of unit
     prefixes that `_scores` must score for each query's exact top k and
-    minimum, in query-major order with ascending rows within a query; for a
-    panel of one, (None, rows). A query's rows are every searchable row
-    whose exact cosine reaches the k-th best, ties included; a row of the
-    lowest exact cosine; and every row, searchable or not, that may hold a
-    non-finite entry, so that scoring the candidates raises `FormatError`
-    exactly when a full scan would.
+    minimum, in query-major order with ascending rows within a query, for a
+    panel of any size (`top_k` decides how a panel of one is scored). A
+    query's rows are every searchable row whose exact cosine reaches the
+    k-th best, ties included; a row of the lowest exact cosine; and every
+    row, searchable or not, that may hold a non-finite entry, so that
+    scoring the candidates raises `FormatError` exactly when a full scan
+    would.
 
     One float32 bound pass (`_kernels.float32_prefix_dots`), read as its
     query-major (q, count) transpose, gives every row an approximate cosine
@@ -319,9 +322,8 @@ def _candidates(
     low = (cos if everywhere else np.where(valid, cos, np.inf)).min(axis=1)
     near = (top >= (kth - 2.0 * eps)[:, None]) | (cos <= (low + 2.0 * eps)[:, None])
     picked = (near & valid) | ~np.isfinite(approx)
-    if len(picked) == 1:
-        return None, np.flatnonzero(picked[0])
-    return np.nonzero(picked)
+    # np.nonzero's pairs and order, about 10x faster on a (32, 2,400) panel
+    return np.divmod(np.flatnonzero(picked), picked.shape[1])
 
 
 def top_k(
@@ -336,27 +338,26 @@ def top_k(
     the (query, row) pairs to score (`_candidates`), and one `_scores` call
     scores only those, so rows, score bits and minimum are a full scan's,
     and `FormatError` is raised exactly when a full scan raises it. Given
-    `rows`, only those are scored, with no bound pass, and each query's top
-    k and minimum are among them. One stable sort keyed on (query, -score),
+    `rows`, in any order, the panel must be of one query: only those rows
+    are scored, with no bound pass, and its top k and minimum are among
+    them.
+
+    This is the one place that decides how a panel is scored. A panel of
+    one is scored as rows, not pairs, and sorted on (-score, row). A larger
+    panel is scored as pairs, and one stable sort keyed on (query, -score),
     over pairs whose rows ascend within each query, ranks every query at
     once with ties broken toward the lower row; each query's minimum is
-    taken over its own segment of the scores. A panel of one is scored as
-    rows, not pairs, and sorted on (-score, row).
+    taken over its own segment of the scores.
     """
     if rows is None:
-        queries, picked = _candidates(index, units, m, k)
-    elif len(units) == 1:
-        queries, picked = None, rows
-    else:
-        queries = np.repeat(np.arange(len(units)), len(rows))
-        picked = np.tile(np.sort(rows), len(units))
-    if queries is None:
-        found, scores = _scores(index, units, m, picked)
+        queries, rows = _candidates(index, units, m, k)
+    if len(units) == 1:
+        found, scores = _scores(index, units, m, rows)
         scores = scores[:, 0]
         # about k + 1 candidates (or a funnel's shortlist): sorting all is cheap
         order, starts = np.lexsort((found, -scores)), [0, len(found)]
     else:
-        found, queries, scores = _scores(index, units, m, picked, queries)
+        found, queries, scores = _scores(index, units, m, rows, queries)
         # complex numbers sort by real part, then imaginary part: one stable
         # sort on (query, -score), which keeps the ascending rows of a query
         # in order where scores tie (at 76,800 pairs, about 40% faster than a
@@ -464,7 +465,7 @@ def search_funnel(
     ((shortlist, _, _),) = top_k(index, _unit_prefix(query, m_low)[None], m_low, shortlist_size)
     # prefix norms never shrink as m grows, so every survivor is usable at m_high
     unit = _unit_prefix(query, m_high)[None]
-    ((rows, scores, _),) = top_k(index, unit, m_high, k, np.sort(shortlist))
+    ((rows, scores, _),) = top_k(index, unit, m_high, k, shortlist)
     return _hits(index, rows, scores)
 
 

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import near2
 from near2 import cli, metrics, trainer
@@ -900,3 +904,163 @@ def test_synth_determinism(tmp_path):
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+# --- text that is not UTF-8, and other input the exit contract must survive ------
+
+
+def _records_with_bad_text(workspace, path):
+    """workspace's test records, one title given a raw 0xFF byte and one
+    query an encoded surrogate (bytes ED A0 80; in JSONL a \\ud800 escape),
+    as JSONL or TSV by `path`'s suffix; (path, the two bad line numbers)."""
+    records = load_records(workspace["data"] / "test.jsonl")[0]
+    write_records(records, path, "tsv" if path.suffix == ".tsv" else "jsonl")
+    lines = path.read_bytes().splitlines()
+    lines[1] = lines[1].replace(records[1].title.encode(), b"\xff" + records[1].title.encode())
+    surrogate = b"\\ud800" if path.suffix == ".jsonl" else b"\xed\xa0\x80"
+    lines[2] = lines[2].replace(records[2].query.encode(), surrogate + records[2].query.encode())
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    return path, (2, 3)
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".tsv"])
+@pytest.mark.parametrize("command", ["train --data", "train --valid", "index", "eval", "hist"])
+def test_records_that_are_not_utf8_are_issues_naming_line_and_field(
+    workspace, tmp_path, capsys, command, suffix
+):
+    bad, (title_line, query_line) = _records_with_bad_text(workspace, tmp_path / f"r{suffix}")
+    model, out = str(workspace["model"]), str(tmp_path / "out")
+    argv, what = {
+        "train --data": (["train", "--data", bad, *TINY, "--epochs", "0", "--out", out], "train"),
+        "train --valid": (["train", "--data", workspace["data"] / "train.jsonl", "--valid", bad,
+                           *TINY, "--epochs", "0", "--out", out], "valid"),
+        "index": (["index", "--model", model, "--titles", bad, "--out", out], "titles"),
+        "eval": (["eval", "--model", model, "--test", bad, "--report", out], "test"),
+        "hist": (["hist", "--model", model, "--test", bad, "--out", out], "test"),
+    }[command]
+    assert main([str(a) for a in argv]) == 0
+    err = capsys.readouterr().err
+    assert f"near2: {what} line {title_line}: title is not valid UTF-8\n" in err
+    assert f"near2: {what} line {query_line}: query is not valid UTF-8\n" in err
+
+
+@pytest.mark.parametrize("content, command", [
+    (b"\xff\xfe", "search"),
+    (b'{"out": "x\\ud800"}', "synth"),
+    (b"[" * 100_000 + b"]" * 100_000, "search"),
+], ids=["undecodable", "surrogate-escape", "nested-too-deeply"])
+def test_config_file_that_cannot_be_read_exits_two_naming_it(
+    workspace, tmp_path, capsys, content, command
+):
+    config = tmp_path / "near2.json"
+    config.write_bytes(content)
+    argv = ["synth"] if command == "synth" else [
+        "search", "--index", str(workspace["index"]), "--model", str(workspace["model"]),
+        "--query", "plants",
+    ]
+    assert main(argv + ["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"near2: data error: cannot read config file {config}: ")
+    assert err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["near2.json"]
+
+
+def test_baseline_nested_too_deeply_exits_two_before_writing(workspace, tmp_path, capsys):
+    base = tmp_path / "base.json"
+    base.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    assert main([
+        "eval", "--model", str(workspace["model"]), "--test", str(workspace["data"] / "test.jsonl"),
+        "--report", str(tmp_path / "out.json"), "--baseline", str(base),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"near2: data error: cannot read baseline report {base}: ")
+    assert err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["base.json"]
+
+
+def test_out_of_memory_exits_two_with_one_line(workspace, tmp_path, capsys, monkeypatch):
+    def allocation_fails(config):
+        raise MemoryError("Unable to allocate 3.73 TiB for an array")
+
+    monkeypatch.setattr(cli, "initial_model", allocation_fails)
+    assert main([
+        "train", "--data", str(workspace["data"] / "train.jsonl"),
+        "--buckets", "4000000000", "--out", str(tmp_path / "m.bin"),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "near2: out of memory: Unable to allocate 3.73 TiB for an array\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+TINY_MODEL = ["--buckets", "64", "--feature-dim", "4", "--dims", "8,4"]
+
+
+@pytest.fixture(scope="module")
+def small_workspace(tmp_path_factory):
+    """A six-record set as JSONL and TSV, a tiny untrained model, its index
+    and a search config, each as clean bytes to corrupt."""
+    root = tmp_path_factory.mktemp("corrupt")
+    records = [
+        RelevanceRecord(f"q{q}", query, f"t{q}{i}", title, grade)
+        for q, query in enumerate(["red plant", "desk lamp"])
+        for i, (title, grade) in enumerate(
+            [(f"big {query}", 5), (f"small {query} pot", 4), ("blue chair", 1)]
+        )
+    ]
+    for suffix in ("jsonl", "tsv"):
+        write_records(records, root / f"clean.{suffix}", suffix)
+    model, index = root / "model.bin", root / "corpus.idx"
+    assert main(["train", "--data", str(root / "clean.jsonl"), "--epochs", "0", *TINY_MODEL,
+                 "--out", str(model)]) == 0
+    assert main(["index", "--model", str(model), "--titles", str(root / "clean.jsonl"),
+                 "--out", str(index)]) == 0
+    (root / "clean.json").write_text(json.dumps({"query": "red plant", "k": 3, "dim": 4}))
+    return root
+
+
+def _splice(clean: bytes, splices) -> bytes:
+    data = bytearray(clean)
+    for at, insert in splices:
+        at %= len(data) + 1
+        data[at:at] = insert
+    return bytes(data)
+
+
+def _exit_contract_holds(argv):
+    """main(argv) exits 0, 1 or 2, and each stderr line is a near2 or usage line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])  # an escaping exception fails the test
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert all(line.startswith(("near2:", "usage:")) for line in err.getvalue().splitlines())
+
+
+CORRUPTION = st.one_of(
+    st.lists(st.integers(0x80, 0xFF), min_size=1, max_size=3).map(bytes),
+    st.sampled_from([b"\\ud800", b"\x00", b"\r"]),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    suffix=st.sampled_from(["jsonl", "tsv"]),
+    splices=st.lists(st.tuples(st.integers(0, 2**16), CORRUPTION), min_size=1, max_size=4),
+)
+def test_corrupt_text_keeps_the_exit_contract(small_workspace, suffix, splices):
+    # bytes >= 0x80, \ud800 escapes, NUL and CR spliced into a records file
+    # and a config file: every command exits 0, 1 or 2 with near2: lines only
+    root = small_workspace
+    records = root / f"corrupt.{suffix}"
+    records.write_bytes(_splice((root / f"clean.{suffix}").read_bytes(), splices))
+    config = root / "corrupt.json"
+    config.write_bytes(_splice((root / "clean.json").read_bytes(), splices))
+    model = root / "model.bin"
+    for argv in (
+        ["index", "--model", model, "--titles", records, "--out", root / "out.idx"],
+        ["eval", "--model", model, "--test", records, "--report", root / "report.json"],
+        ["hist", "--model", model, "--test", records, "--out", root / "hist.csv"],
+        ["train", "--data", records, "--epochs", "0", *TINY_MODEL, "--out", root / "out.bin"],
+        ["search", "--config", config, "--index", root / "corpus.idx", "--model", model],
+    ):
+        _exit_contract_holds(argv)

@@ -67,6 +67,34 @@ class TestParse:
         assert len(tsv_records) == 1
         assert [i.message for i in tsv_issues] == ["tab or line break in title_id"]
 
+    @pytest.mark.parametrize("format", ["jsonl", "tsv"])
+    def test_text_that_is_not_utf8_is_an_issue_naming_line_and_field(self, tmp_path, format):
+        # a raw 0xFF byte; an encoded surrogate (bytes ED A0 80), the TSV form
+        # of JSON's \ud800 escape; and, in JSONL, the escape itself
+        good = RelevanceRecord("q1", "red plant", "t1", "big red plant", 5)
+        bad = [
+            RelevanceRecord("q1", "red plant", "t2", "big \udcff plant", 4),
+            RelevanceRecord("q1", "red \udced\udca0\udc80 plant", "t3", "red pot", 4),
+        ]
+        lines = [
+            (good.to_json() if format == "jsonl" else good.to_tsv()).encode()
+        ] + [
+            (r.to_json() if format == "jsonl" else r.to_tsv()).encode("utf-8", "surrogateescape")
+            for r in bad
+        ]
+        if format == "jsonl":
+            lines.append(b'{"qid": "q", "query": "x", "title_id": "t\\ud800", "title": "y", '
+                         b'"grade": 4}')
+            lines.append(b"[" * 100_000 + b"]" * 100_000)
+        path = tmp_path / f"records.{format}"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        records, issues = load_records(path)
+        assert records == [good]
+        want = [(2, "title is not valid UTF-8"), (3, "query is not valid UTF-8")]
+        if format == "jsonl":
+            want += [(4, "title_id is not valid UTF-8"), (5, "JSON nested too deeply")]
+        assert [(i.line_no, i.message) for i in issues] == want
+
     def test_all_lines_bad_is_error(self):
         with pytest.raises(DataError, match="no valid records"):
             parse_records(["garbage", "more garbage"])

@@ -794,23 +794,33 @@ def test_top_k_ranks_like_a_full_lexsort(levels, k, seed):
 
 
 def test_top_k_ranks_a_panel_query_by_query_through_ties():
-    # rows that are copies of four vectors tie exactly; a panel, given rows
-    # (unsorted, one repeated) or not, ranks each query as a panel of that
-    # query alone does, ties toward the lower row
+    # rows that are copies of four vectors tie exactly; a panel ranks each
+    # query as a panel of that query alone does, and a panel of one given
+    # rows (unsorted, one repeated, one unsearchable) ranks them as a full
+    # scan's (-score, row) sort does, ties toward the lower row
     rng = np.random.default_rng(5)
     matrix = rng.normal(size=(4, 8)).astype(np.float32)[rng.integers(0, 4, size=60)]
     matrix[9] = 0.0
     index = index_of([f"d{i}" for i in range(60)], ["t"] * 60, matrix, DimSet((8, 4)))
     units = rng.normal(size=(5, 8))
     units /= np.linalg.norm(units, axis=1, keepdims=True)
-    for rows in (None, np.array([40, 9, 3, 57, 3, 12, 0, 33, 21])):
-        for k in (1, 3, 10, 70):
-            panel = top_k(index, units, 8, k, rows)
-            for unit, (got_rows, got_scores, low) in zip(units, panel):
-                ((want_rows, want_scores, want_low),) = top_k(index, unit[None], 8, k, rows)
-                assert got_rows.tolist() == want_rows.tolist()
-                assert got_scores.tobytes() == want_scores.tobytes()
-                assert low.hex() == want_low.hex()
+    given_rows = np.array([40, 9, 3, 57, 3, 12, 0, 33, 21])
+    kept = given_rows[given_rows != 9]
+    for k in (1, 3, 10, 70):
+        panel = top_k(index, units, 8, k)
+        for unit, (got_rows, got_scores, low) in zip(units, panel):
+            ((want_rows, want_scores, want_low),) = top_k(index, unit[None], 8, k)
+            assert got_rows.tolist() == want_rows.tolist()
+            assert got_scores.tobytes() == want_scores.tobytes()
+            assert low.hex() == want_low.hex()
+
+            every_row, every_score = index_module._scores(index, unit[None], 8)
+            scores = every_score[np.searchsorted(every_row, kept), 0]
+            order = np.lexsort((kept, -scores))[:k]
+            ((got_rows, got_scores, low),) = top_k(index, unit[None], 8, k, given_rows)
+            assert got_rows.tolist() == kept[order].tolist()
+            assert got_scores.tobytes() == scores[order].tobytes()
+            assert low.hex() == scores.min().hex()
 
 
 class TestPrefixIndexEquivalence:

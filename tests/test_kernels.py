@@ -117,8 +117,11 @@ def single_query_dots(matrix, query, m, row_indices=None):
     parts = _kernels._prefix_parts(matrix, m)
 
     def dots(rows):
-        return _kernels._band_sum(parts, lambda band, start, width: np.einsum(
-            "ij,j->i", band[rows, :width], query[start : start + width], dtype=np.float64))
+        out = np.zeros(matrix.shape[0])[rows]
+        for band, start, width in parts:
+            out += np.einsum(
+                "ij,j->i", band[rows, :width], query[start : start + width], dtype=np.float64)
+        return out
 
     if row_indices is None:
         return dots(slice(None))
