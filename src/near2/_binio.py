@@ -3,11 +3,12 @@
 Both start (little-endian) with an 8-byte magic, a u32 format version, a few
 format-specific fixed fields, then dims_count u16 and the dims as u32 each in
 strictly descending order. Both files are read the same way: `map_file` maps
-the whole file read-only, and one `Reader` cursor parses that buffer from
-the start, turning every short read or layout defect into a `FormatError`
-that names the kind of file. Arrays it returns are read-only views of the
-map, so nothing is copied unless a caller converts it. `write_atomically`
-is how both files are written.
+the whole file read-only, and one `Reader` cursor parses that buffer once,
+in file order, turning every short read or layout defect into a `FormatError`
+that names the kind of file and what it was reading. `pad` steps over the
+zero bytes that align the index file's sections. Arrays it returns are
+read-only views of the map, so nothing is copied unless a caller converts
+it. `write_atomically` is how both files are written.
 """
 
 from __future__ import annotations
@@ -85,6 +86,15 @@ class Reader:
         count = math.prod(shape)
         at = self.take(np.dtype(dtype).itemsize * count, what)
         return np.frombuffer(self.buf, dtype, count, at).reshape(shape)
+
+    def pad(self, align: int) -> None:
+        """Step over the zero bytes up to the next multiple of `align` from
+        the start of the file. A file that ends inside them is reported by
+        the next read."""
+        n = -self.pos % align
+        if self.buf[self.pos : self.pos + n].strip(b"\0"):
+            raise FormatError("nonzero padding bytes between index sections")
+        self.pos += n
 
     def unpack(self, fmt: str, what: str) -> tuple:
         fmt = "<" + fmt

@@ -196,6 +196,16 @@ def distinct_titles(records: list[RelevanceRecord]) -> list[tuple[str, str]]:
     return list(title_by_id.items())
 
 
+def _query_strings(records: list[RelevanceRecord]) -> dict[str, str]:
+    """Each qid's query string, in first-seen order. A qid that appears with
+    two different query strings is a DataError."""
+    query_by_qid: dict[str, str] = {}
+    for r in records:
+        if query_by_qid.setdefault(r.qid, r.query) != r.query:
+            raise DataError(f"qid {r.qid!r} maps to two different query strings")
+    return query_by_qid
+
+
 def split_judgments(records: list[RelevanceRecord]) -> JudgmentsSplit:
     """Derive evaluation judgments and the title corpus from records.
 
@@ -204,11 +214,10 @@ def split_judgments(records: list[RelevanceRecord]) -> JudgmentsSplit:
     undefined for them.
     """
     corpus = distinct_titles(records)
-    per_query: dict[str, dict] = {}
+    queries = _query_strings(records)
+    per_query = {qid: {"relevant": set(), "grades": {}} for qid in queries}
     for r in records:
-        q = per_query.setdefault(r.qid, {"query": r.query, "relevant": set(), "grades": {}})
-        if q["query"] != r.query:
-            raise DataError(f"qid {r.qid!r} maps to two different query strings")
+        q = per_query[r.qid]
         q["grades"][r.title_id] = r.grade
         if r.grade > RELEVANT_ABOVE:
             q["relevant"].add(r.title_id)
@@ -220,7 +229,7 @@ def split_judgments(records: list[RelevanceRecord]) -> JudgmentsSplit:
             judged.append(
                 QueryJudgment(
                     qid=qid,
-                    query=q["query"],
+                    query=queries[qid],
                     relevant=frozenset(q["relevant"]),
                     grades=dict(q["grades"]),
                 )

@@ -25,9 +25,10 @@ table rows the run's texts reach, a buffer the caller keeps for the run.
 
 `load_model` memory-maps the feature table, so a loaded model reads from disk
 only the rows its texts gather, and checks each row when it is gathered, not
-at load: `encode` and `index.build_index` refuse a non-finite embedding, and
-from a loaded model that refusal is a `FormatError` naming the file and the
-corrupt row (`non_finite_embedding`). A row no text gathers is never read.
+at load: `embed_bag`, which `encode` and `index.build_index` both embed
+through, refuses a non-finite embedding, and from a loaded model that refusal
+is a `FormatError` naming the file and the corrupt row
+(`non_finite_embedding`). A row no text gathers is never read.
 """
 
 from __future__ import annotations
@@ -348,10 +349,15 @@ def pool(model: EncoderModel, bag: FeatureBag) -> np.ndarray:
 
 def embed_bag(model: EncoderModel, bag: FeatureBag) -> np.ndarray:
     """A bag's raw (D,) embedding, its pooled row times the projection; an
-    empty bag gives zeros. Finiteness is left to the caller."""
+    empty bag gives zeros. The one place a non-finite embedding is refused:
+    it raises `non_finite_embedding`'s error. Overflow and inf - inf in the
+    product warn first unless the caller silences them."""
     if len(bag) == 0:
         return np.zeros(model.full_dim)
-    return _pool(model, bag) @ model.projection
+    values = _pool(model, bag) @ model.projection
+    if not np.isfinite(values).all():
+        raise non_finite_embedding(model, bag)
+    return values
 
 
 def non_finite_embedding(model: EncoderModel, bag: FeatureBag) -> Exception:
@@ -372,15 +378,12 @@ def encode_bag(model: EncoderModel, bag: FeatureBag) -> NestedEmbedding:
     """`encode` of the text whose bag `bag` is, for texts tokenized together.
 
     An empty bag yields a degenerate zero embedding. A non-finite embedding
-    raises `non_finite_embedding`'s error, with no warning first (inf - inf
-    in the product warns, as an overflow does).
+    raises as `embed_bag` refuses it, with no warning first (inf - inf in
+    the product warns, as an overflow does).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         values = embed_bag(model, bag)
-    try:
-        return NestedEmbedding(values, dims=model.dims, degenerate=len(bag) == 0)
-    except ValueError:  # the values are (D,), so only non-finite ones are refused
-        raise non_finite_embedding(model, bag) from None
+    return NestedEmbedding(values, dims=model.dims, degenerate=len(bag) == 0)
 
 
 def encode(model: EncoderModel, text: str) -> NestedEmbedding:
@@ -489,11 +492,3 @@ def load_model(path) -> EncoderModel:
     model.path = str(path)
     return model
 
-
-def model_file_size(model: EncoderModel) -> int:
-    """Exact serialized byte count implied by the format."""
-    return (
-        8 + 16 + 2 + 4 * len(model.dims) + 8
-        + 4 * model.bucket_count * model.feature_dim
-        + 4 * model.feature_dim * model.full_dim
-    )

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _kernels
 from ._binio import Reader, map_file, pack_header, write_atomically
-from .encoder import CHUNK_TEXTS, EncoderModel, embed_bag, non_finite_embedding, tokenize_many
+from .encoder import CHUNK_TEXTS, EncoderModel, embed_bag, tokenize_many
 from .encoder import encode  # unused here; bench/tracing.py wraps near2.index.encode
 from .errors import DataError, FormatError, NumericalError, ZeroVectorError
 from .nested import DimSet, NestedEmbedding, EPS_ZERO, l2_normalize, truncate
@@ -197,10 +197,11 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
 
     Titles are tokenized `CHUNK_TEXTS` at a time, so memory stays flat in the
     corpus, and embedded one bag at a time by `embed_bag`, so every row equals
-    `encode` of its title, bit for bit, and a non-finite row raises as `encode`
-    does: `FormatError` naming the model file when a title gathers a corrupt
-    row of a loaded model's table. A finite row that overflows the index's
-    float32 raises `NumericalError` from the norm table's check.
+    `encode` of its title, bit for bit, and `embed_bag` refuses a non-finite
+    row as it does for `encode`: `FormatError` naming the model file when a
+    title gathers a corrupt row of a loaded model's table. A finite row that
+    overflows the index's float32 raises `NumericalError` from the norm
+    table's check.
     """
     if not titles:
         raise DataError("cannot build an index from zero titles")
@@ -212,15 +213,13 @@ def build_index(model: EncoderModel, titles: list[tuple[str, str]]) -> PrefixInd
     edges = model.dims.edges
     bands = [np.empty((len(titles), hi - lo), dtype=np.float32) for lo, hi in zip(edges, edges[1:])]
     # overflow and inf - inf warn nothing: a row that is not finite in float64
-    # is refused here, one that overflows the float32 bands by the norm
-    # table's check
+    # is refused by `embed_bag`, one that overflows the float32 bands by the
+    # norm table's check
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, len(titles), CHUNK_TEXTS):
             chunk = [text for _, text in titles[first : first + CHUNK_TEXTS]]
             for row, bag in enumerate(tokenize_many(chunk, model.bucket_count), start=first):
                 values = embed_bag(model, bag)
-                if not np.isfinite(values).all():
-                    raise non_finite_embedding(model, bag)
                 for band, lo, hi in zip(bands, edges, edges[1:]):
                     band[row] = values[lo:hi]
     return PrefixIndex(
@@ -492,41 +491,24 @@ def memory_footprint(index: PrefixIndex, m: int) -> MemoryFootprint:
 # --- persistence ----------------------------------------------------------------
 #
 # Layout (little-endian), version 4: magic "NEAR2IDX", version u32 = 4, D u32,
-# count u64, dims_count u16 then dims u32 each (descending); then the norm
-# table, count x dims_count float64 row-major (row r, column j = the norm of
-# row r's first dims[j] entries), whose zeros mark the degenerate rows; then one
-# count x width float32 row-major band per dim in ascending order, band i
-# holding columns [M_(i-1), M_i) with M_0 = 0 and M_i the i-th smallest dim;
-# then the doc table: 2 x (count + 1) u64 offsets, the ids' then the titles',
-# each ascending from 0 to its blob's length; the ids' UTF-8 blob; and the
-# titles' UTF-8 blob, which ends the file. Row r's id is the ids blob's bytes
-# [id_offsets[r], id_offsets[r + 1]), and likewise its title. Zero bytes pad
-# every section but the last to a multiple of 64 bytes from the start of the
-# file, so each can be memory-mapped as an aligned array. Versions 1 (one
+# count u64 (at least 1), dims_count u16 then dims u32 each (descending); then
+# the norm table, count x dims_count float64 row-major (row r, column j = the
+# norm of row r's first dims[j] entries), whose zeros mark the degenerate rows;
+# then one count x width float32 row-major band per dim in ascending order,
+# band i holding columns [M_(i-1), M_i) with M_0 = 0 and M_i the i-th smallest
+# dim; then the doc table: 2 x (count + 1) u64 offsets, the ids' then the
+# titles', each ascending from 0 to its blob's length; the ids' UTF-8 blob; and
+# the titles' UTF-8 blob, which ends the file. Row r's id is the ids blob's
+# bytes [id_offsets[r], id_offsets[r + 1]), and likewise its title. Zero bytes
+# before each section after the dims pad it to start at a multiple of 64 bytes
+# from the start of the file, so each can be memory-mapped as an aligned
+# array. `_write_index` writes, and `load_index` reads, the sections in this
+# order, each padding worked out from the position reached. Versions 1 (one
 # row-major count x D block, no norm table), 2 (a length-prefixed id and
 # title per row) and 3 (a degenerate-row bitmap after the dims, which
 # repeated the zero norms) are not read.
 
 _ALIGN = 64
-
-
-def _sections(
-    count: int, dims: DimSet, id_bytes: int = 0, title_bytes: int = 0
-) -> tuple[list[tuple[int, int]], int]:
-    """(offset, length) of each section after the header, and the file size.
-
-    The sections in file order: the norm table, one band per dim, the doc
-    table's offsets, the ids blob and the titles blob, which ends the file.
-    """
-    edges = dims.edges
-    lengths = [8 * count * len(dims)] + [4 * count * (hi - lo) for lo, hi in zip(edges, edges[1:])]
-    lengths += [16 * (count + 1), id_bytes, title_bytes]
-    sections, pos = [], 8 + 16 + 2 + 4 * len(dims)
-    for length in lengths:
-        pos += -pos % _ALIGN
-        sections.append((pos, length))
-        pos += length
-    return sections, pos
 
 
 def save_index(index: PrefixIndex, path) -> None:
@@ -541,93 +523,76 @@ def _write_index(index: PrefixIndex, fh) -> None:
     header_fields = (index.dims.full, index.count)
     fh.write(pack_header(INDEX_MAGIC, INDEX_VERSION, "IQ", header_fields, index.dims))
     ids, titles = index.ids, index.titles
-    sections, _ = _sections(index.count, index.dims, len(ids.blob), len(titles.blob))
     arrays = [index._norms.astype("<f8", copy=False)]
     arrays += [band.astype("<f4", copy=False) for band in index.bands.arrays]
     arrays += [np.concatenate([ids.offsets, titles.offsets]).astype("<u8", copy=False)]
     arrays += [np.frombuffer(ids.blob, np.uint8), np.frombuffer(titles.blob, np.uint8)]
-    for (offset, _), array in zip(sections, arrays):
-        fh.write(bytes(offset - fh.tell()))
+    for array in arrays:
+        fh.write(bytes(-fh.tell() % _ALIGN))
         fh.write(np.ascontiguousarray(array))
 
 
 def load_index(path) -> PrefixIndex:
     """Read an index back; any structural defect raises before an index exists.
 
-    The file is mapped, and one `Reader` parses its header and dims; the
-    sections after them are checked against the layout `_sections` gives
-    and taken as views of the map. The bands and the doc table stay mapped;
-    non-finite vector entries are found by the scan that reads them (see
-    `_scores`). Every id and title is checked to be valid UTF-8 here, but
-    decoded only when read. The norm table is checked to be finite,
-    non-negative and non-increasing as m falls, but not against the bands,
-    which would read them all: altered norms load, and the rows they affect
-    silently drop out of searches or rank wrongly.
+    The file is mapped, and one `Reader` parses it in file order: the header
+    and dims, then each section after its zero padding, taken as a view of
+    the map. A file that ends early raises naming the section it ends in;
+    one that holds no rows, or bytes after the titles blob, raises too.
+    The bands and the doc table stay mapped; non-finite vector entries are
+    found by the scan that reads them (see `_scores`). Every id and title is
+    checked to be valid UTF-8 here, but decoded only when read. The norm
+    table is checked to be finite, non-negative and non-increasing as m
+    falls, but not against the bands, which would read them all: altered
+    norms load, and the rows they affect silently drop out of searches or
+    rank wrongly.
     """
-    buf = map_file(path)
-    reader = Reader(buf, "index")
+    reader = Reader(map_file(path), "index")
     full_dim, count = reader.header(
         INDEX_MAGIC, INDEX_VERSION, "IQ", path,
         stale="re-run `near2 index` to rebuild it in the current format",
     )
     dims = reader.dims(full_dim)
-    offsets_at, offsets_length = _sections(count, dims)[0][-3]
-    if len(buf) < offsets_at + offsets_length:
-        raise FormatError(
-            "index file truncated while reading norm table, vector bands and doc table offsets"
-        )
-
-    offsets = np.frombuffer(buf, "<u8", 2 * (count + 1), offsets_at).reshape(2, count + 1)
-    if not (np.all(offsets[:, 0] == 0) and np.all(offsets[:, 1:] >= offsets[:, :-1])):
-        raise FormatError("doc table offsets must ascend from 0")
-    id_offsets, title_offsets = offsets
-    sections, size = _sections(count, dims, int(id_offsets[-1]), int(title_offsets[-1]))
-    for what, column_offsets, (at, length) in (
-        ("id", id_offsets, sections[-2]), ("title", title_offsets, sections[-1])
-    ):
-        if length and len(buf) < at + length:
-            # the first row whose bytes run past the end of the file
-            row = np.searchsorted(column_offsets[1:], max(len(buf) - at, 0), side="right")
-            raise FormatError(f"index file truncated while reading {what} of row {row}")
-    if len(buf) != size:
-        raise FormatError(
-            "index file truncated while reading doc table" if len(buf) < size
-            else "trailing bytes after doc table"
-        )
-
-    gaps = zip([reader.pos] + [offset + length for offset, length in sections],
-               [offset for offset, _ in sections])
-    for start, stop in gaps:
-        if buf[start:stop].strip(b"\0"):
-            raise FormatError("nonzero padding bytes between index sections")
-
-    (norm_at, _), *band_sections = sections[:-3]
-    norms = np.frombuffer(buf, "<f8", count * len(dims), norm_at).reshape(count, len(dims))
+    if count == 0:
+        raise FormatError("index file holds no rows")
+    reader.pad(_ALIGN)
+    norms = reader.array("<f8", (count, len(dims)), "norm table")
     # computed tables are finite, non-negative and never shrink as m grows,
     # which keeps every funnel survivor usable at its re-rank dim
     if not (
         np.all(np.isfinite(norms)) and np.all(norms >= 0) and np.all(norms[:, :-1] >= norms[:, 1:])
     ):
         raise FormatError("invalid prefix norm table")
-    edges = dims.edges
-    bands = [
-        np.frombuffer(buf, "<f4", count * (hi - lo), offset).reshape(count, hi - lo)
-        for (offset, _), lo, hi in zip(band_sections, edges, edges[1:])
-    ]
-    ids = _text_column(buf, id_offsets, sections[-2], "id")
-    titles = _text_column(buf, title_offsets, sections[-1], "title")
+    edges, bands = dims.edges, []
+    for lo, hi in zip(edges, edges[1:]):
+        reader.pad(_ALIGN)
+        bands.append(reader.array("<f4", (count, hi - lo), "vector bands"))
+    reader.pad(_ALIGN)
+    offsets = reader.array("<u8", (2, count + 1), "doc table offsets")
+    if not (np.all(offsets[:, 0] == 0) and np.all(offsets[:, 1:] >= offsets[:, :-1])):
+        raise FormatError("doc table offsets must ascend from 0")
+    ids = _text_column(reader, offsets[0], "id")
+    titles = _text_column(reader, offsets[1], "title")
+    reader.end("doc table")
     return PrefixIndex(ids, titles, bands, dims, norms)
 
 
-def _text_column(buf, offsets: np.ndarray, section: tuple[int, int], what: str) -> TextColumn:
-    """The column over a mapped blob whose every row is valid UTF-8.
+def _text_column(reader: Reader, offsets: np.ndarray, what: str) -> TextColumn:
+    """The column over the next mapped blob, after its padding, whose every
+    row is valid UTF-8.
 
-    The whole blob decodes, and no offset but the end falls on a UTF-8
-    continuation byte, so every row's slice starts and ends on a character
-    boundary and decodes too.
+    A blob the file cuts short raises naming the first row whose bytes run
+    past the end. The whole blob decodes, and no offset but the end falls on
+    a UTF-8 continuation byte, so every row's slice starts and ends on a
+    character boundary and decodes too.
     """
-    at, length = section
-    blob = memoryview(buf)[at : at + length]
+    reader.pad(_ALIGN)
+    length, left = int(offsets[-1]), len(reader.buf) - reader.pos
+    if length and length > left:
+        row = np.searchsorted(offsets[1:], max(left, 0), side="right")
+        raise FormatError(f"index file truncated while reading {what} of row {row}")
+    at = reader.take(length, "doc table")  # raises only for an empty blob past the end
+    blob = memoryview(reader.buf)[at : at + length]
     try:
         str(blob, "utf-8")
     except UnicodeDecodeError as e:
@@ -639,9 +604,3 @@ def _text_column(buf, offsets: np.ndarray, section: tuple[int, int], what: str) 
         # offsets[cut[0]] splits a character, and the row before it ends there
         raise FormatError(f"{what} of row {cut[0] - 1} is not valid UTF-8")
     return TextColumn(offsets, blob)
-
-
-def index_file_size(index: PrefixIndex) -> int:
-    """Exact serialized byte count implied by the format: the header, then
-    every section, each but the last padded to 64 bytes."""
-    return _sections(index.count, index.dims, len(index.ids.blob), len(index.titles.blob))[1]

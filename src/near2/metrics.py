@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import JudgmentsSplit, QueryJudgment, RelevanceRecord, split_judgments
-from .encoder import EncoderModel, encode_bag, feature_bags
+from .encoder import EncoderModel, FeatureBag, encode_bag, feature_bags
 from .encoder import encode  # unused here; bench/tracing.py wraps near2.metrics.encode
 from .errors import DataError, ZeroVectorError
 from .index import PrefixIndex, _scores, build_index, query_panels, top_k
@@ -150,27 +150,38 @@ def capped_corpus(
     return [entry for entry in corpus if entry[0] in picked]
 
 
+def _judged_split(
+    records: list[RelevanceRecord], bucket_count: int
+) -> tuple[JudgmentsSplit, dict[str, FeatureBag]]:
+    """The records' judged split and each distinct judged query's feature
+    bag, from one `feature_bags` call. `DataError` if no query is judged or
+    every judged query has no features (and so embeds degenerately); neither
+    depends on the model's parameters, so `train` checks a validation set
+    with this before its first step."""
+    split = split_judgments(records)
+    if not split.judged:
+        raise DataError("no judged queries: every query lacks a grade > 3 title")
+    bags = feature_bags((j.query for j in split.judged), bucket_count)
+    if not any(len(bag) for bag in bags.values()):
+        raise DataError("every judged query embeds degenerately")
+    return split, bags
+
+
 def judged_queries(
     model: EncoderModel, records: list[RelevanceRecord], corpus_cap: int, seed: int
 ) -> tuple[PrefixIndex, list[tuple[QueryJudgment, NestedEmbedding]], int]:
     """The set-up every evaluation over a test set shares.
 
-    Splits the records into judged queries and a corpus, indexes the capped
-    corpus and embeds each distinct judged query once; one `feature_bags`
-    call tokenizes them all, and each embedding is `encode`'s of its text.
-    Returns the index, the (judgment, embedding) pairs in judged order, and
-    how many judged queries were skipped because their text embeds
-    degenerately.
+    Splits the records into judged queries and a corpus (`_judged_split`),
+    indexes the capped corpus and embeds each distinct judged query once;
+    each embedding is `encode`'s of its text. Returns the index, the
+    (judgment, embedding) pairs in judged order, and how many judged queries
+    were skipped because their text embeds degenerately.
     """
-    split = split_judgments(records)
-    if not split.judged:
-        raise DataError("no judged queries: every query lacks a grade > 3 title")
+    split, bags = _judged_split(records, model.bucket_count)
     index = build_index(model, capped_corpus(split, corpus_cap, seed))
-    bags = feature_bags((j.query for j in split.judged), model.bucket_count)
     embeddings = {q: encode_bag(model, bag) for q, bag in bags.items()}
     usable = [(j, embeddings[j.query]) for j in split.judged if not embeddings[j.query].degenerate]
-    if not usable:
-        raise DataError("every judged query embeds degenerately")
     return index, usable, len(split.judged) - len(usable)
 
 

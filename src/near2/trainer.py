@@ -57,7 +57,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import RelevanceRecord, RELEVANT_ABOVE
+from .data import RelevanceRecord, RELEVANT_ABOVE, _query_strings
 from .encoder import (
     DEFAULT_BUCKETS,
     DEFAULT_DIMS,
@@ -75,8 +75,8 @@ from .losses import (
     mrl_compose,  # unused here; bench/tracing.py wraps near2.trainer.mrl_compose
     multitask_step_loss,
 )
-from .metrics import (DEFAULT_CORPUS_CAP, DEFAULT_KS, MetricsReport, delta_report, format_delta,
-                      sequential_evaluate)
+from .metrics import (DEFAULT_CORPUS_CAP, DEFAULT_KS, MetricsReport, _judged_split, delta_report,
+                      format_delta, sequential_evaluate)
 from .nested import DimSet
 
 # Per-query negative cap; bounds the P*N hinge term count per step.
@@ -540,7 +540,11 @@ def train(
     """Run the configured schedule; returns the trained model and its history.
 
     The sequential evaluator runs after every epoch when validation records
-    are provided. With epochs=0 the model is returned untouched. A float64
+    are provided. With epochs=0 the model is returned untouched. Before the
+    first step, `DataError` refuses a qid with two query strings (as
+    `split_judgments` does), a record a loss reads whose query or title has
+    no features, and validation records that hold no judged query or only
+    featureless ones, which every epoch's evaluation would refuse. A float64
     model is trained in place; a loaded model, whose feature table is
     float32, is first copied into a float64 model and left as it was.
     A step that meets non-finite values (a diverging run's pooled rows or
@@ -555,6 +559,10 @@ def train(
     each phase's table moments are slabs of len(rows) rows (see
     `adamw_step`). No buffer the size of the feature table is allocated.
     """
+    _query_strings(records)  # batches would train only a qid's first query string
+    if valid_records and config.epochs:
+        # a validation set no epoch could evaluate is refused before step 1
+        _judged_split(valid_records, model.bucket_count)
     if model.feature_table.dtype != np.float64:
         model = replace(
             model,

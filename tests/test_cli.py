@@ -16,12 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from format_oracle import (index_sections, index_sections_of, model_sections, section_named,
+                           zero_row_index_file)
 import near2
 from near2 import cli, metrics, trainer
 from near2.cli import build_parser, main
 from near2.data import RelevanceRecord, distinct_titles, load_records, write_records
 from near2.encoder import EncoderModel, encode, load_model, save_model, tokenize, tokenize_many
-from near2.index import _sections, load_index, search_funnel
+from near2.index import load_index, search_funnel
 from near2.nested import DimSet
 
 TINY = [
@@ -322,7 +324,7 @@ def _non_finite_model(workspace, tmp_path):
 def _non_utf8_index(workspace, tmp_path):
     index = load_index(workspace["index"])
     data = bytearray(workspace["index"].read_bytes())
-    data[_sections(index.count, index.dims)[0][-2][0]] = 0xFF  # the ids blob's first byte
+    data[section_named(index_sections(index.count, index.dims), "id").offset] = 0xFF  # first id byte
     (tmp_path / "bad-id.idx").write_bytes(bytes(data))
     return tmp_path / "bad-id.idx"
 
@@ -356,10 +358,11 @@ def _zero_bucket_model(workspace, tmp_path):
     """The workspace model's file with a header declaring 0 buckets and no table rows."""
     model = load_model(workspace["model"])
     data = workspace["model"].read_bytes()
-    table_at = 8 + 16 + 2 + 4 * len(model.dims) + 8
-    table_end = table_at + 4 * model.bucket_count * model.feature_dim
+    _, table_at, table_length = section_named(model_sections(model), "feature table")
     path = tmp_path / "zero-buckets.bin"
-    path.write_bytes(data[:12] + (0).to_bytes(4, "little") + data[16:table_at] + data[table_end:])
+    path.write_bytes(
+        data[:12] + (0).to_bytes(4, "little") + data[16:table_at] + data[table_at + table_length :]
+    )
     return path
 
 
@@ -424,33 +427,58 @@ def test_model_with_other_dims_than_the_index_exits_two(workspace, tmp_path, dim
     assert proc.stdout == ""
 
 
-# The workspace model: a 38-byte header, the seed, a 128 x 8 table, an 8 x 16
-# projection; the workspace index: a 24-byte header, then its three dims.
+# `half(what)` is the offset halfway through the named section of the file
 @pytest.mark.parametrize("flag, edit, message", [
-    ("--model", lambda data: b"", "model file truncated while reading magic"),
-    ("--model", lambda data: data[: 38 + 4], "model file truncated while reading seed"),
-    ("--model", lambda data: data[: 46 + 4 * 128 * 8 // 2],
+    ("--model", lambda data, half: b"", "model file truncated while reading magic"),
+    ("--model", lambda data, half: data[: half("seed")], "model file truncated while reading seed"),
+    ("--model", lambda data, half: data[: half("feature table")],
      "model file truncated while reading feature table"),
-    ("--model", lambda data: data[:-3], "model file truncated while reading projection"),
-    ("--model", lambda data: data + b"x", "trailing bytes after model parameters"),
-    ("--index", lambda data: b"", "index file truncated while reading magic"),
-    ("--index", lambda data: data[:15], "index file truncated while reading header"),
-    ("--index", lambda data: data[:30], "index file truncated while reading dims"),
-    ("--index", lambda data: data + b"\x00", "trailing bytes after doc table"),
+    ("--model", lambda data, half: data[: half("projection")],
+     "model file truncated while reading projection"),
+    ("--model", lambda data, half: data + b"x", "trailing bytes after model parameters"),
+    ("--index", lambda data, half: b"", "index file truncated while reading magic"),
+    ("--index", lambda data, half: data[: half("header")],
+     "index file truncated while reading header"),
+    ("--index", lambda data, half: data[: half("dims")], "index file truncated while reading dims"),
+    ("--index", lambda data, half: data[: half("norm table")],
+     "index file truncated while reading norm table"),
+    ("--index", lambda data, half: data[: half("vector bands")],
+     "index file truncated while reading vector bands"),
+    ("--index", lambda data, half: data[: half("doc table offsets")],
+     "index file truncated while reading doc table offsets"),
+    ("--index", lambda data, half: data + b"\x00", "trailing bytes after doc table"),
 ], ids=["model-empty", "model-cut-in-seed", "model-cut-in-table", "model-cut-in-projection",
         "model-trailing-byte", "index-empty", "index-cut-in-header", "index-cut-in-dims",
-        "index-trailing-byte"])
+        "index-cut-in-norms", "index-cut-in-band", "index-cut-in-offsets", "index-trailing-byte"])
 def test_cut_or_extended_file_exits_two_naming_the_field(workspace, tmp_path, capsys,
                                                          flag, edit, message):
     files = {"--model": workspace["model"], "--index": workspace["index"]}
+    sections = (model_sections(load_model(files[flag])) if flag == "--model"
+                else index_sections_of(load_index(files[flag])))
+
+    def half(what):
+        _, offset, length = section_named(sections, what)
+        return offset + length // 2
+
     path = tmp_path / "bad"
-    path.write_bytes(edit(files[flag].read_bytes()))
+    path.write_bytes(edit(files[flag].read_bytes(), half))
     files[flag] = path
     code = main(["search", "--query", "plants", *(str(x) for item in files.items() for x in item)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"near2: data error: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [["--dim", "4"], ["--funnel", "4:16"]], ids=["dim", "funnel"])
+def test_zero_row_index_exits_two_with_one_line(workspace, tmp_path, flags):
+    path = tmp_path / "empty.idx"
+    path.write_bytes(zero_row_index_file(DimSet((16, 8, 4))))
+    proc = _cli("search", "--index", str(path), "--model", str(workspace["model"]),
+                "--query", "plants", *flags)
+    assert proc.returncode == 2
+    assert proc.stderr == "near2: data error: index file holds no rows\n"
+    assert proc.stdout == ""
 
 
 def test_version_1_index_exits_two_naming_near2_index(workspace, tmp_path):
@@ -483,7 +511,9 @@ def test_version_3_index_exits_two_naming_near2_index(workspace, tmp_path):
 @pytest.mark.parametrize("section", [0, 1, 2, 3], ids=["norms", "band0", "band1", "band2"])
 def test_nan_in_index_section_exits_two_without_traceback(workspace, tmp_path, section):
     index = load_index(workspace["index"])
-    offset, _ = _sections(index.count, index.dims)[0][section]
+    vectors = [s for s in index_sections(index.count, index.dims)
+               if s.what in ("norm table", "vector bands")]
+    offset = vectors[section].offset
     data = bytearray(workspace["index"].read_bytes())
     # two float32 NaNs, which read as float64 are one NaN
     data[offset : offset + 8] = b"\x00\x00\xc0\x7f\x00\x00\xf8\x7f"
@@ -505,7 +535,7 @@ def _corrupt_table_rows(workspace, tmp_path):
            for word in ("plants", "garden", "zz")}
     nan_row = min(bag["plants"] - bag["garden"] - bag["zz"])
     inf_row = min(bag["garden"] - bag["plants"] - bag["zz"])
-    table_at = 8 + 16 + 2 + 4 * len(model.dims) + 8
+    table_at = section_named(model_sections(model), "feature table").offset
     data = bytearray(workspace["model"].read_bytes())
     for row, values in ((nan_row, [np.nan]), (inf_row, [np.inf, -np.inf])):
         at = table_at + 4 * model.feature_dim * row

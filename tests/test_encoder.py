@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from format_oracle import model_file_size, model_sections
 from loss_oracle import breakpoint_gap, grad_check
 from near2 import encoder
 from near2.data import SynthSpec, gen_synthetic
@@ -19,7 +20,6 @@ from near2.encoder import (
     fnv1a64,
     fnv1a64_many,
     load_model,
-    model_file_size,
     pool,
     save_model,
     tokenize,
@@ -541,6 +541,22 @@ class TestPersistence:
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_model(path)
+
+    def test_every_cut_raises_format_error_naming_its_section(self, tmp_path):
+        model = EncoderModel.create(bucket_count=8, feature_dim=4, dims=DimSet((4, 2)), seed=3)
+        save_model(model, tmp_path / "model.bin")
+        data = (tmp_path / "model.bin").read_bytes()
+        sections = model_sections(model)
+        assert len(data) == sections[-1].end
+        for size in range(len(data)):
+            what = next(s.what for s in sections if s.end > size)
+            path = tmp_path / f"cut-{size}.bin"
+            path.write_bytes(data[:size])
+            with pytest.raises(FormatError, match=f"^model file truncated while reading {what}$"):
+                load_model(path)
+        (tmp_path / "extended.bin").write_bytes(data + b"\x00")
+        with pytest.raises(FormatError, match="^trailing bytes after model parameters$"):
+            load_model(tmp_path / "extended.bin")
 
 
 

@@ -9,15 +9,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eval_oracle import all_scores, index_of, top_hits
+from format_oracle import (index_file_size, index_sections, index_sections_of, section_named,
+                           zero_row_index_file)
 from near2 import index as index_module
 from near2.data import SynthSpec, distinct_titles, gen_synthetic
 from near2.encoder import CHUNK_TEXTS, EncoderModel, encode, load_model, save_model, tokenize
 from near2.errors import DataError, FormatError, InvalidDimensionError, ZeroVectorError
 from near2.index import (
     PrefixIndex,
-    _sections,
     build_index,
-    index_file_size,
     load_index,
     memory_footprint,
     query_panels,
@@ -386,6 +386,9 @@ class TestMemoryFootprint:
             memory_footprint(index, 7)
 
 
+_ONE_BAND = section_named(index_sections(5, DimSet((8,))), "vector bands")
+
+
 class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -553,8 +556,8 @@ class TestPersistence:
         index = random_index(np.random.default_rng(18), 5, DimSet((8,)))
         save_index(index, path)
         data = bytearray(path.read_bytes())
-        ids_at, _ = _sections(index.count, index.dims)[0][-2]
-        data[ids_at] = 0xFF  # first byte of the first id, at the start of the ids blob
+        # the first byte of the first id, at the start of the ids blob
+        data[section_named(index_sections(index.count, index.dims), "id").offset] = 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="not valid UTF-8"):
             load_index(path)
@@ -570,15 +573,13 @@ class TestPersistence:
         with pytest.raises(FormatError, match=message):
             load_index(path)
 
-    # a one-dim index of 5 rows: magic, version, D and count (24 bytes), the
-    # dims count and the one dim (30 bytes, padded to 64), the 5 x 1 norm
-    # table (padded to 128), then the one 5 x 8 band
+    # a one-dim index of 5 rows, cut halfway through its one 5 x 8 band
     @pytest.mark.parametrize("edit, message", [
         (lambda data: b"", "index file truncated while reading magic"),
         (lambda data: data[:15], "index file truncated while reading header"),
         (lambda data: data[:28], "index file truncated while reading dims"),
-        (lambda data: data[: 128 + 5 * 8 * 2], "index file truncated while reading "
-                                                "norm table, vector bands and doc table offsets"),
+        (lambda data: data[: _ONE_BAND.offset + _ONE_BAND.length // 2],
+         "index file truncated while reading vector bands"),
         (lambda data: data + b"\x00", "trailing bytes after doc table"),
     ], ids=["empty", "cut-in-header", "cut-in-dims", "cut-in-band", "trailing-byte"])
     def test_cut_or_extended_file_is_format_error(self, tmp_path, edit, message):
@@ -587,6 +588,39 @@ class TestPersistence:
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             load_index(path)
+
+    def test_zero_row_file_is_format_error(self, tmp_path):
+        path = tmp_path / "empty.idx"
+        path.write_bytes(zero_row_index_file(DimSet((8, 4))))
+        with pytest.raises(FormatError, match="^index file holds no rows$"):
+            load_index(path)
+
+    def test_every_cut_raises_format_error_naming_its_section(self, tmp_path):
+        ids = ["é-0", "日本-1", "", "😀-3", "ü-4"]
+        titles = ["title é", "", "日本語", "a😀 b", "end"]
+        matrix = np.random.default_rng(26).normal(size=(5, 8))
+        index = index_of(ids, titles, matrix, DimSet((8, 4)))
+        save_index(index, tmp_path / "corpus.idx")
+        data = (tmp_path / "corpus.idx").read_bytes()
+        sections = index_sections_of(index)
+        assert len(data) == sections[-1].end
+        row_ends = {what: np.cumsum([len(s.encode("utf-8")) for s in column])
+                    for what, column in (("id", ids), ("title", titles))}
+        for size in range(len(data)):
+            # the first section the cut leaves short; a cut in the padding
+            # before a section leaves that section short
+            what, offset, _ = next(s for s in sections if s.end > size)
+            if what in row_ends:
+                # the first row whose bytes run past the end of the file
+                row = np.count_nonzero(row_ends[what] <= max(size - offset, 0))
+                what = f"{what} of row {row}"
+            path = tmp_path / f"cut-{size}.idx"
+            path.write_bytes(data[:size])
+            with pytest.raises(FormatError, match=f"^index file truncated while reading {what}$"):
+                load_index(path)
+        (tmp_path / "extended.idx").write_bytes(data + b"\x00")
+        with pytest.raises(FormatError, match="^trailing bytes after doc table$"):
+            load_index(tmp_path / "extended.idx")
 
 
 def _pristine(kind, path):
@@ -714,8 +748,7 @@ def test_doc_table_byte_flips_load_or_raise_format_error(tmp_path, section, flip
     path = tmp_path / "flipped.idx"
     save_index(index, path)
     data = bytearray(path.read_bytes())
-    blobs = len(index.ids.blob), len(index.titles.blob)
-    offset, length = _sections(index.count, index.dims, *blobs)[0][section]
+    _, offset, length = index_sections_of(index)[section]
     for pos, mask in flips:
         data[offset + pos % length] ^= mask
     path.write_bytes(bytes(data))
@@ -753,7 +786,8 @@ def test_section_byte_flips_search_finite_or_raise_format_error(tmp_path, sectio
     index = random_index(np.random.default_rng(23), 6, dims, degenerate_rows=(2,))
     save_index(index, path)
     data = bytearray(path.read_bytes())
-    offset, length = _sections(index.count, dims)[0][section]
+    vectors = [s for s in index_sections(index.count, dims) if s.what in ("norm table", "vector bands")]
+    _, offset, length = vectors[section]
     for pos, mask in flips:
         data[offset + pos % length] ^= mask
     path.write_bytes(bytes(data))

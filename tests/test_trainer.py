@@ -830,6 +830,40 @@ class TestFeaturelessTexts:
             train(tiny_model(config), train_recs, replace(config, schedule=refused_by))
 
 
+class TestRefusedBeforeTheFirstStep:
+    @pytest.mark.parametrize("second_query", ["another red plant", "!!! ---"],
+                             ids=["with-features", "featureless"])
+    def test_qid_with_two_query_strings(self, monkeypatch, second_query):
+        # batches kept a qid's first query string and never trained the
+        # second; a featureless second string was refused as one a loss reads
+        monkeypatch.setattr(trainer, "adamw_step", mock.Mock(side_effect=AssertionError))
+        config = tiny_config()
+        train_recs, _, _ = small_dataset()
+        i = next(i for i, r in enumerate(train_recs) if r.qid == train_recs[0].qid and i > 0)
+        train_recs[i] = replace(train_recs[i], query=second_query)
+        message = f"qid {train_recs[0].qid!r} maps to two different query strings"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            train(tiny_model(config), train_recs, config)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: replace(r, grade=min(r.grade, 3)),
+         "no judged queries: every query lacks a grade > 3 title"),
+        (lambda r: replace(r, query="!!! ---"), "every judged query embeds degenerately"),
+    ], ids=["none-judged", "all-featureless"])
+    def test_unusable_validation_set(self, edit, message):
+        steps = mock.Mock(wraps=trainer.adamw_step)
+        config = tiny_config(epochs=3)
+        train_recs, valid_recs, _ = small_dataset()
+        valid_recs = [edit(r) for r in valid_recs]
+        with mock.patch.object(trainer, "adamw_step", steps):
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                train(tiny_model(config), train_recs, config, valid_recs)
+        assert steps.call_count == 0
+        # the evaluation each epoch would run refuses the set with the same message
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            trainer.sequential_evaluate(tiny_model(config), valid_recs, config.dims)
+
+
 class TestAblation:
     def test_four_rows_and_determinism(self):
         config = tiny_config(epochs=1, learning_rate=0.02)
