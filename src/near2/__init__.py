@@ -13,7 +13,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-# public name -> the submodule that defines it, listed module by module
+# public name -> the submodule that defines it, grouped module by module
 _EXPORTS = {
     name: module
     for module, names in {

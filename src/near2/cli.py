@@ -507,7 +507,7 @@ COMMANDS: dict[str, tuple[Callable, str, dict[str, Option]]] = {
 def build_parser(only: str | None = None) -> _Parser:
     """The parser for every command, or with `only` the one subparser it names.
 
-    Both print the same usage line, since the commands are listed only in
+    Both print the same usage line, since the commands are named only in
     the full parser's help.
     """
     parser = _Parser(prog="near2", description=_DESCRIPTION)

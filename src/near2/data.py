@@ -143,16 +143,14 @@ def parse_records(
     return records, issues
 
 
-def load_records(path, format: str | None = None) -> tuple[list[RelevanceRecord], list[ParseIssue]]:
-    """parse_records over a file; format inferred from the extension unless given.
+def load_records(path) -> tuple[list[RelevanceRecord], list[ParseIssue]]:
+    """parse_records over a file, TSV if its name ends in ".tsv", else JSONL.
 
     Bytes that are not UTF-8 are read as surrogate escapes, so a line that
     holds them becomes an issue naming its field, not a decoding crash.
     """
-    if format is None:
-        format = "tsv" if str(path).endswith(".tsv") else "jsonl"
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_records(fh, format)
+        return parse_records(fh, "tsv" if str(path).endswith(".tsv") else "jsonl")
 
 
 def write_records(records: list[RelevanceRecord], path, format: str = "jsonl") -> None:
@@ -305,13 +303,6 @@ def _title_hashes(titles: list[str]) -> list[int]:
         data = np.frombuffer(b"".join(chunk), dtype=np.uint8)
         hashes.extend(fnv1a64_many(data, ends - lengths, ends).tolist())
     return hashes
-
-
-def synth_category_of(ident: str) -> int:
-    """Category embedded in a synthetic qid/title_id, for label-consistency scans."""
-    if ident.startswith("q"):
-        return int(ident.rsplit("c", 1)[1])
-    return int(ident[1 : ident.index("-")])
 
 
 def gen_synthetic(

@@ -20,8 +20,9 @@ row times the projection; `encode_bag` wraps one in a `NestedEmbedding`,
 never projects: `feature_bags` tokenizes each text once per run, `pool` pools
 it once per step, and the losses work on the pooled rows and the projection
 (see `near2.losses`), so `backward` takes a gradient with respect to the
-step's pooled rows and only scatters each bag's share into a slab of the
-table rows the run's texts reach, a buffer the caller keeps for the run.
+step's pooled rows and only scatters each bag's share into its table rows.
+Training runs both on a compact model of the table rows its texts reach
+(see `near2.trainer`).
 
 `load_model` memory-maps the feature table, so a loaded model reads from disk
 only the rows its texts gather, and checks each row when it is gathered, not
@@ -398,37 +399,29 @@ def backward(
     model: EncoderModel,
     bags: list[FeatureBag],
     grad_pooled: np.ndarray,
-    grad_slab: np.ndarray,
-    slots: list[np.ndarray],
+    grad_table: np.ndarray,
 ) -> np.ndarray:
     """The feature-table gradient of a loss whose gradient with respect to
-    `pool(model, bags[t])` is `grad_pooled[t]`, one row per bag, accumulated
-    into the rows of a slab of the table.
+    `pool(model, bags[t])` is `grad_pooled[t]`, one row per bag, added into
+    `grad_table`, an array shaped like the table, which is returned.
 
     Exact chain rule: a pooled row is the count-weighted mean of its bag's
     table rows, so each bag adds its count-weighted share of its gradient row
-    to its own table rows. Table row bags[t].ids[i] is row slots[t][i] of
-    `grad_slab`, an (n, H) array; a table-shaped slab with slots[t] =
-    bags[t].ids is the whole-table gradient. Slab rows no bag reaches keep
-    their values; empty bags contribute nothing.
-
-    A training run keeps one all-zero slab of the rows its texts reach,
-    accumulates each step into it and re-zeroes it after the update, and
-    `grad_slab` is returned.
+    to its own table rows. Rows no bag reaches keep their values; empty bags
+    contribute nothing. A training run keeps one all-zero `grad_table` and
+    re-zeroes it after each update.
     """
     grad_pooled = np.asarray(grad_pooled, dtype=np.float64)
     if grad_pooled.shape != (len(bags), model.feature_dim):
         raise ValueError(f"pooled-row gradient must have shape ({len(bags)}, {model.feature_dim})")
-    if grad_slab.ndim != 2 or grad_slab.shape[1] != model.feature_dim:
-        raise ValueError(f"grad_slab must have shape (n, {model.feature_dim})")
-    if len(slots) != len(bags):
-        raise ValueError(f"need one slot array per bag, got {len(slots)} for {len(bags)} bags")
+    if grad_table.shape != model.feature_table.shape:
+        raise ValueError(f"grad_table must have shape {model.feature_table.shape}")
     # one buffer for every bag's share, instead of a fresh array per bag
     share = np.empty((max(map(len, bags), default=0), model.feature_dim))
-    for bag, slot, row in zip(bags, slots, grad_pooled):
+    for bag, row in zip(bags, grad_pooled):
         if len(bag):
-            grad_slab[slot] += np.multiply(bag.weights[:, None], row, out=share[: len(bag)])
-    return grad_slab
+            grad_table[bag.ids] += np.multiply(bag.weights[:, None], row, out=share[: len(bag)])
+    return grad_table
 
 
 # --- persistence ----------------------------------------------------------------

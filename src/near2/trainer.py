@@ -24,28 +24,29 @@ both (see `near2.losses`). A text without features, a zero row, has no
 cosine, so it is refused before the first step.
 
 Training reads only the feature-table rows of its texts' bags. `train` takes
-their sorted union once per run, the slab rows, and maps each bag's ids to
-their rows in it once. `backward` scatters the pooled-row gradient into one
-gradient slab of those rows, re-zeroed after each update, and each phase's
-table moments are slabs of the same rows. `adamw_step` gathers and scatters
-only the slab's parameter rows and reads the slab gradient and moments in
-place; every other table row has no gradient and no moments, and only
-decays (decoupled weight decay, Loshchilov & Hutter, arXiv 1711.05101). A
-slab row no step of the phase has reached yet has zero gradient and zero
-moments, and its full update is that same decay: every other term is
-0 / (sqrt(0) + eps) = 0, and p - 0.0 == p. So no buffer the size of the
-table is made, and every parameter and moment bit is the whole-table
-update's for a given clip factor.
+their sorted union once per run, the slab rows, and gathers them into a
+compact `EncoderModel` of that many buckets that shares the projection; each
+bag is remapped once to its rows there. Every step pools, back-propagates
+and updates that compact model with the plain dense `backward` and
+`adamw_step`, so no buffer the size of the table is made. Every other table
+row has no gradient and no moments, and then a whole-table step only decays
+it (decoupled weight decay, Loshchilov & Hutter, arXiv 1711.05101): every
+other term is 0 / (sqrt(0) + eps) = 0, and p - 0.0 == p. So `train` keeps
+each step's decay factor and, before anything reads the whole table (each
+validation, and the end of the run), replays them in order over it
+(`_decay`) and writes the slab rows back. A decay replayed a block at a time
+is the same elementwise multiply-subtract as one whole-table pass per step,
+so every parameter bit is that of whole-table steps.
 
 `adamw_step` takes only the learning rate; the betas, epsilon, weight decay
 and clip norm are module constants. The clip norm, `global_norm`, sums each
 gradient row's squares with numpy's pairwise sum and adds the row sums
 exactly with `math.fsum`. It uses no BLAS, whose dot product splits its sum
 across threads, and it depends neither on zero rows nor on the order of the
-rows, so a slab gives the whole-table gradient's norm. Every bit of a run is
-determined by (data, config, seed), whatever the BLAS thread count: a run
-under one OpenBLAS thread and under two records the same step rows and
-saves the same model bytes.
+rows, so the compact model's gradient gives the whole table's norm. Every
+bit of a run is determined by (data, config, seed), whatever the BLAS thread
+count: a run under one OpenBLAS thread and under two records the same step
+rows and saves the same model bytes.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .encoder import (
     DEFAULT_FEATURE_DIM,
     MAX_BUCKETS,
     EncoderModel,
+    FeatureBag,
     backward,
     encode,  # unused here; bench/tracing.py wraps near2.trainer.encode
     feature_bags,
@@ -91,7 +93,7 @@ ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01
 
 # Entries per block of adamw_step's passes: a block of the parameter, its
-# gradient, both moments and the three scratch buffers (7 x 128 KiB of
+# gradient, both moments and the two scratch buffers (6 x 128 KiB of
 # float64) stay within a 2 MiB L2 cache. On a 2^15 x 128 table with a
 # 3,487-row slab, a step took 14.1 ms against 15.5 ms with 8K-entry blocks,
 # and 32K or 64K entries ran no faster.
@@ -199,11 +201,13 @@ def build_batches(
     Positives are titles with grade > 3, negatives grade < 3; grade-3 rows
     never enter a triplet. Queries lacking either side are excluded from the
     ranking batches, but their centrality-labeled rows still feed the pair
-    batches (spread round-robin). Negatives are capped per query per step.
+    batches (spread round-robin). Negatives are capped per query per step. A
+    qid with two query strings is a `DataError`, as in `split_judgments`.
     """
-    by_query: dict[str, dict] = {}
+    query_of = _query_strings(records)
+    by_query = {qid: {"pos": [], "neg": [], "pairs": []} for qid in query_of}
     for r in records:
-        q = by_query.setdefault(r.qid, {"query": r.query, "pos": [], "neg": [], "pairs": []})
+        q = by_query[r.qid]
         if r.grade > RELEVANT_ABOVE:
             q["pos"].append(r.title)
         elif r.grade < RELEVANT_ABOVE:
@@ -225,17 +229,17 @@ def build_batches(
             negs = q["neg"]
             if len(negs) > MAX_NEGATIVES_PER_QUERY:
                 negs = rng.sample(negs, MAX_NEGATIVES_PER_QUERY)
-            batch.queries.append(q["query"])
+            batch.queries.append(query_of[qid])
             batch.positives.append(list(q["pos"]))
             batch.negatives.append(list(negs))
-            batch.add_pairs(q["query"], q["pairs"])
+            batch.add_pairs(query_of[qid], q["pairs"])
         batches.append(batch)
 
     # queries unusable for ranking still train OCL through their labeled pairs
     usable_set = set(usable)
     orphans = [qid for qid in by_query if qid not in usable_set and by_query[qid]["pairs"]]
     for i, qid in enumerate(orphans):
-        batches[i % len(batches)].add_pairs(by_query[qid]["query"], by_query[qid]["pairs"])
+        batches[i % len(batches)].add_pairs(query_of[qid], by_query[qid]["pairs"])
     return batches
 
 
@@ -244,29 +248,20 @@ def build_batches(
 
 @dataclass
 class OptimizerState:
-    """AdamW's step count and per-parameter moments.
-
-    A parameter named in `rows` (as `adamw_step` takes it) keeps its moments
-    shaped like its gradient slab, one row per listed row; any other keeps
-    them shaped like the parameter.
-    """
+    """AdamW's step count and per-parameter moments, each shaped like its
+    parameter. Training keeps them for its compact model of the slab rows
+    (see the module docstring), so they are as small as those rows."""
 
     step: int
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
 
     @classmethod
-    def zeros(
-        cls, params: dict[str, np.ndarray], rows: dict[str, np.ndarray] | None = None
-    ) -> "OptimizerState":
-        rows = rows or {}
-        shapes = {
-            k: (len(rows[k]), *v.shape[1:]) if k in rows else v.shape for k, v in params.items()
-        }
+    def zeros(cls, params: dict[str, np.ndarray]) -> "OptimizerState":
         return cls(
             step=0,
-            first_moment={k: np.zeros(shapes[k], v.dtype) for k, v in params.items()},
-            second_moment={k: np.zeros(shapes[k], v.dtype) for k, v in params.items()},
+            first_moment={k: np.zeros(v.shape, v.dtype) for k, v in params.items()},
+            second_moment={k: np.zeros(v.shape, v.dtype) for k, v in params.items()},
         )
 
 
@@ -281,17 +276,18 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
     Each gradient row (first-axis slice) is squared and summed with
     `np.add.reduce`, numpy's pairwise sum, and `math.fsum` adds the row sums
     of every gradient exactly before the one rounding. So the norm does not
-    depend on BLAS threads, on zero rows, or on the order of the rows: a
-    gradient slab and the table-shaped gradient it stands for give the same
-    bits. Finite entries whose squares overflow give an infinite norm, as
-    does an intermediate overflow of the exact sum.
+    depend on BLAS threads, on zero rows, or on the order of the rows: the
+    gradient of a compact model of some table rows and the whole-table
+    gradient it stands for give the same bits. Finite entries whose squares
+    overflow give an infinite norm, as does an intermediate overflow of the
+    exact sum.
     """
     row_sums: list[float] = []
     with np.errstate(over="ignore"):
         for g in grads.values():
             rows = _row_view(g)
             # squared a block of rows at a time into one buffer: a fresh
-            # slab-sized array per step cost more than the squaring
+            # gradient-sized array per step cost more than the squaring
             per_block = max(1, ADAMW_BLOCK // max(rows.shape[1], 1))
             squares = np.empty((min(per_block, len(rows)), rows.shape[1]))
             for start in range(0, len(rows), per_block):
@@ -304,12 +300,22 @@ def global_norm(grads: dict[str, np.ndarray]) -> float:
         return math.inf
 
 
+def _decay(rows2d: np.ndarray, decays, scratch: np.ndarray) -> None:
+    """Decoupled weight decay of a 2-D array in place: p -= p * d for each
+    factor d of `decays` in order, a block of len(`scratch`) rows at a time,
+    where `scratch` is a buffer of such a block. The bits are those of one
+    whole-array pass per factor, whatever the block."""
+    for start in range(0, len(rows2d), len(scratch)):
+        p = rows2d[start : start + len(scratch)]
+        for d in decays:
+            p -= np.multiply(p, d, out=scratch[: len(p)])
+
+
 def adamw_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: OptimizerState,
     learning_rate: float,
-    rows: dict[str, np.ndarray] | None = None,
 ) -> tuple[float, float]:
     """One clipped AdamW update at `learning_rate`, in place, with bias correction.
 
@@ -317,39 +323,23 @@ def adamw_step(
     `ADAM_EPS` and `WEIGHT_DECAY`. Returns the global L2 norm of the gradients
     before clipping (`global_norm`) and the clip factor applied:
     `MAX_GRAD_NORM / norm` when the norm is finite and above `MAX_GRAD_NORM`,
-    else 1.0. Clipping scales `grads` in place.
-
-    `rows` maps a parameter's name to the sorted, distinct indices of the rows
-    (first-axis slices) that get the full update. Such a parameter's gradient
-    and moments are slabs: row i of each belongs to parameter row rows[i]. A
-    parameter `rows` does not name has them shaped like itself, and every row
-    gets the full update. An unlisted row has, in effect, zero gradient and
-    zero moments, and then only decays: the whole-array update would add
-    0 / (sqrt(0) + eps) = 0 to it and leave its moments at zero, and
-    p - 0.0 == p, so its bits are the same. A listed row with zero gradient
-    and zero moments, one no step has reached yet, gets those same bits from
-    the full update.
+    else 1.0. Clipping scales `grads` in place. Each gradient and moment is
+    shaped like its parameter.
 
     A finite norm proves every gradient entry finite, so entries are counted
     only when it is not: non-finite entries abort the step before anything is
     touched, while finite entries whose squares overflow the norm step
     unclipped. Then each parameter gets two passes over blocks of about
     `ADAMW_BLOCK` entries: decoupled weight decay of every entry from its
-    pre-step value, then, row by row of the gradient, the clip scaling, both
-    moment updates and the bias-corrected step. A listed parameter's rows are
-    gathered a block at a time and scattered back; its gradient and moments
-    are read in place. These are the same elementwise operations in the same
-    order as a whole-array update, so the bits do not depend on the block
-    size or on the row set. Parameters, gradients and moments must be
-    contiguous.
+    pre-step value (`_decay`), then the clip scaling, both moment updates and
+    the bias-corrected step. These are the same elementwise operations in the
+    same order as a whole-array update, so the bits do not depend on the
+    block size. Parameters, gradients and moments must be contiguous.
     """
-    rows = rows or {}
     for name, param in params.items():
-        listed = rows.get(name)
-        shape = param.shape if listed is None else (len(listed), *param.shape[1:])
-        if grads[name].shape != shape:
+        if grads[name].shape != param.shape:
             raise ValueError(
-                f"gradient of {name!r} must have shape {shape}, got {grads[name].shape}"
+                f"gradient of {name!r} must have shape {param.shape}, got {grads[name].shape}"
             )
     norm = global_norm(grads)
     if not math.isfinite(norm):
@@ -361,7 +351,6 @@ def adamw_step(
     state.step += 1
     t = state.step
     lr, b1, b2, eps = learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    decay = lr * WEIGHT_DECAY
     m_correction, v_correction = 1.0 - b1**t, 1.0 - b2**t
     for name, param in params.items():
         p_rows, g_rows, m_rows, v_rows = (
@@ -370,22 +359,12 @@ def adamw_step(
         )
         width = p_rows.shape[1]
         per_block = max(1, ADAMW_BLOCK // width)
-        listed = rows.get(name)
-        # two scratch blocks, plus one to gather listed parameter rows into
-        scratch = np.empty((2 if listed is None else 3, per_block, width))
-        # decoupled weight decay of every row, from its pre-step value
+        tmp_block, den_block = np.empty((2, per_block, width))
+        _decay(p_rows, (lr * WEIGHT_DECAY,), tmp_block)
         for start in range(0, len(p_rows), per_block):
-            p = p_rows[start : start + per_block]
-            p -= np.multiply(p, decay, out=scratch[0, : len(p)])
-        for start in range(0, len(g_rows), per_block):
-            stop = start + per_block
-            g, m, v = g_rows[start:stop], m_rows[start:stop], v_rows[start:stop]
-            if listed is None:  # a view of contiguous rows
-                p = p_rows[start:stop]
-            else:  # gathered, and scattered back below
-                chunk = listed[start:stop]
-                p = np.take(p_rows, chunk, axis=0, out=scratch[2, : len(chunk)])
-            tmp, den = scratch[:2, : len(p)]
+            block = slice(start, start + per_block)
+            p, g, m, v = p_rows[block], g_rows[block], m_rows[block], v_rows[block]
+            tmp, den = tmp_block[: len(p)], den_block[: len(p)]
             if clip != 1.0:
                 g *= clip
             m *= b1
@@ -402,8 +381,6 @@ def adamw_step(
             den += eps
             tmp /= den
             p -= tmp
-            if listed is not None:
-                p_rows[chunk] = p
     return norm, clip
 
 
@@ -547,19 +524,21 @@ def train(
     featureless ones, which every epoch's evaluation would refuse. A float64
     model is trained in place; a loaded model, whose feature table is
     float32, is first copied into a float64 model and left as it was.
+
+    Steps train a compact model of the slab rows, the sorted union of the
+    run's bag ids, that shares the projection (see the module docstring). The
+    whole table is synced from it before each validation and at the end. No
+    buffer the size of the feature table is allocated.
+
     A step that meets non-finite values (a diverging run's pooled rows or
     projection Grams, its loss or its gradients) or a prefix norm that
-    overflows raises
-    `NumericalError` naming the phase, epoch and step; so does a run that
-    ends with parameters beyond float32's range, which a saved model could
-    not hold.
-
-    Training reads only the table rows of its texts' bags: `rows`, their
-    sorted union, is fixed for the run, and every step's table gradient and
-    each phase's table moments are slabs of len(rows) rows (see
-    `adamw_step`). No buffer the size of the feature table is allocated.
+    overflows raises `NumericalError` naming the phase, epoch and step; so
+    does a run that ends with parameters beyond float32's range, which a
+    saved model could not hold. A float64 model trained in place is then left
+    part-way: a mid-run error leaves its projection partly trained and its
+    table as of the last sync, not synced with the steps since.
     """
-    _query_strings(records)  # batches would train only a qid's first query string
+    _query_strings(records)  # before _check_features, which would refuse a featureless one
     if valid_records and config.epochs:
         # a validation set no epoch could evaluate is refused before step 1
         _judged_split(valid_records, model.bucket_count)
@@ -574,15 +553,18 @@ def train(
     phases = SCHEDULE_PHASES[config.schedule]
     _check_features(records, bags, any(p.ranking for p in phases),
                     any(_pair_weight(p, config) > 0 for p in phases))
-    # the slab: each bag's table rows remapped once to their rows in it
     rows = np.unique(np.concatenate([np.zeros(0, np.int64), *(bag.ids for bag in bags.values())]))
-    slots = {text: np.searchsorted(rows, bag.ids) for text, bag in bags.items()}
-    grad_slab = np.zeros((len(rows), model.feature_dim))  # all zeros between steps
-    listed = {"feature_table": rows}
+    if not len(rows):  # a model needs a bucket, and a row no bag reaches only decays
+        rows = np.zeros(1, np.int64)
+    # the compact model shares the projection, so only the table needs syncing
+    slab = replace(model, bucket_count=len(rows), feature_table=model.feature_table[rows])
+    bags = {text: FeatureBag(np.searchsorted(rows, b.ids), b.counts) for text, b in bags.items()}
+    grad_table = np.zeros_like(slab.feature_table)  # all zeros between steps
+    decays: list[float] = []  # each step's decay factor since the last sync
     global_step = 0
     for phase_index, phase in enumerate(phases):
         state = None  # the last phase's moments go before this phase's are made
-        state = OptimizerState.zeros(model.parameters(), listed)
+        state = OptimizerState.zeros(slab.parameters())
         dims = config.dims if phase.nested else DimSet((config.dims.full,))
         epochs = [
             build_batches(records, config.batch_size, _epoch_seed(config.seed, phase_index, epoch))
@@ -594,37 +576,49 @@ def train(
             for batch in batches:
                 phase_step += 1
                 try:
-                    out, texts = _step_loss(model, bags, batch, phase, dims, config)
+                    out, texts = _step_loss(slab, bags, batch, phase, dims, config)
                     if out is None:
                         continue
                     step_bags = [bags[text] for text in texts]
-                    step_slots = [slots[text] for text in texts]
                     grads = {
-                        "feature_table": backward(
-                            model, step_bags, out.pooled_gradient, grad_slab, step_slots
-                        ),
+                        "feature_table": backward(slab, step_bags, out.pooled_gradient, grad_table),
                         "projection": out.projection_gradient,
                     }
                     lr = config.learning_rate * warmup_linear(phase_step, total)
-                    grad_norm, clip = adamw_step(model.parameters(), grads, state, lr, listed)
+                    grad_norm, clip = adamw_step(slab.parameters(), grads, state, lr)
                 except NumericalError as e:
                     raise NumericalError(
                         f"phase {phase.name!r}, epoch {epoch}, step {phase_step} of {total}: {e}"
                     ) from None
-                grad_slab.fill(0.0)
+                grad_table.fill(0.0)
+                decays.append(lr * WEIGHT_DECAY)
                 global_step += 1
                 history.record_step(
                     phase.name, epoch, global_step, out.value,
                     out.per_dim, out.warnings, lr, grad_norm, clip,
                 )
             if valid_records:
+                _sync(model.feature_table, slab.feature_table, rows, decays)
                 report = sequential_evaluate(
                     model, valid_records, config.dims,
                     ks=DEFAULT_KS, corpus_cap=config.corpus_cap, seed=config.seed,
                 )
                 history.record_validation(phase.name, epoch, report)
+    _sync(model.feature_table, slab.feature_table, rows, decays)
     _check_float32(model)
     return model, history
+
+
+def _sync(table: np.ndarray, slab: np.ndarray, rows: np.ndarray, decays: list[float]) -> None:
+    """Bring `table` up to date with `slab`, its rows `rows` as trained by the
+    steps since the last sync, whose decay factors `decays` holds: every row
+    decays by each factor in order, as whole-table steps would decay it, then
+    the slab rows are written back. Clears `decays`."""
+    if decays:
+        width = table.shape[1]
+        _decay(table, decays, np.empty((max(1, ADAMW_BLOCK // width), width)))
+        table[rows] = slab
+        decays.clear()
 
 
 def _check_float32(model: EncoderModel) -> None:

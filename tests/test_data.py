@@ -13,11 +13,17 @@ from near2.data import (
     load_records,
     parse_records,
     split_judgments,
-    synth_category_of,
     write_records,
 )
 from near2.encoder import fnv1a64
 from near2.errors import DataError
+
+
+def synthetic_category(ident):
+    """The category a synthetic qid ("q00012c03") or title id ("c03-<hash>") names."""
+    if ident.startswith("q"):
+        return int(ident.rsplit("c", 1)[1])
+    return int(ident[1 : ident.index("-")])
 
 
 class TestParse:
@@ -172,7 +178,7 @@ class TestSynthetic:
     def test_centrality_iff_same_category(self):
         train, valid, test = gen_synthetic(SynthSpec(seed=4, query_count=50))
         for r in train + valid + test:
-            same = synth_category_of(r.qid) == synth_category_of(r.title_id)
+            same = synthetic_category(r.qid) == synthetic_category(r.title_id)
             assert (r.central == 1) == same
 
     def test_grade_three_rows_generated(self):

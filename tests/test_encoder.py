@@ -14,6 +14,7 @@ from near2.data import SynthSpec, gen_synthetic
 from near2.encoder import (
     MAX_BUCKETS,
     EncoderModel,
+    FeatureBag,
     backward,
     embed_bag,
     encode,
@@ -262,10 +263,8 @@ class TestEncode:
 
 
 def fresh_backward(model, bags, grad_pooled):
-    """backward of a pooled-row gradient into a fresh zero table, the slab of
-    every row, where each bag's slots are its ids."""
-    return backward(model, bags, grad_pooled, np.zeros_like(model.feature_table),
-                    [bag.ids for bag in bags])
+    """backward of a pooled-row gradient into a fresh zero table."""
+    return backward(model, bags, grad_pooled, np.zeros_like(model.feature_table))
 
 
 class TestBackward:
@@ -296,34 +295,37 @@ class TestBackward:
         a, b = (tokenize(t, model.bucket_count) for t in ("a", "b"))
         table = np.zeros_like(model.feature_table)
         with pytest.raises(ValueError):
-            backward(model, [a], np.zeros((1, model.full_dim)), table, [a.ids])
+            backward(model, [a], np.zeros((1, model.full_dim)), table)
         with pytest.raises(ValueError):
-            backward(model, [a, b], np.zeros((1, model.feature_dim)), table, [a.ids, b.ids])
+            backward(model, [a, b], np.zeros((1, model.feature_dim)), table)
         with pytest.raises(ValueError):
-            backward(model, [a], np.zeros((1, model.feature_dim)), np.zeros((2, 2)), [a.ids])
-        with pytest.raises(ValueError, match="one slot array per bag"):
-            backward(model, [a, b], np.zeros((2, model.feature_dim)), table, [a.ids])
+            backward(model, [a], np.zeros((1, model.feature_dim)), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"grad_table must have shape \(64, 8\)"):
+            backward(model, [a, b], np.zeros((2, model.feature_dim)), table[:-1])
 
-    def test_slab_rows_equal_the_table_rows(self):
-        # a reused slab of the union of the steps' rows, re-zeroed after each
-        # step as train does, holds the whole-table gradient's rows bit for bit
+    def test_compact_model_rows_equal_the_table_rows(self):
+        # a model of the union of the steps' rows, its bags remapped to them
+        # and one gradient reused and re-zeroed after each step as train
+        # does, gets the whole-table gradient's rows bit for bit
         model = tiny_model(seed=2)
         rng = np.random.default_rng(3)
         steps = (["red flower pot", "", "blue hose"], ["garden hose", "red pot", "blue hose"])
         bags = {t: tokenize(t, model.bucket_count) for texts in steps for t in texts}
         rows = np.unique(np.concatenate([bag.ids for bag in bags.values()]))
         assert 0 < len(rows) < model.bucket_count
-        slab = np.zeros((len(rows), model.feature_dim))
+        compact = EncoderModel(len(rows), model.feature_dim, model.dims, model.seed,
+                               model.feature_table[rows], model.projection)
+        remapped = {t: FeatureBag(np.searchsorted(rows, b.ids), b.counts) for t, b in bags.items()}
+        grad = np.zeros_like(compact.feature_table)
         for texts in steps:
             step_bags = [bags[t] for t in texts]
             grad_pooled = rng.normal(size=(len(step_bags), model.feature_dim))
             fresh = fresh_backward(model, step_bags, grad_pooled)
-            slots = [np.searchsorted(rows, bag.ids) for bag in step_bags]
-            reused = backward(model, step_bags, grad_pooled, slab, slots)
-            assert reused is slab
+            reused = backward(compact, [remapped[t] for t in texts], grad_pooled, grad)
+            assert reused is grad
             assert np.array_equal(reused, fresh[rows])
             assert not np.delete(fresh, rows, axis=0).any()
-            slab.fill(0.0)
+            grad.fill(0.0)
 
     def test_matches_per_occurrence_reference(self):
         model = tiny_model(seed=5)

@@ -31,6 +31,7 @@ from near2.trainer import (
     OptimizerState,
     Phase,
     TrainConfig,
+    TrainHistory,
     adamw_step,
     build_batches,
     global_norm,
@@ -108,6 +109,13 @@ class TestBuildBatches:
         batches = build_batches(records, 4, seed=0)
         assert len(batches[0].negatives[0]) == 8
 
+    def test_qid_with_two_query_strings_is_refused(self):
+        # the batches once paired the first query string with every record
+        records = [RelevanceRecord("q1", "red plant", "t1", "red pot", 5, None),
+                   RelevanceRecord("q1", "blue chair", "t2", "blue seat", 1, None)]
+        with pytest.raises(DataError, match=r"^qid 'q1' maps to two different query strings$"):
+            build_batches(records, 4, 0)
+
     def test_no_grade_three_in_any_triplet(self):
         train_recs, _, _ = small_dataset(seed=3, queries=20)
         grade3_titles = {r.title for r in train_recs if r.grade == 3}
@@ -161,15 +169,8 @@ def reference_clipped_adamw(params, grads, state, lr):
     return norm
 
 
-def slab_of(dense, rows, name):
-    """The slab of `dense` that a parameter `rows` names holds: its listed rows."""
-    return dense if name not in rows else dense[rows[name]]
-
-
-def assert_same_bits(params, state, ref_params, ref_state, rows=None, grads=None, ref_grads=None):
-    """Every parameter bit equal; every gradient and moment bit equal on the
-    rows a slab holds, and the dense reference's moments zero off them."""
-    rows = rows or {}
+def assert_same_bits(params, state, ref_params, ref_state, grads=None, ref_grads=None):
+    """Every parameter, moment and (if given) gradient bit equal."""
     assert state.step == ref_state.step
     for name in params:
         assert bits(params[name]) == bits(ref_params[name])
@@ -178,10 +179,7 @@ def assert_same_bits(params, state, ref_params, ref_state, rows=None, grads=None
         if grads is not None:
             pairs.append((grads, ref_grads))
         for got, want in pairs:
-            assert bits(got[name]) == bits(slab_of(want[name], rows, name))
-        if name in rows:
-            for moment in (ref_state.first_moment, ref_state.second_moment):
-                assert not np.delete(moment[name], rows[name], axis=0).any()
+            assert bits(got[name]) == bits(want[name])
 
 
 class TestAdamW:
@@ -245,42 +243,35 @@ class TestAdamW:
             "small": (ADAMW_BLOCK // 3,), "one": (ADAMW_BLOCK,),
             "many": (5, ADAMW_BLOCK // 2 + 7), "table": (3000, 40),
         }
-        for sparse in (False, True):
-            rng = np.random.default_rng(11)
-            params = {k: rng.normal(size=s) for k, s in shapes.items()}
-            ref_params = {k: v.copy() for k, v in params.items()}
-            # slabs of about half the rows of each parameter but "one", which
-            # is not named, so it holds all its rows
-            rows = {}
-            if sparse:
-                rows = {k: np.flatnonzero(rng.random(shapes[k][0]) < 0.5)
-                        for k in ("small", "many", "table")}
-            state, ref_state = OptimizerState.zeros(params, rows), OptimizerState.zeros(params)
-            clips = []
-            for scale in (1e-4, 1.0, 3.0):
-                ref_grads = {k: scale * rng.normal(size=s) for k, s in shapes.items()}
-                for k, listed in rows.items():
-                    # gradients on about a fifth of the rows, all in the slab
-                    hit = np.zeros(shapes[k][0], dtype=bool)
-                    hit[listed] = rng.random(len(listed)) < 0.4
-                    ref_grads[k][~hit] = 0.0
-                grads = {k: slab_of(g, rows, k).copy() for k, g in ref_grads.items()}
-                norm, clip = adamw_step(params, grads, state, 0.01, rows or None)
-                assert norm == reference_clipped_adamw(ref_params, ref_grads, ref_state, 0.01)
-                assert clip == min(1.0, MAX_GRAD_NORM / norm)
-                clips.append(clip)
-                assert_same_bits(params, state, ref_params, ref_state, rows, grads, ref_grads)
-            # an unclipped step, then clipped ones
-            assert clips[0] == 1.0 and clips[-1] < 1.0
+        rng = np.random.default_rng(11)
+        params = {k: rng.normal(size=s) for k, s in shapes.items()}
+        ref_params = {k: v.copy() for k, v in params.items()}
+        state, ref_state = OptimizerState.zeros(params), OptimizerState.zeros(params)
+        clips = []
+        for scale in (1e-4, 1.0, 3.0):
+            ref_grads = {k: scale * rng.normal(size=s) for k, s in shapes.items()}
+            # gradients on about a fifth of the table's rows, as in training
+            ref_grads["table"][rng.random(shapes["table"][0]) >= 0.2] = 0.0
+            grads = {k: g.copy() for k, g in ref_grads.items()}
+            norm, clip = adamw_step(params, grads, state, 0.01)
+            assert norm == reference_clipped_adamw(ref_params, ref_grads, ref_state, 0.01)
+            assert clip == min(1.0, MAX_GRAD_NORM / norm)
+            clips.append(clip)
+            assert_same_bits(params, state, ref_params, ref_state, grads, ref_grads)
+        # an unclipped step, then clipped ones
+        assert clips[0] == 1.0 and clips[-1] < 1.0
 
-    def test_slab_of_the_wrong_shape_is_refused_before_mutation(self):
-        params = {"table": np.ones((6, 2)), "b": np.ones(3)}
-        state = OptimizerState.zeros(params, {"table": np.array([1, 4])})
-        grads = {"table": np.ones((6, 2)), "b": np.ones(3)}
-        with pytest.raises(ValueError, match=r"gradient of 'table' must have shape \(2, 2\)"):
-            adamw_step(params, grads, state, 0.1, {"table": np.array([1, 4])})
-        assert state.step == 0 and (params["table"] == 1.0).all()
-        assert state.first_moment["table"].shape == (2, 2) and state.first_moment["b"].shape == (3,)
+    def test_gradient_of_the_wrong_shape_is_refused_before_mutation(self):
+        params = {"b": np.ones(3), "table": np.ones((6, 2))}
+        state = OptimizerState.zeros(params)
+        grads = {"b": np.ones(3), "table": np.ones((2, 2))}
+        with pytest.raises(ValueError,
+                           match=r"^gradient of 'table' must have shape \(6, 2\), got \(2, 2\)$"):
+            adamw_step(params, grads, state, 0.1)
+        assert state.step == 0 and (params["table"] == 1.0).all() and (params["b"] == 1.0).all()
+        assert state.first_moment["table"].shape == (6, 2) and state.first_moment["b"].shape == (3,)
+        moments = (*state.first_moment.values(), *state.second_moment.values())
+        assert not any(m.any() for m in moments)
 
     def test_finite_entries_overflowing_the_norm_step_unclipped(self):
         shapes = {"w": (ADAMW_BLOCK + 3,), "b": (4,)}
@@ -308,14 +299,21 @@ PARAM_VALUES = st.one_of(
 )
 
 
+def compact_slab(params, rows):
+    """The parameters training steps for a table of `params`: a copy of the
+    table's `rows` (as `train` gathers its slab model), sharing the rest."""
+    return {**params, "table": params["table"][rows]}
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_row_sparse_adamw_equals_the_dense_oracle_bit_for_bit(data):
-    """Steps on a table whose gradient reaches a few rows per step, as a slab
-    of a fixed superset of those rows, of every row, or not naming the table,
-    against `reference_clipped_adamw` on dense copies; the last step may
-    carry a non-finite gradient entry in a slab row, which must abort before
-    any mutation."""
+def test_compact_slab_steps_and_replayed_decay_equal_whole_table_steps(data):
+    """Steps on a compact copy of a fixed superset of the rows each step's
+    gradient reaches, synced into the table (`_sync`: every row replays the
+    steps' decays, then the slab rows are written back) after some steps and
+    at the end, against `reference_clipped_adamw` on the whole table with
+    zero gradient rows; the last step may carry a non-finite gradient entry
+    in a slab row, which must abort before any mutation."""
     n, width = data.draw(st.integers(1, 24), "rows"), data.draw(st.integers(1, 4), "width")
     block = data.draw(st.sampled_from([1, 3, 8, ADAMW_BLOCK]), "block")
     params = {
@@ -323,14 +321,11 @@ def test_row_sparse_adamw_equals_the_dense_oracle_bit_for_bit(data):
         "dense": data.draw(arrays(np.float64, (3,), elements=PARAM_VALUES), "dense"),
     }
     ref_params = {k: v.copy() for k, v in params.items()}
-    mode = data.draw(st.sampled_from(["slab", "all", "unnamed"]), "mode")
-    in_slab = np.ones(n, dtype=bool)
-    if mode == "slab":
-        in_slab = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), "slab"))
-    rows = {"slab": {"table": np.flatnonzero(in_slab)}, "all": {"table": np.arange(n)},
-            "unnamed": {}}[mode]
-    listed = np.flatnonzero(in_slab)
-    state, ref_state = OptimizerState.zeros(params, rows), OptimizerState.zeros(params)
+    in_slab = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), "slab"))
+    rows = np.flatnonzero(in_slab)
+    slab = compact_slab(params, rows)
+    state, ref_state = OptimizerState.zeros(slab), OptimizerState.zeros(params)
+    decays = []
     steps = data.draw(st.integers(1, 4), "steps")
     with mock.patch.object(trainer, "ADAMW_BLOCK", block):
         for step in range(1, steps + 1):
@@ -344,39 +339,49 @@ def test_row_sparse_adamw_equals_the_dense_oracle_bit_for_bit(data):
             ref_grads["table"][~hit] = data.draw(st.sampled_from([0.0, -0.0]), "zero")
             lr = data.draw(st.sampled_from([1e-3, 0.5]), "lr")
             bad = data.draw(st.sampled_from([None, np.nan, np.inf]), "bad") if step == steps else None
-            if bad is not None and listed.size:
-                ref_grads["table"][data.draw(st.sampled_from(listed.tolist()), "bad row"), 0] = bad
-            grads = {k: slab_of(g, rows, k).copy() for k, g in ref_grads.items()}
-            if bad is not None and listed.size:
-                before = [bits(a) for a in (*params.values(), *grads.values(),
-                                            *state.first_moment.values(), *state.second_moment.values())]
+            if bad is not None and rows.size:
+                ref_grads["table"][data.draw(st.sampled_from(rows.tolist()), "bad row"), 0] = bad
+            grads = {k: g.copy() for k, g in compact_slab(ref_grads, rows).items()}
+            if bad is not None and rows.size:
+                arrays_before = (*params.values(), *slab.values(), *grads.values(),
+                                 *state.first_moment.values(), *state.second_moment.values())
+                before = [bits(a) for a in arrays_before]
                 with pytest.raises(NumericalError, match="non-finite gradient entries in 'table'"):
-                    adamw_step(params, grads, state, lr, rows)
+                    adamw_step(slab, grads, state, lr)
                 assert state.step == step - 1
-                assert before == [bits(a) for a in (*params.values(), *grads.values(),
-                                                    *state.first_moment.values(),
-                                                    *state.second_moment.values())]
+                assert before == [bits(a) for a in arrays_before]
                 return
-            norm, clip = adamw_step(params, grads, state, lr, rows)
+            norm, clip = adamw_step(slab, grads, state, lr)
+            decays.append(lr * WEIGHT_DECAY)
             assert norm == reference_clipped_adamw(ref_params, ref_grads, ref_state, lr)
             assert clip == (MAX_GRAD_NORM / norm if norm > MAX_GRAD_NORM else 1.0)
             assert state.step == ref_state.step == step
-            assert_same_bits(params, state, ref_params, ref_state, rows, grads, ref_grads)
+            assert bits(grads["table"]) == bits(ref_grads["table"][rows])
+            if step == steps or data.draw(st.booleans(), "sync"):
+                trainer._sync(params["table"], slab["table"], rows, decays)
+                assert decays == []
+                assert [bits(p) for p in params.values()] == [bits(p) for p in ref_params.values()]
+            for got, want in ((state.first_moment, ref_state.first_moment),
+                              (state.second_moment, ref_state.second_moment)):
+                assert bits(got["dense"]) == bits(want["dense"])
+                assert bits(got["table"]) == bits(want["table"][rows])
+                assert not np.delete(want["table"], rows, axis=0).any()
 
 
-# The slab step against the dense one it replaced: they differ only in the
-# clip norm's summation order (exact row sums against one BLAS dot product
-# per gradient), so norms agree within NORM_RTOL and, through the clip factor,
-# parameters within PARAM_TOL * (|p| + lr) over a few steps.
+# Compact slab steps against the dense step they replaced: they differ only
+# in the clip norm's summation order (exact row sums against one BLAS dot
+# product per gradient), so norms agree within NORM_RTOL and, through the
+# clip factor, parameters within PARAM_TOL * (|p| + lr) over a few steps.
 NORM_RTOL = 1e-14
 PARAM_TOL = 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_slab_adamw_agrees_with_the_dense_vdot_oracle(data):
+def test_compact_slab_steps_agree_with_the_dense_vdot_oracle(data):
     """Steps as training takes them: the slab is the union of every step's
-    rows, while the oracle lists the rows touched so far in its dense state."""
+    rows and the table is synced at the end, while the oracle lists the rows
+    touched so far in its dense state."""
     n, width = data.draw(st.integers(1, 40), "rows"), data.draw(st.integers(1, 6), "width")
     params = {
         "table": data.draw(arrays(np.float64, (n, width), elements=st.floats(-4.0, 4.0)), "table"),
@@ -386,9 +391,11 @@ def test_slab_adamw_agrees_with_the_dense_vdot_oracle(data):
     steps = data.draw(st.integers(1, 5), "steps")
     hits = [np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n), "hit"))
             for _ in range(steps)]
-    rows = {"table": np.flatnonzero(np.logical_or.reduce(hits))}
-    state, ref_state = OptimizerState.zeros(params, rows), OptimizerState.zeros(params)
+    rows = np.flatnonzero(np.logical_or.reduce(hits))
+    slab = compact_slab(params, rows)
+    state, ref_state = OptimizerState.zeros(slab), OptimizerState.zeros(params)
     touched = np.zeros(n, dtype=bool)
+    decays = []
     for hit in hits:
         touched |= hit
         scale = data.draw(st.sampled_from([1e-3, 0.3, 1.0, 40.0]), "scale")
@@ -397,16 +404,18 @@ def test_slab_adamw_agrees_with_the_dense_vdot_oracle(data):
             for k, v in params.items()
         }
         ref_grads["table"][~hit] = 0.0
-        grads = {k: slab_of(g, rows, k).copy() for k, g in ref_grads.items()}
+        grads = {k: g.copy() for k, g in compact_slab(ref_grads, rows).items()}
         lr = data.draw(st.sampled_from([1e-3, 0.1]), "lr")
-        norm, clip = adamw_step(params, grads, state, lr, rows)
+        norm, clip = adamw_step(slab, grads, state, lr)
+        decays.append(lr * WEIGHT_DECAY)
         ref_norm, ref_clip = dense_adamw_step(ref_params, ref_grads, ref_state, lr,
                                               {"table": np.flatnonzero(touched)})
         assert abs(norm - ref_norm) <= NORM_RTOL * ref_norm
         assert abs(clip - ref_clip) <= NORM_RTOL * ref_clip
-        for name, value in params.items():
-            want = ref_params[name]
-            assert (np.abs(value - want) <= PARAM_TOL * (np.abs(want) + lr)).all()
+    trainer._sync(params["table"], slab["table"], rows, decays)
+    for name, value in params.items():
+        want = ref_params[name]
+        assert (np.abs(value - want) <= PARAM_TOL * (np.abs(want) + lr)).all()
 
 
 @settings(max_examples=100, deadline=None)
@@ -649,41 +658,107 @@ class TestTrain:
         for pooled_bags, step_bags in steps:
             assert pooled_bags == step_bags
 
-    def test_listed_rows_are_the_union_of_the_run_bag_ids(self, monkeypatch):
+    def test_slab_model_rows_are_the_union_of_the_run_bag_ids(self, monkeypatch):
         config = tiny_config(epochs=2)
         train_recs, _, _ = small_dataset(seed=2, queries=16)
-        calls, step_bags = [], []
-        real_backward, real_adamw = trainer.backward, trainer.adamw_step
-
-        def backward(model, bags, grad_pooled, grad_slab, slots):
-            step_bags.append((bags, slots))
-            return real_backward(model, bags, grad_pooled, grad_slab, slots)
-
-        def adamw_step(params, grads, state, lr, rows):
-            calls.append((state.step, rows["feature_table"], grads["feature_table"].shape,
-                          state.first_moment["feature_table"].shape,
-                          state.second_moment["feature_table"].shape))
-            return real_adamw(params, grads, state, lr, rows)
-
-        monkeypatch.setattr(trainer, "backward", backward)
-        monkeypatch.setattr(trainer, "adamw_step", adamw_step)
-        train(tiny_model(config), train_recs, config)
-        assert len(calls) == len(step_bags) > 4
+        model = tiny_model(config)
+        initial = model.feature_table.copy()
         texts = {s for r in train_recs for s in (r.query, r.title)}
         union = np.unique(np.concatenate(
             [encoder.tokenize(t, config.bucket_count).ids for t in texts]))
         assert 0 < len(union) < config.bucket_count
-        rows = calls[0][1]
-        assert np.array_equal(rows, union)
-        for (_, listed, *shapes), (bags, slots) in zip(calls, step_bags):
-            # one row list for the whole run, a superset of every step's bag
-            # ids, and slabs of its length
-            assert listed is rows
-            assert shapes == [(len(rows), config.feature_dim)] * 3
-            for bag, slot in zip(bags, slots):
-                assert np.array_equal(rows[slot], bag.ids)
+        losses, backwards, calls = [], [], []
+        real_loss, real_backward = trainer._step_loss, trainer.backward
+        real_adamw = trainer.adamw_step
+
+        def step_loss(slab, bags, *args):
+            losses.append((slab, bags, slab.feature_table.copy()))
+            return real_loss(slab, bags, *args)
+
+        def backward(slab, bags, grad_pooled, grad_table):
+            backwards.append((slab, bags))
+            return real_backward(slab, bags, grad_pooled, grad_table)
+
+        def adamw_step(params, grads, state, lr):
+            calls.append((state.step, params["feature_table"], grads["feature_table"].shape,
+                          state.first_moment["feature_table"].shape,
+                          state.second_moment["feature_table"].shape))
+            return real_adamw(params, grads, state, lr)
+
+        monkeypatch.setattr(trainer, "_step_loss", step_loss)
+        monkeypatch.setattr(trainer, "backward", backward)
+        monkeypatch.setattr(trainer, "adamw_step", adamw_step)
+        trained, _ = train(model, train_recs, config)
+        assert len(calls) == len(backwards) > 4
+        slab, bags, first_table = losses[0]
+        # one model of the union's rows for the whole run, gathered from the
+        # table and sharing the projection
+        assert slab.bucket_count == len(union) and slab.projection is trained.projection
+        assert np.array_equal(first_table, initial[union])
+        assert all(s is slab and b is bags for s, b, _ in losses)
+        assert all(s is slab for s, _ in backwards)
+        # each text's bag remapped to its rows in it
+        assert set(bags) == texts
+        for text, bag in bags.items():
+            want = encoder.tokenize(text, config.bucket_count)
+            assert np.array_equal(union[bag.ids], want.ids)
+            assert np.array_equal(bag.counts, want.counts)
+        remapped = {id(bag) for bag in bags.values()}
+        assert all(id(bag) in remapped for _, step_bags in backwards for bag in step_bags)
+        for _, table, *shapes in calls:
+            assert table is slab.feature_table
+            assert shapes == [(len(union), config.feature_dim)] * 3
         # each phase starts from a fresh optimizer state
         assert [step for step, *_ in calls].count(0) == 2
+
+    def test_rows_no_text_reaches_only_decay(self):
+        # each step decays every table row, in order, whatever rows its texts
+        # reach; validation syncs the table twice before the end
+        config = tiny_config(epochs=2, bucket_count=4096)
+        train_recs, valid_recs, _ = small_dataset()
+        model = tiny_model(config)
+        table = model.feature_table.copy()
+        trained, history = train(model, train_recs, config, valid_recs)
+        reached = np.unique(np.concatenate([encoder.tokenize(s, config.bucket_count).ids
+                                            for r in train_recs for s in (r.query, r.title)]))
+        assert 0 < len(reached) < config.bucket_count
+        for step in history.steps:
+            table -= table * (step["lr"] * WEIGHT_DECAY)
+        assert bits(np.delete(trained.feature_table, reached, axis=0)) == bits(
+            np.delete(table, reached, axis=0))
+
+    def test_no_text_with_features_trains_no_step(self):
+        # "ocl" with no labelled record has nothing to train, and no text
+        # reaches a table row; the run takes no step and validates the model
+        # it was given in every epoch
+        config = tiny_config(schedule="ocl")
+        records = [RelevanceRecord("q1", "!!!", "t1", "---", 5),
+                   RelevanceRecord("q1", "!!!", "t2", "...", 1)]
+        _, valid_recs, _ = small_dataset()
+        model = tiny_model(config)
+        before = [bits(p) for p in model.parameters().values()]
+        trained, history = train(model, records, config, valid_recs)
+        assert history.steps == []
+        assert trained is model and [bits(p) for p in model.parameters().values()] == before
+        report = trainer.sequential_evaluate(model, valid_recs, config.dims, ks=trainer.DEFAULT_KS,
+                                             corpus_cap=config.corpus_cap, seed=config.seed)
+        expected = TrainHistory()
+        for phase in SCHEDULE_PHASES["ocl"]:
+            expected.record_validation(phase.name, 1, report)
+        assert history.validation == expected.validation
+
+    def test_last_validation_rows_evaluate_the_returned_model(self):
+        # the whole table is synced from the slab model before a validation
+        config = tiny_config(epochs=2)
+        train_recs, valid_recs, _ = small_dataset()
+        trained, history = train(tiny_model(config), train_recs, config, valid_recs)
+        report = trainer.sequential_evaluate(trained, valid_recs, config.dims,
+                                             ks=trainer.DEFAULT_KS,
+                                             corpus_cap=config.corpus_cap, seed=config.seed)
+        expected = TrainHistory()
+        expected.record_validation("near2", 2, report)
+        last = [r for r in history.validation if (r["phase"], r["epoch"]) == ("near2", 2)]
+        assert last == expected.validation
 
     def test_no_buffer_is_the_size_of_the_feature_table(self):
         # a 2^15 x 16 table of 4 MiB, against at least three times that in a
